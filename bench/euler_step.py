@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Layer microbenchmark: microseconds per Euler step of ``selfsync.simulate``.
+
+    python3 bench/euler_step.py --quick
+    python3 bench/euler_step.py --quick --src path/to/other/src --label parent --out BENCH.json
+
+For each n in {14, 40, 200, 1000} it builds one seeded netgen graph (uniform
+placement at a fixed node density, path-loss amplitudes pruned below 0.5,
+geometry delays with the longest link lagging 50 steps), warms up, then times
+``simulate`` five times and reports the median, min and max microseconds per
+step, together with the median time of one ``detect_sync`` call on the last
+trajectory. Each row
+records n, nnz, mmax and the horizon; the run records the CPU count and the
+numpy and python versions. ``--quick`` shortens the horizon so the whole run
+stays under 30 s even for a dense O(n^2) kernel.
+
+selfsync is imported from ``--src`` (default: this checkout's ``src/``), so one
+copy of the script can time two versions of the library on the same machine.
+With ``--out`` the result is stored under ``--label`` in that JSON file, keeping
+the other labels already there.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from dataclasses import replace  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+SIZES = (14, 40, 200, 1000)
+DENSITY = 5.0  # nodes per unit area: about 60 in-links per node at threshold 0.5
+THRESHOLD = 0.5
+T_STEP = 1e-3
+TAU_MAX = 0.05  # longest link lag: 50 steps
+REPEATS = 5
+
+
+def build_case(selfsync, n: int, seed: int):
+    geom = selfsync.place_nodes(n, float(np.sqrt(n / DENSITY)), seed)
+    g = selfsync.threshold_prune(selfsync.channel_pathloss(geom, 1.0), THRESHOLD)
+    # speed such that the longest surviving link is delayed by TAU_MAX
+    longest = float(geom.distances[g.weights > 0].max(initial=0.0))
+    geom = replace(geom, speed=longest / TAU_MAX if longest > 0 else 1.0)
+    delays = selfsync.delays_from_geometry(geom)
+    # gain well inside the step-size guard T * K * in_degree < 2
+    k_gain = 0.5 / (T_STEP * max(float(g.weights.sum(axis=1).max()), 1.0))
+    gvals = np.random.default_rng(seed + 1).uniform(0.5, 1.5, n)
+    w = g.weights
+    lags = np.rint(delays.tau[w > 0] / T_STEP)
+    return g, delays, gvals, k_gain, int((w > 0).sum()), int(lags.max()) if lags.size else 0
+
+
+def time_size(selfsync, n: int, horizon: int, seed: int) -> dict:
+    g, delays, gvals, k_gain, nnz, mmax = build_case(selfsync, n, seed)
+    cfg = selfsync.SimConfig(t_step=T_STEP, k_gain=k_gain, horizon=horizon)
+    selfsync.simulate(g, delays, replace(cfg, horizon=20), gvals)  # warm-up
+    us_per_step = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        traj = selfsync.simulate(g, delays, cfg, gvals)
+        us_per_step.append((time.perf_counter() - t0) / (horizon + 1) * 1e6)
+    detect_ms = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        selfsync.detect_sync_auto(traj, cfg, omega_scale=1.0)
+        detect_ms.append((time.perf_counter() - t0) * 1e3)
+    return {
+        "n": n,
+        "nnz": nnz,
+        "mmax": mmax,
+        "horizon": horizon,
+        "us_per_step": float(np.median(us_per_step)),
+        "us_per_step_min": min(us_per_step),
+        "us_per_step_max": max(us_per_step),
+        "detect_ms": float(np.median(detect_ms)),
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--quick", action="store_true", help="horizon 200 instead of 1000")
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                    help="directory holding the selfsync package to time")
+    ap.add_argument("--label", default="change", help="key of this result in --out")
+    ap.add_argument("--out", default=None, help="JSON file to store the result in")
+    args = ap.parse_args(argv)
+
+    sys.path.insert(0, args.src)
+    import selfsync
+
+    horizon = 200 if args.quick else 1000
+    start = time.perf_counter()
+    rows = []
+    for n in SIZES:
+        row = time_size(selfsync, n, horizon, args.seed)
+        rows.append(row)
+        print(f"n={row['n']:5d} nnz={row['nnz']:7d} mmax={row['mmax']:3d} "
+              f"{row['us_per_step']:9.1f} us/step (min {row['us_per_step_min']:.1f}, "
+              f"max {row['us_per_step_max']:.1f})  detect_sync {row['detect_ms']:.2f} ms",
+              flush=True)
+    result = {
+        "quick": args.quick,
+        "seed": args.seed,
+        "repeats": REPEATS,
+        "wall_s": round(time.perf_counter() - start, 2),
+        "machine": {
+            "cpu_count": os.cpu_count(),
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        },
+        "sizes": rows,
+    }
+    if args.out:
+        out = Path(args.out)
+        doc = json.loads(out.read_text()) if out.exists() else {}
+        doc[args.label] = result
+        out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(json.dumps(result))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,7 +12,14 @@ from pathlib import Path
 import numpy as np
 
 from . import digraph, netgen, protocols, spectral, stats, topologies
-from .dde_sim import SimConfig, detect_sync, detect_sync_auto, simulate, trajectory_to_csv
+from .dde_sim import (
+    SimConfig,
+    SimulationError,
+    detect_sync,
+    detect_sync_auto,
+    simulate,
+    trajectory_to_csv,
+)
 from .netgen import DelayMatrix
 
 SCHEMA_VERSION = 1
@@ -20,6 +27,7 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
 EXIT_NO_SYNC = 3
+EXIT_NUMERICAL = 4
 
 
 class ConfigError(ValueError):
@@ -471,6 +479,9 @@ def main(argv=None) -> int:
     except (ConfigError, digraph.GraphValidationError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    except SimulationError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -134,7 +134,7 @@ def _simulate_core(
     w = g.weights
     indeg = w.sum(axis=1)
     # explicit-Euler stability heuristic
-    gain = np.array([np.linalg.eigvalsh(0.5 * (kq[i] + kq[i].T)).max() for i in range(n)])
+    gain = np.linalg.eigvalsh(0.5 * (kq + kq.transpose(0, 2, 1))).max(axis=1)
     bad = np.flatnonzero(cfg.t_step * gain * indeg >= 2.0)
     if bad.size:
         i = int(bad[0])
@@ -149,20 +149,43 @@ def _simulate_core(
     for h in range(mmax + 1):
         x[h] = cfg.init.evaluate((h - mmax) * cfg.t_step, n, dim)
     deriv = np.empty((horizon + 1, n, dim))
-    cols = np.arange(n)[None, :]
+    # The coupling sum_j a_ij (x_j(t - tau_ij) - x_i(t)) equals sum_j b_ij
+    # x_j(t - tau_ij) with b = A - diag(in_degree) and tau_ii = 0. One entry
+    # list holds every nonzero b_ij and every diagonal entry, grouped by
+    # (node i, coordinate l) with sources ascending, so each (i, l) owns a
+    # non-empty run that np.add.reduceat sums. Entry e reads x.reshape(-1)
+    # at idx[e], which advances by one history row per step.
+    b = w.copy()
+    np.fill_diagonal(b, -indeg)
+    dst, src = np.nonzero((b != 0.0) | np.eye(n, dtype=bool))
+    coord = np.arange(dim)
+    entry_bin = (dst[:, None] * dim + coord).ravel()
+    order = np.argsort(entry_bin, kind="stable")
+    starts = np.searchsorted(entry_bin[order], np.arange(n * dim))
+    weight = np.repeat(b[dst, src], dim)[order]
+    lagged_src = src + (mmax - m[dst, src]) * n
+    idx = (lagged_src[:, None] * dim + coord).ravel()[order]
+    xf = x.reshape(-1)
+    k_over_c = kq[:, :, 0] if dim == 1 else None  # scalar state: K / c_i per node
     rng = np.random.default_rng(cfg.rng_seed) if cfg.noise_std > 0 else None
     for step in range(horizon + 1):
         cur = mmax + step
-        delayed = x[cur - m, cols]  # (n, n, dim): delayed[i, j] = x_j(t - tau_ij)
-        coup = np.einsum("ij,ijl->il", w, delayed) - indeg[:, None] * x[cur]
-        rhs = g_vals + np.einsum("ilm,im->il", kq, coup)
+        coup = np.add.reduceat(weight * xf[idx], starts).reshape(n, dim)
+        rhs = deriv[step]
+        if k_over_c is not None:
+            np.multiply(k_over_c, coup, out=rhs)
+        else:
+            np.einsum("ilm,im->il", kq, coup, out=rhs)
+        rhs += g_vals
         if rng is not None:
-            rhs = rhs + rng.normal(0.0, cfg.noise_std, size=(n, dim))
-        deriv[step] = rhs
+            rhs += rng.normal(0.0, cfg.noise_std, size=(n, dim))
         if step < horizon:
-            x[cur + 1] = x[cur] + cfg.t_step * rhs
-            if not np.all(np.isfinite(x[cur + 1])):
+            nxt = x[cur + 1]
+            np.multiply(cfg.t_step, rhs, out=nxt)
+            nxt += x[cur]
+            if not np.isfinite(nxt).all():
                 raise SimulationError(f"non-finite state at step {step + 1}")
+            idx += n * dim
     return np.arange(horizon + 1) * cfg.t_step, x[mmax:], deriv
 
 
@@ -233,40 +256,36 @@ def detect_sync(
     means = d.mean(axis=0)  # (n, L)
     stationary = np.abs(d - means[None]).max(axis=(0, 2)) <= tol
     idx = np.flatnonzero(stationary)
-    # connected components of the "within tol" relation among stationary nodes
-    parent = {int(i): int(i) for i in idx}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for ai in range(len(idx)):
-        for bi in range(ai + 1, len(idx)):
-            a, b = int(idx[ai]), int(idx[bi])
-            if np.abs(means[a] - means[b]).max() <= tol:
-                parent[find(a)] = find(b)
-    groups: dict[int, list[int]] = {}
-    for i in idx:
-        groups.setdefault(find(int(i)), []).append(int(i))
     t_detect = float(traj.times[-window])
     clusters = []
     clustered: set[int] = set()
-    for nodes in groups.values():
+    # connected components of the "within tol" relation among stationary
+    # nodes; each grows from its lowest node, so clusters come out ordered by
+    # their smallest member with their nodes ascending
+    mu = means[idx]
+    close = np.abs(mu[:, None, :] - mu[None, :, :]).max(axis=2) <= tol
+    unseen = np.ones(len(idx), dtype=bool)
+    for root in range(len(idx)):
+        if not unseen[root]:
+            continue
+        member = frontier = np.arange(len(idx)) == root
+        while frontier.any():
+            frontier = close[frontier].any(axis=0) & ~member
+            member = member | frontier
+        unseen &= ~member
+        nodes = idx[member]
         if len(nodes) >= min_cluster_size or n == 1:
             value = means[nodes].mean(axis=0)
             if traj.derivatives.ndim == 2:
                 value = value[0]
             clusters.append(
                 SyncCluster(
-                    nodes=frozenset(nodes),
+                    nodes=frozenset(nodes.tolist()),
                     value=np.asarray(value),
                     detection_time=t_detect,
                 )
             )
-            clustered.update(nodes)
-    clusters.sort(key=lambda c: min(c.nodes))
+            clustered.update(nodes.tolist())
     result = SyncResult(
         clusters=clusters,
         unclustered=frozenset(range(n)) - frozenset(clustered),

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from selfsync.cli import EXIT_BAD_CONFIG, EXIT_NO_SYNC, EXIT_OK, main
+from selfsync.cli import EXIT_BAD_CONFIG, EXIT_NO_SYNC, EXIT_NUMERICAL, EXIT_OK, main
 
 
 def write_json(path, obj):
@@ -123,6 +123,21 @@ def test_run_short_horizon_exits_nonzero(demo_scenarios, tmp_path, capsys):
     )
     assert code == EXIT_NO_SYNC
     assert "synchronization" in capsys.readouterr().err
+
+
+def test_run_step_size_failure_exits_numerical(tmp_path, capsys):
+    # T_s * K * in_degree(0) = 0.1 * 30 * 1 = 3 trips the step-size guard
+    cfg = write_json(
+        tmp_path / "cfg.json",
+        {"topology": "demo14", "seed": 0, "t_step": 0.1, "k_gain": 30.0, "tau": 0.2},
+    )
+    scen = tmp_path / "scen"
+    assert main(["gen", cfg, "--out-dir", str(scen)]) == EXIT_OK
+    code = main(["run", str(scen / "sc"), "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical error: step-size instability" in err
+    assert "T_s * k_0 * in_degree(0) = 3.000 >= 2" in err
 
 
 def test_run_unbias_mode_reports_ratio(demo_scenarios, tmp_path):

@@ -1,7 +1,11 @@
 """Discrete-time integrator and synchronization detection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfsync.dde_sim import (
     DelayMatrix,
@@ -233,3 +237,189 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert data.shape == (11, 5)
     np.testing.assert_allclose(data[:, 0], traj.times[::2])
     np.testing.assert_allclose(data[:, 1:3], traj.states[::2], atol=1e-12)
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def dense_core_reference(w, lags, kq, g_vals, t_step, horizon, init, noise_std, seed):
+    """The dense per-step gather x[cur - m, cols] over all n^2 node pairs."""
+    n, dim = g_vals.shape
+    indeg = w.sum(axis=1)
+    mmax = int(lags.max())
+    x = np.empty((mmax + horizon + 1, n, dim))
+    for h in range(mmax + 1):
+        x[h] = init.evaluate((h - mmax) * t_step, n, dim)
+    deriv = np.empty((horizon + 1, n, dim))
+    cols = np.arange(n)[None, :]
+    rng = np.random.default_rng(seed) if noise_std > 0 else None
+    for step in range(horizon + 1):
+        cur = mmax + step
+        delayed = x[cur - lags, cols]
+        coup = np.einsum("ij,ijl->il", w, delayed) - indeg[:, None] * x[cur]
+        rhs = g_vals + np.einsum("ilm,im->il", kq, coup)
+        if rng is not None:
+            rhs = rhs + rng.normal(0.0, noise_std, size=(n, dim))
+        deriv[step] = rhs
+        if step < horizon:
+            x[cur + 1] = x[cur] + t_step * rhs
+            if not np.all(np.isfinite(x[cur + 1])):
+                raise SimulationError(f"non-finite state at step {step + 1}")
+    return x[mmax:], deriv
+
+
+def assert_rel_close(actual, expected, rel):
+    scale = max(np.abs(expected).max(), 1e-300)
+    assert np.abs(actual - expected).max() <= rel * scale
+
+
+@st.composite
+def kernel_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    dim = draw(st.sampled_from([1, 2]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < draw(st.floats(0.0, 1.0)))
+    w[rng.random(n) < 0.2] = 0.0  # some nodes hear nobody
+    np.fill_diagonal(w, 0.0)
+    lags = rng.integers(0, 6, (n, n))  # asymmetric, lag 0 included
+    return n, dim, w, lags, rng, draw(st.sampled_from([0.0, 0.1]))
+
+
+@given(kernel_cases())
+@settings(max_examples=80, deadline=None)
+def test_edge_list_core_matches_dense_reference(case):
+    n, dim, w, lags, rng, noise_std = case
+    t_step = 2.0**-7  # exact in binary, so tau / t_step rounds back to the lag
+    cfg = SimConfig(
+        t_step=t_step,
+        k_gain=1.5,
+        horizon=40,
+        noise_std=noise_std,
+        rng_seed=int(rng.integers(1000)),
+        init=InitialCondition(
+            kind="linear", slopes=rng.normal(size=n), intercepts=rng.normal(size=n)
+        ),
+    )
+    g = new_digraph(w)
+    delays = DelayMatrix(tau=lags * t_step)
+    m = np.where(w > 0.0, lags, 0)
+    if dim == 1:
+        c = rng.uniform(0.5, 2.0, n)
+        gv = rng.normal(size=n)
+        traj = simulate(g, delays, replace(cfg, c_weights=c), gv)
+        kq = (cfg.k_gain / c).reshape(n, 1, 1)
+        states, deriv = traj.states[:, :, None], traj.derivatives[:, :, None]
+        gv = gv[:, None]
+    else:
+        a = rng.normal(size=(n, dim, dim))
+        q = a @ a.transpose(0, 2, 1) + 0.5 * np.eye(dim)  # SPD, not diagonal
+        gv = rng.normal(size=(n, dim))
+        traj = simulate_vector(g, delays, cfg, q, gv)
+        kq = cfg.k_gain * np.linalg.inv(q)
+        states, deriv = traj.states, traj.derivatives
+    ref_states, ref_deriv = dense_core_reference(
+        w, m, kq, gv, t_step, cfg.horizon, cfg.init, noise_std, cfg.rng_seed
+    )
+    assert_rel_close(states, ref_states, 1e-12)
+    assert_rel_close(deriv, ref_deriv, 1e-12)
+
+
+@pytest.mark.parametrize("lag", [0, 1, 5])
+def test_divergence_reported_at_same_step_as_dense_reference(lag):
+    # T_s * K * in_degree = 1.5 passes the step-size guard but diverges
+    g = two_node()
+    cfg = SimConfig(t_step=1.0, k_gain=1.5, horizon=5000)
+    lags = np.array([[0, lag], [lag, 0]])
+    gv = np.array([1.0, 0.0])
+    kq = np.full((2, 1, 1), cfg.k_gain)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SimulationError) as ref:
+            dense_core_reference(
+                g.weights, lags, kq, gv[:, None], 1.0, cfg.horizon, cfg.init, 0.0, 0
+            )
+        with pytest.raises(SimulationError) as got:
+            simulate(g, DelayMatrix(tau=lags * 1.0), cfg, gv)
+    assert "non-finite state at step" in str(ref.value)
+    assert str(got.value) == str(ref.value)
+
+
+def detect_sync_pairwise(traj, tol, window, min_cluster_size=2):
+    """Brute-force pairwise union-find over the stationary nodes."""
+    d = traj.derivatives[-window:]
+    if d.ndim == 2:
+        d = d[:, :, None]
+    n = d.shape[1]
+    means = d.mean(axis=0)
+    stationary = np.abs(d - means[None]).max(axis=(0, 2)) <= tol
+    idx = [int(i) for i in np.flatnonzero(stationary)]
+    parent = {i: i for i in idx}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for ai, a in enumerate(idx):
+        for b in idx[ai + 1 :]:
+            if np.abs(means[a] - means[b]).max() <= tol:
+                parent[find(a)] = find(b)
+    groups = {}
+    for i in idx:
+        groups.setdefault(find(i), []).append(i)
+    clusters = []
+    for nodes in groups.values():
+        if len(nodes) >= min_cluster_size or n == 1:
+            value = means[nodes].mean(axis=0)
+            if traj.derivatives.ndim == 2:
+                value = value[0]
+            clusters.append((frozenset(nodes), np.asarray(value)))
+    clusters.sort(key=lambda c: min(c[0]))
+    clustered = set().union(*[c[0] for c in clusters]) if clusters else set()
+    return clusters, frozenset(range(n)) - clustered, any(len(c[0]) == n for c in clusters)
+
+
+def assert_same_as_pairwise(traj, tol, window, min_cluster_size=2):
+    res = detect_sync(traj, tol=tol, window=window, min_cluster_size=min_cluster_size)
+    clusters, unclustered, global_sync = detect_sync_pairwise(
+        traj, tol, window, min_cluster_size
+    )
+    assert [c.nodes for c in res.clusters] == [nodes for nodes, _ in clusters]
+    for got, (_, value) in zip(res.clusters, clusters):
+        assert got.value.shape == value.shape
+        assert got.value.tobytes() == value.tobytes()
+    assert res.unclustered == unclustered
+    assert res.global_sync == global_sync
+    return res
+
+
+@given(
+    st.integers(min_value=1, max_value=15),
+    st.sampled_from([1, 2]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([1, 2, 3]),
+)
+@settings(max_examples=150, deadline=None)
+def test_detect_sync_matches_pairwise_union_find(n, dim, seed, min_size):
+    rng = np.random.default_rng(seed)
+    tol = 1e-3
+    # levels on a grid of half tolerances: equal, chained and separated means
+    levels = rng.integers(0, 8, (n, dim)) * 0.5 * tol + rng.normal(0.0, 0.05 * tol, (n, dim))
+    d = np.repeat(levels[None], 30, axis=0) + rng.normal(0.0, 0.1 * tol, (30, n, dim))
+    d[:, rng.random(n) < 0.2] += np.linspace(0.0, 10 * tol, 30)[:, None, None]  # drifting
+    if dim == 1:
+        d = d[:, :, 0]
+    assert_same_as_pairwise(synthetic_trajectory(d), tol, 20, min_size)
+
+
+def test_detect_sync_chain_joins_through_middle_node():
+    # |a - b| <= tol and |b - c| <= tol but |a - c| > tol: one cluster by transitivity
+    tol = 1e-3
+    for dim in (1, 2):
+        base = np.array([0.0, 0.9 * tol, 1.8 * tol, 10.0 * tol])
+        d = np.tile(base[:, None] * np.ones(dim), (20, 1, 1))
+        traj = synthetic_trajectory(d[:, :, 0] if dim == 1 else d)
+        res = assert_same_as_pairwise(traj, tol, 10)
+        assert [c.nodes for c in res.clusters] == [frozenset({0, 1, 2})]
+        assert res.unclustered == frozenset({3})
