@@ -14,6 +14,14 @@ records n, nnz, mmax and the horizon; the run records the CPU count and the
 numpy and python versions. ``--quick`` shortens the horizon so the whole run
 stays under 30 s even for a dense O(n^2) kernel.
 
+Two more kinds of row time the protocol layer. ``columns`` rows give the
+microseconds per step of L forcing columns, L in {1, n + 1} at n in {4, 8}
+(seeded ``random_sc`` graphs) and L in {1, 2} at n = 40 (the netgen graph
+above); a library whose ``simulate`` takes no forcing columns runs the L
+forcings one after another, which ``calls`` records. ``protocol`` rows give
+the median seconds of one ``gamma_estimation_protocol(mode="simulate")`` on
+the same ``random_sc`` graphs, with the horizon escalation of the gamma sweep.
+
 selfsync is imported from ``--src`` (default: this checkout's ``src/``), so one
 copy of the script can time two versions of the library on the same machine.
 With ``--out`` the result is stored under ``--label`` in that JSON file, keeping
@@ -43,6 +51,12 @@ THRESHOLD = 0.5
 T_STEP = 1e-3
 TAU_MAX = 0.05  # longest link lag: 50 steps
 REPEATS = 5
+# protocol rows: the gamma sweep's configuration
+SC_SIZES = (4, 8)
+SC_T_STEP = 2e-3
+SC_K_GAIN = 20.0
+SC_TAU = 0.02
+SC_HORIZONS = (8000, 30000, 120000)
 
 
 def build_case(selfsync, n: int, seed: int):
@@ -86,6 +100,87 @@ def time_size(selfsync, n: int, horizon: int, seed: int) -> dict:
     }
 
 
+def sc_case(selfsync, n: int, seed: int):
+    rng = np.random.default_rng(seed + n)
+    g = selfsync.topologies.random_sc(n, rng)
+    return g, selfsync.DelayMatrix.uniform(n, SC_TAU), rng.uniform(0.5, 2.0, n), rng.normal(1.0, 0.4, n)
+
+
+def run_columns(selfsync, g, delays, cfg, forcing) -> None:
+    if hasattr(selfsync.Trajectory, "column"):
+        selfsync.simulate(g, delays, cfg, forcing)
+    else:  # one run per forcing column
+        for col in forcing.T:
+            selfsync.simulate(g, delays, cfg, col)
+
+
+def time_columns(selfsync, g, delays, cfg, cols: int, seed: int) -> dict:
+    forcing = np.random.default_rng(seed).uniform(0.5, 1.5, (g.n, cols))
+    run_columns(selfsync, g, delays, replace(cfg, horizon=20), forcing)  # warm-up
+    us_per_step = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        run_columns(selfsync, g, delays, cfg, forcing)
+        us_per_step.append((time.perf_counter() - t0) / (cfg.horizon + 1) * 1e6)
+    return {
+        "n": g.n,
+        "columns": cols,
+        "calls": 1 if hasattr(selfsync.Trajectory, "column") else cols,
+        "nnz": int((g.weights > 0).sum()),
+        "horizon": cfg.horizon,
+        "us_per_step": float(np.median(us_per_step)),
+        "us_per_step_min": min(us_per_step),
+        "us_per_step_max": max(us_per_step),
+    }
+
+
+def column_rows(selfsync, horizon: int, seed: int) -> list[dict]:
+    rows = []
+    for n in SC_SIZES:
+        g, delays, c, _ = sc_case(selfsync, n, seed)
+        cfg = selfsync.SimConfig(t_step=SC_T_STEP, k_gain=SC_K_GAIN, c_weights=c,
+                                 horizon=horizon)
+        rows += [time_columns(selfsync, g, delays, cfg, cols, seed) for cols in (1, n + 1)]
+    g, delays, _, k_gain, _, _ = build_case(selfsync, 40, seed)
+    cfg = selfsync.SimConfig(t_step=T_STEP, k_gain=k_gain, horizon=horizon)
+    rows += [time_columns(selfsync, g, delays, cfg, cols, seed) for cols in (1, 2)]
+    return rows
+
+
+def protocol_op(selfsync, case) -> int:
+    g, delays, c, gv = case
+    for horizon in SC_HORIZONS:
+        cfg = selfsync.SimConfig(t_step=SC_T_STEP, k_gain=SC_K_GAIN, c_weights=c,
+                                 horizon=horizon, sync_tol_rel=1e-7)
+        try:
+            selfsync.gamma_estimation_protocol(g, delays, cfg, gv, mode="simulate")
+            return horizon
+        except selfsync.ProtocolError:
+            continue
+    raise RuntimeError(f"no synchronization up to horizon {SC_HORIZONS[-1]}")
+
+
+def protocol_rows(selfsync, seed: int) -> list[dict]:
+    rows = []
+    for n in SC_SIZES:
+        case = sc_case(selfsync, n, seed)
+        horizon = protocol_op(selfsync, case)  # warm-up
+        op_s = []
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            protocol_op(selfsync, case)
+            op_s.append(time.perf_counter() - t0)
+        rows.append({
+            "n": n,
+            "nnz": int((case[0].weights > 0).sum()),
+            "horizon": horizon,
+            "op_s": float(np.median(op_s)),
+            "op_s_min": min(op_s),
+            "op_s_max": max(op_s),
+        })
+    return rows
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true", help="horizon 200 instead of 1000")
@@ -109,6 +204,16 @@ def main(argv=None) -> int:
               f"{row['us_per_step']:9.1f} us/step (min {row['us_per_step_min']:.1f}, "
               f"max {row['us_per_step_max']:.1f})  detect_sync {row['detect_ms']:.2f} ms",
               flush=True)
+    columns = column_rows(selfsync, horizon, args.seed)
+    for row in columns:
+        print(f"n={row['n']:5d} L={row['columns']:2d} calls={row['calls']:2d} "
+              f"{row['us_per_step']:9.1f} us/step (min {row['us_per_step_min']:.1f}, "
+              f"max {row['us_per_step_max']:.1f})", flush=True)
+    protocol = protocol_rows(selfsync, args.seed)
+    for row in protocol:
+        print(f"n={row['n']:5d} gamma protocol (simulate, horizon {row['horizon']}) "
+              f"{row['op_s'] * 1e3:8.1f} ms (min {row['op_s_min'] * 1e3:.1f}, "
+              f"max {row['op_s_max'] * 1e3:.1f})", flush=True)
     result = {
         "quick": args.quick,
         "seed": args.seed,
@@ -120,6 +225,8 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
         },
         "sizes": rows,
+        "columns": columns,
+        "protocol": protocol,
     }
     if args.out:
         out = Path(args.out)

@@ -212,7 +212,7 @@ def cmd_run(args) -> int:
             "connectivity": scc.connectivity_class.value,
         },
     }
-    pred = protocols.predict_clusters(g, delays, cfg, gvals, quantize_delays=True)
+    pred = protocols.predict_clusters(g, delays, cfg, gvals, quantize_delays=True, scc=scc)
     report["predicted"] = {
         "global": len(pred.per_cluster) == 1,
         "clusters": [
@@ -253,7 +253,7 @@ def cmd_run(args) -> int:
     scale = max(abs(val) for _, val in pred.per_cluster.values())
     traj = simulate(g, delays, cfg, gvals)
     if args.tol:
-        window = max(int(cfg.sync_window_frac * len(traj.times)), 2)
+        window = cfg.sync_window(len(traj.times))
         sync = detect_sync(traj, tol=float(args.tol), window=window)
     else:
         sync = detect_sync_auto(traj, cfg, omega_scale=scale)
@@ -295,10 +295,11 @@ def _rate_report(g, delays, cfg, scc, traj, pred) -> dict:
             matrix=(cfg.k_gain / cfg.c_array(g.n))[:, None] * lap.matrix,
             degree_matrix=lap.degree_matrix,
         )
-        rates["no_delay_spectrum"] = spectral.rate_no_delay(kdl, scc).value
+        no_delay = spectral.rate_no_delay(kdl, scc).value
+        rates["no_delay_spectrum"] = no_delay
         if scc.connectivity_class is digraph.Connectivity.SC:
             gamma = spectral.gamma_left_eigenvector(lap, scc, "inf_norm_one")
-            rates["kappa_bound"] = spectral.rate_kappa_bound(kdl, scc, gamma).value
+            rates["kappa_bound"] = spectral.rate_kappa_bound(kdl, scc, gamma, no_delay).value
         if traj.clusters is not None and traj.clusters.global_sync:
             omega = next(iter(pred.per_cluster.values()))[1]
             est = spectral.empirical_rate(traj, omega)
@@ -337,8 +338,9 @@ def run_estimation_trial(cfg: dict, trial_seed: int):
     centralized = stats.consensus_function(lambda v: v, gvals, c)
     zero = DelayMatrix.zero(n)
     d_nodelay = simulate(g, zero, sim, gvals).derivatives.mean(axis=1)
-    d_delayed = simulate(g, delays, sim, gvals).derivatives.mean(axis=1)
-    d_unit = simulate(g, delays, sim, np.ones(n)).derivatives.mean(axis=1)
+    delayed = simulate(g, delays, sim, np.column_stack([gvals, np.ones(n)]))
+    d_delayed = delayed.column(0).derivatives.mean(axis=1)
+    d_unit = delayed.column(1).derivatives.mean(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         twostep = np.where(np.abs(d_unit) > 1e-12, d_delayed / d_unit, 0.0)
     return centralized, d_nodelay, d_delayed, twostep
@@ -419,10 +421,11 @@ def cmd_inspect(args) -> int:
     if len(scc.root_components) == 1:
         gamma = spectral.gamma_left_eigenvector(lap, scc)
         print(f"gamma (sum one): {np.array2string(gamma.gamma, precision=6)}")
-        print(f"rate (no delay, unit gains): {spectral.rate_no_delay(lap, scc).value:.6g}")
+        rate = spectral.rate_no_delay(lap, scc).value
+        print(f"rate (no delay, unit gains): {rate:.6g}")
         if scc.connectivity_class is digraph.Connectivity.SC:
             kappa = spectral.rate_kappa_bound(
-                lap, scc, spectral.gamma_left_eigenvector(lap, scc, "inf_norm_one")
+                lap, scc, spectral.gamma_left_eigenvector(lap, scc, "inf_norm_one"), rate
             )
             print(f"kappa bound: {kappa.value:.6g}")
     print(f"max delay: {delays.tau_max:.6g}")
@@ -476,12 +479,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (SimulationError, spectral.SpectralError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigError, digraph.GraphValidationError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except SimulationError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

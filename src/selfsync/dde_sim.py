@@ -81,6 +81,10 @@ class SimConfig:
     def c_array(self, n: int) -> np.ndarray:
         return np.broadcast_to(np.asarray(self.c_weights, dtype=float), (n,)).copy()
 
+    def sync_window(self, samples: int) -> int:
+        """Samples in the final sync window of a run of `samples` samples."""
+        return max(int(self.sync_window_frac * samples), 2)
+
 
 @dataclass(frozen=True)
 class SyncCluster:
@@ -101,10 +105,11 @@ class SyncResult:
 @dataclass
 class Trajectory:
     times: np.ndarray
-    states: np.ndarray  # (horizon+1, n) scalar or (horizon+1, n, L)
+    states: np.ndarray  # (samples, n) scalar or (samples, n, L)
     derivatives: np.ndarray  # RHS values at each sample, same shape as states
     t_step: float
     clusters: SyncResult | None = None
+    first_step: int = 0  # step of the first sample; > 0 for a window-only record
 
     @property
     def n(self) -> int:
@@ -114,6 +119,16 @@ class Trajectory:
     def is_vector(self) -> bool:
         return self.states.ndim == 3
 
+    def column(self, col: int) -> Trajectory:
+        """Scalar view of one forcing column of a multi-column run."""
+        return Trajectory(
+            times=self.times,
+            states=self.states[:, :, col],
+            derivatives=self.derivatives[:, :, col],
+            t_step=self.t_step,
+            first_step=self.first_step,
+        )
+
 
 def _lag_matrix(g: SensorDigraph, delays: DelayMatrix, t_step: float) -> np.ndarray:
     m = np.rint(delays.tau / t_step).astype(int)
@@ -122,19 +137,35 @@ def _lag_matrix(g: SensorDigraph, delays: DelayMatrix, t_step: float) -> np.ndar
     return m
 
 
+# steps between two compactions of a window-only record's history buffer
+_CHUNK = 1024
+
+
 def _simulate_core(
     g: SensorDigraph,
     delays: DelayMatrix,
     cfg: SimConfig,
-    kq: np.ndarray,  # (n, L, L) per-node K * Q_i^{-1}
+    kq: np.ndarray,  # (n, 1) per-node K / c_i, or (n, L, L) per-node K * Q_i^{-1}
     g_vals: np.ndarray,  # (n, L)
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    window: int | None = None,
+) -> Trajectory:
+    """Euler run of L state columns, recorded with shape (samples, n, L).
+
+    A (n, 1) gain drives L independent scalar columns, with coupling noise
+    drawn as (n, 1) per step and shared by every column; a (n, L, L) gain
+    couples the L coordinates of a vector state, with noise drawn as (n, L).
+    With a window only the last `window` samples are recorded, and the
+    history keeps mmax + 1 rows plus a chunk, compacted when full.
+    """
     n = g.n
     dim = g_vals.shape[1]
     w = g.weights
     indeg = w.sum(axis=1)
     # explicit-Euler stability heuristic
-    gain = np.linalg.eigvalsh(0.5 * (kq + kq.transpose(0, 2, 1))).max(axis=1)
+    if kq.ndim == 2:
+        gain = kq[:, 0]
+    else:
+        gain = np.linalg.eigvalsh(0.5 * (kq + kq.transpose(0, 2, 1))).max(axis=1)
     bad = np.flatnonzero(cfg.t_step * gain * indeg >= 2.0)
     if bad.size:
         i = int(bad[0])
@@ -145,10 +176,17 @@ def _simulate_core(
     m = _lag_matrix(g, delays, cfg.t_step)
     mmax = int(m.max()) if m.size else 0
     horizon = cfg.horizon
-    x = np.empty((mmax + horizon + 1, n, dim))
+    if window is None:
+        first, rows = 0, mmax + horizon + 1
+    else:
+        first = max(horizon + 1 - window, 0)
+        rows = mmax + 1 + min(horizon, max(_CHUNK, mmax + 1))
+    x = np.empty((rows, n, dim))
     for h in range(mmax + 1):
         x[h] = cfg.init.evaluate((h - mmax) * cfg.t_step, n, dim)
-    deriv = np.empty((horizon + 1, n, dim))
+    deriv = np.empty((horizon + 1 - first, n, dim))
+    states = x[mmax:] if window is None else np.empty_like(deriv)
+    skipped = np.empty((n, dim))  # derivative of a step before the window
     # The coupling sum_j a_ij (x_j(t - tau_ij) - x_i(t)) equals sum_j b_ij
     # x_j(t - tau_ij) with b = A - diag(in_degree) and tau_ii = 0. One entry
     # list holds every nonzero b_ij and every diagonal entry, grouped by
@@ -166,45 +204,74 @@ def _simulate_core(
     lagged_src = src + (mmax - m[dst, src]) * n
     idx = (lagged_src[:, None] * dim + coord).ravel()[order]
     xf = x.reshape(-1)
-    k_over_c = kq[:, :, 0] if dim == 1 else None  # scalar state: K / c_i per node
+    k_over_c = kq if kq.ndim == 2 else None
     rng = np.random.default_rng(cfg.rng_seed) if cfg.noise_std > 0 else None
+    noise_shape = (n, kq.shape[1])
+    cur = mmax
     for step in range(horizon + 1):
-        cur = mmax + step
         coup = np.add.reduceat(weight * xf[idx], starts).reshape(n, dim)
-        rhs = deriv[step]
+        rhs = deriv[step - first] if step >= first else skipped
         if k_over_c is not None:
             np.multiply(k_over_c, coup, out=rhs)
         else:
             np.einsum("ilm,im->il", kq, coup, out=rhs)
         rhs += g_vals
         if rng is not None:
-            rhs += rng.normal(0.0, cfg.noise_std, size=(n, dim))
+            rhs += rng.normal(0.0, cfg.noise_std, size=noise_shape)
+        if window is not None and step >= first:
+            states[step - first] = x[cur]
         if step < horizon:
+            if cur + 1 == rows:  # only in a window-only record
+                x[: mmax + 1] = x[cur - mmax : cur + 1]
+                idx -= (cur - mmax) * n * dim
+                cur = mmax
             nxt = x[cur + 1]
             np.multiply(cfg.t_step, rhs, out=nxt)
             nxt += x[cur]
             if not np.isfinite(nxt).all():
                 raise SimulationError(f"non-finite state at step {step + 1}")
             idx += n * dim
-    return np.arange(horizon + 1) * cfg.t_step, x[mmax:], deriv
+            cur += 1
+    return Trajectory(
+        times=np.arange(first, horizon + 1) * cfg.t_step,
+        states=states,
+        derivatives=deriv,
+        t_step=cfg.t_step,
+        first_step=first,
+    )
 
 
 def simulate(
-    g: SensorDigraph, delays: DelayMatrix, cfg: SimConfig, g_values
+    g: SensorDigraph,
+    delays: DelayMatrix,
+    cfg: SimConfig,
+    g_values,
+    window_only: bool = False,
 ) -> Trajectory:
     """Forward-Euler run of the scalar coupled system with per-link lags
-    m_ij = round(tau_ij / T_s)."""
-    g_vals = np.broadcast_to(np.asarray(g_values, dtype=float), (g.n,))
-    c = cfg.c_array(g.n)
-    q = c.reshape(g.n, 1, 1)
+    m_ij = round(tau_ij / T_s).
+
+    g_values of shape (n, L) runs L independent forcing columns in one pass;
+    states and derivatives then have shape (samples, n, L), and
+    ``column(l)`` equals, bit for bit, the run with forcing g_values[:, l].
+    Coupling noise is drawn once per step for each node and added to every
+    column: each column sees the stream that its own run seeded with
+    cfg.rng_seed would see.
+
+    window_only records only the final sync window, the last
+    cfg.sync_window(horizon + 1) samples, for callers that read nothing else.
+    """
+    gv = np.asarray(g_values, dtype=float)
+    columns = gv.ndim == 2
+    if columns and gv.shape[0] != g.n:
+        raise ValueError(f"g_values shape {gv.shape} does not match (n, L)")
+    if not columns:
+        gv = np.broadcast_to(gv, (g.n,))[:, None]
+    q = cfg.c_array(g.n).reshape(g.n, 1, 1)
     kq = cfg.k_gain * np.linalg.inv(q)
-    times, states, deriv = _simulate_core(g, delays, cfg, kq, g_vals[:, None].copy())
-    return Trajectory(
-        times=times,
-        states=states[:, :, 0],
-        derivatives=deriv[:, :, 0],
-        t_step=cfg.t_step,
-    )
+    window = cfg.sync_window(cfg.horizon + 1) if window_only else None
+    traj = _simulate_core(g, delays, cfg, kq[:, :, 0], gv, window)
+    return traj if columns else traj.column(0)
 
 
 def simulate_noisy(
@@ -232,8 +299,7 @@ def simulate_vector(
         if not np.allclose(q[i], q[i].T) or np.linalg.eigvalsh(sym).min() <= 0:
             raise ValueError(f"Q matrix of node {i} is not symmetric positive definite")
     kq = cfg.k_gain * np.linalg.inv(q)
-    times, states, deriv = _simulate_core(g, delays, cfg, kq, gv)
-    return Trajectory(times=times, states=states, derivatives=deriv, t_step=cfg.t_step)
+    return _simulate_core(g, delays, cfg, kq, gv)
 
 
 def detect_sync(
@@ -302,7 +368,7 @@ def detect_sync_auto(
 ) -> SyncResult:
     """detect_sync with config-derived tolerance and window."""
     tol = cfg.sync_tol_rel * max(abs(omega_scale), 1e-12)
-    window = max(int(cfg.sync_window_frac * len(traj.times)), 2)
+    window = cfg.sync_window(traj.first_step + len(traj.times))
     return detect_sync(traj, tol=tol, window=window)
 
 

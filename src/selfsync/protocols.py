@@ -8,7 +8,7 @@ import numpy as np
 
 from . import spectral
 from .dde_sim import SimConfig, detect_sync_auto, simulate
-from .digraph import SensorDigraph, laplacian, scc_decompose
+from .digraph import SccDecomposition, SensorDigraph, laplacian, scc_decompose
 from .netgen import DelayMatrix
 
 
@@ -90,10 +90,12 @@ def predict_clusters(
     cfg: SimConfig,
     g_values,
     quantize_delays: bool = False,
+    scc: SccDecomposition | None = None,
 ) -> ConsensusPrediction:
     """Per-root-SCC synchronized values; nodes outside every root SCC are
-    reported as unpredicted."""
-    scc = scc_decompose(g)
+    reported as unpredicted. `scc` is g's decomposition, if already known."""
+    if scc is None:
+        scc = scc_decompose(g)
     lap = laplacian(g)
     gammas = spectral.gamma_per_cluster(lap, scc)
     c = cfg.c_array(g.n)
@@ -157,24 +159,33 @@ def predict_consensus_vector(
     )
 
 
-def _consensus_value(
+def _consensus_values(
     g: SensorDigraph,
     delays: DelayMatrix,
     cfg: SimConfig,
-    g_values,
+    columns: np.ndarray,
     mode: str,
-) -> float:
-    """One protocol pass: exact prediction or a full simulated measurement."""
-    pred = predict_consensus(g, delays, cfg, g_values, quantize_delays=(mode == "simulate"))
+) -> list[float]:
+    """One protocol pass per forcing column (n, L): exact predictions, or
+    measurements from one simulated run that carries every column. Each
+    column is detected against its own predicted omega*."""
+    quantize = mode == "simulate"
+    preds = [
+        float(predict_consensus(g, delays, cfg, col, quantize_delays=quantize).omega_star)
+        for col in columns.T
+    ]
     if mode == "predict":
-        return float(pred.omega_star)
+        return preds
     if mode != "simulate":
         raise ValueError(f"unknown protocol mode {mode!r}")
-    traj = simulate(g, delays, cfg, g_values)
-    sync = detect_sync_auto(traj, cfg, omega_scale=float(pred.omega_star))
-    if not sync.global_sync:
-        raise ProtocolError("simulation pass did not reach global synchronization")
-    return float(next(c.value for c in sync.clusters if len(c.nodes) == g.n))
+    traj = simulate(g, delays, cfg, columns, window_only=True)
+    values = []
+    for col, omega in enumerate(preds):
+        sync = detect_sync_auto(traj.column(col), cfg, omega_scale=omega)
+        if not sync.global_sync:
+            raise ProtocolError("simulation pass did not reach global synchronization")
+        values.append(float(next(c.value for c in sync.clusters if len(c.nodes) == g.n)))
+    return values
 
 
 def two_step_unbias(
@@ -185,9 +196,12 @@ def two_step_unbias(
     mode: str = "predict",
 ) -> UnbiasReport:
     """Run with true forcings and with g = 1 and take the ratio; the delay and
-    channel denominator cancels."""
-    omega_y = _consensus_value(g, delays, cfg, g_values, mode)
-    omega_one = _consensus_value(g, delays, cfg, np.ones(g.n), mode)
+    channel denominator cancels. In simulate mode both passes are columns of
+    one run."""
+    gvals = np.broadcast_to(np.asarray(g_values, dtype=float), (g.n,))
+    omega_y, omega_one = _consensus_values(
+        g, delays, cfg, np.column_stack([gvals, np.ones(g.n)]), mode
+    )
     if abs(omega_one) < 1e-300:
         raise ProtocolError("unit-forcing consensus is numerically zero")
     return UnbiasReport(
@@ -205,20 +219,21 @@ def gamma_estimation_protocol(
     """(N_r + 1)-pass estimation of the normalized left eigenvector, followed
     by c-compensation and a final two-step ratio.
 
-    All estimation passes run with c = 1; nodes outside the root SCC keep
-    gamma_tilde = 0 and their original c.
+    All estimation passes run with c = 1 as the columns [1, e_i for each root
+    node i] of one run; nodes outside the root SCC keep gamma_tilde = 0 and
+    their original c.
     """
     scc = scc_decompose(g)
     if len(scc.root_components) != 1:
         raise ProtocolError("protocol requires a QSC digraph")
     root_nodes = sorted(scc.components[scc.root_components[0]])
     cfg_unit = replace(cfg, c_weights=1.0)
-    omega_one = _consensus_value(g, delays, cfg_unit, np.ones(g.n), mode)
+    columns = np.zeros((g.n, 1 + len(root_nodes)))
+    columns[:, 0] = 1.0
+    columns[root_nodes, 1 + np.arange(len(root_nodes))] = 1.0
+    omega_one, *omega_root = _consensus_values(g, delays, cfg_unit, columns, mode)
     gamma_tilde = np.zeros(g.n)
-    for i in root_nodes:
-        e_i = np.zeros(g.n)
-        e_i[i] = 1.0
-        gamma_tilde[i] = _consensus_value(g, delays, cfg_unit, e_i, mode) / omega_one
+    gamma_tilde[root_nodes] = np.array(omega_root) / omega_one
     c = cfg.c_array(g.n)
     compensated = c.copy()
     pos = gamma_tilde > 0

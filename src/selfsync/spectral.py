@@ -120,9 +120,15 @@ def rate_no_delay(lap: Laplacian, scc: SccDecomposition) -> RateEstimate:
 
 
 def rate_kappa_bound(
-    lap: Laplacian, scc: SccDecomposition, gamma: GammaVector
+    lap: Laplacian,
+    scc: SccDecomposition,
+    gamma: GammaVector,
+    no_delay_rate: float | None = None,
 ) -> RateEstimate:
-    """kappa = -lambda_2( (D_g L + L^T D_g)/2 ), gamma inf-norm one; SC only."""
+    """kappa = -lambda_2( (D_g L + L^T D_g)/2 ), gamma inf-norm one; SC only.
+
+    The bound is checked against rate_no_delay(lap, scc), which a caller that
+    already has it passes as no_delay_rate."""
     if scc.connectivity_class is not Connectivity.SC:
         raise SpectralError("kappa bound is stated for SC digraphs only")
     g = gamma.gamma / np.abs(gamma.gamma).max()
@@ -130,7 +136,7 @@ def rate_kappa_bound(
     sym = 0.5 * (dg @ lap.matrix + lap.matrix.T @ dg)
     lam = np.linalg.eigvalsh(sym)
     kappa = -float(lam[1])
-    r = rate_no_delay(lap, scc).value
+    r = rate_no_delay(lap, scc).value if no_delay_rate is None else no_delay_rate
     if r > kappa + 1e-8 * max(abs(kappa), 1.0):
         raise SpectralError(f"rate bound violated: r={r} > kappa={kappa}")
     return RateEstimate(value=kappa, method="kappa_bound")

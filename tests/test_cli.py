@@ -5,7 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from selfsync.cli import EXIT_BAD_CONFIG, EXIT_NO_SYNC, EXIT_NUMERICAL, EXIT_OK, main
+from selfsync import netgen, spectral, stats
+from selfsync.cli import (
+    EXIT_BAD_CONFIG,
+    EXIT_NO_SYNC,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    main,
+    run_estimation_trial,
+)
+from selfsync.dde_sim import DelayMatrix, SimConfig, simulate
+from selfsync.spectral import SpectralError
 
 
 def write_json(path, obj):
@@ -259,3 +269,58 @@ def test_inspect_multi_root_scenario(demo_scenarios, capsys):
     out = capsys.readouterr().out
     assert "connectivity: WC" in out
     assert "zero eigenvalue multiplicity: 2" in out
+
+
+def estimation_trial_reference(cfg, trial_seed):
+    """The Monte-Carlo trial with one simulation per forcing, three in all."""
+    n = int(cfg.get("n", 40))
+    t_step = float(cfg.get("t_step", 1e-3))
+    rng = np.random.default_rng(trial_seed)
+    geom = netgen.place_nodes(n, float(cfg.get("d_side", 5.0)), trial_seed)
+    geom = netgen.speed_for_max_delay(geom, float(cfg.get("tau_max", 100 * t_step)))
+    g = netgen.channel_rayleigh(geom, trial_seed + 1)
+    g = netgen.threshold_prune(g, float(cfg.get("threshold", 0.0)))
+    delays = netgen.delays_from_geometry(geom)
+    sigma2 = float(cfg.get("sigma2", 1.0))
+    a = rng.uniform(0.5, 1.5, size=n)
+    y = a * float(cfg.get("xi", 1.0)) + rng.normal(0.0, np.sqrt(sigma2), size=n)
+    gvals = y / a
+    c = a**2 / sigma2
+    sim = SimConfig(
+        t_step=t_step,
+        k_gain=float(cfg.get("k_gain", 30.0)),
+        c_weights=c,
+        horizon=int(cfg.get("horizon", 2000)),
+        noise_std=float(cfg.get("noise_std", 0.0)),
+        rng_seed=trial_seed + 3,
+    )
+    centralized = stats.consensus_function(lambda v: v, gvals, c)
+    d_nodelay = simulate(g, DelayMatrix.zero(n), sim, gvals).derivatives.mean(axis=1)
+    d_delayed = simulate(g, delays, sim, gvals).derivatives.mean(axis=1)
+    d_unit = simulate(g, delays, sim, np.ones(n)).derivatives.mean(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        twostep = np.where(np.abs(d_unit) > 1e-12, d_delayed / d_unit, 0.0)
+    return centralized, d_nodelay, d_delayed, twostep
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 0.1])
+def test_estimation_trial_equals_one_simulation_per_forcing(noise_std):
+    cfg = {"n": 12, "d_side": 3.0, "t_step": 1e-3, "k_gain": 30.0, "tau_max": 0.1,
+           "xi": 1.0, "sigma2": 0.25, "horizon": 800, "noise_std": noise_std}
+    for seed in (2, 1002):
+        got = run_estimation_trial(cfg, seed)
+        want = estimation_trial_reference(cfg, seed)
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_run_spectral_failure_exits_numerical(demo_scenarios, tmp_path, capsys, monkeypatch):
+    def failing_solver(block, residual_tol):
+        raise SpectralError("left null-space residual 1.0e-03 exceeds tolerance")
+
+    monkeypatch.setattr(spectral, "_left_null_positive", failing_solver)
+    out = tmp_path / "out"
+    code = main(["run", str(demo_scenarios / "qsc"), "--mode", "predict", "--out-dir", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert "numerical error: left null-space residual" in capsys.readouterr().err

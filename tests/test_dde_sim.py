@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfsync import dde_sim
 from selfsync.dde_sim import (
     DelayMatrix,
     InitialCondition,
@@ -423,3 +424,85 @@ def test_detect_sync_chain_joins_through_middle_node():
         res = assert_same_as_pairwise(traj, tol, 10)
         assert [c.nodes for c in res.clusters] == [frozenset({0, 1, 2})]
         assert res.unclustered == frozenset({3})
+
+
+# ---------------------------------------------------------------- columns
+
+
+@st.composite
+def column_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    cols = draw(st.integers(min_value=1, max_value=5))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < draw(st.floats(0.0, 1.0)))
+    w[rng.random(n) < 0.2] = 0.0  # some nodes hear nobody
+    np.fill_diagonal(w, 0.0)
+    lags = rng.integers(0, 6, (n, n))  # asymmetric, lag 0 included
+    chunk = draw(st.integers(min_value=1, max_value=30))
+    return n, cols, w, lags, rng, draw(st.sampled_from([0.0, 0.1])), chunk
+
+
+@given(column_cases())
+@settings(max_examples=60, deadline=None)
+def test_columns_equal_single_runs_and_window_equals_tail(case):
+    n, cols, w, lags, rng, noise_std, chunk = case
+    t_step = 2.0**-7
+    cfg = SimConfig(
+        t_step=t_step,
+        k_gain=1.5,
+        c_weights=rng.uniform(0.5, 2.0, n),
+        horizon=int(rng.integers(1, 120)),
+        noise_std=noise_std,
+        rng_seed=int(rng.integers(1000)),
+        sync_window_frac=float(rng.uniform(0.0, 1.0)),
+        init=InitialCondition(
+            kind="linear", slopes=rng.normal(size=n), intercepts=rng.normal(size=n)
+        ),
+    )
+    g = new_digraph(w)
+    delays = DelayMatrix(tau=lags * t_step)
+    forcing = rng.normal(size=(n, cols))
+    full = simulate(g, delays, cfg, forcing)
+    assert full.states.shape == (cfg.horizon + 1, n, cols)
+    for col in range(cols):
+        single = simulate(g, delays, cfg, forcing[:, col])
+        view = full.column(col)
+        assert view.states.tobytes() == single.states.tobytes()
+        assert view.derivatives.tobytes() == single.derivatives.tobytes()
+    # a short chunk makes the history buffer compact many times per run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dde_sim, "_CHUNK", chunk)
+        tail = simulate(g, delays, cfg, forcing, window_only=True)
+    keep = min(cfg.sync_window(cfg.horizon + 1), cfg.horizon + 1)
+    assert tail.first_step == cfg.horizon + 1 - keep
+    assert tail.times.tobytes() == full.times[-keep:].tobytes()
+    assert tail.states.tobytes() == full.states[-keep:].tobytes()
+    assert tail.derivatives.tobytes() == full.derivatives[-keep:].tobytes()
+
+
+def test_window_only_record_over_several_default_chunks():
+    g = ring3()
+    cfg = SimConfig(
+        t_step=1e-3, k_gain=20.0, horizon=3500, noise_std=0.1, sync_window_frac=0.05
+    )
+    delays = DelayMatrix(tau=np.array([[0.0, 0.0, 0.03], [0.01, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    forcing = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 0.0]])
+    full = simulate(g, delays, cfg, forcing)
+    tail = simulate(g, delays, cfg, forcing, window_only=True)
+    assert cfg.horizon > 3 * dde_sim._CHUNK
+    assert tail.derivatives.shape == (175, 3, 2)
+    assert tail.states.tobytes() == full.states[-175:].tobytes()
+    assert tail.derivatives.tobytes() == full.derivatives[-175:].tobytes()
+    # detection on the tail uses the window of the full run
+    for col in range(2):
+        a = detect_sync_auto(full.column(col), cfg, omega_scale=1.0)
+        b = detect_sync_auto(tail.column(col), cfg, omega_scale=1.0)
+        assert (a.window, a.global_sync) == (b.window, b.global_sync)
+        assert [c.value.tobytes() for c in a.clusters] == [c.value.tobytes() for c in b.clusters]
+        assert [c.detection_time for c in a.clusters] == [c.detection_time for c in b.clusters]
+
+
+def test_forcing_columns_must_match_node_count():
+    with pytest.raises(ValueError, match="does not match"):
+        simulate(ring3(), DelayMatrix.zero(3), SimConfig(horizon=5), np.ones((2, 4)))

@@ -1,5 +1,7 @@
 """Consensus prediction, bias-removal protocols, and intercepts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -230,3 +232,92 @@ def test_intercepts_require_qsc():
     g = topologies.wc_two_root_14()
     with pytest.raises(ProtocolError):
         predict_intercepts(g, DelayMatrix.zero(14), SimConfig(), np.ones(14))
+
+
+# ---------------------------------------------------------------- one run per pass
+
+
+def consensus_value_reference(g, delays, cfg, g_values, mode):
+    """One protocol pass as its own simulation, as before passes became columns."""
+    pred = predict_consensus(g, delays, cfg, g_values, quantize_delays=(mode == "simulate"))
+    if mode == "predict":
+        return float(pred.omega_star)
+    traj = simulate(g, delays, cfg, g_values)
+    sync = detect_sync_auto(traj, cfg, omega_scale=float(pred.omega_star))
+    if not sync.global_sync:
+        raise ProtocolError("simulation pass did not reach global synchronization")
+    return float(next(c.value for c in sync.clusters if len(c.nodes) == g.n))
+
+
+def two_step_reference(g, delays, cfg, g_values, mode):
+    omega_y = consensus_value_reference(g, delays, cfg, g_values, mode)
+    omega_one = consensus_value_reference(g, delays, cfg, np.ones(g.n), mode)
+    return omega_y, omega_one, omega_y / omega_one
+
+
+def gamma_protocol_reference(g, delays, cfg, g_values, mode):
+    scc = scc_decompose(g)
+    root_nodes = sorted(scc.components[scc.root_components[0]])
+    cfg_unit = replace(cfg, c_weights=1.0)
+    omega_one = consensus_value_reference(g, delays, cfg_unit, np.ones(g.n), mode)
+    gamma_tilde = np.zeros(g.n)
+    for i in root_nodes:
+        e_i = np.zeros(g.n)
+        e_i[i] = 1.0
+        gamma_tilde[i] = consensus_value_reference(g, delays, cfg_unit, e_i, mode) / omega_one
+    c = cfg.c_array(g.n)
+    compensated = c.copy()
+    pos = gamma_tilde > 0
+    compensated[pos] = c[pos] / gamma_tilde[pos]
+    scale = np.exp(np.log(c[pos]).mean() - np.log(compensated[pos]).mean())
+    compensated[pos] *= scale
+    final = two_step_reference(g, delays, replace(cfg, c_weights=compensated), g_values, mode)
+    return final, gamma_tilde, compensated
+
+
+@pytest.mark.parametrize("noise_std, tol_rel", [(0.0, 1e-6), (1e-3, 0.5)])
+def test_protocol_columns_equal_one_run_per_pass(noise_std, tol_rel):
+    rng = np.random.default_rng(11)
+    g = topologies.qsc_three_scc_14()
+    delays = DelayMatrix.uniform(14, 0.02)
+    cfg = SimConfig(
+        t_step=1e-3,
+        k_gain=20.0,
+        c_weights=rng.uniform(0.5, 2.0, 14),
+        horizon=8000,
+        noise_std=noise_std,
+        rng_seed=9,
+        sync_tol_rel=tol_rel,
+    )
+    gv = rng.normal(1.0, 0.3, 14)
+    rep = two_step_unbias(g, delays, cfg, gv, mode="simulate")
+    assert (rep.omega_y, rep.omega_one, rep.ratio) == two_step_reference(
+        g, delays, cfg, gv, "simulate"
+    )
+    rep = gamma_estimation_protocol(g, delays, cfg, gv, mode="simulate")
+    (omega_y, omega_one, ratio), gamma_tilde, compensated = gamma_protocol_reference(
+        g, delays, cfg, gv, "simulate"
+    )
+    assert (rep.omega_y, rep.omega_one, rep.ratio) == (omega_y, omega_one, ratio)
+    assert rep.gamma_tilde.tobytes() == gamma_tilde.tobytes()
+    assert rep.compensated_c.tobytes() == compensated.tobytes()
+    pred = gamma_estimation_protocol(g, delays, cfg, gv, mode="predict")
+    (omega_y, omega_one, ratio), gamma_tilde, _ = gamma_protocol_reference(
+        g, delays, cfg, gv, "predict"
+    )
+    assert (pred.omega_y, pred.omega_one, pred.ratio) == (omega_y, omega_one, ratio)
+    assert pred.gamma_tilde.tobytes() == gamma_tilde.tobytes()
+
+
+def test_protocol_column_without_sync_raises():
+    rng = np.random.default_rng(4)
+    g = topologies.random_sc(5, rng)
+    cfg = SimConfig(t_step=1e-3, k_gain=20.0, horizon=50, sync_tol_rel=1e-9)
+    delays = DelayMatrix.uniform(5, 0.02)
+    gv = rng.normal(1.0, 0.3, 5)
+    with pytest.raises(ProtocolError, match="did not reach global synchronization"):
+        two_step_reference(g, delays, cfg, gv, "simulate")
+    with pytest.raises(ProtocolError, match="did not reach global synchronization"):
+        two_step_unbias(g, delays, cfg, gv, mode="simulate")
+    with pytest.raises(ProtocolError, match="did not reach global synchronization"):
+        gamma_estimation_protocol(g, delays, cfg, gv, mode="simulate")

@@ -146,6 +146,9 @@ def test_kappa_bound_ordering_on_random_sc(rng):
         kappa = rate_kappa_bound(lap, scc, gamma)
         r = rate_no_delay(lap, scc)
         assert r.value <= kappa.value < 0.0
+        assert rate_kappa_bound(lap, scc, gamma, r.value) == kappa
+        with pytest.raises(SpectralError, match="rate bound violated"):
+            rate_kappa_bound(lap, scc, gamma, no_delay_rate=0.5 * kappa.value)
 
 
 def test_kappa_bound_sc_only():
