@@ -46,18 +46,16 @@ from .dde_sim import (
     detect_sync,
     detect_sync_auto,
     simulate,
-    simulate_noisy,
     simulate_vector,
     trajectory_to_csv,
 )
 from .protocols import (
+    ClusterPrediction,
     ConsensusPrediction,
     ProtocolError,
     UnbiasReport,
     gamma_estimation_protocol,
-    predict_clusters,
     predict_consensus,
-    predict_consensus_vector,
     predict_intercepts,
     two_step_unbias,
 )

@@ -212,12 +212,12 @@ def cmd_run(args) -> int:
             "connectivity": scc.connectivity_class.value,
         },
     }
-    pred = protocols.predict_clusters(g, delays, cfg, gvals, quantize_delays=True, scc=scc)
+    pred = protocols.predict_consensus(g, delays, cfg, gvals, quantize_delays=True, scc=scc)
     report["predicted"] = {
-        "global": len(pred.per_cluster) == 1,
+        "global": len(pred.clusters) == 1,
         "clusters": [
-            {"component": k, "nodes": sorted(nodes), "value": val}
-            for k, (nodes, val) in sorted(pred.per_cluster.items())
+            {"component": cl.component, "nodes": sorted(cl.nodes), "value": cl.omega}
+            for cl in pred.clusters
         ],
         "unpredicted_nodes": sorted(pred.unpredicted),
     }
@@ -250,7 +250,7 @@ def cmd_run(args) -> int:
         return EXIT_OK
 
     # mode: simulate
-    scale = max(abs(val) for _, val in pred.per_cluster.values())
+    scale = max(abs(cl.omega) for cl in pred.clusters)
     traj = simulate(g, delays, cfg, gvals)
     if args.tol:
         window = cfg.sync_window(len(traj.times))
@@ -276,9 +276,8 @@ def cmd_run(args) -> int:
     report["trace"] = trace.name
     _finalize_report(report, out_dir / "report.json")
     # success: every predicted cluster actually synchronized
-    predicted_node_sets = {frozenset(nodes) for nodes, _ in pred.per_cluster.values()}
     measured_sets = {c.nodes for c in sync.clusters}
-    ok = all(any(p <= m for m in measured_sets) for p in predicted_node_sets)
+    ok = all(any(cl.nodes <= m for m in measured_sets) for cl in pred.clusters)
     if not ok:
         print("synchronization not detected within horizon", file=sys.stderr)
         return EXIT_NO_SYNC
@@ -301,8 +300,7 @@ def _rate_report(g, delays, cfg, scc, traj, pred) -> dict:
             gamma = spectral.gamma_left_eigenvector(lap, scc, "inf_norm_one")
             rates["kappa_bound"] = spectral.rate_kappa_bound(kdl, scc, gamma, no_delay).value
         if traj.clusters is not None and traj.clusters.global_sync:
-            omega = next(iter(pred.per_cluster.values()))[1]
-            est = spectral.empirical_rate(traj, omega)
+            est = spectral.empirical_rate(traj, pred.omega_star)
             rates["empirical_fit"] = est.value
             rates["empirical_residual"] = est.residual
     return rates

@@ -3,7 +3,7 @@ synchronization detection on the derivative trajectories."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,6 +77,8 @@ class SimConfig:
             raise ValueError("coupling gain K must be positive")
         if np.any(np.asarray(self.c_weights) <= 0):
             raise ValueError("coefficients c_i must be positive")
+        if self.noise_std < 0:
+            raise ValueError("noise std must be nonnegative")
 
     def c_array(self, n: int) -> np.ndarray:
         return np.broadcast_to(np.asarray(self.c_weights, dtype=float), (n,)).copy()
@@ -272,16 +274,6 @@ def simulate(
     window = cfg.sync_window(cfg.horizon + 1) if window_only else None
     traj = _simulate_core(g, delays, cfg, kq[:, :, 0], gv, window)
     return traj if columns else traj.column(0)
-
-
-def simulate_noisy(
-    g: SensorDigraph, delays: DelayMatrix, cfg: SimConfig, g_values, noise_std: float
-) -> Trajectory:
-    """Scalar run with i.i.d. Gaussian coupling noise on the derivative stream;
-    the state evolves on the noisy values."""
-    if noise_std < 0:
-        raise ValueError("noise std must be nonnegative")
-    return simulate(g, delays, replace(cfg, noise_std=noise_std), g_values)
 
 
 def simulate_vector(

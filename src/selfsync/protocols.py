@@ -17,14 +17,29 @@ class ProtocolError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class ClusterPrediction:
+    """Synchronized derivative of one root SCC, with q_i = c_i (or Q_i for
+    vector states): omega = (gamma_q_sum + delay_term)^-1 sum_i gamma_i q_i g_i."""
+
+    component: int  # index into the SCC decomposition's components
+    nodes: frozenset[int]
+    gamma: spectral.GammaVector
+    omega: float | np.ndarray  # float for g of shape (n,), else shape (L,)
+    gamma_q_sum: float | np.ndarray  # sum_i gamma_i c_i, or sum_i gamma_i Q_i (L, L)
+    delay_term: float  # K sum_ij gamma_i a_ij tau_ij
+
+
+@dataclass(frozen=True)
 class ConsensusPrediction:
-    omega_star: float | np.ndarray | None
-    per_cluster: dict[int, tuple[frozenset[int], float]] | None
-    unpredicted: frozenset[int]
-    gamma_used: spectral.GammaVector | dict[int, spectral.GammaVector]
-    numerator: float | np.ndarray
-    gamma_c_sum: float | np.ndarray
-    delay_term: float
+    clusters: tuple[ClusterPrediction, ...]  # one per root SCC, by component index
+    unpredicted: frozenset[int]  # nodes outside every root SCC
+
+    @property
+    def omega_star(self) -> float | np.ndarray:
+        """The global value; defined only when there is a single root SCC."""
+        if len(self.clusters) != 1:
+            raise ProtocolError("global consensus not guaranteed: digraph is not QSC")
+        return self.clusters[0].omega
 
 
 @dataclass(frozen=True)
@@ -55,108 +70,51 @@ def predict_consensus(
     delays: DelayMatrix,
     cfg: SimConfig,
     g_values,
-    quantize_delays: bool = False,
-) -> ConsensusPrediction:
-    """Global synchronized derivative for a QSC digraph.
-
-    With quantize_delays the link delays are rounded to the sampling grid,
-    matching what the discrete-time integrator actually honors.
-    """
-    scc = scc_decompose(g)
-    if len(scc.root_components) != 1:
-        raise ProtocolError("global consensus not guaranteed: digraph is not QSC")
-    lap = laplacian(g)
-    gamma = spectral.gamma_left_eigenvector(lap, scc)
-    c = cfg.c_array(g.n)
-    gvals = np.broadcast_to(np.asarray(g_values, dtype=float), (g.n,))
-    tau = _effective_tau(delays, cfg, quantize_delays)
-    num = float(np.sum(gamma.gamma * c * gvals))
-    den1 = float(np.sum(gamma.gamma * c))
-    den2 = _delay_term(g, tau, gamma.gamma, cfg.k_gain)
-    return ConsensusPrediction(
-        omega_star=num / (den1 + den2),
-        per_cluster=None,
-        unpredicted=frozenset(),
-        gamma_used=gamma,
-        numerator=num,
-        gamma_c_sum=den1,
-        delay_term=den2,
-    )
-
-
-def predict_clusters(
-    g: SensorDigraph,
-    delays: DelayMatrix,
-    cfg: SimConfig,
-    g_values,
+    q_mats=None,
     quantize_delays: bool = False,
     scc: SccDecomposition | None = None,
 ) -> ConsensusPrediction:
-    """Per-root-SCC synchronized values; nodes outside every root SCC are
-    reported as unpredicted. `scc` is g's decomposition, if already known."""
+    """Closed-form synchronized derivative of every root SCC.
+
+    g_values of shape (n,) gives each cluster a float; shape (n, L) holds L
+    forcing columns, and column l of each omega equals, bit for bit, the call
+    with g_values[:, l]. With q_mats of shape (n, L, L) the states are vectors
+    and omega solves
+    (sum_i gamma_i Q_i + I_L * delay term) omega = sum_i gamma_i Q_i g_i.
+    With quantize_delays the link delays are rounded to the sampling grid,
+    matching what the discrete-time integrator actually honors. `scc` is g's
+    decomposition, if already known.
+    """
     if scc is None:
         scc = scc_decompose(g)
-    lap = laplacian(g)
-    gammas = spectral.gamma_per_cluster(lap, scc)
-    c = cfg.c_array(g.n)
-    gvals = np.broadcast_to(np.asarray(g_values, dtype=float), (g.n,))
+    gammas = spectral.gamma_per_cluster(laplacian(g), scc)
     tau = _effective_tau(delays, cfg, quantize_delays)
-    per_cluster = {}
-    covered: set[int] = set()
+    gv = np.asarray(g_values, dtype=float)
+    columns = gv.ndim == 2
+    if q_mats is None:
+        c = cfg.c_array(g.n)
+        # one contiguous row per column, so each sums exactly as a 1-D call does
+        rows = np.ascontiguousarray(gv.T) if columns else np.broadcast_to(gv, (1, g.n))
+    else:
+        q = np.asarray(q_mats, dtype=float)
+    clusters = []
     for k, gam in gammas.items():
-        num = float(np.sum(gam.gamma * c * gvals))
-        den = float(np.sum(gam.gamma * c)) + _delay_term(g, tau, gam.gamma, cfg.k_gain)
-        per_cluster[k] = (scc.components[k], num / den)
-        covered.update(scc.components[k])
-    omega = None
-    if len(per_cluster) == 1:
-        omega = next(iter(per_cluster.values()))[1]
-    return ConsensusPrediction(
-        omega_star=omega,
-        per_cluster=per_cluster,
-        unpredicted=frozenset(range(g.n)) - frozenset(covered),
-        gamma_used=gammas,
-        numerator=float("nan"),
-        gamma_c_sum=float("nan"),
-        delay_term=float("nan"),
-    )
-
-
-def predict_consensus_vector(
-    g: SensorDigraph,
-    delays: DelayMatrix,
-    cfg: SimConfig,
-    q_mats,
-    g_vecs,
-    quantize_delays: bool = False,
-) -> ConsensusPrediction:
-    """Vector synchronized derivative:
-    (sum_i gamma_i Q_i + I_L * delay term)^{-1} sum_i gamma_i Q_i g_i."""
-    scc = scc_decompose(g)
-    if len(scc.root_components) != 1:
-        raise ProtocolError("global consensus not guaranteed: digraph is not QSC")
-    lap = laplacian(g)
-    gamma = spectral.gamma_left_eigenvector(lap, scc)
-    q = np.asarray(q_mats, dtype=float)
-    gv = np.asarray(g_vecs, dtype=float)
-    dim = q.shape[1]
-    tau = _effective_tau(delays, cfg, quantize_delays)
-    den2 = _delay_term(g, tau, gamma.gamma, cfg.k_gain)
-    lhs = np.einsum("i,ilm->lm", gamma.gamma, q) + den2 * np.eye(dim)
-    rhs = np.einsum("i,ilm,im->l", gamma.gamma, q, gv)
-    try:
-        omega = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ProtocolError(f"singular combined matrix: {exc}") from exc
-    return ConsensusPrediction(
-        omega_star=omega,
-        per_cluster=None,
-        unpredicted=frozenset(),
-        gamma_used=gamma,
-        numerator=rhs,
-        gamma_c_sum=np.einsum("i,ilm->lm", gamma.gamma, q),
-        delay_term=den2,
-    )
+        delay = _delay_term(g, tau, gam.gamma, cfg.k_gain)
+        if q_mats is None:
+            gq = float(np.sum(gam.gamma * c))
+            omega = np.sum(gam.gamma * c * rows, axis=1) / (gq + delay)
+            if not columns:
+                omega = float(omega[0])
+        else:
+            gq = np.einsum("i,ilm->lm", gam.gamma, q)
+            rhs = np.einsum("i,ilm,im->l", gam.gamma, q, gv)
+            try:
+                omega = np.linalg.solve(gq + delay * np.eye(q.shape[1]), rhs)
+            except np.linalg.LinAlgError as exc:
+                raise ProtocolError(f"singular combined matrix: {exc}") from exc
+        clusters.append(ClusterPrediction(k, scc.components[k], gam, omega, gq, delay))
+    covered = frozenset().union(*(cl.nodes for cl in clusters))
+    return ConsensusPrediction(tuple(clusters), frozenset(range(g.n)) - covered)
 
 
 def _consensus_values(
@@ -165,15 +123,14 @@ def _consensus_values(
     cfg: SimConfig,
     columns: np.ndarray,
     mode: str,
+    scc: SccDecomposition | None = None,
 ) -> list[float]:
     """One protocol pass per forcing column (n, L): exact predictions, or
     measurements from one simulated run that carries every column. Each
     column is detected against its own predicted omega*."""
     quantize = mode == "simulate"
-    preds = [
-        float(predict_consensus(g, delays, cfg, col, quantize_delays=quantize).omega_star)
-        for col in columns.T
-    ]
+    pred = predict_consensus(g, delays, cfg, columns, quantize_delays=quantize, scc=scc)
+    preds = [float(omega) for omega in pred.omega_star]
     if mode == "predict":
         return preds
     if mode != "simulate":
@@ -231,7 +188,7 @@ def gamma_estimation_protocol(
     columns = np.zeros((g.n, 1 + len(root_nodes)))
     columns[:, 0] = 1.0
     columns[root_nodes, 1 + np.arange(len(root_nodes))] = 1.0
-    omega_one, *omega_root = _consensus_values(g, delays, cfg_unit, columns, mode)
+    omega_one, *omega_root = _consensus_values(g, delays, cfg_unit, columns, mode, scc)
     gamma_tilde = np.zeros(g.n)
     gamma_tilde[root_nodes] = np.array(omega_root) / omega_one
     c = cfg.c_array(g.n)
@@ -262,10 +219,7 @@ def predict_intercepts(
     quantize_delays: bool = False,
 ) -> np.ndarray:
     """Minimum-norm intercepts of the straight-line solution x*(t) = w* t + x0,
-    via the generalized inverse of the Laplacian."""
-    scc = scc_decompose(g)
-    if len(scc.root_components) != 1:
-        raise ProtocolError("intercepts defined for QSC digraphs only")
+    via the generalized inverse of the Laplacian; QSC digraphs only."""
     pred = predict_consensus(g, delays, cfg, g_values, quantize_delays=quantize_delays)
     omega = float(pred.omega_star)
     c = cfg.c_array(g.n)

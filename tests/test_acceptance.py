@@ -26,7 +26,6 @@ from selfsync.netgen import (
 from selfsync.protocols import (
     ProtocolError,
     gamma_estimation_protocol,
-    predict_clusters,
     predict_consensus,
     predict_intercepts,
     two_step_unbias,
@@ -82,15 +81,15 @@ def test_three_topology_replication_14_nodes():
 
     g = topologies.wc_two_root_14()
     start = time.monotonic()
-    pred = predict_clusters(g, delays, cfg, gv, quantize_delays=True)
+    pred = predict_consensus(g, delays, cfg, gv, quantize_delays=True)
     traj = simulate(g, delays, cfg, gv)
-    scale = max(abs(v) for _, v in pred.per_cluster.values())
+    scale = max(abs(cl.omega) for cl in pred.clusters)
     sync = detect_sync_auto(traj, cfg, omega_scale=scale)
     assert time.monotonic() - start < 10.0
     assert not sync.global_sync
     assert len(sync.clusters) == 2
     by_nodes = {c.nodes: float(c.value) for c in sync.clusters}
-    for nodes, expected in pred.per_cluster.values():
+    for nodes, expected in ((cl.nodes, cl.omega) for cl in pred.clusters):
         assert nodes in by_nodes
         assert abs(by_nodes[nodes] - expected) <= 1e-3 * abs(expected)
 
@@ -123,8 +122,8 @@ def test_sync_iff_single_root_sufficiency_and_necessity():
         # generic forcings: resample until the per-root targets are separated
         while True:
             gv = rng.normal(1.0, 0.5, n)
-            pred = predict_clusters(g, delays, cfg, gv, quantize_delays=True)
-            values = [v for _, v in pred.per_cluster.values()]
+            pred = predict_consensus(g, delays, cfg, gv, quantize_delays=True)
+            values = [cl.omega for cl in pred.clusters]
             scale = max(abs(v) for v in values)
             if max(values) - min(values) > 10 * cfg.sync_tol_rel * scale:
                 break

@@ -150,6 +150,15 @@ def test_run_step_size_failure_exits_numerical(tmp_path, capsys):
     assert "T_s * k_0 * in_degree(0) = 3.000 >= 2" in err
 
 
+def test_run_negative_noise_std_exits_bad_config(demo_scenarios, tmp_path, capsys):
+    scenario = demo_scenarios / "sc" / "scenario.json"
+    write_json(scenario, {**json.loads(scenario.read_text()), "noise_std": -0.1})
+    code = main(["run", str(demo_scenarios / "sc"), "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_BAD_CONFIG
+    assert "config error: noise std must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_run_unbias_mode_reports_ratio(demo_scenarios, tmp_path):
     out = tmp_path / "out"
     code = main(
@@ -246,6 +255,14 @@ def test_montecarlo_single_trial_has_zero_std(tmp_path):
     data = np.loadtxt(out / "montecarlo.csv", delimiter=",", skiprows=1)
     std_cols = data[:, [3, 5, 7]]
     assert np.all(std_cols == 0.0)
+
+
+def test_montecarlo_negative_noise_std_exits_bad_config(tmp_path, capsys):
+    cfg = mc_config(tmp_path, noise_std=-0.1)
+    code = main(["montecarlo", cfg, "--trials", "2", "--out-dir", str(tmp_path / "x")])
+    assert code == EXIT_BAD_CONFIG
+    assert "config error: noise std must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "summary.json").exists()
 
 
 def test_montecarlo_rejects_zero_trials(tmp_path):

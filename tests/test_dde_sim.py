@@ -17,7 +17,6 @@ from selfsync.dde_sim import (
     detect_sync,
     detect_sync_auto,
     simulate,
-    simulate_noisy,
     simulate_vector,
     trajectory_to_csv,
 )
@@ -132,14 +131,16 @@ def test_noise_reproducible_and_zero_noise_identical():
     cfg = SimConfig(t_step=1e-3, k_gain=1.0, horizon=200, rng_seed=5)
     gv = np.array([1.0, 2.0, 3.0])
     clean = simulate(g, DelayMatrix.zero(3), cfg, gv)
-    a = simulate_noisy(g, DelayMatrix.zero(3), cfg, gv, noise_std=0.1)
-    b = simulate_noisy(g, DelayMatrix.zero(3), cfg, gv, noise_std=0.1)
+    a = simulate(g, DelayMatrix.zero(3), replace(cfg, noise_std=0.1), gv)
+    b = simulate(g, DelayMatrix.zero(3), replace(cfg, noise_std=0.1), gv)
     assert np.array_equal(a.states, b.states)
     assert not np.array_equal(a.states, clean.states)
-    same = simulate_noisy(g, DelayMatrix.zero(3), cfg, gv, noise_std=0.0)
+    same = simulate(g, DelayMatrix.zero(3), replace(cfg, noise_std=0.0), gv)
     assert np.array_equal(same.states, clean.states)
-    with pytest.raises(ValueError):
-        simulate_noisy(g, DelayMatrix.zero(3), cfg, gv, noise_std=-1.0)
+    with pytest.raises(ValueError, match="noise std"):
+        replace(cfg, noise_std=-1.0)
+    with pytest.raises(ValueError, match="noise std"):
+        SimConfig(noise_std=-0.1)
 
 
 def test_scalar_path_equals_unit_dim_vector_path():

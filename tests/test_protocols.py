@@ -4,20 +4,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from selfsync import topologies
+from selfsync import protocols, spectral, topologies
 from selfsync.dde_sim import DelayMatrix, SimConfig, detect_sync_auto, simulate
 from selfsync.digraph import laplacian, new_digraph, scc_decompose
 from selfsync.protocols import (
     ProtocolError,
     gamma_estimation_protocol,
-    predict_clusters,
     predict_consensus,
-    predict_consensus_vector,
     predict_intercepts,
     two_step_unbias,
 )
-from selfsync.spectral import gamma_left_eigenvector
+from selfsync.spectral import gamma_left_eigenvector, gamma_per_cluster
 from selfsync.stats import LinearObsModel, blue_local, centralized_blue
 
 
@@ -37,9 +37,9 @@ def test_predict_ring_hand_value():
     gv = np.array([0.9, 1.1, 1.3])
     pred = predict_consensus(g, DelayMatrix.uniform(3, 0.05), cfg, gv)
     assert pred.omega_star == pytest.approx(gv.sum() / 7.5)
-    assert pred.gamma_c_sum == pytest.approx(1.0)
+    assert pred.clusters[0].gamma_q_sum == pytest.approx(1.0)
     # sum-normalized gamma: K * sum_i gamma_i a_ij tau_ij = 30 * 0.05
-    assert pred.delay_term == pytest.approx(1.5)
+    assert pred.clusters[0].delay_term == pytest.approx(1.5)
 
 
 def test_predict_zero_delay_reduces_to_weighted_mean():
@@ -55,19 +55,20 @@ def test_predict_rejects_non_qsc():
     g = topologies.wc_two_root_14()
     cfg = SimConfig()
     with pytest.raises(ProtocolError, match="QSC"):
-        predict_consensus(g, DelayMatrix.zero(14), cfg, np.ones(14))
+        predict_consensus(g, DelayMatrix.zero(14), cfg, np.ones(14)).omega_star
 
 
 def test_predict_clusters_on_two_root_digraph():
     g = topologies.wc_two_root_14()
     cfg = SimConfig(k_gain=2.0)
     gv = np.arange(14, dtype=float)
-    pred = predict_clusters(g, DelayMatrix.uniform(14, 0.01), cfg, gv)
-    assert len(pred.per_cluster) == 2
-    node_sets = {nodes for nodes, _ in pred.per_cluster.values()}
+    pred = predict_consensus(g, DelayMatrix.uniform(14, 0.01), cfg, gv)
+    assert len(pred.clusters) == 2
+    node_sets = {cl.nodes for cl in pred.clusters}
     assert node_sets == {frozenset(range(5)), frozenset(range(5, 10))}
     assert pred.unpredicted == frozenset(range(10, 14))
-    assert pred.omega_star is None
+    with pytest.raises(ProtocolError, match="not QSC"):
+        pred.omega_star
 
 
 def test_prediction_matches_long_simulation():
@@ -113,18 +114,163 @@ def test_vector_prediction_matches_vector_simulation():
     pairs = [blue_local(m) for m in models]
     gv = np.array([p[0] for p in pairs])
     qm = np.array([p[1] for p in pairs])
-    pred = predict_consensus_vector(g, delays, cfg, qm, gv, quantize_delays=True)
+    pred = predict_consensus(g, delays, cfg, gv, q_mats=qm, quantize_delays=True)
     traj = simulate_vector_converged(g, delays, cfg, qm, gv)
     np.testing.assert_allclose(
         traj.derivatives[-1], np.broadcast_to(pred.omega_star, (n, 2)), atol=2e-4
     )
     # zero delays: fused value equals the centralized reference
-    nod = predict_consensus_vector(g, DelayMatrix.zero(n), cfg, qm, gv)
+    nod = predict_consensus(g, DelayMatrix.zero(n), cfg, gv, q_mats=qm)
     gamma = gamma_left_eigenvector(laplacian(g), scc_decompose(g)).gamma
     lhs = np.einsum("i,ilm->lm", gamma, qm)
     rhs = np.einsum("i,ilm,im->l", gamma, qm, gv)
     np.testing.assert_allclose(nod.omega_star, np.linalg.solve(lhs, rhs), atol=1e-12)
     assert centralized_blue(models).shape == (2,)
+
+
+# ---------------------------------------------------------------- predictor oracle
+
+
+def reference_tau(delays, cfg, quantize):
+    tau = np.asarray(delays.tau, dtype=float)
+    return np.rint(tau / cfg.t_step) * cfg.t_step if quantize else tau
+
+
+def reference_consensus(g, delays, cfg, g_values, quantize):
+    """The single-root scalar formula: (omega*, sum gamma c, delay term)."""
+    scc = scc_decompose(g)
+    if len(scc.root_components) != 1:
+        raise ProtocolError("global consensus not guaranteed: digraph is not QSC")
+    gamma = gamma_left_eigenvector(laplacian(g), scc).gamma
+    c = cfg.c_array(g.n)
+    gvals = np.broadcast_to(np.asarray(g_values, dtype=float), (g.n,))
+    tau = reference_tau(delays, cfg, quantize)
+    num = float(np.sum(gamma * c * gvals))
+    den1 = float(np.sum(gamma * c))
+    den2 = float(cfg.k_gain * np.sum(gamma[:, None] * g.weights * tau))
+    return num / (den1 + den2), den1, den2
+
+
+def reference_clusters(g, delays, cfg, g_values, quantize):
+    """Per-root-SCC scalar values {component: (nodes, omega)} and the
+    unpredicted nodes."""
+    scc = scc_decompose(g)
+    gammas = gamma_per_cluster(laplacian(g), scc)
+    c = cfg.c_array(g.n)
+    gvals = np.broadcast_to(np.asarray(g_values, dtype=float), (g.n,))
+    tau = reference_tau(delays, cfg, quantize)
+    per_cluster = {}
+    for k, gam in gammas.items():
+        num = float(np.sum(gam.gamma * c * gvals))
+        den = float(np.sum(gam.gamma * c)) + float(
+            cfg.k_gain * np.sum(gam.gamma[:, None] * g.weights * tau)
+        )
+        per_cluster[k] = (scc.components[k], num / den)
+    covered = set().union(*(nodes for nodes, _ in per_cluster.values()))
+    return per_cluster, frozenset(range(g.n)) - frozenset(covered)
+
+
+def reference_vector(g, delays, cfg, q, gv, quantize):
+    """Single-root vector value (sum gamma Q + I delay term)^-1 sum gamma Q g."""
+    scc = scc_decompose(g)
+    gamma = gamma_left_eigenvector(laplacian(g), scc).gamma
+    tau = reference_tau(delays, cfg, quantize)
+    den2 = float(cfg.k_gain * np.sum(gamma[:, None] * g.weights * tau))
+    lhs = np.einsum("i,ilm->lm", gamma, q) + den2 * np.eye(q.shape[1])
+    rhs = np.einsum("i,ilm,im->l", gamma, q, gv)
+    return np.linalg.solve(lhs, rhs)
+
+
+def oracle_digraph(kind, n, rng):
+    if n == 1:
+        return new_digraph(np.zeros((1, 1)))
+    if kind == "sc":
+        return topologies.random_sc(n, rng)
+    if kind == "qsc":
+        return topologies.random_qsc(n, rng)
+    if n >= 6:
+        return topologies.random_wc_multiroot(n, rng, n_roots=int(rng.integers(2, n // 3 + 1)))
+    return topologies.random_digraph(n, rng, edge_prob=0.2)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=12),
+    kind=st.sampled_from(["sc", "qsc", "multi"]),
+    quantize=st.booleans(),
+    n_cols=st.integers(min_value=1, max_value=4),
+    dim=st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_unified_predictor_matches_reference_formulas(seed, n, kind, quantize, n_cols, dim):
+    rng = np.random.default_rng(seed)
+    g = oracle_digraph(kind, n, rng)
+    tau = rng.uniform(0.0, 0.05, (n, n)) * (rng.random((n, n)) < 0.8)
+    np.fill_diagonal(tau, 0.0)
+    delays = DelayMatrix(tau=tau)
+    cfg = SimConfig(t_step=1e-3, k_gain=float(rng.uniform(1.0, 30.0)),
+                    c_weights=rng.uniform(0.5, 2.0, n))
+    gv = rng.normal(1.0, 0.5, n)
+    columns = rng.normal(1.0, 0.5, (n, n_cols))
+
+    pred = predict_consensus(g, delays, cfg, gv, quantize_delays=quantize)
+    ref_clusters, ref_unpredicted = reference_clusters(g, delays, cfg, gv, quantize)
+    assert [cl.component for cl in pred.clusters] == sorted(ref_clusters)
+    for cl in pred.clusters:
+        nodes, omega = ref_clusters[cl.component]
+        assert cl.nodes == nodes
+        assert isinstance(cl.omega, float) and cl.omega == omega
+    assert pred.unpredicted == ref_unpredicted
+    cols = predict_consensus(g, delays, cfg, columns, quantize_delays=quantize)
+    for l in range(n_cols):
+        one = predict_consensus(g, delays, cfg, columns[:, l], quantize_delays=quantize)
+        ref_l, _ = reference_clusters(g, delays, cfg, columns[:, l], quantize)
+        for cl_cols, cl_one in zip(cols.clusters, one.clusters, strict=True):
+            assert cl_cols.omega.shape == (n_cols,)
+            assert cl_cols.omega[l] == cl_one.omega == ref_l[cl_one.component][1]
+
+    if len(ref_clusters) != 1:
+        with pytest.raises(ProtocolError, match="not QSC"):
+            pred.omega_star
+        with pytest.raises(ProtocolError):
+            reference_consensus(g, delays, cfg, gv, quantize)
+        return
+    omega, gamma_c_sum, delay_term = reference_consensus(g, delays, cfg, gv, quantize)
+    assert pred.omega_star == omega
+    assert pred.clusters[0].gamma_q_sum == gamma_c_sum
+    assert pred.clusters[0].delay_term == delay_term
+    a = rng.normal(size=(n, dim, dim))
+    q = a @ a.transpose(0, 2, 1) + dim * np.eye(dim)
+    gvec = rng.normal(1.0, 0.5, (n, dim))
+    vec = predict_consensus(g, delays, cfg, gvec, q_mats=q, quantize_delays=quantize)
+    np.testing.assert_allclose(
+        vec.omega_star, reference_vector(g, delays, cfg, q, gvec, quantize), rtol=1e-12, atol=0
+    )
+
+
+@pytest.mark.parametrize("mode", ["predict", "simulate"])
+def test_gamma_protocol_op_solves_gamma_at_most_twice(monkeypatch, mode):
+    calls = {"gamma": 0, "scc": 0}
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        spectral, "_gamma_for_component", counting(spectral._gamma_for_component, "gamma")
+    )
+    monkeypatch.setattr(protocols, "scc_decompose", counting(protocols.scc_decompose, "scc"))
+    rng = np.random.default_rng(12)
+    g = topologies.random_sc(8, rng)
+    cfg = SimConfig(t_step=1e-3, k_gain=15.0, c_weights=rng.uniform(0.5, 2.0, 8))
+    gv = rng.normal(1.0, 0.5, 8)
+    rep = gamma_estimation_protocol(g, DelayMatrix.uniform(8, 0.02), cfg, gv, mode=mode)
+    assert rep.mode == mode
+    assert calls["gamma"] <= 2
+    assert calls["scc"] <= 2
 
 
 def simulate_vector_converged(g, delays, cfg, qm, gv):
