@@ -10,9 +10,13 @@ geometry delays with the longest link lagging 50 steps), warms up, then times
 ``simulate`` five times and reports the median, min and max microseconds per
 step, together with the median time of one ``detect_sync`` call on the last
 trajectory. Each row
-records n, nnz, mmax and the horizon; the run records the CPU count and the
+records n, nnz, mmax, the horizon and the block length s = 1 + the shortest
+link lag in steps (the core advances s steps per gather; s = 1 when some link
+has lag 0); the run records the CPU count and the
 numpy and python versions. ``--quick`` shortens the horizon so the whole run
-stays under 30 s even for a dense O(n^2) kernel.
+stays under 30 s even for a dense O(n^2) kernel. The ``demo14`` row times the
+``selfsync run`` demo configuration: the 14-node SC reference digraph with a
+uniform 50-step lag (s = 51), K = 30, one forcing column, horizon 8000.
 
 Two more kinds of row time the protocol layer. ``columns`` rows give the
 microseconds per step of L forcing columns, L in {1, n + 1} at n in {4, 8}
@@ -57,6 +61,16 @@ SC_T_STEP = 2e-3
 SC_K_GAIN = 20.0
 SC_TAU = 0.02
 SC_HORIZONS = (8000, 30000, 120000)
+# demo14 row: the ``selfsync run`` demo scenario
+DEMO_TAU = 0.05
+DEMO_K_GAIN = 30.0
+DEMO_HORIZON = 8000
+
+
+def block_length(g, delays, t_step: float) -> int:
+    """1 + the shortest link lag in steps: the steps the core advances per gather."""
+    lags = np.rint(delays.tau[g.weights > 0] / t_step)
+    return int(lags.min()) + 1 if lags.size else 1
 
 
 def build_case(selfsync, n: int, seed: int):
@@ -92,6 +106,7 @@ def time_size(selfsync, n: int, horizon: int, seed: int) -> dict:
         "n": n,
         "nnz": nnz,
         "mmax": mmax,
+        "block": block_length(g, delays, T_STEP),
         "horizon": horizon,
         "us_per_step": float(np.median(us_per_step)),
         "us_per_step_min": min(us_per_step),
@@ -127,6 +142,7 @@ def time_columns(selfsync, g, delays, cfg, cols: int, seed: int) -> dict:
         "columns": cols,
         "calls": 1 if hasattr(selfsync.Trajectory, "column") else cols,
         "nnz": int((g.weights > 0).sum()),
+        "block": block_length(g, delays, cfg.t_step),
         "horizon": cfg.horizon,
         "us_per_step": float(np.median(us_per_step)),
         "us_per_step_min": min(us_per_step),
@@ -173,12 +189,21 @@ def protocol_rows(selfsync, seed: int) -> list[dict]:
         rows.append({
             "n": n,
             "nnz": int((case[0].weights > 0).sum()),
+            "block": block_length(case[0], case[1], SC_T_STEP),
             "horizon": horizon,
             "op_s": float(np.median(op_s)),
             "op_s_min": min(op_s),
             "op_s_max": max(op_s),
         })
     return rows
+
+
+def demo14_row(selfsync, seed: int) -> dict:
+    g = selfsync.topologies.sc_14()
+    delays = selfsync.DelayMatrix.uniform(g.n, DEMO_TAU)
+    cfg = selfsync.SimConfig(t_step=T_STEP, k_gain=DEMO_K_GAIN, horizon=DEMO_HORIZON)
+    row = time_columns(selfsync, g, delays, cfg, 1, seed)
+    return {**row, "mmax": round(DEMO_TAU / T_STEP)}
 
 
 def main(argv=None) -> int:
@@ -200,18 +225,22 @@ def main(argv=None) -> int:
     for n in SIZES:
         row = time_size(selfsync, n, horizon, args.seed)
         rows.append(row)
-        print(f"n={row['n']:5d} nnz={row['nnz']:7d} mmax={row['mmax']:3d} "
+        print(f"n={row['n']:5d} nnz={row['nnz']:7d} mmax={row['mmax']:3d} s={row['block']:2d} "
               f"{row['us_per_step']:9.1f} us/step (min {row['us_per_step_min']:.1f}, "
               f"max {row['us_per_step_max']:.1f})  detect_sync {row['detect_ms']:.2f} ms",
               flush=True)
     columns = column_rows(selfsync, horizon, args.seed)
     for row in columns:
-        print(f"n={row['n']:5d} L={row['columns']:2d} calls={row['calls']:2d} "
+        print(f"n={row['n']:5d} L={row['columns']:2d} calls={row['calls']:2d} s={row['block']:2d} "
               f"{row['us_per_step']:9.1f} us/step (min {row['us_per_step_min']:.1f}, "
               f"max {row['us_per_step_max']:.1f})", flush=True)
+    demo14 = demo14_row(selfsync, args.seed)
+    print(f"demo14 sc s={demo14['block']:2d} {demo14['us_per_step']:9.1f} us/step "
+          f"(min {demo14['us_per_step_min']:.1f}, max {demo14['us_per_step_max']:.1f})",
+          flush=True)
     protocol = protocol_rows(selfsync, args.seed)
     for row in protocol:
-        print(f"n={row['n']:5d} gamma protocol (simulate, horizon {row['horizon']}) "
+        print(f"n={row['n']:5d} s={row['block']:2d} gamma protocol (simulate, horizon {row['horizon']}) "
               f"{row['op_s'] * 1e3:8.1f} ms (min {row['op_s_min'] * 1e3:.1f}, "
               f"max {row['op_s_max'] * 1e3:.1f})", flush=True)
     result = {
@@ -226,6 +255,7 @@ def main(argv=None) -> int:
         },
         "sizes": rows,
         "columns": columns,
+        "demo14": demo14,
         "protocol": protocol,
     }
     if args.out:

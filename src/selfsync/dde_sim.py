@@ -71,14 +71,16 @@ class SimConfig:
     sync_window_frac: float = 0.1
 
     def __post_init__(self):
-        if self.t_step <= 0:
-            raise ValueError("t_step must be positive")
-        if self.k_gain <= 0:
-            raise ValueError("coupling gain K must be positive")
-        if np.any(np.asarray(self.c_weights) <= 0):
-            raise ValueError("coefficients c_i must be positive")
-        if self.noise_std < 0:
-            raise ValueError("noise std must be nonnegative")
+        # written so that NaN fails every check
+        if not (self.t_step > 0 and np.isfinite(self.t_step)):
+            raise ValueError("t_step must be positive and finite")
+        if not (self.k_gain > 0 and np.isfinite(self.k_gain)):
+            raise ValueError("coupling gain K must be positive and finite")
+        c = np.asarray(self.c_weights, dtype=float)
+        if not (np.all(c > 0) and np.isfinite(c).all()):
+            raise ValueError("coefficients c_i must be positive and finite")
+        if not (self.noise_std >= 0 and np.isfinite(self.noise_std)):
+            raise ValueError("noise std must be nonnegative and finite")
 
     def c_array(self, n: int) -> np.ndarray:
         return np.broadcast_to(np.asarray(self.c_weights, dtype=float), (n,)).copy()
@@ -141,6 +143,19 @@ def _lag_matrix(g: SensorDigraph, delays: DelayMatrix, t_step: float) -> np.ndar
 
 # steps between two compactions of a window-only record's history buffer
 _CHUNK = 1024
+# gathered entries per block, which bounds the block length and its buffers
+_BLOCK_ENTRIES = 1 << 16
+# unchecked states that trigger the non-finite check
+_CHECK_EVERY = 64
+
+
+def _check_finite(x: np.ndarray, lo: int, hi: int, last_step: int) -> None:
+    """Raise at the first non-finite state among rows lo..hi-1 of x, whose
+    row hi-1 holds the state of step last_step."""
+    ok = np.isfinite(x[lo:hi])
+    if not ok.all():
+        bad = int(np.argmin(ok.reshape(hi - lo, -1).all(axis=1)))
+        raise SimulationError(f"non-finite state at step {last_step - (hi - 1 - lo) + bad}")
 
 
 def _simulate_core(
@@ -158,6 +173,15 @@ def _simulate_core(
     couples the L coordinates of a vector state, with noise drawn as (n, L).
     With a window only the last `window` samples are recorded, and the
     history keeps mmax + 1 rows plus a chunk, compacted when full.
+
+    Every link lags at least m_min steps, so the delayed inputs of the
+    s = m_min + 1 steps from t on are all in the history at t. The run
+    advances in blocks of s steps: one gather sums the delayed coupling of
+    the whole block, and only the lag-0 self term -k_i d_in(i) x_i(t) is left
+    to a per-step recurrence. A lag-0 link gives s = 1, where the self term
+    stays in the gather. States are checked for non-finite values once
+    _CHECK_EVERY unchecked ones have piled up, before each compaction and at
+    the end, and a failure is reported at its first step.
     """
     n = g.n
     dim = g_vals.shape[1]
@@ -183,21 +207,31 @@ def _simulate_core(
     else:
         first = max(horizon + 1 - window, 0)
         rows = mmax + 1 + min(horizon, max(_CHUNK, mmax + 1))
-    x = np.empty((rows, n, dim))
+    # one spare row takes the state after the horizon, which is never read
+    x = np.empty((rows + 1, n, dim))
     for h in range(mmax + 1):
         x[h] = cfg.init.evaluate((h - mmax) * cfg.t_step, n, dim)
     deriv = np.empty((horizon + 1 - first, n, dim))
-    states = x[mmax:] if window is None else np.empty_like(deriv)
-    skipped = np.empty((n, dim))  # derivative of a step before the window
+    states = x[mmax:rows] if window is None else np.empty_like(deriv)
     # The coupling sum_j a_ij (x_j(t - tau_ij) - x_i(t)) equals sum_j b_ij
     # x_j(t - tau_ij) with b = A - diag(in_degree) and tau_ii = 0. One entry
-    # list holds every nonzero b_ij and every diagonal entry, grouped by
-    # (node i, coordinate l) with sources ascending, so each (i, l) owns a
-    # non-empty run that np.add.reduceat sums. Entry e reads x.reshape(-1)
-    # at idx[e], which advances by one history row per step.
+    # list holds every nonzero b_ij, grouped by (node i, coordinate l) with
+    # sources ascending, so that np.add.reduceat sums each (i, l) run. With
+    # s = 1 the list holds every diagonal entry too; with s > 1 the self
+    # term is left out, and a node without in-links gets a zero-weight entry
+    # at lag mmax instead, so that its run is not empty. Entry e of step k of
+    # a block reads x.reshape(-1) at idx[e] + k rows past the block's base.
+    links = w != 0.0
+    np.fill_diagonal(links, False)
+    span = int(m[links].min()) + 1 if links.any() else 1  # s, before the caps
     b = w.copy()
     np.fill_diagonal(b, -indeg)
-    dst, src = np.nonzero((b != 0.0) | np.eye(n, dtype=bool))
+    if span == 1:
+        own = np.ones(n, dtype=bool)
+    else:
+        own = ~links.any(axis=1)
+        np.fill_diagonal(m, mmax)
+    dst, src = np.nonzero(links | np.diag(own))
     coord = np.arange(dim)
     entry_bin = (dst[:, None] * dim + coord).ravel()
     order = np.argsort(entry_bin, kind="stable")
@@ -205,35 +239,71 @@ def _simulate_core(
     weight = np.repeat(b[dst, src], dim)[order]
     lagged_src = src + (mmax - m[dst, src]) * n
     idx = (lagged_src[:, None] * dim + coord).ravel()[order]
+    # the entry list tiled once for the longest block
+    per_step, row = idx.size, n * dim
+    smax = max(min(span, _BLOCK_ENTRIES // per_step), 1)
+    shift = np.arange(smax)[:, None]
+    idx = (idx + shift * row).ravel()
+    weight = np.tile(weight, smax)
+    starts = (starts + shift * per_step).ravel()
+    skipped = np.empty((smax, n, dim))  # derivatives of steps before the window
     xf = x.reshape(-1)
     k_over_c = kq if kq.ndim == 2 else None
+    self_gain = kq * indeg.reshape((n,) + (1,) * (kq.ndim - 1))
+    tmp = np.empty((n, dim))
     rng = np.random.default_rng(cfg.rng_seed) if cfg.noise_std > 0 else None
-    noise_shape = (n, kq.shape[1])
-    cur = mmax
-    for step in range(horizon + 1):
-        coup = np.add.reduceat(weight * xf[idx], starts).reshape(n, dim)
-        rhs = deriv[step - first] if step >= first else skipped
-        if k_over_c is not None:
-            np.multiply(k_over_c, coup, out=rhs)
-        else:
-            np.einsum("ilm,im->il", kq, coup, out=rhs)
-        rhs += g_vals
-        if rng is not None:
-            rhs += rng.normal(0.0, cfg.noise_std, size=noise_shape)
-        if window is not None and step >= first:
-            states[step - first] = x[cur]
-        if step < horizon:
-            if cur + 1 == rows:  # only in a window-only record
+    noise_cols = kq.shape[1]
+    t_step = cfg.t_step
+    cur = checked = mmax
+    step = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while step <= horizon:
+            if step < horizon and cur + 1 == rows:  # only in a window-only record
+                _check_finite(x, checked + 1, cur + 1, step)
                 x[: mmax + 1] = x[cur - mmax : cur + 1]
-                idx -= (cur - mmax) * n * dim
-                cur = mmax
-            nxt = x[cur + 1]
-            np.multiply(cfg.t_step, rhs, out=nxt)
-            nxt += x[cur]
-            if not np.isfinite(nxt).all():
-                raise SimulationError(f"non-finite state at step {step + 1}")
-            idx += n * dim
-            cur += 1
+                cur = checked = mmax
+            s = smax if step + smax <= horizon else horizon + 1 - step
+            if step < first < step + s:  # a block lies wholly before or in the window
+                s = first - step
+            new = s if step + s <= horizon else s - 1  # states this block writes
+            if cur + new >= rows:
+                s = new = rows - 1 - cur
+            if s == smax:
+                gi, gw, gs = idx, weight, starts
+            else:
+                gi, gw, gs = idx[: s * per_step], weight[: s * per_step], starts[: s * row]
+            gathered = xf[(cur - mmax) * row :][gi]
+            np.multiply(gathered, gw, out=gathered)
+            c = np.add.reduceat(gathered, gs).reshape(s, n, dim)
+            d = deriv[step - first : step - first + s] if step >= first else skipped[:s]
+            if k_over_c is not None:
+                np.multiply(k_over_c, c, out=d)
+            else:
+                np.einsum("ilm,sim->sil", kq, c, out=d)
+            d += g_vals
+            if rng is not None:
+                d += rng.normal(0.0, cfg.noise_std, size=(s, n, noise_cols))
+            if span == 1:
+                nxt = x[cur + 1]
+                np.multiply(t_step, d[0], out=nxt)
+                nxt += x[cur]
+            else:
+                xs = x[cur : cur + s + 1]
+                for rhs, xk, nxt in zip(d, xs, xs[1:]):
+                    if k_over_c is not None:
+                        np.multiply(self_gain, xk, out=tmp)
+                    else:
+                        np.einsum("ilm,im->il", self_gain, xk, out=tmp)
+                    rhs -= tmp
+                    np.multiply(t_step, rhs, out=nxt)
+                    nxt += xk
+            if window is not None and step >= first:
+                states[step - first : step - first + s] = x[cur : cur + s]
+            cur += new
+            step += s
+            if cur - checked >= _CHECK_EVERY or step > horizon:
+                _check_finite(x, checked + 1, cur + 1, min(step, horizon))
+                checked = cur
     return Trajectory(
         times=np.arange(first, horizon + 1) * cfg.t_step,
         states=states,
@@ -367,11 +437,12 @@ def detect_sync_auto(
 def trajectory_to_csv(traj: Trajectory, path, downsample: int = 1) -> None:
     """CSV trace with header (t, x_1..x_n, dx_1..dx_n); vector states flatten
     coordinate-major."""
-    states = traj.states.reshape(len(traj.times), -1)
-    deriv = traj.derivatives.reshape(len(traj.times), -1)
+    times = traj.times[::downsample]
+    states = traj.states[::downsample].reshape(len(times), -1)
+    deriv = traj.derivatives[::downsample].reshape(len(times), -1)
     cols = states.shape[1]
     header = ",".join(
         ["t"] + [f"x_{k + 1}" for k in range(cols)] + [f"dx_{k + 1}" for k in range(cols)]
     )
-    data = np.column_stack([traj.times, states, deriv])[::downsample]
+    data = np.column_stack([times, states, deriv])
     np.savetxt(path, data, delimiter=",", header=header, comments="")

@@ -159,6 +159,17 @@ def test_run_negative_noise_std_exits_bad_config(demo_scenarios, tmp_path, capsy
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("key", ["noise_std", "t_step", "k_gain", "c_weights"])
+def test_run_nan_literal_exits_bad_config(demo_scenarios, tmp_path, capsys, key):
+    scenario = demo_scenarios / "sc" / "scenario.json"
+    write_json(scenario, {**json.loads(scenario.read_text()), key: float("nan")})
+    assert "NaN" in scenario.read_text()
+    code = main(["run", str(demo_scenarios / "sc"), "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_BAD_CONFIG
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_run_unbias_mode_reports_ratio(demo_scenarios, tmp_path):
     out = tmp_path / "out"
     code = main(
@@ -262,6 +273,16 @@ def test_montecarlo_negative_noise_std_exits_bad_config(tmp_path, capsys):
     code = main(["montecarlo", cfg, "--trials", "2", "--out-dir", str(tmp_path / "x")])
     assert code == EXIT_BAD_CONFIG
     assert "config error: noise std must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("key", ["noise_std", "k_gain"])
+def test_montecarlo_nan_literal_exits_bad_config(tmp_path, capsys, key):
+    cfg = mc_config(tmp_path, **{key: float("nan")})
+    assert "NaN" in (tmp_path / "mc.json").read_text()
+    code = main(["montecarlo", cfg, "--trials", "2", "--out-dir", str(tmp_path / "x")])
+    assert code == EXIT_BAD_CONFIG
+    assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "x" / "summary.json").exists()
 
 

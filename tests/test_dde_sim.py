@@ -45,6 +45,25 @@ def test_config_validation():
         SimConfig(c_weights=np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("t_step", np.nan),
+        ("t_step", np.inf),
+        ("k_gain", np.nan),
+        ("k_gain", np.inf),
+        ("noise_std", np.nan),
+        ("noise_std", np.inf),
+        ("c_weights", np.nan),
+        ("c_weights", np.array([1.0, np.inf])),
+        ("c_weights", np.array([np.nan, 1.0])),
+    ],
+)
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        SimConfig(**{field: value})
+
+
 def test_initial_condition_kinds():
     const = InitialCondition(kind="constant", values=2.0)
     np.testing.assert_allclose(const.evaluate(-0.5, 3, 1), np.full((3, 1), 2.0))
@@ -241,6 +260,32 @@ def test_trajectory_csv_roundtrip(tmp_path):
     np.testing.assert_allclose(data[:, 1:3], traj.states[::2], atol=1e-12)
 
 
+def csv_reference(traj, path, downsample):
+    """The full record stacked first, then strided."""
+    states = traj.states.reshape(len(traj.times), -1)
+    deriv = traj.derivatives.reshape(len(traj.times), -1)
+    cols = states.shape[1]
+    header = ",".join(
+        ["t"] + [f"x_{k + 1}" for k in range(cols)] + [f"dx_{k + 1}" for k in range(cols)]
+    )
+    data = np.column_stack([traj.times, states, deriv])[::downsample]
+    np.savetxt(path, data, delimiter=",", header=header, comments="")
+
+
+@pytest.mark.parametrize("downsample", [1, 3])
+def test_trajectory_csv_bytes_equal_strided_full_record(tmp_path, downsample):
+    g = ring3()
+    cfg = SimConfig(t_step=1e-3, k_gain=2.0, horizon=31, noise_std=0.1)
+    delays = DelayMatrix.uniform(3, 2e-3)
+    scalar = simulate(g, delays, cfg, np.array([1.0, 2.0, 3.0]))
+    columns = simulate(g, delays, cfg, np.arange(6.0).reshape(3, 2))
+    for traj in (scalar, columns):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        trajectory_to_csv(traj, got, downsample=downsample)
+        csv_reference(traj, want, downsample)
+        assert got.read_bytes() == want.read_bytes()
+
+
 # ---------------------------------------------------------------- oracles
 
 
@@ -288,15 +333,13 @@ def kernel_cases(draw):
     return n, dim, w, lags, rng, draw(st.sampled_from([0.0, 0.1]))
 
 
-@given(kernel_cases())
-@settings(max_examples=80, deadline=None)
-def test_edge_list_core_matches_dense_reference(case):
-    n, dim, w, lags, rng, noise_std = case
+def assert_core_matches_dense_reference(w, lags, rng, noise_std, dim, horizon):
+    n = w.shape[0]
     t_step = 2.0**-7  # exact in binary, so tau / t_step rounds back to the lag
     cfg = SimConfig(
         t_step=t_step,
         k_gain=1.5,
-        horizon=40,
+        horizon=horizon,
         noise_std=noise_std,
         rng_seed=int(rng.integers(1000)),
         init=InitialCondition(
@@ -327,6 +370,13 @@ def test_edge_list_core_matches_dense_reference(case):
     assert_rel_close(deriv, ref_deriv, 1e-12)
 
 
+@given(kernel_cases())
+@settings(max_examples=80, deadline=None)
+def test_edge_list_core_matches_dense_reference(case):
+    n, dim, w, lags, rng, noise_std = case
+    assert_core_matches_dense_reference(w, lags, rng, noise_std, dim, horizon=40)
+
+
 @pytest.mark.parametrize("lag", [0, 1, 5])
 def test_divergence_reported_at_same_step_as_dense_reference(lag):
     # T_s * K * in_degree = 1.5 passes the step-size guard but diverges
@@ -342,6 +392,28 @@ def test_divergence_reported_at_same_step_as_dense_reference(lag):
             )
         with pytest.raises(SimulationError) as got:
             simulate(g, DelayMatrix(tau=lags * 1.0), cfg, gv)
+    assert "non-finite state at step" in str(ref.value)
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("lags", [(2, 2, 2), (2, 3, 4), (4, 2, 3)])
+@pytest.mark.parametrize("window_only", [False, True])
+def test_ring_divergence_with_block_steps_reported_at_dense_step(lags, window_only):
+    # every link lags >= 2 steps, so the run advances in blocks of >= 3 steps
+    g = ring3()
+    cfg = SimConfig(t_step=1.0, k_gain=1.5, horizon=20000)
+    m = np.zeros((3, 3), dtype=int)
+    m[1, 0], m[2, 1], m[0, 2] = lags
+    gv = np.array([1.0, 0.0, -0.5])
+    kq = np.full((3, 1, 1), cfg.k_gain)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationError) as ref:
+        dense_core_reference(
+            g.weights, m, kq, gv[:, None], 1.0, cfg.horizon, cfg.init, 0.0, 0
+        )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dde_sim, "_CHUNK", 50)  # checked only before each compaction
+        with pytest.raises(SimulationError) as got:
+            simulate(g, DelayMatrix(tau=m * 1.0), cfg, gv, window_only=window_only)
     assert "non-finite state at step" in str(ref.value)
     assert str(got.value) == str(ref.value)
 
@@ -444,10 +516,9 @@ def column_cases(draw):
     return n, cols, w, lags, rng, draw(st.sampled_from([0.0, 0.1])), chunk
 
 
-@given(column_cases())
-@settings(max_examples=60, deadline=None)
-def test_columns_equal_single_runs_and_window_equals_tail(case):
-    n, cols, w, lags, rng, noise_std, chunk = case
+def assert_columns_and_tail_bit_exact(n, cols, w, lags, rng, noise_std, chunk):
+    """Every column equals its single run and the window-only record, with
+    the compaction chunk patched to `chunk`, equals the full record's tail."""
     t_step = 2.0**-7
     cfg = SimConfig(
         t_step=t_step,
@@ -480,6 +551,13 @@ def test_columns_equal_single_runs_and_window_equals_tail(case):
     assert tail.times.tobytes() == full.times[-keep:].tobytes()
     assert tail.states.tobytes() == full.states[-keep:].tobytes()
     assert tail.derivatives.tobytes() == full.derivatives[-keep:].tobytes()
+    return g, delays, cfg, forcing, full
+
+
+@given(column_cases())
+@settings(max_examples=60, deadline=None)
+def test_columns_equal_single_runs_and_window_equals_tail(case):
+    assert_columns_and_tail_bit_exact(*case)
 
 
 def test_window_only_record_over_several_default_chunks():
@@ -507,3 +585,50 @@ def test_window_only_record_over_several_default_chunks():
 def test_forcing_columns_must_match_node_count():
     with pytest.raises(ValueError, match="does not match"):
         simulate(ring3(), DelayMatrix.zero(3), SimConfig(horizon=5), np.ones((2, 4)))
+
+
+# ---------------------------------------------------------------- blocks
+
+
+@st.composite
+def block_cases(draw):
+    """Digraphs whose links all lag >= 1 step, so the core advances in blocks
+    of (shortest lag + 1) steps; edgeless graphs and n = 1 included."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    density = draw(st.one_of(st.just(0.0), st.floats(0.05, 1.0)))
+    w = rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < density)
+    w[rng.random(n) < 0.2] = 0.0  # some nodes hear nobody
+    np.fill_diagonal(w, 0.0)
+    low = draw(st.integers(min_value=1, max_value=6))
+    if draw(st.booleans()):
+        lags = np.full((n, n), low)
+    else:
+        lags = rng.integers(low, low + 6, (n, n))
+    cols = draw(st.integers(min_value=1, max_value=5))
+    chunk = draw(st.integers(min_value=1, max_value=30))
+    entries = draw(st.integers(min_value=1, max_value=200))
+    return n, cols, w, lags, rng, draw(st.sampled_from([0.0, 0.1])), chunk, entries
+
+
+@given(block_cases())
+@settings(max_examples=80, deadline=None)
+def test_block_core_matches_dense_reference(case):
+    _, _, w, lags, rng, noise_std, _, _ = case
+    for dim in (1, 2):
+        horizon = int(rng.integers(1, 80))
+        assert_core_matches_dense_reference(w, lags, rng, noise_std, dim, horizon)
+
+
+@given(block_cases())
+@settings(max_examples=60, deadline=None)
+def test_block_core_columns_windows_and_block_lengths_bit_exact(case):
+    g, delays, cfg, forcing, full = assert_columns_and_tail_bit_exact(*case[:-1])
+    entries = case[-1]
+    # shorter blocks split the same steps differently, with the same bits
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dde_sim, "_BLOCK_ENTRIES", entries)
+        short = simulate(g, delays, cfg, forcing)
+    assert short.states.tobytes() == full.states.tobytes()
+    assert short.derivatives.tobytes() == full.derivatives.tobytes()
