@@ -46,7 +46,6 @@ from .dde_sim import (
     detect_sync,
     detect_sync_auto,
     simulate,
-    simulate_vector,
     trajectory_to_csv,
 )
 from .protocols import (

@@ -1,4 +1,4 @@
-"""Command-line surface: scenario generation, runs, Monte-Carlo experiments."""
+"""Command-line surface: argument parsing, scenario and report files, exit codes."""
 
 from __future__ import annotations
 
@@ -11,8 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import digraph, netgen, protocols, spectral, stats, topologies
+from . import digraph, experiments, protocols, spectral, topologies
 from .dde_sim import (
+    DelayMatrix,
     SimConfig,
     SimulationError,
     detect_sync,
@@ -20,7 +21,6 @@ from .dde_sim import (
     simulate,
     trajectory_to_csv,
 )
-from .netgen import DelayMatrix
 
 SCHEMA_VERSION = 1
 
@@ -30,18 +30,14 @@ EXIT_NO_SYNC = 3
 EXIT_NUMERICAL = 4
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _load_json(path: Path) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
     except FileNotFoundError as exc:
-        raise ConfigError(f"{path}: not found") from exc
+        raise ValueError(f"{path}: not found") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+        raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
 
 
 def _json_default(obj):
@@ -105,36 +101,6 @@ def _gen_demo14(cfg: dict, out: Path) -> list[Path]:
     return paths
 
 
-def _gen_random(cfg: dict, out: Path) -> list[Path]:
-    n = int(cfg["n"])
-    if n < 1:
-        raise ConfigError("n must be at least 1")
-    seed = int(cfg.get("seed", 0))
-    geom = netgen.place_nodes(
-        n,
-        float(cfg.get("d_side", 1.0)),
-        seed,
-        powers=cfg.get("powers", 1.0),
-        path_loss_exponent=float(cfg.get("eta", 2.0)),
-    )
-    delay_mode = cfg.get("delay_mode", {"mode": "geometry"})
-    if delay_mode.get("mode") == "uniform":
-        delays = DelayMatrix.uniform(n, float(delay_mode["tau"]))
-    else:
-        tau_max = cfg.get("tau_max", delay_mode.get("tau_max"))
-        if tau_max is not None and n > 1:
-            geom = netgen.speed_for_max_delay(geom, float(tau_max))
-        delays = netgen.delays_from_geometry(geom)
-    channel_mode = cfg.get("channel_mode", {"mode": "rayleigh"})
-    if channel_mode.get("mode") == "pathloss":
-        g = netgen.channel_pathloss(geom, channel_mode.get("fading", 1.0))
-    else:
-        g = netgen.channel_rayleigh(geom, seed + 1)
-    g = netgen.threshold_prune(g, float(cfg.get("threshold", 0.0)))
-    _write_scenario(out, g, delays, cfg, geom=geom)
-    return [out]
-
-
 def cmd_gen(args) -> int:
     cfg = _load_json(Path(args.config))
     if args.seed is not None:
@@ -143,7 +109,9 @@ def cmd_gen(args) -> int:
     if cfg.get("topology") == "demo14":
         paths = _gen_demo14(cfg, out)
     else:
-        paths = _gen_random(cfg, out)
+        geom, g, delays = experiments.random_network(cfg, int(cfg.get("seed", 0)))
+        _write_scenario(out, g, delays, cfg, geom=geom)
+        paths = [out]
     for p in paths:
         print(f"scenario written: {p}")
     return EXIT_OK
@@ -165,12 +133,12 @@ def _sim_config(sc: dict, args) -> SimConfig:
         t_step=float(sc.get("t_step", 1e-3)),
         k_gain=float(sc.get("k_gain", 1.0)),
         c_weights=np.asarray(sc.get("c_weights", 1.0), dtype=float),
-        horizon=int(args.horizon or sc.get("horizon", 5000)),
+        horizon=int(args.horizon if args.horizon is not None else sc.get("horizon", 5000)),
         noise_std=float(sc.get("noise_std", 0.0)),
         rng_seed=int(args.seed if args.seed is not None else sc.get("seed", 0)),
     )
-    if args.window:
-        kwargs["sync_window_frac"] = float(args.window)
+    if args.window is not None:
+        kwargs["sync_window_frac"] = args.window
     return SimConfig(**kwargs)
 
 
@@ -179,11 +147,7 @@ def _g_values(sc: dict, g: digraph.SensorDigraph) -> np.ndarray:
         return np.broadcast_to(np.asarray(sc["g_values"], dtype=float), (g.n,)).copy()
     if sc.get("g_mode") == "estimation":
         rng = np.random.default_rng(int(sc.get("seed", 0)) + 2)
-        xi = float(sc.get("xi", 1.0))
-        sigma2 = float(sc.get("sigma2", 1.0))
-        a = rng.uniform(0.5, 1.5, size=g.n)
-        y = a * xi + rng.normal(0.0, np.sqrt(sigma2), size=g.n)
-        return y / a
+        return experiments.estimation_forcing(sc, g.n, rng)[1]
     return np.ones(g.n)
 
 
@@ -252,13 +216,13 @@ def cmd_run(args) -> int:
     # mode: simulate
     scale = max(abs(cl.omega) for cl in pred.clusters)
     traj = simulate(g, delays, cfg, gvals)
-    if args.tol:
+    if args.tol is not None:
         window = cfg.sync_window(len(traj.times))
-        sync = detect_sync(traj, tol=float(args.tol), window=window)
+        sync = detect_sync(traj, tol=args.tol, window=window)
     else:
         sync = detect_sync_auto(traj, cfg, omega_scale=scale)
     trace = out_dir / "trace.csv"
-    trajectory_to_csv(traj, trace, downsample=int(args.downsample))
+    trajectory_to_csv(traj, trace, downsample=args.downsample)
     report["measured"] = {
         "global": sync.global_sync,
         "clusters": [
@@ -297,8 +261,8 @@ def _rate_report(g, delays, cfg, scc, traj, pred) -> dict:
         no_delay = spectral.rate_no_delay(kdl, scc).value
         rates["no_delay_spectrum"] = no_delay
         if scc.connectivity_class is digraph.Connectivity.SC:
-            gamma = spectral.gamma_left_eigenvector(lap, scc, "inf_norm_one")
-            rates["kappa_bound"] = spectral.rate_kappa_bound(kdl, scc, gamma, no_delay).value
+            kappa = spectral.rate_kappa_bound(kdl, scc, pred.clusters[0].gamma, no_delay)
+            rates["kappa_bound"] = kappa.value
         if traj.clusters is not None and traj.clusters.global_sync:
             est = spectral.empirical_rate(traj, pred.omega_star)
             rates["empirical_fit"] = est.value
@@ -309,88 +273,13 @@ def _rate_report(g, delays, cfg, scc, traj, pred) -> dict:
 # ---------------------------------------------------------------- montecarlo
 
 
-def run_estimation_trial(cfg: dict, trial_seed: int):
-    """One Fig-2-style estimation realization; returns per-iteration traces."""
-    n = int(cfg.get("n", 40))
-    t_step = float(cfg.get("t_step", 1e-3))
-    rng = np.random.default_rng(trial_seed)
-    geom = netgen.place_nodes(n, float(cfg.get("d_side", 5.0)), trial_seed)
-    geom = netgen.speed_for_max_delay(geom, float(cfg.get("tau_max", 100 * t_step)))
-    g = netgen.channel_rayleigh(geom, trial_seed + 1)
-    g = netgen.threshold_prune(g, float(cfg.get("threshold", 0.0)))
-    delays = netgen.delays_from_geometry(geom)
-    xi = float(cfg.get("xi", 1.0))
-    sigma2 = float(cfg.get("sigma2", 1.0))
-    a = rng.uniform(0.5, 1.5, size=n)
-    y = a * xi + rng.normal(0.0, np.sqrt(sigma2), size=n)
-    gvals = y / a
-    c = a**2 / sigma2
-    sim = SimConfig(
-        t_step=t_step,
-        k_gain=float(cfg.get("k_gain", 30.0)),
-        c_weights=c,
-        horizon=int(cfg.get("horizon", 2000)),
-        noise_std=float(cfg.get("noise_std", 0.0)),
-        rng_seed=trial_seed + 3,
-    )
-    centralized = stats.consensus_function(lambda v: v, gvals, c)
-    zero = DelayMatrix.zero(n)
-    d_nodelay = simulate(g, zero, sim, gvals).derivatives.mean(axis=1)
-    delayed = simulate(g, delays, sim, np.column_stack([gvals, np.ones(n)]))
-    d_delayed = delayed.column(0).derivatives.mean(axis=1)
-    d_unit = delayed.column(1).derivatives.mean(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        twostep = np.where(np.abs(d_unit) > 1e-12, d_delayed / d_unit, 0.0)
-    return centralized, d_nodelay, d_delayed, twostep
-
-
-def run_estimation_montecarlo(cfg: dict, trials: int, downsample: int = 10):
-    """Aggregate mean/std across trials of the per-iteration estimates."""
-    if trials < 1:
-        raise ConfigError("trials must be at least 1")
-    seed = int(cfg.get("seed", 0))
-    rows_nd, rows_d, rows_ts, cents = [], [], [], []
-    for t in range(trials):
-        cent, nd, dl, ts = run_estimation_trial(cfg, seed + 1000 * t)
-        cents.append(cent)
-        rows_nd.append(nd[::downsample])
-        rows_d.append(dl[::downsample])
-        rows_ts.append(ts[::downsample])
-    t_step = float(cfg.get("t_step", 1e-3))
-    steps = np.arange(len(rows_nd[0])) * downsample
-    agg = {
-        "step": steps,
-        "t": steps * t_step,
-        "nodelay_mean": np.mean(rows_nd, axis=0),
-        "nodelay_std": np.std(rows_nd, axis=0),
-        "delayed_mean": np.mean(rows_d, axis=0),
-        "delayed_std": np.std(rows_d, axis=0),
-        "twostep_mean": np.mean(rows_ts, axis=0),
-        "twostep_std": np.std(rows_ts, axis=0),
-        "centralized_mean": np.full(len(steps), np.mean(cents)),
-    }
-    final = {
-        "xi": float(cfg.get("xi", 1.0)),
-        "centralized_mean": float(np.mean(cents)),
-        "centralized_std": float(np.std(cents)),
-        "final_nodelay_mean": float(np.mean([r[-1] for r in rows_nd])),
-        "final_nodelay_std": float(np.std([r[-1] for r in rows_nd])),
-        "final_delayed_mean": float(np.mean([r[-1] for r in rows_d])),
-        "final_delayed_std": float(np.std([r[-1] for r in rows_d])),
-        "final_twostep_mean": float(np.mean([r[-1] for r in rows_ts])),
-        "final_twostep_std": float(np.std([r[-1] for r in rows_ts])),
-        "trials": trials,
-    }
-    return agg, final
-
-
 def cmd_montecarlo(args) -> int:
     cfg = _load_json(Path(args.config))
     if args.seed is not None:
         cfg["seed"] = args.seed
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    agg, final = run_estimation_montecarlo(cfg, int(args.trials))
+    agg, final = experiments.run_estimation_montecarlo(cfg, int(args.trials))
     header = ",".join(agg.keys())
     np.savetxt(
         out / "montecarlo.csv",
@@ -422,9 +311,7 @@ def cmd_inspect(args) -> int:
         rate = spectral.rate_no_delay(lap, scc).value
         print(f"rate (no delay, unit gains): {rate:.6g}")
         if scc.connectivity_class is digraph.Connectivity.SC:
-            kappa = spectral.rate_kappa_bound(
-                lap, scc, spectral.gamma_left_eigenvector(lap, scc, "inf_norm_one"), rate
-            )
+            kappa = spectral.rate_kappa_bound(lap, scc, gamma, rate)
             print(f"kappa bound: {kappa.value:.6g}")
     print(f"max delay: {delays.tau_max:.6g}")
     return EXIT_OK
@@ -480,7 +367,7 @@ def main(argv=None) -> int:
     except (SimulationError, spectral.SpectralError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, digraph.GraphValidationError, ValueError, KeyError) as exc:
+    except (digraph.GraphValidationError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

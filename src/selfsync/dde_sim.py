@@ -81,6 +81,12 @@ class SimConfig:
             raise ValueError("coefficients c_i must be positive and finite")
         if not (self.noise_std >= 0 and np.isfinite(self.noise_std)):
             raise ValueError("noise std must be nonnegative and finite")
+        if not self.horizon >= 1:
+            raise ValueError(f"horizon must be at least one step, got {self.horizon}")
+        if not (self.sync_tol_rel > 0 and np.isfinite(self.sync_tol_rel)):
+            raise ValueError(f"sync_tol_rel must be positive and finite, got {self.sync_tol_rel}")
+        if not 0 < self.sync_window_frac <= 1:
+            raise ValueError(f"sync_window_frac must lie in (0, 1], got {self.sync_window_frac}")
 
     def c_array(self, n: int) -> np.ndarray:
         return np.broadcast_to(np.asarray(self.c_weights, dtype=float), (n,)).copy()
@@ -118,10 +124,6 @@ class Trajectory:
     @property
     def n(self) -> int:
         return self.states.shape[1]
-
-    @property
-    def is_vector(self) -> bool:
-        return self.states.ndim == 3
 
     def column(self, col: int) -> Trajectory:
         """Scalar view of one forcing column of a multi-column run."""
@@ -318,9 +320,10 @@ def simulate(
     delays: DelayMatrix,
     cfg: SimConfig,
     g_values,
+    q_mats=None,
     window_only: bool = False,
 ) -> Trajectory:
-    """Forward-Euler run of the scalar coupled system with per-link lags
+    """Forward-Euler run of the coupled system with per-link lags
     m_ij = round(tau_ij / T_s).
 
     g_values of shape (n, L) runs L independent forcing columns in one pass;
@@ -330,6 +333,10 @@ def simulate(
     column: each column sees the stream that its own run seeded with
     cfg.rng_seed would see.
 
+    With q_mats of shape (n, L, L), symmetric positive definite, the state is
+    a vector: xdot_i = g_i + K Q_i^{-1} sum_j a_ij (x_j(t - tau_ij) - x_i),
+    with g_values of shape (n, L) and noise drawn as (n, L) per step.
+
     window_only records only the final sync window, the last
     cfg.sync_window(horizon + 1) samples, for callers that read nothing else.
     """
@@ -337,31 +344,27 @@ def simulate(
     columns = gv.ndim == 2
     if columns and gv.shape[0] != g.n:
         raise ValueError(f"g_values shape {gv.shape} does not match (n, L)")
-    if not columns:
-        gv = np.broadcast_to(gv, (g.n,))[:, None]
-    q = cfg.c_array(g.n).reshape(g.n, 1, 1)
+    if q_mats is None:
+        if not columns:
+            gv = np.broadcast_to(gv, (g.n,))[:, None]
+        q = cfg.c_array(g.n).reshape(g.n, 1, 1)
+    else:
+        q = np.asarray(q_mats, dtype=float)
+        if q.ndim != 3 or q.shape[0] != g.n or q.shape[1] != q.shape[2]:
+            raise ValueError(f"q_mats must have shape (n, L, L), got {q.shape}")
+        if gv.shape != (g.n, q.shape[1]):
+            raise ValueError(f"g_values shape {gv.shape} does not match (n, L)")
+        qt = q.transpose(0, 2, 1)
+        spd = np.isclose(q, qt).all(axis=(1, 2)) & (
+            np.linalg.eigvalsh(0.5 * (q + qt)).min(axis=1) > 0
+        )
+        if not spd.all():
+            bad = int(np.argmin(spd))
+            raise ValueError(f"Q matrix of node {bad} is not symmetric positive definite")
     kq = cfg.k_gain * np.linalg.inv(q)
     window = cfg.sync_window(cfg.horizon + 1) if window_only else None
-    traj = _simulate_core(g, delays, cfg, kq[:, :, 0], gv, window)
+    traj = _simulate_core(g, delays, cfg, kq if q_mats is not None else kq[:, :, 0], gv, window)
     return traj if columns else traj.column(0)
-
-
-def simulate_vector(
-    g: SensorDigraph, delays: DelayMatrix, cfg: SimConfig, q_mats, g_vecs
-) -> Trajectory:
-    """Vector-state run: xdot_i = g_i + K Q_i^{-1} sum_j a_ij (x_j(t-tau_ij) - x_i)."""
-    q = np.asarray(q_mats, dtype=float)
-    gv = np.asarray(g_vecs, dtype=float)
-    if q.ndim != 3 or q.shape[0] != g.n or q.shape[1] != q.shape[2]:
-        raise ValueError(f"q_mats must have shape (n, L, L), got {q.shape}")
-    if gv.shape != (g.n, q.shape[1]):
-        raise ValueError(f"g_vecs shape {gv.shape} does not match (n, L)")
-    for i in range(g.n):
-        sym = 0.5 * (q[i] + q[i].T)
-        if not np.allclose(q[i], q[i].T) or np.linalg.eigvalsh(sym).min() <= 0:
-            raise ValueError(f"Q matrix of node {i} is not symmetric positive definite")
-    kq = cfg.k_gain * np.linalg.inv(q)
-    return _simulate_core(g, delays, cfg, kq, gv)
 
 
 def detect_sync(
@@ -373,6 +376,8 @@ def detect_sync(
     Singleton groups count as clusters only for a one-node system; a cluster
     containing every node sets the global flag.
     """
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValueError(f"sync tolerance must be positive and finite, got {tol}")
     if window > len(traj.times):
         raise ValueError("window longer than trajectory")
     if window < 1:
@@ -437,6 +442,8 @@ def detect_sync_auto(
 def trajectory_to_csv(traj: Trajectory, path, downsample: int = 1) -> None:
     """CSV trace with header (t, x_1..x_n, dx_1..dx_n); vector states flatten
     coordinate-major."""
+    if downsample < 1:
+        raise ValueError(f"downsample must be at least 1, got {downsample}")
     times = traj.times[::downsample]
     states = traj.states[::downsample].reshape(len(times), -1)
     deriv = traj.derivatives[::downsample].reshape(len(times), -1)

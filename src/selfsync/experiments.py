@@ -1,0 +1,122 @@
+"""The paper's estimation experiment: random sensor networks and the Monte-Carlo
+comparison of the delay-free, delayed and two-step estimates."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import netgen
+from .dde_sim import SimConfig, simulate
+from .digraph import SensorDigraph
+from .netgen import DelayMatrix, NodeGeometry
+from .stats import consensus_function
+
+
+def random_network(
+    cfg: dict, seed: int
+) -> tuple[NodeGeometry, SensorDigraph, DelayMatrix]:
+    """Nodes placed uniformly on a square, with uniform or geometry-induced
+    delays (the speed rescaled so that the longest link takes tau_max, when
+    given) and Rayleigh or path-loss links, pruned below the threshold."""
+    n = int(cfg["n"])
+    geom = netgen.place_nodes(
+        n,
+        float(cfg.get("d_side", 1.0)),
+        seed,
+        powers=cfg.get("powers", 1.0),
+        path_loss_exponent=float(cfg.get("eta", 2.0)),
+    )
+    delay_mode = cfg.get("delay_mode", {"mode": "geometry"})
+    if delay_mode.get("mode") == "uniform":
+        delays = DelayMatrix.uniform(n, float(delay_mode["tau"]))
+    else:
+        tau_max = cfg.get("tau_max", delay_mode.get("tau_max"))
+        if tau_max is not None and n > 1:
+            geom = netgen.speed_for_max_delay(geom, float(tau_max))
+        delays = netgen.delays_from_geometry(geom)
+    channel_mode = cfg.get("channel_mode", {"mode": "rayleigh"})
+    if channel_mode.get("mode") == "pathloss":
+        g = netgen.channel_pathloss(geom, channel_mode.get("fading", 1.0))
+    else:
+        g = netgen.channel_rayleigh(geom, seed + 1)
+    g = netgen.threshold_prune(g, float(cfg.get("threshold", 0.0)))
+    return geom, g, delays
+
+
+def estimation_forcing(
+    cfg: dict, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """(a, y / a) for observations y_i = a_i xi + w_i, with gains a_i uniform
+    on [0.5, 1.5] and noise w_i of variance sigma2."""
+    xi = float(cfg.get("xi", 1.0))
+    sigma2 = float(cfg.get("sigma2", 1.0))
+    a = rng.uniform(0.5, 1.5, size=n)
+    y = a * xi + rng.normal(0.0, np.sqrt(sigma2), size=n)
+    return a, y / a
+
+
+def run_estimation_trial(cfg: dict, trial_seed: int):
+    """One Fig-2-style estimation realization; returns per-iteration traces."""
+    t_step = float(cfg.get("t_step", 1e-3))
+    _, g, delays = random_network(
+        {"n": 40, "d_side": 5.0, "tau_max": 100 * t_step, **cfg}, trial_seed
+    )
+    n = g.n
+    a, gvals = estimation_forcing(cfg, n, np.random.default_rng(trial_seed))
+    c = a**2 / float(cfg.get("sigma2", 1.0))
+    sim = SimConfig(
+        t_step=t_step,
+        k_gain=float(cfg.get("k_gain", 30.0)),
+        c_weights=c,
+        horizon=int(cfg.get("horizon", 2000)),
+        noise_std=float(cfg.get("noise_std", 0.0)),
+        rng_seed=trial_seed + 3,
+    )
+    centralized = consensus_function(lambda v: v, gvals, c)
+    d_nodelay = simulate(g, DelayMatrix.zero(n), sim, gvals).derivatives.mean(axis=1)
+    delayed = simulate(g, delays, sim, np.column_stack([gvals, np.ones(n)]))
+    d_delayed = delayed.column(0).derivatives.mean(axis=1)
+    d_unit = delayed.column(1).derivatives.mean(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        twostep = np.where(np.abs(d_unit) > 1e-12, d_delayed / d_unit, 0.0)
+    return centralized, d_nodelay, d_delayed, twostep
+
+
+def run_estimation_montecarlo(cfg: dict, trials: int, downsample: int = 10):
+    """Aggregate mean/std across trials of the per-iteration estimates."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    seed = int(cfg.get("seed", 0))
+    rows_nd, rows_d, rows_ts, cents = [], [], [], []
+    for t in range(trials):
+        cent, nd, dl, ts = run_estimation_trial(cfg, seed + 1000 * t)
+        cents.append(cent)
+        rows_nd.append(nd[::downsample])
+        rows_d.append(dl[::downsample])
+        rows_ts.append(ts[::downsample])
+    t_step = float(cfg.get("t_step", 1e-3))
+    steps = np.arange(len(rows_nd[0])) * downsample
+    agg = {
+        "step": steps,
+        "t": steps * t_step,
+        "nodelay_mean": np.mean(rows_nd, axis=0),
+        "nodelay_std": np.std(rows_nd, axis=0),
+        "delayed_mean": np.mean(rows_d, axis=0),
+        "delayed_std": np.std(rows_d, axis=0),
+        "twostep_mean": np.mean(rows_ts, axis=0),
+        "twostep_std": np.std(rows_ts, axis=0),
+        "centralized_mean": np.full(len(steps), np.mean(cents)),
+    }
+    final = {
+        "xi": float(cfg.get("xi", 1.0)),
+        "centralized_mean": float(np.mean(cents)),
+        "centralized_std": float(np.std(cents)),
+        "final_nodelay_mean": float(np.mean([r[-1] for r in rows_nd])),
+        "final_nodelay_std": float(np.std([r[-1] for r in rows_nd])),
+        "final_delayed_mean": float(np.mean([r[-1] for r in rows_d])),
+        "final_delayed_std": float(np.std([r[-1] for r in rows_d])),
+        "final_twostep_mean": float(np.mean([r[-1] for r in rows_ts])),
+        "final_twostep_std": float(np.std([r[-1] for r in rows_ts])),
+        "trials": trials,
+    }
+    return agg, final

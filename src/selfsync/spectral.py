@@ -18,9 +18,8 @@ class SpectralError(ValueError):
 class GammaVector:
     """Left zero-eigenvector of the Laplacian, positive exactly on the root SCC."""
 
-    gamma: np.ndarray
+    gamma: np.ndarray  # sums to one
     support: frozenset[int]
-    normalization: str  # "sum_one" | "inf_norm_one"
 
 
 @dataclass(frozen=True)
@@ -58,12 +57,7 @@ def _left_null_positive(block: np.ndarray, residual_tol: float) -> np.ndarray:
     return g
 
 
-def gamma_left_eigenvector(
-    lap: Laplacian,
-    scc: SccDecomposition,
-    normalization: str = "sum_one",
-    residual_tol: float = 1e-10,
-) -> GammaVector:
+def gamma_left_eigenvector(lap: Laplacian, scc: SccDecomposition) -> GammaVector:
     """Left zero-eigenvector with the root-SCC support structure.
 
     Computed block-structurally: solve the root-SCC block's left null space
@@ -71,14 +65,13 @@ def gamma_left_eigenvector(
     """
     if len(scc.root_components) != 1:
         raise SpectralError("no single root component: digraph is not QSC")
-    return _gamma_for_component(lap, scc, scc.root_components[0], normalization, residual_tol)
+    return _gamma_for_component(lap, scc, scc.root_components[0])
 
 
 def _gamma_for_component(
     lap: Laplacian,
     scc: SccDecomposition,
     comp_index: int,
-    normalization: str = "sum_one",
     residual_tol: float = 1e-10,
 ) -> GammaVector:
     """Gamma for one root SCC's own Laplacian block (per-cluster variant)."""
@@ -88,24 +81,14 @@ def _gamma_for_component(
     g_block = _left_null_positive(block, residual_tol)
     gamma = np.zeros(lap.n)
     gamma[idx] = g_block
-    if normalization == "sum_one":
-        gamma /= gamma.sum()
-    elif normalization == "inf_norm_one":
-        gamma /= np.abs(gamma).max()
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
+    gamma /= gamma.sum()
     gamma.setflags(write=False)
-    return GammaVector(gamma=gamma, support=frozenset(nodes), normalization=normalization)
+    return GammaVector(gamma=gamma, support=frozenset(nodes))
 
 
-def gamma_per_cluster(
-    lap: Laplacian, scc: SccDecomposition, normalization: str = "sum_one"
-) -> dict[int, GammaVector]:
+def gamma_per_cluster(lap: Laplacian, scc: SccDecomposition) -> dict[int, GammaVector]:
     """One GammaVector per root component, each from its own block."""
-    return {
-        k: _gamma_for_component(lap, scc, k, normalization)
-        for k in scc.root_components
-    }
+    return {k: _gamma_for_component(lap, scc, k) for k in scc.root_components}
 
 
 def rate_no_delay(lap: Laplacian, scc: SccDecomposition) -> RateEstimate:
@@ -125,7 +108,7 @@ def rate_kappa_bound(
     gamma: GammaVector,
     no_delay_rate: float | None = None,
 ) -> RateEstimate:
-    """kappa = -lambda_2( (D_g L + L^T D_g)/2 ), gamma inf-norm one; SC only.
+    """kappa = -lambda_2( (D_g L + L^T D_g)/2 ), gamma at inf-norm one; SC only.
 
     The bound is checked against rate_no_delay(lap, scc), which a caller that
     already has it passes as no_delay_rate."""

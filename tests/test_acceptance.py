@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from selfsync import topologies
-from selfsync.cli import run_estimation_montecarlo
 from selfsync.dde_sim import (
     DelayMatrix,
     SimConfig,
@@ -17,6 +16,7 @@ from selfsync.dde_sim import (
     simulate,
 )
 from selfsync.digraph import is_balanced, laplacian, new_digraph, scc_decompose
+from selfsync.experiments import run_estimation_montecarlo
 from selfsync.netgen import (
     channel_rayleigh,
     delays_from_geometry,
@@ -352,7 +352,7 @@ def test_rate_estimates_and_delay_robustness():
         g = topologies.random_sc(int(rng.integers(3, 9)), rng)
         lap = laplacian(g)
         scc = scc_decompose(g)
-        gamma = gamma_left_eigenvector(lap, scc, normalization="inf_norm_one")
+        gamma = gamma_left_eigenvector(lap, scc)
         kappa = rate_kappa_bound(lap, scc, gamma).value
         assert rate_no_delay(lap, scc).value <= kappa < 0.0
 

@@ -5,16 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from selfsync import netgen, spectral, stats
+from selfsync import digraph, netgen, spectral, stats
 from selfsync.cli import (
     EXIT_BAD_CONFIG,
     EXIT_NO_SYNC,
     EXIT_NUMERICAL,
     EXIT_OK,
     main,
-    run_estimation_trial,
 )
 from selfsync.dde_sim import DelayMatrix, SimConfig, simulate
+from selfsync.experiments import run_estimation_trial
 from selfsync.spectral import SpectralError
 
 
@@ -67,6 +67,46 @@ def test_gen_deterministic_bytes(tmp_path):
     assert main(["gen", cfg, "--out-dir", str(b)]) == EXIT_OK
     for name in ("digraph.json", "delays.json", "geometry.json", "scenario.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def rayleigh_geometry_pipeline():
+    geom = netgen.speed_for_max_delay(netgen.place_nodes(9, 3.0, 12), 0.05)
+    g = netgen.threshold_prune(netgen.channel_rayleigh(geom, 13), 0.1)
+    return geom, g, netgen.delays_from_geometry(geom)
+
+
+def pathloss_uniform_pipeline():
+    geom = netgen.place_nodes(8, 2.0, 5, powers=2.0, path_loss_exponent=3.0)
+    g = netgen.threshold_prune(netgen.channel_pathloss(geom, 0.7), 0.2)
+    return geom, g, DelayMatrix.uniform(8, 0.02)
+
+
+@pytest.mark.parametrize(
+    "cfg, pipeline",
+    [
+        (
+            {"n": 9, "seed": 12, "d_side": 3.0, "tau_max": 0.05, "threshold": 0.1},
+            rayleigh_geometry_pipeline,
+        ),
+        (
+            {"n": 8, "seed": 5, "d_side": 2.0, "powers": 2.0, "eta": 3.0, "threshold": 0.2,
+             "delay_mode": {"mode": "uniform", "tau": 0.02},
+             "channel_mode": {"mode": "pathloss", "fading": 0.7}},
+            pathloss_uniform_pipeline,
+        ),
+    ],
+    ids=["rayleigh-geometry", "pathloss-uniform"],
+)
+def test_gen_writes_the_netgen_pipeline(tmp_path, cfg, pipeline):
+    geom, g, delays = pipeline()
+    out = tmp_path / "scen"
+    assert main(["gen", write_json(tmp_path / "cfg.json", cfg), "--out-dir", str(out)]) == EXIT_OK
+    written = digraph.from_document((out / "digraph.json").read_text())
+    assert np.array_equal(written.weights, g.weights)
+    doc = json.loads((out / "delays.json").read_text())
+    assert np.array_equal(doc["tau"], delays.tau) and doc["tau_max"] == delays.tau_max
+    doc = json.loads((out / "geometry.json").read_text())
+    assert np.array_equal(doc["positions"], geom.positions) and doc["speed"] == geom.speed
 
 
 def test_gen_rejects_zero_nodes(tmp_path, capsys):
@@ -168,6 +208,26 @@ def test_run_nan_literal_exits_bad_config(demo_scenarios, tmp_path, capsys, key)
     assert code == EXIT_BAD_CONFIG
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [
+        ("--tol", "nan", "got nan"),
+        ("--tol", "0", "got 0.0"),
+        ("--window", "nan", "got nan"),
+        ("--window", "0", "got 0.0"),
+        ("--horizon", "0", "got 0"),
+        ("--downsample", "-1", "got -1"),
+    ],
+)
+def test_run_rejects_out_of_range_flags(demo_scenarios, tmp_path, capsys, flag, value, named):
+    out = tmp_path / "out"
+    code = main(["run", str(demo_scenarios / "sc"), flag, value, "--out-dir", str(out)])
+    assert code == EXIT_BAD_CONFIG
+    assert named in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    assert not (out / "trace.csv").exists()
 
 
 def test_run_unbias_mode_reports_ratio(demo_scenarios, tmp_path):
@@ -307,6 +367,23 @@ def test_inspect_multi_root_scenario(demo_scenarios, capsys):
     out = capsys.readouterr().out
     assert "connectivity: WC" in out
     assert "zero eigenvalue multiplicity: 2" in out
+
+
+@pytest.mark.parametrize("command", ["run", "inspect"])
+def test_run_and_inspect_solve_gamma_once(demo_scenarios, tmp_path, monkeypatch, command):
+    calls = []
+    solve = spectral._gamma_for_component
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_gamma_for_component", counting)
+    argv = [command, str(demo_scenarios / "sc")]
+    if command == "run":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == EXIT_OK
+    assert len(calls) == 1
 
 
 def estimation_trial_reference(cfg, trial_seed):

@@ -17,7 +17,6 @@ from selfsync.dde_sim import (
     detect_sync,
     detect_sync_auto,
     simulate,
-    simulate_vector,
     trajectory_to_csv,
 )
 from selfsync.digraph import new_digraph
@@ -61,6 +60,25 @@ def test_config_validation():
 )
 def test_config_rejects_non_finite_values(field, value):
     with pytest.raises(ValueError, match="finite"):
+        SimConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("horizon", 0),
+        ("horizon", -1),
+        ("sync_tol_rel", np.nan),
+        ("sync_tol_rel", -1e-4),
+        ("sync_tol_rel", 0.0),
+        ("sync_tol_rel", np.inf),
+        ("sync_window_frac", np.nan),
+        ("sync_window_frac", 0.0),
+        ("sync_window_frac", 1.5),
+    ],
+)
+def test_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=f"{field}.* got {value}"):
         SimConfig(**{field: value})
 
 
@@ -168,7 +186,7 @@ def test_scalar_path_equals_unit_dim_vector_path():
     gv = np.array([0.3, 1.0, -0.4])
     scalar = simulate(g, DelayMatrix.uniform(3, 0.01), cfg, gv)
     q = cfg.c_array(3).reshape(3, 1, 1)
-    vector = simulate_vector(g, DelayMatrix.uniform(3, 0.01), cfg, q, gv[:, None])
+    vector = simulate(g, DelayMatrix.uniform(3, 0.01), cfg, gv[:, None], q_mats=q)
     assert np.array_equal(scalar.states, vector.states[:, :, 0])
     assert np.array_equal(scalar.derivatives, vector.derivatives[:, :, 0])
 
@@ -178,10 +196,15 @@ def test_vector_sim_validates_q_matrices():
     cfg = SimConfig(horizon=10)
     bad_shape = np.ones((2, 2))
     with pytest.raises(ValueError):
-        simulate_vector(g, DelayMatrix.zero(2), cfg, bad_shape, np.ones((2, 2)))
+        simulate(g, DelayMatrix.zero(2), cfg, np.ones((2, 2)), q_mats=bad_shape)
     not_spd = np.array([[[1.0, 2.0], [0.0, 1.0]]] * 2)
     with pytest.raises(ValueError, match="positive definite"):
-        simulate_vector(g, DelayMatrix.zero(2), cfg, not_spd, np.ones((2, 2)))
+        simulate(g, DelayMatrix.zero(2), cfg, np.ones((2, 2)), q_mats=not_spd)
+    # the first bad node is named: symmetric but indefinite, then asymmetric
+    for bad in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[2.0, 0.5], [0.0, 2.0]])):
+        q = np.stack([np.eye(2), bad])
+        with pytest.raises(ValueError, match="node 1 is not symmetric positive definite"):
+            simulate(g, DelayMatrix.zero(2), cfg, np.ones((2, 2)), q_mats=q)
 
 
 # ---------------------------------------------------------------- detection
@@ -225,6 +248,9 @@ def test_detect_sync_window_validation():
         detect_sync(traj, tol=1e-3, window=100)
     with pytest.raises(ValueError):
         detect_sync(traj, tol=1e-3, window=0)
+    for tol in (np.nan, 0.0, -1e-3, np.inf):
+        with pytest.raises(ValueError, match=f"tolerance .* got {tol}"):
+            detect_sync(traj, tol=tol, window=5)
 
 
 def test_detect_sync_single_node_system():
@@ -258,6 +284,10 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert data.shape == (11, 5)
     np.testing.assert_allclose(data[:, 0], traj.times[::2])
     np.testing.assert_allclose(data[:, 1:3], traj.states[::2], atol=1e-12)
+    for downsample in (0, -1):
+        with pytest.raises(ValueError, match=f"got {downsample}"):
+            trajectory_to_csv(traj, tmp_path / "bad.csv", downsample=downsample)
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def csv_reference(traj, path, downsample):
@@ -360,7 +390,7 @@ def assert_core_matches_dense_reference(w, lags, rng, noise_std, dim, horizon):
         a = rng.normal(size=(n, dim, dim))
         q = a @ a.transpose(0, 2, 1) + 0.5 * np.eye(dim)  # SPD, not diagonal
         gv = rng.normal(size=(n, dim))
-        traj = simulate_vector(g, delays, cfg, q, gv)
+        traj = simulate(g, delays, cfg, gv, q_mats=q)
         kq = cfg.k_gain * np.linalg.inv(q)
         states, deriv = traj.states, traj.derivatives
     ref_states, ref_deriv = dense_core_reference(

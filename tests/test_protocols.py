@@ -274,9 +274,7 @@ def test_gamma_protocol_op_solves_gamma_at_most_twice(monkeypatch, mode):
 
 
 def simulate_vector_converged(g, delays, cfg, qm, gv):
-    from selfsync.dde_sim import simulate_vector
-
-    return simulate_vector(g, delays, cfg, qm, gv)
+    return simulate(g, delays, cfg, gv, q_mats=qm)
 
 
 # ---------------------------------------------------------------- two-step

@@ -112,14 +112,6 @@ def test_gamma_per_cluster_covers_each_root():
         assert gam.gamma.sum() == pytest.approx(1.0)
 
 
-def test_gamma_inf_norm_normalization():
-    g = topologies.sc_14()
-    gamma = gamma_left_eigenvector(
-        laplacian(g), scc_decompose(g), normalization="inf_norm_one"
-    )
-    assert np.abs(gamma.gamma).max() == pytest.approx(1.0)
-
-
 # ---------------------------------------------------------------- rates
 
 
@@ -142,7 +134,7 @@ def test_kappa_bound_ordering_on_random_sc(rng):
         g = topologies.random_sc(int(rng.integers(3, 9)), rng)
         lap = laplacian(g)
         scc = scc_decompose(g)
-        gamma = gamma_left_eigenvector(lap, scc, normalization="inf_norm_one")
+        gamma = gamma_left_eigenvector(lap, scc)
         kappa = rate_kappa_bound(lap, scc, gamma)
         r = rate_no_delay(lap, scc)
         assert r.value <= kappa.value < 0.0
@@ -156,7 +148,7 @@ def test_kappa_bound_sc_only():
     lap = laplacian(g)
     scc = scc_decompose(g)
     with pytest.raises(SpectralError, match="SC"):
-        rate_kappa_bound(lap, scc, gamma_left_eigenvector(lap, scc, "inf_norm_one"))
+        rate_kappa_bound(lap, scc, gamma_left_eigenvector(lap, scc))
 
 
 # ------------------------------------------------------- characteristic func
