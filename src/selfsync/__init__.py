@@ -3,7 +3,6 @@
 from .digraph import (
     Connectivity,
     GraphValidationError,
-    Laplacian,
     SccDecomposition,
     SensorDigraph,
     degrees,
@@ -15,8 +14,6 @@ from .digraph import (
     to_document,
 )
 from .spectral import (
-    GammaVector,
-    RateEstimate,
     SpectralError,
     characteristic_function,
     empirical_rate,
@@ -24,7 +21,6 @@ from .spectral import (
     gamma_per_cluster,
     rate_kappa_bound,
     rate_no_delay,
-    zero_eigen_multiplicity,
 )
 from .netgen import (
     DelayMatrix,

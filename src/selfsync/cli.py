@@ -139,6 +139,11 @@ def _sim_config(sc: dict, args) -> SimConfig:
     )
     if args.window is not None:
         kwargs["sync_window_frac"] = args.window
+    # --tol and --downsample are checked here too, before any prediction or run
+    if args.tol is not None and not (args.tol > 0 and np.isfinite(args.tol)):
+        raise ValueError(f"sync tolerance must be positive and finite, got {args.tol}")
+    if args.downsample < 1:
+        raise ValueError(f"downsample must be at least 1, got {args.downsample}")
     return SimConfig(**kwargs)
 
 
@@ -251,22 +256,18 @@ def cmd_run(args) -> int:
 
 def _rate_report(g, delays, cfg, scc, traj, pred) -> dict:
     rates: dict = {}
-    lap = digraph.laplacian(g)
     if len(scc.root_components) == 1:
         # spectrum of the gain-scaled system K D_c^{-1} L
-        kdl = digraph.Laplacian(
-            matrix=(cfg.k_gain / cfg.c_array(g.n))[:, None] * lap.matrix,
-            degree_matrix=lap.degree_matrix,
-        )
-        no_delay = spectral.rate_no_delay(kdl, scc).value
+        kdl = (cfg.k_gain / cfg.c_array(g.n))[:, None] * digraph.laplacian(g)
+        no_delay = spectral.rate_no_delay(kdl, scc)
         rates["no_delay_spectrum"] = no_delay
         if scc.connectivity_class is digraph.Connectivity.SC:
-            kappa = spectral.rate_kappa_bound(kdl, scc, pred.clusters[0].gamma, no_delay)
-            rates["kappa_bound"] = kappa.value
+            gamma = pred.clusters[0].gamma
+            rates["kappa_bound"] = spectral.rate_kappa_bound(kdl, scc, gamma, no_delay)
         if traj.clusters is not None and traj.clusters.global_sync:
-            est = spectral.empirical_rate(traj, pred.omega_star)
-            rates["empirical_fit"] = est.value
-            rates["empirical_residual"] = est.residual
+            rates["empirical_fit"], rates["empirical_residual"] = spectral.empirical_rate(
+                traj, pred.omega_star
+            )
     return rates
 
 
@@ -304,16 +305,16 @@ def cmd_inspect(args) -> int:
     print(f"connectivity: {scc.connectivity_class.value}")
     print(f"components: {[sorted(c) for c in scc.components]}")
     print(f"root components: {scc.root_components}")
-    print(f"zero eigenvalue multiplicity: {spectral.zero_eigen_multiplicity(lap, scc)}")
+    print(f"zero eigenvalue multiplicity: {len(scc.root_components)}")
     if len(scc.root_components) == 1:
         gamma = spectral.gamma_left_eigenvector(lap, scc)
-        print(f"gamma (sum one): {np.array2string(gamma.gamma, precision=6)}")
-        rate = spectral.rate_no_delay(lap, scc).value
+        print(f"gamma (sum one): {np.array2string(gamma, precision=6)}")
+        rate = spectral.rate_no_delay(lap, scc)
         print(f"rate (no delay, unit gains): {rate:.6g}")
         if scc.connectivity_class is digraph.Connectivity.SC:
             kappa = spectral.rate_kappa_bound(lap, scc, gamma, rate)
-            print(f"kappa bound: {kappa.value:.6g}")
-    print(f"max delay: {delays.tau_max:.6g}")
+            print(f"kappa bound: {kappa:.6g}")
+    print(f"max link delay: {delays.tau[g.weights > 0.0].max(initial=0.0):.6g}")
     return EXIT_OK
 
 

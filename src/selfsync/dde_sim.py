@@ -17,18 +17,11 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class InitialCondition:
-    """Initial state history phi_i on [-tau, 0].
+    """Initial state history phi_i(t) = slopes_i * t + intercepts_i on [-tau, 0];
+    a per-node value of shape (n,) is common across coordinates."""
 
-    kind "constant": phi_i(t) = values_i; "linear": phi_i(t) = slopes_i * t +
-    intercepts_i; "sampled": linear interpolation of a (times, table) record.
-    """
-
-    kind: str = "constant"
-    values: np.ndarray | float = 0.0
     slopes: np.ndarray | float = 0.0
     intercepts: np.ndarray | float = 0.0
-    sample_times: np.ndarray | None = None
-    sample_table: np.ndarray | None = None  # (len(times), n) or (len(times), n, L)
 
     @staticmethod
     def _expand(arr, n: int, dim: int) -> np.ndarray:
@@ -37,25 +30,10 @@ class InitialCondition:
             a = a[:, None]  # per-node values, common across coordinates
         return np.broadcast_to(a, (n, dim))
 
-    def evaluate(self, t: float, n: int, dim: int) -> np.ndarray:
-        out = np.zeros((n, dim))
-        if self.kind == "constant":
-            out[:] = self._expand(self.values, n, dim)
-        elif self.kind == "linear":
-            a = self._expand(self.slopes, n, dim)
-            b = self._expand(self.intercepts, n, dim)
-            out[:] = a * t + b
-        elif self.kind == "sampled":
-            ts = np.asarray(self.sample_times, dtype=float)
-            table = np.asarray(self.sample_table, dtype=float)
-            if table.ndim == 2:
-                table = table[:, :, None]
-            for q in range(dim):
-                for i in range(n):
-                    out[i, q] = np.interp(t, ts, table[:, i, q])
-        else:
-            raise ValueError(f"unknown initial-condition kind {self.kind!r}")
-        return out
+    def evaluate(self, t, n: int, dim: int) -> np.ndarray:
+        """phi at time t, shape (n, dim); at times t of shape (H,), (H, n, dim)."""
+        t = np.asarray(t, dtype=float)[..., None, None]
+        return self._expand(self.slopes, n, dim) * t + self._expand(self.intercepts, n, dim)
 
 
 @dataclass(frozen=True)
@@ -211,8 +189,7 @@ def _simulate_core(
         rows = mmax + 1 + min(horizon, max(_CHUNK, mmax + 1))
     # one spare row takes the state after the horizon, which is never read
     x = np.empty((rows + 1, n, dim))
-    for h in range(mmax + 1):
-        x[h] = cfg.init.evaluate((h - mmax) * cfg.t_step, n, dim)
+    x[: mmax + 1] = cfg.init.evaluate(np.arange(-mmax, 1) * cfg.t_step, n, dim)
     deriv = np.empty((horizon + 1 - first, n, dim))
     states = x[mmax:rows] if window is None else np.empty_like(deriv)
     # The coupling sum_j a_ij (x_j(t - tau_ij) - x_i(t)) equals sum_j b_ij

@@ -9,7 +9,7 @@ row i.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -36,21 +36,6 @@ class SensorDigraph:
     def n(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def neighbor_sets(self) -> list[set[int]]:
-        """N_i = set of transmitters node i hears (a_ij > 0)."""
-        return [set(np.flatnonzero(self.weights[i] > 0.0)) for i in range(self.n)]
-
-
-@dataclass(frozen=True)
-class Laplacian:
-    matrix: np.ndarray
-    degree_matrix: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class SccDecomposition:
@@ -59,13 +44,6 @@ class SccDecomposition:
     topo_order: list[int]
     root_components: list[int]
     connectivity_class: Connectivity
-
-    @property
-    def n_components(self) -> int:
-        return len(self.components)
-
-    def root_nodes(self) -> list[frozenset[int]]:
-        return [self.components[k] for k in self.root_components]
 
 
 def new_digraph(weights) -> SensorDigraph:
@@ -96,25 +74,26 @@ def is_balanced(g: SensorDigraph, tol: float = 1e-12) -> bool:
     return bool(np.all(np.abs(din - dout) <= tol))
 
 
-def laplacian(g: SensorDigraph) -> Laplacian:
+def laplacian(g: SensorDigraph) -> np.ndarray:
     """L = Delta - A with in-degree diagonal; rows sum to zero to machine precision."""
-    a = g.weights
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    deg = off.sum(axis=1)
-    lap = -off
+    lap = -g.weights
     # diagonal set to the row sum of the off-diagonals so L @ 1 vanishes
-    idx = np.arange(g.n)
-    lap[idx, idx] = deg
-    return Laplacian(matrix=lap, degree_matrix=np.diag(deg))
+    np.fill_diagonal(lap, g.weights.sum(axis=1))
+    return lap
 
 
-def _tarjan_scc(adj: list[list[int]]) -> list[list[int]]:
-    """Iterative Tarjan on adjacency lists adj[u] = successors of u."""
+def _successors(mask: np.ndarray) -> list[list[int]]:
+    """Adjacency lists along the data flow: j -> i for each mask[i, j], i ascending."""
+    return [np.flatnonzero(mask[:, j]).tolist() for j in range(len(mask))]
+
+
+def _tarjan_scc(adj: list[list[int]]) -> tuple[list[list[int]], np.ndarray]:
+    """Iterative Tarjan on adjacency lists adj[u] = successors of u: the
+    components in emission order, and the index of each node's component."""
     n = len(adj)
     index = [-1] * n
     lowlink = [0] * n
-    on_stack = [False] * n
+    comp_of = [-1] * n  # -1 until emitted: a visited node with -1 is on the stack
     stack: list[int] = []
     sccs: list[list[int]] = []
     counter = 0
@@ -128,7 +107,6 @@ def _tarjan_scc(adj: list[list[int]]) -> list[list[int]]:
                 index[u] = lowlink[u] = counter
                 counter += 1
                 stack.append(u)
-                on_stack[u] = True
             advanced = False
             for k in range(pi, len(adj[u])):
                 v = adj[u][k]
@@ -137,7 +115,7 @@ def _tarjan_scc(adj: list[list[int]]) -> list[list[int]]:
                     work.append((v, 0))
                     advanced = True
                     break
-                if on_stack[v]:
+                if comp_of[v] == -1:
                     lowlink[u] = min(lowlink[u], index[v])
             if advanced:
                 continue
@@ -149,12 +127,12 @@ def _tarjan_scc(adj: list[list[int]]) -> list[list[int]]:
                 comp = []
                 while True:
                     v = stack.pop()
-                    on_stack[v] = False
+                    comp_of[v] = len(sccs)
                     comp.append(v)
                     if v == u:
                         break
                 sccs.append(sorted(comp))
-    return sccs
+    return sccs, np.array(comp_of, dtype=int)
 
 
 def scc_decompose(g: SensorDigraph) -> SccDecomposition:
@@ -162,71 +140,33 @@ def scc_decompose(g: SensorDigraph) -> SccDecomposition:
 
     A condensation edge (a, b) means data flows from component b into
     component a; root components have zero in-degree (no data from outside).
+    Component k is the k-th that Tarjan's pass emits, and Tarjan emits a
+    component only after every component downstream of it, so the reversed
+    emission order runs upstream first.
     """
-    n = g.n
-    w = g.weights
-    # successors in data-flow direction: j -> i when a_ij > 0
-    adj = [[int(i) for i in np.flatnonzero(w[:, j] > 0.0)] for j in range(n)]
-    comps = _tarjan_scc(adj)
-    comp_of = np.empty(n, dtype=int)
-    for k, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = k
-    edges: set[tuple[int, int]] = set()
-    rows, cols = np.nonzero(w > 0.0)
-    for i, j in zip(rows, cols):
-        a, b = comp_of[i], comp_of[j]
-        if a != b:
-            edges.add((a, b))  # data flows b -> a
-    k_comp = len(comps)
-    indeg = [0] * k_comp
-    flow_succ: list[list[int]] = [[] for _ in range(k_comp)]
-    for a, b in edges:
-        indeg[a] += 1
-        flow_succ[b].append(a)
-    roots = [k for k in range(k_comp) if indeg[k] == 0]
-    # Kahn topological sort along data flow: upstream components first
-    topo: list[int] = []
-    remaining = indeg[:]
-    frontier = sorted(roots)
-    while frontier:
-        u = frontier.pop(0)
-        topo.append(u)
-        for v in sorted(flow_succ[u]):
-            remaining[v] -= 1
-            if remaining[v] == 0:
-                frontier.append(v)
-    assert len(topo) == k_comp, "condensation digraph must be acyclic"
-
-    if k_comp == 1:
+    links = g.weights > 0.0
+    comps, comp_of = _tarjan_scc(_successors(links))
+    rows, cols = np.nonzero(links)
+    a, b = comp_of[rows], comp_of[cols]
+    cross = a != b
+    edges = set(zip(a[cross].tolist(), b[cross].tolist()))  # data flows b -> a
+    roots = np.setdiff1d(np.arange(len(comps)), a[cross]).tolist()
+    if len(comps) == 1:
         cls = Connectivity.SC
     elif len(roots) == 1:
         cls = Connectivity.QSC
+    elif len(_tarjan_scc(_successors(links | links.T))[0]) == 1:
+        # the SCCs of the symmetrized digraph are its connected components
+        cls = Connectivity.WC
     else:
-        cls = Connectivity.WC if _weakly_connected(w) else Connectivity.DISCONNECTED
+        cls = Connectivity.DISCONNECTED
     return SccDecomposition(
         components=[frozenset(c) for c in comps],
         condensation_edges=edges,
-        topo_order=topo,
-        root_components=sorted(roots),
+        topo_order=list(range(len(comps) - 1, -1, -1)),
+        root_components=roots,
         connectivity_class=cls,
     )
-
-
-def _weakly_connected(w: np.ndarray) -> bool:
-    n = w.shape[0]
-    if n <= 1:
-        return True
-    sym = (w > 0.0) | (w.T > 0.0)
-    seen = np.zeros(n, dtype=bool)
-    queue = [0]
-    seen[0] = True
-    while queue:
-        u = queue.pop()
-        nxt = np.flatnonzero(sym[u] & ~seen)
-        seen[nxt] = True
-        queue.extend(nxt.tolist())
-    return bool(seen.all())
 
 
 def to_document(g: SensorDigraph) -> str:

@@ -16,8 +16,8 @@ def random_network(
     cfg: dict, seed: int
 ) -> tuple[NodeGeometry, SensorDigraph, DelayMatrix]:
     """Nodes placed uniformly on a square, with uniform or geometry-induced
-    delays (the speed rescaled so that the longest link takes tau_max, when
-    given) and Rayleigh or path-loss links, pruned below the threshold."""
+    delays (tau_max, when given, is the delay of the most distant node pair)
+    and Rayleigh or path-loss links, pruned below the threshold."""
     n = int(cfg["n"])
     geom = netgen.place_nodes(
         n,

@@ -72,7 +72,7 @@ def place_nodes(
 
 
 def speed_for_max_delay(geom: NodeGeometry, tau_max: float) -> NodeGeometry:
-    """Rescale the propagation speed so the largest link delay equals tau_max."""
+    """Rescale the propagation speed so the most distant node pair is tau_max apart."""
     dmax = geom.distances.max()
     if dmax <= 0 or tau_max <= 0:
         raise ValueError("need distinct nodes and tau_max > 0")

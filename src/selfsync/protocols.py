@@ -23,7 +23,7 @@ class ClusterPrediction:
 
     component: int  # index into the SCC decomposition's components
     nodes: frozenset[int]
-    gamma: spectral.GammaVector
+    gamma: np.ndarray  # read-only, sums to one, positive exactly on nodes
     omega: float | np.ndarray  # float for g of shape (n,), else shape (L,)
     gamma_q_sum: float | np.ndarray  # sum_i gamma_i c_i, or sum_i gamma_i Q_i (L, L)
     delay_term: float  # K sum_ij gamma_i a_ij tau_ij
@@ -99,15 +99,15 @@ def predict_consensus(
         q = np.asarray(q_mats, dtype=float)
     clusters = []
     for k, gam in gammas.items():
-        delay = _delay_term(g, tau, gam.gamma, cfg.k_gain)
+        delay = _delay_term(g, tau, gam, cfg.k_gain)
         if q_mats is None:
-            gq = float(np.sum(gam.gamma * c))
-            omega = np.sum(gam.gamma * c * rows, axis=1) / (gq + delay)
+            gq = float(np.sum(gam * c))
+            omega = np.sum(gam * c * rows, axis=1) / (gq + delay)
             if not columns:
                 omega = float(omega[0])
         else:
-            gq = np.einsum("i,ilm->lm", gam.gamma, q)
-            rhs = np.einsum("i,ilm,im->l", gam.gamma, q, gv)
+            gq = np.einsum("i,ilm->lm", gam, q)
+            rhs = np.einsum("i,ilm,im->l", gam, q, gv)
             try:
                 omega = np.linalg.solve(gq + delay * np.eye(q.shape[1]), rhs)
             except np.linalg.LinAlgError as exc:
@@ -227,5 +227,4 @@ def predict_intercepts(
     tau = _effective_tau(delays, cfg, quantize_delays)
     delay_load = (g.weights * tau).sum(axis=1)  # sum_j a_ij tau_ij per receiver
     delta_omega = gvals - omega * (1.0 + cfg.k_gain / c * delay_load)
-    lap = laplacian(g)
-    return (1.0 / cfg.k_gain) * np.linalg.pinv(lap.matrix) @ (c * delta_omega)
+    return (1.0 / cfg.k_gain) * np.linalg.pinv(laplacian(g)) @ (c * delta_omega)

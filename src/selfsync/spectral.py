@@ -3,38 +3,13 @@ characteristic-function evaluator."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .digraph import Connectivity, Laplacian, SccDecomposition, SensorDigraph
+from .digraph import Connectivity, SccDecomposition, SensorDigraph
 
 
 class SpectralError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class GammaVector:
-    """Left zero-eigenvector of the Laplacian, positive exactly on the root SCC."""
-
-    gamma: np.ndarray  # sums to one
-    support: frozenset[int]
-
-
-@dataclass(frozen=True)
-class RateEstimate:
-    value: float
-    method: str  # "no_delay_spectrum" | "kappa_bound" | "empirical_fit"
-    residual: float = 0.0
-    degenerate: bool = False
-
-
-def zero_eigen_multiplicity(lap: Laplacian, scc: SccDecomposition) -> int:
-    """Algebraic multiplicity of eigenvalue 0, counted structurally as the
-    number of root components of the condensation."""
-    del lap  # structure alone determines the multiplicity
-    return len(scc.root_components)
 
 
 def _left_null_positive(block: np.ndarray, residual_tol: float) -> np.ndarray:
@@ -57,8 +32,9 @@ def _left_null_positive(block: np.ndarray, residual_tol: float) -> np.ndarray:
     return g
 
 
-def gamma_left_eigenvector(lap: Laplacian, scc: SccDecomposition) -> GammaVector:
-    """Left zero-eigenvector with the root-SCC support structure.
+def gamma_left_eigenvector(lap: np.ndarray, scc: SccDecomposition) -> np.ndarray:
+    """Left zero-eigenvector of the Laplacian, summing to one and positive
+    exactly on the root SCC (read-only).
 
     Computed block-structurally: solve the root-SCC block's left null space
     and pad exact zeros elsewhere.  Requires a single root component.
@@ -69,60 +45,58 @@ def gamma_left_eigenvector(lap: Laplacian, scc: SccDecomposition) -> GammaVector
 
 
 def _gamma_for_component(
-    lap: Laplacian,
+    lap: np.ndarray,
     scc: SccDecomposition,
     comp_index: int,
     residual_tol: float = 1e-10,
-) -> GammaVector:
+) -> np.ndarray:
     """Gamma for one root SCC's own Laplacian block (per-cluster variant)."""
-    nodes = sorted(scc.components[comp_index])
-    idx = np.asarray(nodes, dtype=int)
-    block = lap.matrix[np.ix_(idx, idx)]
+    idx = np.asarray(sorted(scc.components[comp_index]), dtype=int)
+    block = lap[np.ix_(idx, idx)]
     g_block = _left_null_positive(block, residual_tol)
-    gamma = np.zeros(lap.n)
+    gamma = np.zeros(len(lap))
     gamma[idx] = g_block
     gamma /= gamma.sum()
     gamma.setflags(write=False)
-    return GammaVector(gamma=gamma, support=frozenset(nodes))
+    return gamma
 
 
-def gamma_per_cluster(lap: Laplacian, scc: SccDecomposition) -> dict[int, GammaVector]:
-    """One GammaVector per root component, each from its own block."""
+def gamma_per_cluster(lap: np.ndarray, scc: SccDecomposition) -> dict[int, np.ndarray]:
+    """One gamma per root component, each from its own block."""
     return {k: _gamma_for_component(lap, scc, k) for k in scc.root_components}
 
 
-def rate_no_delay(lap: Laplacian, scc: SccDecomposition) -> RateEstimate:
+def rate_no_delay(lap: np.ndarray, scc: SccDecomposition) -> float:
     """Zero-delay rate: minus the smallest nonzero real part of spectrum(L)."""
     if scc.connectivity_class not in (Connectivity.SC, Connectivity.QSC):
         raise SpectralError("rate undefined as a global rate: digraph is not QSC")
-    eig = np.linalg.eigvals(lap.matrix)
-    scale = max(np.linalg.norm(lap.matrix, np.inf), 1.0)
+    eig = np.linalg.eigvals(lap)
+    scale = max(np.linalg.norm(lap, np.inf), 1.0)
     nonzero = eig[np.abs(eig) > 1e-9 * scale]
-    value = -float(np.min(nonzero.real))
-    return RateEstimate(value=value, method="no_delay_spectrum")
+    return -float(np.min(nonzero.real))
 
 
 def rate_kappa_bound(
-    lap: Laplacian,
+    lap: np.ndarray,
     scc: SccDecomposition,
-    gamma: GammaVector,
+    gamma: np.ndarray,
     no_delay_rate: float | None = None,
-) -> RateEstimate:
+) -> float:
     """kappa = -lambda_2( (D_g L + L^T D_g)/2 ), gamma at inf-norm one; SC only.
 
     The bound is checked against rate_no_delay(lap, scc), which a caller that
     already has it passes as no_delay_rate."""
     if scc.connectivity_class is not Connectivity.SC:
         raise SpectralError("kappa bound is stated for SC digraphs only")
-    g = gamma.gamma / np.abs(gamma.gamma).max()
+    g = gamma / np.abs(gamma).max()
     dg = np.diag(g)
-    sym = 0.5 * (dg @ lap.matrix + lap.matrix.T @ dg)
+    sym = 0.5 * (dg @ lap + lap.T @ dg)
     lam = np.linalg.eigvalsh(sym)
     kappa = -float(lam[1])
-    r = rate_no_delay(lap, scc).value if no_delay_rate is None else no_delay_rate
+    r = rate_no_delay(lap, scc) if no_delay_rate is None else no_delay_rate
     if r > kappa + 1e-8 * max(abs(kappa), 1.0):
         raise SpectralError(f"rate bound violated: r={r} > kappa={kappa}")
-    return RateEstimate(value=kappa, method="kappa_bound")
+    return kappa
 
 
 def characteristic_function(s: complex, g: SensorDigraph, delays, k) -> complex:
@@ -151,8 +125,9 @@ def characteristic_scale(g: SensorDigraph, delays, k) -> float:
     return float(np.prod(np.maximum(1.0, row)))
 
 
-def empirical_rate(traj, omega_star, fit_start: float = 0.05) -> RateEstimate:
-    """Least-squares slope of log ||xdot(t) - omega*||_inf after the transient.
+def empirical_rate(traj, omega_star, fit_start: float = 0.05) -> tuple[float, float]:
+    """(slope, rms residual) of the least-squares fit of log ||xdot(t) -
+    omega*||_inf after the transient; (0.0, 0.0) when there is nothing to fit.
 
     The fit window runs from where the error has dropped below half of its
     post-transient peak down to where it nears the numerical floor.
@@ -168,7 +143,7 @@ def empirical_rate(traj, omega_star, fit_start: float = 0.05) -> RateEstimate:
     t = traj.times
     scale = max(np.abs(omega).max(), 1.0)
     if err.max() < 1e-12 * scale:
-        return RateEstimate(value=0.0, method="empirical_fit", degenerate=True)
+        return 0.0, 0.0
     start = max(int(fit_start * len(err)), 1)
     e0 = err[start:].max()
     floor = max(1e-9 * e0, 1e-13 * scale)
@@ -177,9 +152,9 @@ def empirical_rate(traj, omega_star, fit_start: float = 0.05) -> RateEstimate:
     if mask.sum() < 10:
         mask[start:] = err[start:] > floor
     if mask.sum() < 2:
-        return RateEstimate(value=0.0, method="empirical_fit", degenerate=True)
+        return 0.0, 0.0
     x = t[mask]
     y = np.log(err[mask])
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return RateEstimate(value=float(slope), method="empirical_fit", residual=resid)
+    return float(slope), resid

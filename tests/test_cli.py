@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from selfsync import digraph, netgen, spectral, stats
+from selfsync import cli, digraph, netgen, protocols, spectral, stats
 from selfsync.cli import (
     EXIT_BAD_CONFIG,
     EXIT_NO_SYNC,
@@ -230,6 +230,21 @@ def test_run_rejects_out_of_range_flags(demo_scenarios, tmp_path, capsys, flag, 
     assert not (out / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("flag, value, named", [("--tol", "nan", "got nan"),
+                                                ("--downsample", "0", "got 0")])
+def test_run_checks_flags_before_any_work(
+    demo_scenarios, tmp_path, capsys, monkeypatch, flag, value, named
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("prediction or simulation ran before the flags were checked")
+
+    monkeypatch.setattr(protocols, "predict_consensus", no_work)
+    monkeypatch.setattr(cli, "simulate", no_work)
+    code = main(["run", str(demo_scenarios / "sc"), flag, value, "--out-dir", str(tmp_path)])
+    assert code == EXIT_BAD_CONFIG
+    assert named in capsys.readouterr().err
+
+
 def test_run_unbias_mode_reports_ratio(demo_scenarios, tmp_path):
     out = tmp_path / "out"
     code = main(
@@ -367,6 +382,19 @@ def test_inspect_multi_root_scenario(demo_scenarios, capsys):
     out = capsys.readouterr().out
     assert "connectivity: WC" in out
     assert "zero eigenvalue multiplicity: 2" in out
+
+
+def test_inspect_prints_the_longest_link_delay(tmp_path, capsys):
+    cfg = {"n": 12, "seed": 3, "d_side": 3.0, "tau_max": 0.05, "threshold": 0.6}
+    out = tmp_path / "scen"
+    assert main(["gen", write_json(tmp_path / "cfg.json", cfg), "--out-dir", str(out)]) == EXIT_OK
+    g = digraph.from_document((out / "digraph.json").read_text())
+    tau = np.asarray(json.loads((out / "delays.json").read_text())["tau"])
+    longest = tau[g.weights > 0.0].max()
+    assert longest < tau.max()  # pruning dropped the most distant pair
+    capsys.readouterr()
+    assert main(["inspect", str(out)]) == EXIT_OK
+    assert f"max link delay: {longest:.6g}\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["run", "inspect"])

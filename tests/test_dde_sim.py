@@ -83,18 +83,10 @@ def test_config_rejects_out_of_range_values(field, value):
 
 
 def test_initial_condition_kinds():
-    const = InitialCondition(kind="constant", values=2.0)
+    const = InitialCondition(intercepts=2.0)
     np.testing.assert_allclose(const.evaluate(-0.5, 3, 1), np.full((3, 1), 2.0))
-    lin = InitialCondition(kind="linear", slopes=2.0, intercepts=1.0)
+    lin = InitialCondition(slopes=2.0, intercepts=1.0)
     np.testing.assert_allclose(lin.evaluate(-0.5, 2, 1), np.full((2, 1), 0.0))
-    samp = InitialCondition(
-        kind="sampled",
-        sample_times=np.array([-1.0, 0.0]),
-        sample_table=np.array([[0.0, 2.0], [1.0, 4.0]]),
-    )
-    np.testing.assert_allclose(samp.evaluate(-0.5, 2, 1), [[0.5], [3.0]])
-    with pytest.raises(ValueError):
-        InitialCondition(kind="mystery").evaluate(0.0, 1, 1)
 
 
 # ---------------------------------------------------------------- integration
@@ -123,7 +115,7 @@ def test_two_node_no_delay_tracks_continuous_solution():
         t_step=1e-4,
         k_gain=1.0,
         horizon=20_000,
-        init=InitialCondition(values=np.array([1.0, 0.0])),
+        init=InitialCondition(intercepts=np.array([1.0, 0.0])),
     )
     traj = simulate(g, DelayMatrix.zero(2), cfg, np.zeros(2))
     e = traj.states[:, 0] - traj.states[:, 1]
@@ -140,7 +132,7 @@ def test_delayed_ramp_solution_is_exact_fixed_point():
         t_step=t_step,
         k_gain=k,
         horizon=200,
-        init=InitialCondition(kind="linear", slopes=omega, intercepts=0.0),
+        init=InitialCondition(slopes=omega, intercepts=0.0),
     )
     traj = simulate(g, DelayMatrix.uniform(3, tau), cfg, np.ones(3))
     np.testing.assert_allclose(traj.derivatives, omega, rtol=1e-12)
@@ -372,9 +364,7 @@ def assert_core_matches_dense_reference(w, lags, rng, noise_std, dim, horizon):
         horizon=horizon,
         noise_std=noise_std,
         rng_seed=int(rng.integers(1000)),
-        init=InitialCondition(
-            kind="linear", slopes=rng.normal(size=n), intercepts=rng.normal(size=n)
-        ),
+        init=InitialCondition(slopes=rng.normal(size=n), intercepts=rng.normal(size=n)),
     )
     g = new_digraph(w)
     delays = DelayMatrix(tau=lags * t_step)
@@ -558,9 +548,7 @@ def assert_columns_and_tail_bit_exact(n, cols, w, lags, rng, noise_std, chunk):
         noise_std=noise_std,
         rng_seed=int(rng.integers(1000)),
         sync_window_frac=float(rng.uniform(0.0, 1.0)),
-        init=InitialCondition(
-            kind="linear", slopes=rng.normal(size=n), intercepts=rng.normal(size=n)
-        ),
+        init=InitialCondition(slopes=rng.normal(size=n), intercepts=rng.normal(size=n)),
     )
     g = new_digraph(w)
     delays = DelayMatrix(tau=lags * t_step)

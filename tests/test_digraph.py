@@ -55,11 +55,6 @@ def test_digraph_weights_are_immutable():
         g.weights[0, 1] = 5.0
 
 
-def test_neighbor_sets_follow_rows():
-    g = new_digraph(ring3())
-    assert g.neighbor_sets == [{2}, {0}, {1}]
-
-
 # ---------------------------------------------------------------- degrees
 
 
@@ -88,15 +83,14 @@ def test_laplacian_annihilates_ones():
     w = rng.uniform(0.0, 2.0, size=(6, 6))
     np.fill_diagonal(w, 0.0)
     lap = laplacian(new_digraph(w))
-    resid = np.abs(lap.matrix @ np.ones(6)).max()
-    assert resid <= 1e-14 * np.diag(lap.matrix).max()
+    resid = np.abs(lap @ np.ones(6)).max()
+    assert resid <= 1e-14 * np.diag(lap).max()
 
 
 def test_laplacian_diagonal_is_in_degree():
     g = new_digraph(ring3(2.0))
     lap = laplacian(g)
-    np.testing.assert_allclose(np.diag(lap.matrix), degrees(g)[0])
-    np.testing.assert_allclose(np.diag(lap.degree_matrix), degrees(g)[0])
+    np.testing.assert_allclose(np.diag(lap), degrees(g)[0])
 
 
 # ---------------------------------------------------------------- scc
@@ -125,7 +119,7 @@ def test_scc_topo_order_runs_upstream_first():
 
 def test_sc_topology_is_single_component():
     scc = scc_decompose(topologies.sc_14())
-    assert scc.n_components == 1
+    assert len(scc.components) == 1
     assert scc.connectivity_class is Connectivity.SC
 
 
@@ -185,9 +179,24 @@ def test_root_components_have_no_incoming_condensation_edge(w):
     for k in scc.root_components:
         assert k not in targets
     # non-root components all receive data from somewhere
-    for k in range(scc.n_components):
+    for k in range(len(scc.components)):
         if k not in scc.root_components:
             assert k in targets
+
+
+@given(weight_matrices())
+@settings(max_examples=120, deadline=None)
+def test_topo_order_and_condensation_match_bruteforce(w):
+    scc = scc_decompose(new_digraph(w))
+    assert sorted(scc.topo_order) == list(range(len(scc.components)))
+    pos = {k: p for p, k in enumerate(scc.topo_order)}
+    # data flows b -> a, so every upstream component b comes first
+    assert all(pos[b] < pos[a] for a, b in scc.condensation_edges)
+    part = {v: comp for comp in scc_partition_bruteforce(w) for v in comp}
+    rows, cols = np.nonzero(w > 0.0)
+    want = {(part[i], part[j]) for i, j in zip(rows, cols) if part[i] != part[j]}
+    got = {(scc.components[a], scc.components[b]) for a, b in scc.condensation_edges}
+    assert got == want
 
 
 # ---------------------------------------------------------------- documents

@@ -121,7 +121,7 @@ def test_vector_prediction_matches_vector_simulation():
     )
     # zero delays: fused value equals the centralized reference
     nod = predict_consensus(g, DelayMatrix.zero(n), cfg, gv, q_mats=qm)
-    gamma = gamma_left_eigenvector(laplacian(g), scc_decompose(g)).gamma
+    gamma = gamma_left_eigenvector(laplacian(g), scc_decompose(g))
     lhs = np.einsum("i,ilm->lm", gamma, qm)
     rhs = np.einsum("i,ilm,im->l", gamma, qm, gv)
     np.testing.assert_allclose(nod.omega_star, np.linalg.solve(lhs, rhs), atol=1e-12)
@@ -141,7 +141,7 @@ def reference_consensus(g, delays, cfg, g_values, quantize):
     scc = scc_decompose(g)
     if len(scc.root_components) != 1:
         raise ProtocolError("global consensus not guaranteed: digraph is not QSC")
-    gamma = gamma_left_eigenvector(laplacian(g), scc).gamma
+    gamma = gamma_left_eigenvector(laplacian(g), scc)
     c = cfg.c_array(g.n)
     gvals = np.broadcast_to(np.asarray(g_values, dtype=float), (g.n,))
     tau = reference_tau(delays, cfg, quantize)
@@ -161,9 +161,9 @@ def reference_clusters(g, delays, cfg, g_values, quantize):
     tau = reference_tau(delays, cfg, quantize)
     per_cluster = {}
     for k, gam in gammas.items():
-        num = float(np.sum(gam.gamma * c * gvals))
-        den = float(np.sum(gam.gamma * c)) + float(
-            cfg.k_gain * np.sum(gam.gamma[:, None] * g.weights * tau)
+        num = float(np.sum(gam * c * gvals))
+        den = float(np.sum(gam * c)) + float(
+            cfg.k_gain * np.sum(gam[:, None] * g.weights * tau)
         )
         per_cluster[k] = (scc.components[k], num / den)
     covered = set().union(*(nodes for nodes, _ in per_cluster.values()))
@@ -173,7 +173,7 @@ def reference_clusters(g, delays, cfg, g_values, quantize):
 def reference_vector(g, delays, cfg, q, gv, quantize):
     """Single-root vector value (sum gamma Q + I delay term)^-1 sum gamma Q g."""
     scc = scc_decompose(g)
-    gamma = gamma_left_eigenvector(laplacian(g), scc).gamma
+    gamma = gamma_left_eigenvector(laplacian(g), scc)
     tau = reference_tau(delays, cfg, quantize)
     den2 = float(cfg.k_gain * np.sum(gamma[:, None] * g.weights * tau))
     lhs = np.einsum("i,ilm->lm", gamma, q) + den2 * np.eye(q.shape[1])
@@ -293,7 +293,7 @@ def test_two_step_ratio_cancels_delay_denominator():
     g = topologies.random_sc(7, rng)
     cfg = SimConfig(t_step=1e-3, k_gain=10.0, c_weights=rng.uniform(0.5, 2.0, 7))
     gv = rng.normal(1.0, 0.4, 7)
-    gamma = gamma_left_eigenvector(laplacian(g), scc_decompose(g)).gamma
+    gamma = gamma_left_eigenvector(laplacian(g), scc_decompose(g))
     c = cfg.c_array(7)
     target = float(np.sum(gamma * c * gv) / np.sum(gamma * c))
     for tau in (0.0, 0.03, 0.3):
@@ -329,7 +329,7 @@ def test_gamma_protocol_recovers_eigenvector_and_target():
     cfg = SimConfig(t_step=1e-3, k_gain=15.0, c_weights=rng.uniform(0.5, 2.0, 8))
     gv = rng.normal(1.0, 0.5, 8)
     rep = gamma_estimation_protocol(g, delays, cfg, gv, mode="predict")
-    gamma = gamma_left_eigenvector(laplacian(g), scc_decompose(g)).gamma
+    gamma = gamma_left_eigenvector(laplacian(g), scc_decompose(g))
     np.testing.assert_allclose(rep.gamma_tilde, gamma, atol=1e-12)
     c = cfg.c_array(8)
     assert rep.ratio == pytest.approx(float(np.sum(c * gv) / np.sum(c)), rel=1e-12)
