@@ -26,6 +26,14 @@ forcings one after another, which ``calls`` records. ``protocol`` rows give
 the median seconds of one ``gamma_estimation_protocol(mode="simulate")`` on
 the same ``random_sc`` graphs, with the horizon escalation of the gamma sweep.
 
+``trace`` rows time the trace writers on two records: the demo14 full trace
+(8001 samples) and the n = 300 netgen graph above over horizon 1200, written
+at downsample 10 as ``selfsync run`` on run-n300 does. Each record is written
+as CSV and as npz, the two formats alternating within one process so that a
+drift of the host's speed hits both alike; a row gives the minimum
+milliseconds over the repeats and the bytes of each file. A library without
+``trajectory_to_npz`` gets no npz figures.
+
 selfsync is imported from ``--src`` (default: this checkout's ``src/``), so one
 copy of the script can time two versions of the library on the same machine.
 With ``--out`` the result is stored under ``--label`` in that JSON file, keeping
@@ -43,6 +51,7 @@ import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -65,6 +74,10 @@ SC_HORIZONS = (8000, 30000, 120000)
 DEMO_TAU = 0.05
 DEMO_K_GAIN = 30.0
 DEMO_HORIZON = 8000
+# trace rows: the n = 300 record of run-n300, written at its downsample
+TRACE_N = 300
+TRACE_HORIZON = 1200
+TRACE_DOWNSAMPLE = 10
 
 
 def block_length(g, delays, t_step: float) -> int:
@@ -206,6 +219,45 @@ def demo14_row(selfsync, seed: int) -> dict:
     return {**row, "mmax": round(DEMO_TAU / T_STEP)}
 
 
+def time_trace(selfsync, traj, downsample: int, tmp: Path) -> dict:
+    writers = {"csv": selfsync.trajectory_to_csv,
+               "npz": getattr(selfsync, "trajectory_to_npz", None)}
+    formats = [fmt for fmt, write in writers.items() if write is not None]
+    ms = {fmt: [] for fmt in formats}
+    for rep in range(REPEATS):
+        for fmt in formats if rep % 2 == 0 else formats[::-1]:
+            path = tmp / f"trace.{fmt}"
+            t0 = time.perf_counter()
+            writers[fmt](traj, path, downsample=downsample)
+            ms[fmt].append((time.perf_counter() - t0) * 1e3)
+    row = {"rows": len(traj.times[::downsample]), "downsample": downsample}
+    for fmt in writers:
+        row[f"{fmt}_ms"] = min(ms[fmt]) if fmt in ms else None
+        row[f"{fmt}_bytes"] = (tmp / f"trace.{fmt}").stat().st_size if fmt in ms else None
+    return row
+
+
+def trace_rows(selfsync, seed: int) -> list[dict]:
+    demo = selfsync.topologies.sc_14()
+    demo_delays = selfsync.DelayMatrix.uniform(demo.n, DEMO_TAU)
+    demo_cfg = selfsync.SimConfig(t_step=T_STEP, k_gain=DEMO_K_GAIN, horizon=DEMO_HORIZON)
+    demo_g = np.random.default_rng(seed).uniform(0.5, 1.5, demo.n)
+    net, net_delays, net_g, k_gain, _, _ = build_case(selfsync, TRACE_N, seed)
+    net_cfg = selfsync.SimConfig(t_step=T_STEP, k_gain=k_gain, horizon=TRACE_HORIZON)
+    cases = [
+        ("demo14", demo, demo_delays, demo_cfg, demo_g, 1),
+        (f"n{TRACE_N}", net, net_delays, net_cfg, net_g, TRACE_DOWNSAMPLE),
+    ]
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for record, g, delays, cfg, gvals, downsample in cases:
+            traj = selfsync.simulate(g, delays, cfg, gvals)
+            rows.append({"record": record, "n": g.n, "block": block_length(g, delays, T_STEP),
+                         "horizon": cfg.horizon,
+                         **time_trace(selfsync, traj, downsample, Path(tmp))})
+    return rows
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true", help="horizon 200 instead of 1000")
@@ -243,6 +295,12 @@ def main(argv=None) -> int:
         print(f"n={row['n']:5d} s={row['block']:2d} gamma protocol (simulate, horizon {row['horizon']}) "
               f"{row['op_s'] * 1e3:8.1f} ms (min {row['op_s_min'] * 1e3:.1f}, "
               f"max {row['op_s_max'] * 1e3:.1f})", flush=True)
+    trace = trace_rows(selfsync, args.seed)
+    for row in trace:
+        npz = ("no npz writer" if row["npz_ms"] is None else
+               f"npz {row['npz_ms']:7.1f} ms {row['npz_bytes']:9d} B")
+        print(f"trace {row['record']:6s} rows={row['rows']:5d} s={row['block']:2d} "
+              f"csv {row['csv_ms']:7.1f} ms {row['csv_bytes']:9d} B  {npz}", flush=True)
     result = {
         "quick": args.quick,
         "seed": args.seed,
@@ -257,6 +315,7 @@ def main(argv=None) -> int:
         "columns": columns,
         "demo14": demo14,
         "protocol": protocol,
+        "trace": trace,
     }
     if args.out:
         out = Path(args.out)

@@ -43,6 +43,7 @@ from .dde_sim import (
     detect_sync_auto,
     simulate,
     trajectory_to_csv,
+    trajectory_to_npz,
 )
 from .protocols import (
     ClusterPrediction,

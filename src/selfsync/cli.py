@@ -19,7 +19,7 @@ from .dde_sim import (
     detect_sync,
     detect_sync_auto,
     simulate,
-    trajectory_to_csv,
+    trajectory_to_npz,
 )
 
 SCHEMA_VERSION = 1
@@ -202,7 +202,7 @@ def cmd_run(args) -> int:
             else protocols.gamma_estimation_protocol
         )
         try:
-            rep = fn(g, delays, cfg, gvals, mode=args.exec_mode)
+            rep = fn(g, delays, cfg, gvals, mode=args.exec_mode, scc=scc)
         except protocols.ProtocolError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NO_SYNC
@@ -226,8 +226,8 @@ def cmd_run(args) -> int:
         sync = detect_sync(traj, tol=args.tol, window=window)
     else:
         sync = detect_sync_auto(traj, cfg, omega_scale=scale)
-    trace = out_dir / "trace.csv"
-    trajectory_to_csv(traj, trace, downsample=args.downsample)
+    trace = out_dir / "trace.npz"
+    trajectory_to_npz(traj, trace, downsample=args.downsample)
     report["measured"] = {
         "global": sync.global_sync,
         "clusters": [

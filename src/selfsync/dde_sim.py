@@ -416,17 +416,35 @@ def detect_sync_auto(
     return detect_sync(traj, tol=tol, window=window)
 
 
+def _strided(traj: Trajectory, downsample: int):
+    """Every downsample-th sample of (times, states, derivatives), as views."""
+    if downsample < 1:
+        raise ValueError(f"downsample must be at least 1, got {downsample}")
+    return (
+        traj.times[::downsample],
+        traj.states[::downsample],
+        traj.derivatives[::downsample],
+    )
+
+
 def trajectory_to_csv(traj: Trajectory, path, downsample: int = 1) -> None:
     """CSV trace with header (t, x_1..x_n, dx_1..dx_n); vector states flatten
     coordinate-major."""
-    if downsample < 1:
-        raise ValueError(f"downsample must be at least 1, got {downsample}")
-    times = traj.times[::downsample]
-    states = traj.states[::downsample].reshape(len(times), -1)
-    deriv = traj.derivatives[::downsample].reshape(len(times), -1)
+    times, states, deriv = _strided(traj, downsample)
+    states = states.reshape(len(times), -1)
+    deriv = deriv.reshape(len(times), -1)
     cols = states.shape[1]
     header = ",".join(
         ["t"] + [f"x_{k + 1}" for k in range(cols)] + [f"dx_{k + 1}" for k in range(cols)]
     )
     data = np.column_stack([times, states, deriv])
     np.savetxt(path, data, delimiter=",", header=header, comments="")
+
+
+def trajectory_to_npz(traj: Trajectory, path, downsample: int = 1) -> None:
+    """Uncompressed npz trace at exactly `path`, holding the arrays t
+    (samples,), x and dx (samples, n), or (samples, n, L) for vector states
+    or forcing columns; the samples are exact, with no decimal rounding."""
+    times, states, deriv = _strided(traj, downsample)
+    with open(path, "wb") as fh:
+        np.savez(fh, t=times, x=states, dx=deriv)

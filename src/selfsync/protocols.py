@@ -151,13 +151,14 @@ def two_step_unbias(
     cfg: SimConfig,
     g_values,
     mode: str = "predict",
+    scc: SccDecomposition | None = None,
 ) -> UnbiasReport:
     """Run with true forcings and with g = 1 and take the ratio; the delay and
     channel denominator cancels. In simulate mode both passes are columns of
-    one run."""
+    one run. `scc` is g's decomposition, if already known."""
     gvals = np.broadcast_to(np.asarray(g_values, dtype=float), (g.n,))
     omega_y, omega_one = _consensus_values(
-        g, delays, cfg, np.column_stack([gvals, np.ones(g.n)]), mode
+        g, delays, cfg, np.column_stack([gvals, np.ones(g.n)]), mode, scc
     )
     if abs(omega_one) < 1e-300:
         raise ProtocolError("unit-forcing consensus is numerically zero")
@@ -172,15 +173,18 @@ def gamma_estimation_protocol(
     cfg: SimConfig,
     g_values,
     mode: str = "predict",
+    scc: SccDecomposition | None = None,
 ) -> UnbiasReport:
     """(N_r + 1)-pass estimation of the normalized left eigenvector, followed
     by c-compensation and a final two-step ratio.
 
     All estimation passes run with c = 1 as the columns [1, e_i for each root
     node i] of one run; nodes outside the root SCC keep gamma_tilde = 0 and
-    their original c.
+    their original c. `scc` is g's decomposition, if already known; every
+    pass reuses it.
     """
-    scc = scc_decompose(g)
+    if scc is None:
+        scc = scc_decompose(g)
     if len(scc.root_components) != 1:
         raise ProtocolError("protocol requires a QSC digraph")
     root_nodes = sorted(scc.components[scc.root_components[0]])
@@ -200,7 +204,7 @@ def gamma_estimation_protocol(
     scale = np.exp(np.log(c[pos]).mean() - np.log(compensated[pos]).mean())
     compensated[pos] *= scale
     cfg_comp = replace(cfg, c_weights=compensated)
-    final = two_step_unbias(g, delays, cfg_comp, g_values, mode=mode)
+    final = two_step_unbias(g, delays, cfg_comp, g_values, mode=mode, scc=scc)
     return UnbiasReport(
         omega_y=final.omega_y,
         omega_one=final.omega_one,

@@ -139,7 +139,7 @@ def test_run_simulate_global_sync(demo_scenarios, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["predicted"]["global"] is True
     assert report["measured"]["global"] is True
-    assert (out / "trace.csv").exists()
+    assert (out / "trace.npz").exists()
     measured = report["measured"]["clusters"][0]["value"]
     predicted = report["predicted"]["clusters"][0]["value"]
     assert measured == pytest.approx(predicted, rel=1e-3)
@@ -227,7 +227,7 @@ def test_run_rejects_out_of_range_flags(demo_scenarios, tmp_path, capsys, flag, 
     assert code == EXIT_BAD_CONFIG
     assert named in capsys.readouterr().err
     assert not (out / "report.json").exists()
-    assert not (out / "trace.csv").exists()
+    assert not (out / "trace.npz").exists() and not (out / "trace.csv").exists()
 
 
 @pytest.mark.parametrize("flag, value, named", [("--tol", "nan", "got nan"),
@@ -243,6 +243,46 @@ def test_run_checks_flags_before_any_work(
     code = main(["run", str(demo_scenarios / "sc"), flag, value, "--out-dir", str(tmp_path)])
     assert code == EXIT_BAD_CONFIG
     assert named in capsys.readouterr().err
+
+
+def test_run_writes_the_strided_trajectory_as_trace_npz(demo_scenarios, tmp_path, monkeypatch):
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(simulate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "simulate", recording)
+    out = tmp_path / "out"
+    assert main(["run", str(demo_scenarios / "sc"), "--downsample", "3",
+                 "--out-dir", str(out)]) == EXIT_OK
+    (traj,) = runs
+    assert json.loads((out / "report.json").read_text())["trace"] == "trace.npz"
+    assert not (out / "trace.csv").exists()
+    with np.load(out / "trace.npz") as trace:
+        assert np.array_equal(trace["t"], traj.times[::3])
+        assert np.array_equal(trace["x"], traj.states[::3])
+        assert np.array_equal(trace["dx"], traj.derivatives[::3])
+
+
+@pytest.mark.parametrize("exec_mode", ["predict", "simulate"])
+@pytest.mark.parametrize("mode", ["unbias2", "gamma_protocol"])
+def test_protocol_runs_decompose_the_digraph_once(
+    demo_scenarios, tmp_path, monkeypatch, mode, exec_mode
+):
+    calls = []
+    decompose = digraph.scc_decompose
+
+    def counting(g):
+        calls.append(g.n)
+        return decompose(g)
+
+    monkeypatch.setattr(digraph, "scc_decompose", counting)
+    monkeypatch.setattr(protocols, "scc_decompose", counting)
+    argv = ["run", str(demo_scenarios / "sc"), "--mode", mode, "--exec-mode", exec_mode,
+            "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == EXIT_OK
+    assert calls == [14]
 
 
 def test_run_unbias_mode_reports_ratio(demo_scenarios, tmp_path):

@@ -18,6 +18,7 @@ from selfsync.dde_sim import (
     detect_sync_auto,
     simulate,
     trajectory_to_csv,
+    trajectory_to_npz,
 )
 from selfsync.digraph import new_digraph
 
@@ -306,6 +307,40 @@ def test_trajectory_csv_bytes_equal_strided_full_record(tmp_path, downsample):
         trajectory_to_csv(traj, got, downsample=downsample)
         csv_reference(traj, want, downsample)
         assert got.read_bytes() == want.read_bytes()
+
+
+def export_trajectories():
+    """Scalar, two forcing columns and vector L = 2 runs, all with coupling noise."""
+    g = ring3()
+    cfg = SimConfig(t_step=1e-3, k_gain=2.0, horizon=31, noise_std=0.1)
+    delays = DelayMatrix.uniform(3, 2e-3)
+    q = np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, 3.0]], np.eye(2)])
+    return {
+        "scalar": simulate(g, delays, cfg, np.array([1.0, 2.0, 3.0])),
+        "columns": simulate(g, delays, cfg, np.arange(6.0).reshape(3, 2)),
+        "vector": simulate(g, delays, cfg, np.arange(6.0).reshape(3, 2), q_mats=q),
+    }
+
+
+@pytest.mark.parametrize("downsample", [1, 3])
+def test_trajectory_npz_holds_the_strided_arrays(tmp_path, downsample):
+    for kind, traj in export_trajectories().items():
+        path = tmp_path / f"{kind}.npz"
+        trajectory_to_npz(traj, path, downsample=downsample)
+        with np.load(path) as trace:
+            assert sorted(trace.files) == ["dx", "t", "x"]
+            for name, full in (("t", traj.times), ("x", traj.states),
+                               ("dx", traj.derivatives)):
+                assert trace[name].dtype == np.float64
+                assert np.array_equal(trace[name], full[::downsample]), (kind, name)
+
+
+def test_trajectory_npz_rejects_downsample_below_one(tmp_path):
+    traj = export_trajectories()["scalar"]
+    for downsample in (0, -1):
+        with pytest.raises(ValueError, match=f"got {downsample}"):
+            trajectory_to_npz(traj, tmp_path / "bad.npz", downsample=downsample)
+    assert not (tmp_path / "bad.npz").exists()
 
 
 # ---------------------------------------------------------------- oracles
