@@ -262,8 +262,9 @@ def _rate_report(g, delays, cfg, scc, traj, pred) -> dict:
         no_delay = spectral.rate_no_delay(kdl, scc)
         rates["no_delay_spectrum"] = no_delay
         if scc.connectivity_class is digraph.Connectivity.SC:
-            gamma = pred.clusters[0].gamma
-            rates["kappa_bound"] = spectral.rate_kappa_bound(kdl, scc, gamma, no_delay)
+            # the left null vector of K D_c^{-1} L is gamma * c, gamma that of L
+            gamma_c = pred.clusters[0].gamma * cfg.c_array(g.n)
+            rates["kappa_bound"] = spectral.rate_kappa_bound(kdl, scc, gamma_c, no_delay)
         if traj.clusters is not None and traj.clusters.global_sync:
             rates["empirical_fit"], rates["empirical_residual"] = spectral.empirical_rate(
                 traj, pred.omega_star

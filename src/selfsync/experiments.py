@@ -11,6 +11,8 @@ from .digraph import SensorDigraph
 from .netgen import DelayMatrix, NodeGeometry
 from .stats import consensus_function
 
+DOWNSAMPLE = 10  # iterations per aggregated Monte-Carlo sample
+
 
 def random_network(
     cfg: dict, seed: int
@@ -82,41 +84,30 @@ def run_estimation_trial(cfg: dict, trial_seed: int):
     return centralized, d_nodelay, d_delayed, twostep
 
 
-def run_estimation_montecarlo(cfg: dict, trials: int, downsample: int = 10):
+def run_estimation_montecarlo(cfg: dict, trials: int):
     """Aggregate mean/std across trials of the per-iteration estimates."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     seed = int(cfg.get("seed", 0))
-    rows_nd, rows_d, rows_ts, cents = [], [], [], []
+    cents, series = [], {"nodelay": [], "delayed": [], "twostep": []}
     for t in range(trials):
-        cent, nd, dl, ts = run_estimation_trial(cfg, seed + 1000 * t)
+        cent, *estimates = run_estimation_trial(cfg, seed + 1000 * t)
         cents.append(cent)
-        rows_nd.append(nd[::downsample])
-        rows_d.append(dl[::downsample])
-        rows_ts.append(ts[::downsample])
+        for rows, estimate in zip(series.values(), estimates):
+            rows.append(estimate[::DOWNSAMPLE])
     t_step = float(cfg.get("t_step", 1e-3))
-    steps = np.arange(len(rows_nd[0])) * downsample
-    agg = {
-        "step": steps,
-        "t": steps * t_step,
-        "nodelay_mean": np.mean(rows_nd, axis=0),
-        "nodelay_std": np.std(rows_nd, axis=0),
-        "delayed_mean": np.mean(rows_d, axis=0),
-        "delayed_std": np.std(rows_d, axis=0),
-        "twostep_mean": np.mean(rows_ts, axis=0),
-        "twostep_std": np.std(rows_ts, axis=0),
-        "centralized_mean": np.full(len(steps), np.mean(cents)),
-    }
+    steps = np.arange(len(series["nodelay"][0])) * DOWNSAMPLE
+    agg = {"step": steps, "t": steps * t_step}
     final = {
         "xi": float(cfg.get("xi", 1.0)),
         "centralized_mean": float(np.mean(cents)),
         "centralized_std": float(np.std(cents)),
-        "final_nodelay_mean": float(np.mean([r[-1] for r in rows_nd])),
-        "final_nodelay_std": float(np.std([r[-1] for r in rows_nd])),
-        "final_delayed_mean": float(np.mean([r[-1] for r in rows_d])),
-        "final_delayed_std": float(np.std([r[-1] for r in rows_d])),
-        "final_twostep_mean": float(np.mean([r[-1] for r in rows_ts])),
-        "final_twostep_std": float(np.std([r[-1] for r in rows_ts])),
-        "trials": trials,
     }
+    for name, rows in series.items():
+        agg[f"{name}_mean"] = np.mean(rows, axis=0)
+        agg[f"{name}_std"] = np.std(rows, axis=0)
+        final[f"final_{name}_mean"] = float(np.mean([r[-1] for r in rows]))
+        final[f"final_{name}_std"] = float(np.std([r[-1] for r in rows]))
+    agg["centralized_mean"] = np.full(len(steps), np.mean(cents))
+    final["trials"] = trials
     return agg, final

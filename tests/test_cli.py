@@ -454,6 +454,26 @@ def test_run_and_inspect_solve_gamma_once(demo_scenarios, tmp_path, monkeypatch,
     assert len(calls) == 1
 
 
+def test_run_kappa_bound_uses_the_gain_scaled_left_null_vector(demo_scenarios, tmp_path):
+    """With non-uniform c the bound on K D_c^{-1} L needs that matrix's own
+    left null vector, gamma * c, not the Laplacian's gamma."""
+    scenario = demo_scenarios / "sc" / "scenario.json"
+    sc = json.loads(scenario.read_text())
+    c = np.random.default_rng(0).uniform(0.3, 3, 14).round(3)
+    write_json(scenario, {**sc, "c_weights": c.tolist()})
+    out = tmp_path / "out"
+    assert main(["run", str(demo_scenarios / "sc"), "--out-dir", str(out)]) == EXIT_OK
+    rates = json.loads((out / "report.json").read_text())["rates"]
+    g = digraph.from_document((demo_scenarios / "sc" / "digraph.json").read_text())
+    scc = digraph.scc_decompose(g)
+    kdl = (sc["k_gain"] / c)[:, None] * digraph.laplacian(g)
+    no_delay = spectral.rate_no_delay(kdl, scc)
+    want = spectral.rate_kappa_bound(
+        kdl, scc, spectral.gamma_left_eigenvector(kdl, scc), no_delay
+    )
+    assert rates["kappa_bound"] == pytest.approx(want, rel=1e-9)
+
+
 def estimation_trial_reference(cfg, trial_seed):
     """The Monte-Carlo trial with one simulation per forcing, three in all."""
     n = int(cfg.get("n", 40))
