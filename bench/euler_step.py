@@ -26,7 +26,10 @@ n = 300 netgen graph over horizon 1200 at downsample 10, as ``selfsync run``
 on run-n300 writes it. ``channel``: µs per drawn link (n(n - 1) of them) of
 ``channel_rayleigh`` at n = 40 and 300. ``structure``: ms of
 ``scc_decompose`` plus ``gamma_per_cluster`` of the Laplacian on the n = 300
-and 1000 netgen graphs.
+and 1000 netgen graphs. ``load``: ms of reading a ``selfsync gen`` scenario at
+n = 300 (Rayleigh links pruned below 0.5, geometry delays, as run-n300 makes
+it) from its JSON files into a ``SensorDigraph`` and a ``DelayMatrix``, the
+set-up of ``selfsync run`` and ``inspect``.
 
 selfsync is imported from ``--src`` (default: this checkout's ``src/``), so one
 copy of the script can time two versions of the library on the same machine.
@@ -38,6 +41,8 @@ and python versions.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -205,6 +210,23 @@ def structure_row(selfsync, n: int, seed: int) -> dict:
                 selfsync.laplacian(g), selfsync.scc_decompose(g))))}
 
 
+def load_row(selfsync, n: int, seed: int) -> dict:
+    from selfsync import cli
+
+    cfg = {"n": n, "d_side": float(np.sqrt(n / DENSITY)), "tau_max": TAU_MAX,
+           "threshold": THRESHOLD, "seed": seed}
+    with tempfile.TemporaryDirectory() as tmp:
+        config, scen = Path(tmp) / "config.json", Path(tmp) / "scen"
+        config.write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(["gen", str(config), "--out-dir", str(scen)]) != cli.EXIT_OK:
+                raise RuntimeError(f"selfsync gen failed on {cfg}")
+        g, delays, _ = cli._load_scenario(scen)
+        return {**graph_fields(g, delays, T_STEP),
+                "bytes": sum(f.stat().st_size for f in scen.iterdir()),
+                **timed(("load_ms", 1e3, lambda: cli._load_scenario(scen)))}
+
+
 def show(section: str, rows: list[dict]) -> list[dict]:
     for row in rows:
         print(section, " ".join(f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}"
@@ -244,6 +266,7 @@ def main(argv=None) -> int:
                       TRACE_DOWNSAMPLE)]),
         "channel": show("channel", [channel_row(selfsync, n, seed) for n in (40, 300)]),
         "structure": show("structure", [structure_row(selfsync, n, seed) for n in (300, 1000)]),
+        "load": show("load", [load_row(selfsync, 300, seed)]),
     }
     result["wall_s"] = round(time.perf_counter() - start, 2)
     if args.out:

@@ -202,7 +202,8 @@ def cmd_run(args) -> int:
             else protocols.gamma_estimation_protocol
         )
         try:
-            rep = fn(g, delays, cfg, gvals, mode=args.exec_mode, scc=scc)
+            rep = fn(g, delays, cfg, gvals, mode=args.exec_mode, scc=scc,
+                     gammas={cl.component: cl.gamma for cl in pred.clusters})
         except protocols.ProtocolError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NO_SYNC

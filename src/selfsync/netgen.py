@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
 from .digraph import SensorDigraph, new_digraph
+from .substreams import rayleigh_matrix
 
 
 @dataclass(frozen=True)
@@ -79,26 +82,25 @@ def speed_for_max_delay(geom: NodeGeometry, tau_max: float) -> NodeGeometry:
     return replace(geom, speed=dmax / tau_max)
 
 
-def _link_rng(seed: int, i: int, j: int) -> np.random.Generator:
-    # per-link substream: pruning or reordering one link leaves others intact
-    return np.random.default_rng(np.random.SeedSequence([seed, i, j]))
-
-
 def channel_rayleigh(geom: NodeGeometry, rng_seed: int) -> SensorDigraph:
     """a_ij i.i.d. Rayleigh with second moment P_j / (1 + d_ij^2).
 
     Rayleigh scale chosen as E[a^2] = 2 s^2 = P_j/(1+d^2); the amplitude
     second moment matches the fading "variance" convention.
+
+    Each link draws from its own substream: a_ij equals
+    ``default_rng(SeedSequence([rng_seed, i, j])).rayleigh(s_ij)`` bit for bit
+    (checked on numpy 2.4 over n up to 300 and seeds up to 2^64 + 3), so
+    pruning or reordering one link leaves the others intact. All links are
+    drawn in one array pass by ``substreams.rayleigh_matrix``.
     """
     n = geom.n
-    w = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            sigma2 = geom.powers[j] / (1.0 + geom.distances[i, j] ** 2)
-            w[i, j] = _link_rng(rng_seed, i, j).rayleigh(np.sqrt(sigma2 / 2.0))
-    return new_digraph(w)
+    # libm pow, as the scalar d_ij ** 2 of the per-link draw took it: the array
+    # square differs from it by one ulp in about 0.08% of links
+    d2 = np.fromiter(map(math.pow, geom.distances.ravel(), repeat(2.0)), dtype=float,
+                     count=n * n).reshape(n, n)
+    sigma2 = geom.powers[None, :] / (1.0 + d2)
+    return new_digraph(rayleigh_matrix(rng_seed, np.sqrt(sigma2 / 2.0)))
 
 
 def channel_pathloss(geom: NodeGeometry, fading) -> SensorDigraph:

@@ -454,6 +454,22 @@ def test_run_and_inspect_solve_gamma_once(demo_scenarios, tmp_path, monkeypatch,
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("mode", ["unbias2", "gamma_protocol"])
+def test_run_protocol_modes_solve_gamma_once(demo_scenarios, tmp_path, monkeypatch, mode):
+    calls = []
+    solve = spectral._gamma_for_component
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_gamma_for_component", counting)
+    argv = ["run", str(demo_scenarios / "sc"), "--mode", mode, "--exec-mode", "predict",
+            "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == EXIT_OK
+    assert len(calls) == 1
+
+
 def test_run_kappa_bound_uses_the_gain_scaled_left_null_vector(demo_scenarios, tmp_path):
     """With non-uniform c the bound on K D_c^{-1} L needs that matrix's own
     left null vector, gamma * c, not the Laplacian's gamma."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from selfsync import substreams
 from selfsync.digraph import new_digraph
 from selfsync.netgen import (
     DelayMatrix,
@@ -98,6 +99,80 @@ def test_channel_rayleigh_per_link_substreams():
     w3 = channel_rayleigh(g3, rng_seed=5).weights
     w4 = channel_rayleigh(g4, rng_seed=5).weights
     assert np.array_equal(w3, w4[:3, :3])
+
+
+def per_link_rayleigh(geom, seed):
+    """The reference draw: one SeedSequence and one Generator per link."""
+    n = geom.n
+    w = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            sigma2 = geom.powers[j] / (1.0 + geom.distances[i, j] ** 2)
+            rng = np.random.default_rng(np.random.SeedSequence([seed, i, j]))
+            w[i, j] = rng.rayleigh(np.sqrt(sigma2 / 2.0))
+    return w
+
+
+def redrawn_links(geom, seed):
+    """Links whose exponential leaves the ziggurat's fast path."""
+    i, j = np.nonzero(~np.eye(geom.n, dtype=bool))
+    tables = substreams._exponential_tables()
+    return int((~substreams._fast_draws(seed, i, j, 1.0, tables)[1]).sum())
+
+
+def assert_per_link_equal(geom, seed):
+    w = channel_rayleigh(geom, rng_seed=seed).weights
+    assert w.tobytes() == per_link_rayleigh(geom, seed).tobytes()
+
+
+def test_channel_rayleigh_fast_path_active_on_installed_numpy():
+    assert substreams._exponential_tables() is not None
+
+
+ORACLE_SEEDS = {1: range(3), 2: range(200), 3: range(200), 40: range(6), 300: [1]}
+
+
+@pytest.mark.parametrize("n", ORACLE_SEEDS)
+def test_channel_rayleigh_equals_per_link_substreams(n):
+    redrawn = 0
+    for seed in ORACLE_SEEDS[n]:
+        geom = place_nodes(n, float(np.sqrt(n / 5.0)), rng_seed=seed)
+        assert_per_link_equal(geom, seed + 1)
+        redrawn += redrawn_links(geom, seed + 1)
+    if n >= 40:
+        assert redrawn > 0  # the sample exercises the per-link redraw
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3])
+def test_channel_rayleigh_equals_per_link_at_seed_word_edges(seed):
+    geom = place_nodes(12, 2.0, rng_seed=5, powers=np.linspace(0.2, 4.0, 12))
+    assert_per_link_equal(geom, seed)
+
+
+def test_channel_rayleigh_per_link_everywhere_when_fast_path_disabled(monkeypatch):
+    monkeypatch.setattr(substreams, "_exponential_tables", lambda: None)
+    geom = place_nodes(9, 2.0, rng_seed=2, powers=np.linspace(0.5, 2.0, 9))
+    assert_per_link_equal(geom, 77)
+
+
+def test_channel_rayleigh_negative_seed_raises_as_numpy():
+    geom = place_nodes(3, 2.0, rng_seed=0)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        channel_rayleigh(geom, rng_seed=-1)
+    # with no link there is no draw, so nothing raises, as before
+    assert channel_rayleigh(place_nodes(1, 2.0, rng_seed=0), rng_seed=-1).n == 1
+
+
+def test_channel_rayleigh_pinned_weights():
+    # drawn by the per-link SeedSequence loop; a stream change must not pass silently
+    geom = place_nodes(4, 2.0, rng_seed=3, powers=[1.0, 2.0, 0.5, 3.0])
+    w = channel_rayleigh(geom, rng_seed=2024).weights
+    assert w[0, 1] == 0.8123181625986464
+    assert w[1, 0] == 0.25846889400373074
+    assert w[2, 3] == 1.0584637473053415
+    assert w[3, 2] == 0.28177311029135343
 
 
 def test_channel_pathloss_formula():

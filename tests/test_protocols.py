@@ -249,7 +249,7 @@ def test_unified_predictor_matches_reference_formulas(seed, n, kind, quantize, n
 
 
 @pytest.mark.parametrize("mode", ["predict", "simulate"])
-def test_gamma_protocol_op_solves_gamma_at_most_twice(monkeypatch, mode):
+def test_gamma_protocol_op_solves_gamma_once(monkeypatch, mode):
     calls = {"gamma": 0, "scc": 0}
 
     def counting(fn, key):
@@ -269,7 +269,7 @@ def test_gamma_protocol_op_solves_gamma_at_most_twice(monkeypatch, mode):
     gv = rng.normal(1.0, 0.5, 8)
     rep = gamma_estimation_protocol(g, DelayMatrix.uniform(8, 0.02), cfg, gv, mode=mode)
     assert rep.mode == mode
-    assert calls["gamma"] <= 2
+    assert calls["gamma"] == 1
     assert calls["scc"] <= 2
 
 
