@@ -29,7 +29,9 @@ on run-n300 writes it. ``channel``: µs per drawn link (n(n - 1) of them) of
 and 1000 netgen graphs. ``load``: ms of reading a ``selfsync gen`` scenario at
 n = 300 (Rayleigh links pruned below 0.5, geometry delays, as run-n300 makes
 it) from its JSON files into a ``SensorDigraph`` and a ``DelayMatrix``, the
-set-up of ``selfsync run`` and ``inspect``.
+set-up of ``selfsync run`` and ``inspect``. ``montecarlo``: seconds of one
+``experiments.run_estimation_montecarlo`` with the mc-n40 configuration (n =
+40, horizon 2000, clean and with coupling noise 0.1) over 2 and 10 trials.
 
 selfsync is imported from ``--src`` (default: this checkout's ``src/``), so one
 copy of the script can time two versions of the library on the same machine.
@@ -81,6 +83,13 @@ DEMO_HORIZON = 8000
 TRACE_N = 300
 TRACE_HORIZON = 1200
 TRACE_DOWNSAMPLE = 10
+# montecarlo rows: the mc-n40 workload's configuration
+MC_N = 40
+MC_HORIZON = 2000
+MC_TRIALS = (2, 10)
+MC_NOISE = 0.1
+MC_CONFIG = {"d_side": 5.0, "t_step": 1e-3, "k_gain": 30.0, "tau_max": 0.1, "xi": 1.0,
+             "sigma2": 0.25}
 
 
 def timed(*calls) -> dict:
@@ -227,6 +236,17 @@ def load_row(selfsync, n: int, seed: int) -> dict:
                 **timed(("load_ms", 1e3, lambda: cli._load_scenario(scen)))}
 
 
+def montecarlo_row(selfsync, trials: int, seed: int) -> dict:
+    from selfsync import experiments
+
+    cfg = {"n": MC_N, "horizon": MC_HORIZON, "seed": seed, **MC_CONFIG}
+    noisy = {**cfg, "noise_std": MC_NOISE}
+    return {"n": MC_N, "horizon": MC_HORIZON, "trials": trials,
+            **timed(("clean_s", 1.0, lambda: experiments.run_estimation_montecarlo(cfg, trials)),
+                    ("noisy_s", 1.0, lambda: experiments.run_estimation_montecarlo(noisy,
+                                                                                   trials)))}
+
+
 def show(section: str, rows: list[dict]) -> list[dict]:
     for row in rows:
         print(section, " ".join(f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}"
@@ -267,6 +287,8 @@ def main(argv=None) -> int:
         "channel": show("channel", [channel_row(selfsync, n, seed) for n in (40, 300)]),
         "structure": show("structure", [structure_row(selfsync, n, seed) for n in (300, 1000)]),
         "load": show("load", [load_row(selfsync, 300, seed)]),
+        "montecarlo": show("montecarlo", [montecarlo_row(selfsync, trials, seed)
+                                          for trials in MC_TRIALS]),
     }
     result["wall_s"] = round(time.perf_counter() - start, 2)
     if args.out:

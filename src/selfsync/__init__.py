@@ -35,6 +35,7 @@ from .netgen import (
 from .dde_sim import (
     InitialCondition,
     SimConfig,
+    SimRun,
     SimulationError,
     SyncCluster,
     SyncResult,
@@ -42,6 +43,7 @@ from .dde_sim import (
     detect_sync,
     detect_sync_auto,
     simulate,
+    simulate_batch,
     trajectory_to_csv,
     trajectory_to_npz,
 )

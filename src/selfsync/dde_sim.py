@@ -4,6 +4,7 @@ synchronization detection on the derivative trajectories."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,44 +128,72 @@ _CHUNK = 1024
 _BLOCK_ENTRIES = 1 << 16
 # unchecked states that trigger the non-finite check
 _CHECK_EVERY = 64
+# steps of coupling noise drawn per generator call
+_NOISE_STEPS = 64
 
 
-def _check_finite(x: np.ndarray, lo: int, hi: int, last_step: int) -> None:
-    """Raise at the first non-finite state among rows lo..hi-1 of x, whose
-    row hi-1 holds the state of step last_step."""
-    ok = np.isfinite(x[lo:hi])
-    if not ok.all():
-        bad = int(np.argmin(ok.reshape(hi - lo, -1).all(axis=1)))
-        raise SimulationError(f"non-finite state at step {last_step - (hi - 1 - lo) + bad}")
+class SimRun(NamedTuple):
+    """One member of a `simulate_batch` call; a plain tuple
+    (g, delays, cfg, g_values[, q_mats[, window_only]]) works too."""
+
+    g: SensorDigraph
+    delays: DelayMatrix
+    cfg: SimConfig
+    g_values: object
+    q_mats: object = None
+    window_only: bool = False
 
 
-def _simulate_core(
-    g: SensorDigraph,
-    delays: DelayMatrix,
-    cfg: SimConfig,
-    kq: np.ndarray,  # (n, 1) per-node K / c_i, or (n, L, L) per-node K * Q_i^{-1}
-    g_vals: np.ndarray,  # (n, L)
-    window: int | None = None,
-) -> Trajectory:
-    """Euler run of L state columns, recorded with shape (samples, n, L).
+@dataclass
+class _Member:
+    """One run's own arrays, built as its solo run builds them. Its coupling
+    b = A - diag(in_degree) is the entry list (dst, src, lag, weight): every
+    off-diagonal link, and every diagonal entry with s = 1; with s > 1 the
+    self term is left out, and a node without in-links gets a zero-weight
+    entry at lag mmax instead, so that its run of entries is not empty."""
 
-    A (n, 1) gain drives L independent scalar columns, with coupling noise
-    drawn as (n, 1) per step and shared by every column; a (n, L, L) gain
-    couples the L coordinates of a vector state, with noise drawn as (n, L).
-    With a window only the last `window` samples are recorded, and the
-    history keeps mmax + 1 rows plus a chunk, compacted when full.
+    label: str  # prefix of the member's error messages
+    cfg: SimConfig
+    kq: np.ndarray  # (n, 1) per-node K / c_i, or (n, L, L) per-node K * Q_i^{-1}
+    g_vals: np.ndarray  # (n, L)
+    columns: bool  # g_values came as (n, L)
+    indeg: np.ndarray
+    mmax: int
+    span: int  # s = shortest link lag + 1, before the caps
+    first: int  # first recorded step
+    dst: np.ndarray
+    src: np.ndarray
+    lag: np.ndarray
+    weight: np.ndarray
 
-    Every link lags at least m_min steps, so the delayed inputs of the
-    s = m_min + 1 steps from t on are all in the history at t. The run
-    advances in blocks of s steps: one gather sums the delayed coupling of
-    the whole block, and only the lag-0 self term -k_i d_in(i) x_i(t) is left
-    to a per-step recurrence. A lag-0 link gives s = 1, where the self term
-    stays in the gather. States are checked for non-finite values once
-    _CHECK_EVERY unchecked ones have piled up, before each compaction and at
-    the end, and a failure is reported at its first step.
-    """
+
+def _member(run: SimRun, label: str) -> _Member:
+    g, cfg = run.g, run.cfg
     n = g.n
-    dim = g_vals.shape[1]
+    gv = np.asarray(run.g_values, dtype=float)
+    columns = gv.ndim == 2
+    if columns and gv.shape[0] != n:
+        raise ValueError(f"{label}g_values shape {gv.shape} does not match (n, L)")
+    if run.q_mats is None:
+        if not columns:
+            gv = np.broadcast_to(gv, (n,))[:, None]
+        q = cfg.c_array(n).reshape(n, 1, 1)
+    else:
+        q = np.asarray(run.q_mats, dtype=float)
+        if q.ndim != 3 or q.shape[0] != n or q.shape[1] != q.shape[2]:
+            raise ValueError(f"{label}q_mats must have shape (n, L, L), got {q.shape}")
+        if gv.shape != (n, q.shape[1]):
+            raise ValueError(f"{label}g_values shape {gv.shape} does not match (n, L)")
+        qt = q.transpose(0, 2, 1)
+        spd = np.isclose(q, qt).all(axis=(1, 2)) & (
+            np.linalg.eigvalsh(0.5 * (q + qt)).min(axis=1) > 0
+        )
+        if not spd.all():
+            bad = int(np.argmin(spd))
+            raise ValueError(f"{label}Q matrix of node {bad} is not symmetric positive definite")
+    kq = cfg.k_gain * np.linalg.inv(q)
+    if run.q_mats is None:
+        kq = kq[:, :, 0]
     w = g.weights
     indeg = w.sum(axis=1)
     # explicit-Euler stability heuristic
@@ -176,33 +205,14 @@ def _simulate_core(
     if bad.size:
         i = int(bad[0])
         raise SimulationError(
-            f"step-size instability: T_s * k_{i} * in_degree({i}) = "
+            f"{label}step-size instability: T_s * k_{i} * in_degree({i}) = "
             f"{cfg.t_step * gain[i] * indeg[i]:.3f} >= 2"
         )
-    m = _lag_matrix(g, delays, cfg.t_step)
+    m = _lag_matrix(g, run.delays, cfg.t_step)
     mmax = int(m.max()) if m.size else 0
-    horizon = cfg.horizon
-    if window is None:
-        first, rows = 0, mmax + horizon + 1
-    else:
-        first = max(horizon + 1 - window, 0)
-        rows = mmax + 1 + min(horizon, max(_CHUNK, mmax + 1))
-    # one spare row takes the state after the horizon, which is never read
-    x = np.empty((rows + 1, n, dim))
-    x[: mmax + 1] = cfg.init.evaluate(np.arange(-mmax, 1) * cfg.t_step, n, dim)
-    deriv = np.empty((horizon + 1 - first, n, dim))
-    states = x[mmax:rows] if window is None else np.empty_like(deriv)
-    # The coupling sum_j a_ij (x_j(t - tau_ij) - x_i(t)) equals sum_j b_ij
-    # x_j(t - tau_ij) with b = A - diag(in_degree) and tau_ii = 0. One entry
-    # list holds every nonzero b_ij, grouped by (node i, coordinate l) with
-    # sources ascending, so that np.add.reduceat sums each (i, l) run. With
-    # s = 1 the list holds every diagonal entry too; with s > 1 the self
-    # term is left out, and a node without in-links gets a zero-weight entry
-    # at lag mmax instead, so that its run is not empty. Entry e of step k of
-    # a block reads x.reshape(-1) at idx[e] + k rows past the block's base.
     links = w != 0.0
     np.fill_diagonal(links, False)
-    span = int(m[links].min()) + 1 if links.any() else 1  # s, before the caps
+    span = int(m[links].min()) + 1 if links.any() else 1
     b = w.copy()
     np.fill_diagonal(b, -indeg)
     if span == 1:
@@ -211,12 +221,81 @@ def _simulate_core(
         own = ~links.any(axis=1)
         np.fill_diagonal(m, mmax)
     dst, src = np.nonzero(links | np.diag(own))
+    horizon = cfg.horizon
+    first = max(horizon + 1 - cfg.sync_window(horizon + 1), 0) if run.window_only else 0
+    return _Member(label, cfg, kq, gv, columns, indeg, mmax, span, first,
+                   dst, src, m[dst, src], b[dst, src])
+
+
+def _check_finite(x: np.ndarray, lo: int, hi: int, last_step: int, members, offsets) -> None:
+    """Raise at the first non-finite state among rows lo..hi-1 of x, whose
+    row hi-1 holds the state of step last_step, naming its member."""
+    ok = np.isfinite(x[lo:hi])
+    if not ok.all():
+        bad = int(np.argmin(ok.reshape(hi - lo, -1).all(axis=1)))
+        node = int(np.argmin(ok[bad].all(axis=1)))
+        label = members[int(np.searchsorted(offsets, node, side="right")) - 1].label
+        raise SimulationError(
+            f"{label}non-finite state at step {last_step - (hi - 1 - lo) + bad}"
+        )
+
+
+def _simulate_core(
+    members: list[_Member], t_step: float, horizon: int, window_only: bool
+) -> list[Trajectory]:
+    """Euler run of the disjoint union of members that share L and the gain
+    kind, and are either all s = 1 or all s > 1; each member's record has
+    shape (samples, n_b, L) and equals its solo run bit for bit.
+
+    A (n, 1) gain drives L independent scalar columns, with coupling noise
+    drawn as (n, 1) per step and shared by every column; a (n, L, L) gain
+    couples the L coordinates of a vector state, with noise drawn as (n, L).
+    With window_only only each member's last samples are recorded, and the
+    history keeps mmax + 1 rows plus a chunk, compacted when full.
+
+    Every link lags at least m_min steps, so the delayed inputs of the
+    s = m_min + 1 steps from t on are all in the history at t. The run
+    advances in blocks of s steps: one gather sums the delayed coupling of
+    the whole block, and only the lag-0 self term -k_i d_in(i) x_i(t) is left
+    to a per-step recurrence. A lag-0 link gives s = 1, where the self term
+    stays in the gather. A block shorter than a member's own s computes the
+    same numbers, so the union runs at its shortest s. States are checked
+    for non-finite values once _CHECK_EVERY unchecked ones have piled up,
+    before each compaction and at the end, and a failure is reported at its
+    first step.
+    """
+    offsets = np.cumsum([0] + [len(mb.indeg) for mb in members])
+    n = int(offsets[-1])
+    dim = members[0].g_vals.shape[1]
+    mmax = max(mb.mmax for mb in members)
+    span = min(mb.span for mb in members)
+    first = min(mb.first for mb in members)
+    if window_only:
+        rows = mmax + 1 + min(horizon, max(_CHUNK, mmax + 1))
+    else:
+        rows = mmax + horizon + 1
+    # one spare row takes the state after the horizon, which is never read
+    x = np.empty((rows + 1, n, dim))
+    past = np.arange(-mmax, 1) * t_step
+    for mb, lo, hi in zip(members, offsets, offsets[1:]):
+        x[: mmax + 1, lo:hi] = mb.cfg.init.evaluate(past, hi - lo, dim)
+    deriv = np.empty((horizon + 1 - first, n, dim))
+    states = np.empty_like(deriv) if window_only else x[mmax:rows]
+    # The coupling sum_j a_ij (x_j(t - tau_ij) - x_i(t)) equals sum_j b_ij
+    # x_j(t - tau_ij). The members' entry lists, shifted to the union's node
+    # numbers, are grouped by (node i, coordinate l) with sources ascending,
+    # so that np.add.reduceat sums each (i, l) run over the member's own
+    # entries. Entry e of step k of a block reads x.reshape(-1) at idx[e] + k
+    # rows past the block's base.
+    dst = np.concatenate([mb.dst + lo for mb, lo in zip(members, offsets)])
+    src = np.concatenate([mb.src + lo for mb, lo in zip(members, offsets)])
+    lag = np.concatenate([mb.lag for mb in members])
     coord = np.arange(dim)
     entry_bin = (dst[:, None] * dim + coord).ravel()
     order = np.argsort(entry_bin, kind="stable")
     starts = np.searchsorted(entry_bin[order], np.arange(n * dim))
-    weight = np.repeat(b[dst, src], dim)[order]
-    lagged_src = src + (mmax - m[dst, src]) * n
+    weight = np.repeat(np.concatenate([mb.weight for mb in members]), dim)[order]
+    lagged_src = src + (mmax - lag) * n
     idx = (lagged_src[:, None] * dim + coord).ravel()[order]
     # the entry list tiled once for the longest block
     per_step, row = idx.size, n * dim
@@ -227,18 +306,40 @@ def _simulate_core(
     starts = (starts + shift * per_step).ravel()
     skipped = np.empty((smax, n, dim))  # derivatives of steps before the window
     xf = x.reshape(-1)
-    k_over_c = kq if kq.ndim == 2 else None
-    self_gain = kq * indeg.reshape((n,) + (1,) * (kq.ndim - 1))
-    tmp = np.empty((n, dim))
-    rng = np.random.default_rng(cfg.rng_seed) if cfg.noise_std > 0 else None
+    kq = np.concatenate([mb.kq for mb in members])
+    self_gain = np.concatenate(
+        [mb.kq * mb.indeg.reshape((-1,) + (1,) * (kq.ndim - 1)) for mb in members]
+    )
     noise_cols = kq.shape[1]
-    t_step = cfg.t_step
+    k_over_c = None
+    if kq.ndim == 2:
+        # spread over the L columns once: a product that broadcasts (n, 1)
+        # over (n, L) costs about 2.5x one that does not
+        k_over_c = np.ascontiguousarray(np.broadcast_to(kq, (n, dim)))
+        self_gain = np.ascontiguousarray(np.broadcast_to(self_gain, (n, dim)))
+    g_vals = np.concatenate([mb.g_vals for mb in members])
+    tmp = np.empty((n, dim))
+    # Each noisy member's stream is drawn _NOISE_STEPS steps ahead, spread
+    # over its columns. Consecutive draws split one stream, so block k reads
+    # the values its own (s, n_b, cols) draw would give.
+    noisy = [
+        (lo, hi, np.random.default_rng(mb.cfg.rng_seed), mb.cfg.noise_std)
+        for mb, lo, hi in zip(members, offsets, offsets[1:])
+        if mb.cfg.noise_std > 0
+    ]
+    spans: list[list[int]] = []  # node ranges of consecutive noisy members
+    for lo, hi, _, _ in noisy:
+        if spans and spans[-1][1] == lo:
+            spans[-1][1] = hi
+        else:
+            spans.append([lo, hi])
+    noise, used = np.empty((0, n, dim)), 0
     cur = checked = mmax
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while step <= horizon:
             if step < horizon and cur + 1 == rows:  # only in a window-only record
-                _check_finite(x, checked + 1, cur + 1, step)
+                _check_finite(x, checked + 1, cur + 1, step, members, offsets)
                 x[: mmax + 1] = x[cur - mmax : cur + 1]
                 cur = checked = mmax
             s = smax if step + smax <= horizon else horizon + 1 - step
@@ -260,8 +361,20 @@ def _simulate_core(
             else:
                 np.einsum("ilm,sim->sil", kq, c, out=d)
             d += g_vals
-            if rng is not None:
-                d += rng.normal(0.0, cfg.noise_std, size=(s, n, noise_cols))
+            if noisy:
+                if used + s > len(noise):
+                    ahead = max(_NOISE_STEPS, s)
+                    fresh = np.empty((ahead, n, dim))
+                    keep = len(noise) - used
+                    fresh[:keep] = noise[used:]
+                    for lo, hi, rng, std in noisy:
+                        fresh[keep:, lo:hi] = rng.normal(
+                            0.0, std, size=(ahead - keep, hi - lo, noise_cols)
+                        )
+                    noise, used = fresh, 0
+                for lo, hi in spans:
+                    d[:, lo:hi] += noise[used : used + s, lo:hi]
+                used += s
             if span == 1:
                 nxt = x[cur + 1]
                 np.multiply(t_step, d[0], out=nxt)
@@ -276,20 +389,60 @@ def _simulate_core(
                     rhs -= tmp
                     np.multiply(t_step, rhs, out=nxt)
                     nxt += xk
-            if window is not None and step >= first:
+            if window_only and step >= first:
                 states[step - first : step - first + s] = x[cur : cur + s]
             cur += new
             step += s
             if cur - checked >= _CHECK_EVERY or step > horizon:
-                _check_finite(x, checked + 1, cur + 1, min(step, horizon))
+                _check_finite(x, checked + 1, cur + 1, min(step, horizon), members, offsets)
                 checked = cur
-    return Trajectory(
-        times=np.arange(first, horizon + 1) * cfg.t_step,
-        states=states,
-        derivatives=deriv,
-        t_step=cfg.t_step,
-        first_step=first,
-    )
+    return [
+        Trajectory(
+            times=np.arange(mb.first, horizon + 1) * t_step,
+            states=states[mb.first - first :, lo:hi],
+            derivatives=deriv[mb.first - first :, lo:hi],
+            t_step=t_step,
+            first_step=mb.first,
+        )
+        for mb, lo, hi in zip(members, offsets, offsets[1:])
+    ]
+
+
+def simulate_batch(runs) -> list[Trajectory]:
+    """Independent runs, each result equal bit for bit to its `simulate` call.
+
+    Each run is a `SimRun` or a tuple (g, delays, cfg, g_values[, q_mats[,
+    window_only]]). Members must share cfg.t_step, cfg.horizon and
+    window_only; each keeps its own c, K, init, noise_std and rng_seed.
+    Members that share the column count L, the gain kind and the step
+    arithmetic (s = 1, or s > 1) run as one disjoint union. Every member
+    passes the step-size guard before any step; in a batch of more than one,
+    an error names the member by its index in `runs`.
+    """
+    runs = [SimRun(*run) for run in runs]
+    if not runs:
+        return []
+    for name, value in (
+        ("t_step", lambda r: r.cfg.t_step),
+        ("horizon", lambda r: r.cfg.horizon),
+        ("window_only", lambda r: bool(r.window_only)),
+    ):
+        if len({value(r) for r in runs}) > 1:
+            raise ValueError(f"batch members disagree on {name}")
+    labels = [f"member {b}: " if len(runs) > 1 else "" for b in range(len(runs))]
+    members = [_member(run, label) for run, label in zip(runs, labels)]
+    groups: dict[tuple, list[int]] = {}
+    for b, mb in enumerate(members):
+        groups.setdefault((mb.span > 1, mb.kq.ndim, mb.g_vals.shape[1]), []).append(b)
+    cfg = runs[0].cfg
+    out: list[Trajectory] = [None] * len(runs)
+    for group in groups.values():
+        trajs = _simulate_core(
+            [members[b] for b in group], cfg.t_step, cfg.horizon, bool(runs[0].window_only)
+        )
+        for b, traj in zip(group, trajs):
+            out[b] = traj if members[b].columns else traj.column(0)
+    return out
 
 
 def simulate(
@@ -301,7 +454,7 @@ def simulate(
     window_only: bool = False,
 ) -> Trajectory:
     """Forward-Euler run of the coupled system with per-link lags
-    m_ij = round(tau_ij / T_s).
+    m_ij = round(tau_ij / T_s); the one-member `simulate_batch`.
 
     g_values of shape (n, L) runs L independent forcing columns in one pass;
     states and derivatives then have shape (samples, n, L), and
@@ -317,31 +470,7 @@ def simulate(
     window_only records only the final sync window, the last
     cfg.sync_window(horizon + 1) samples, for callers that read nothing else.
     """
-    gv = np.asarray(g_values, dtype=float)
-    columns = gv.ndim == 2
-    if columns and gv.shape[0] != g.n:
-        raise ValueError(f"g_values shape {gv.shape} does not match (n, L)")
-    if q_mats is None:
-        if not columns:
-            gv = np.broadcast_to(gv, (g.n,))[:, None]
-        q = cfg.c_array(g.n).reshape(g.n, 1, 1)
-    else:
-        q = np.asarray(q_mats, dtype=float)
-        if q.ndim != 3 or q.shape[0] != g.n or q.shape[1] != q.shape[2]:
-            raise ValueError(f"q_mats must have shape (n, L, L), got {q.shape}")
-        if gv.shape != (g.n, q.shape[1]):
-            raise ValueError(f"g_values shape {gv.shape} does not match (n, L)")
-        qt = q.transpose(0, 2, 1)
-        spd = np.isclose(q, qt).all(axis=(1, 2)) & (
-            np.linalg.eigvalsh(0.5 * (q + qt)).min(axis=1) > 0
-        )
-        if not spd.all():
-            bad = int(np.argmin(spd))
-            raise ValueError(f"Q matrix of node {bad} is not symmetric positive definite")
-    kq = cfg.k_gain * np.linalg.inv(q)
-    window = cfg.sync_window(cfg.horizon + 1) if window_only else None
-    traj = _simulate_core(g, delays, cfg, kq if q_mats is not None else kq[:, :, 0], gv, window)
-    return traj if columns else traj.column(0)
+    return simulate_batch([SimRun(g, delays, cfg, g_values, q_mats, window_only)])[0]
 
 
 def detect_sync(

@@ -6,12 +6,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import netgen
-from .dde_sim import SimConfig, simulate
+from .dde_sim import SimConfig, simulate_batch
 from .digraph import SensorDigraph
 from .netgen import DelayMatrix, NodeGeometry
 from .stats import consensus_function
 
 DOWNSAMPLE = 10  # iterations per aggregated Monte-Carlo sample
+# simulation record bytes that one Monte-Carlo batch of trials may hold
+BATCH_RECORD_BYTES = 16 << 20
 
 
 def random_network(
@@ -57,8 +59,8 @@ def estimation_forcing(
     return a, y / a
 
 
-def run_estimation_trial(cfg: dict, trial_seed: int):
-    """One Fig-2-style estimation realization; returns per-iteration traces."""
+def _trial_inputs(cfg: dict, trial_seed: int):
+    """(digraph, delays, config, forcing, centralized estimate) of one trial."""
     t_step = float(cfg.get("t_step", 1e-3))
     _, g, delays = random_network(
         {"n": 40, "d_side": 5.0, "tau_max": 100 * t_step, **cfg}, trial_seed
@@ -74,27 +76,56 @@ def run_estimation_trial(cfg: dict, trial_seed: int):
         noise_std=float(cfg.get("noise_std", 0.0)),
         rng_seed=trial_seed + 3,
     )
-    centralized = consensus_function(lambda v: v, gvals, c)
-    d_nodelay = simulate(g, DelayMatrix.zero(n), sim, gvals).derivatives.mean(axis=1)
-    delayed = simulate(g, delays, sim, np.column_stack([gvals, np.ones(n)]))
-    d_delayed = delayed.column(0).derivatives.mean(axis=1)
-    d_unit = delayed.column(1).derivatives.mean(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        twostep = np.where(np.abs(d_unit) > 1e-12, d_delayed / d_unit, 0.0)
-    return centralized, d_nodelay, d_delayed, twostep
+    return g, delays, sim, gvals, consensus_function(lambda v: v, gvals, c)
+
+
+def _estimation_trials(cfg: dict, trial_seeds: list[int]) -> list[tuple]:
+    """The trials' per-iteration traces, with every zero-delay pass run as
+    one batch and every delayed (g, 1) pass as another; each batch is reduced
+    to its node means and dropped before the next one runs."""
+    inputs = [_trial_inputs(cfg, seed) for seed in trial_seeds]
+    d_nodelay = [
+        traj.derivatives.mean(axis=1)
+        for traj in simulate_batch(
+            [(g, DelayMatrix.zero(g.n), sim, gvals) for g, _, sim, gvals, _ in inputs]
+        )
+    ]
+    d_delayed = [
+        (traj.column(0).derivatives.mean(axis=1), traj.column(1).derivatives.mean(axis=1))
+        for traj in simulate_batch(
+            [(g, delays, sim, np.column_stack([gvals, np.ones(g.n)]))
+             for g, delays, sim, gvals, _ in inputs]
+        )
+    ]
+    out = []
+    for (*_, centralized), nodelay, (delayed, unit) in zip(inputs, d_nodelay, d_delayed):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            twostep = np.where(np.abs(unit) > 1e-12, delayed / unit, 0.0)
+        out.append((centralized, nodelay, delayed, twostep))
+    return out
+
+
+def run_estimation_trial(cfg: dict, trial_seed: int):
+    """One Fig-2-style estimation realization; returns per-iteration traces."""
+    return _estimation_trials(cfg, [trial_seed])[0]
 
 
 def run_estimation_montecarlo(cfg: dict, trials: int):
-    """Aggregate mean/std across trials of the per-iteration estimates."""
+    """Aggregate mean/std across trials of the per-iteration estimates; the
+    trials run in batches whose records fit in BATCH_RECORD_BYTES."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     seed = int(cfg.get("seed", 0))
+    # a trial's delayed record: states and derivatives of 2 forcing columns
+    record = 2 * 2 * 8 * int(cfg.get("n", 40)) * (int(cfg.get("horizon", 2000)) + 1)
+    chunk = max(BATCH_RECORD_BYTES // record, 1)
     cents, series = [], {"nodelay": [], "delayed": [], "twostep": []}
-    for t in range(trials):
-        cent, *estimates = run_estimation_trial(cfg, seed + 1000 * t)
-        cents.append(cent)
-        for rows, estimate in zip(series.values(), estimates):
-            rows.append(estimate[::DOWNSAMPLE])
+    for lo in range(0, trials, chunk):
+        seeds = [seed + 1000 * t for t in range(lo, min(lo + chunk, trials))]
+        for cent, *estimates in _estimation_trials(cfg, seeds):
+            cents.append(cent)
+            for rows, estimate in zip(series.values(), estimates):
+                rows.append(estimate[::DOWNSAMPLE])
     t_step = float(cfg.get("t_step", 1e-3))
     steps = np.arange(len(series["nodelay"][0])) * DOWNSAMPLE
     agg = {"step": steps, "t": steps * t_step}

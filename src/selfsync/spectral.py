@@ -13,14 +13,22 @@ class SpectralError(ValueError):
 
 
 def _left_null_positive(block: np.ndarray, residual_tol: float) -> np.ndarray:
-    """Solve g^T block = 0 with sum(g) = 1 for an SC Laplacian block."""
+    """Solve g^T block = 0 with sum(g) = 1 for a root SCC's Laplacian block.
+
+    No link enters a root SCC, so the rows of its block sum to zero and one
+    of the r equations g^T block = 0 is redundant; the last is swapped for
+    sum(g) = 1, which leaves a square system of full rank."""
     r = block.shape[0]
     if r == 1:
         return np.ones(1)
-    a = np.vstack([block.T, np.ones((1, r))])
-    b = np.zeros(r + 1)
+    a = block.T.copy()
+    a[-1] = 1.0
+    b = np.zeros(r)
     b[-1] = 1.0
-    g, *_ = np.linalg.lstsq(a, b, rcond=None)
+    try:
+        g = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SpectralError(f"left null-space solve failed: {exc}") from None
     resid = np.linalg.norm(g @ block, np.inf)
     scale = max(np.linalg.norm(block, np.inf), 1.0)
     if resid > residual_tol * scale:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from selfsync import cli, digraph, netgen, protocols, spectral, stats
+from selfsync import cli, digraph, experiments, netgen, protocols, spectral, stats
 from selfsync.cli import (
     EXIT_BAD_CONFIG,
     EXIT_NO_SYNC,
@@ -532,6 +532,38 @@ def test_estimation_trial_equals_one_simulation_per_forcing(noise_std):
         assert got[0] == want[0]
         for a, b in zip(got[1:], want[1:]):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+MC_N40 = {"n": 40, "d_side": 5.0, "t_step": 1e-3, "k_gain": 30.0, "tau_max": 0.1,
+          "xi": 1.0, "sigma2": 0.25, "seed": 1}
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 0.1])
+def test_batched_trials_equal_their_solo_trials(noise_std):
+    # a dense block-diagonal union sums each in-degree over the union's row
+    # and moves trials 2, 7, 12 and 17 of this config
+    cfg = {**MC_N40, "horizon": 200, "noise_std": noise_std}
+    seeds = [1 + 1000 * t for t in range(20)]
+    for got, seed in zip(experiments._estimation_trials(cfg, seeds), seeds):
+        want = run_estimation_trial(cfg, seed)
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_montecarlo_batches_bounded_by_record_bytes(monkeypatch):
+    cfg = {**MC_N40, "n": 8, "horizon": 150, "noise_std": 0.1}
+    batches = []
+    trials = experiments._estimation_trials
+    monkeypatch.setattr(experiments, "_estimation_trials",
+                        lambda c, seeds: batches.append(len(seeds)) or trials(c, seeds))
+    whole = experiments.run_estimation_montecarlo(cfg, 7)
+    # one trial's delayed record: 2 arrays x 2 columns x 8 nodes x 151 samples
+    monkeypatch.setattr(experiments, "BATCH_RECORD_BYTES", 3 * 2 * 2 * 8 * 8 * 151)
+    split = experiments.run_estimation_montecarlo(cfg, 7)
+    assert batches == [7, 3, 3, 1]
+    assert whole[1] == split[1]
+    assert all(whole[0][key].tobytes() == split[0][key].tobytes() for key in whole[0])
 
 
 def test_run_spectral_failure_exits_numerical(demo_scenarios, tmp_path, capsys, monkeypatch):

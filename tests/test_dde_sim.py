@@ -17,6 +17,7 @@ from selfsync.dde_sim import (
     detect_sync,
     detect_sync_auto,
     simulate,
+    simulate_batch,
     trajectory_to_csv,
     trajectory_to_npz,
 )
@@ -685,3 +686,118 @@ def test_block_core_columns_windows_and_block_lengths_bit_exact(case):
         short = simulate(g, delays, cfg, forcing)
     assert short.states.tobytes() == full.states.tobytes()
     assert short.derivatives.tobytes() == full.derivatives.tobytes()
+
+
+# ---------------------------------------------------------------- batches
+
+
+@st.composite
+def batch_cases(draw):
+    """1..6 members with their own graph, lags, gains, forcing, init, noise
+    and window; some s = 1, some s > 1, scalar members with 1..3 forcing
+    columns and at most one vector group with a shared L."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    t_step = 2.0**-7
+    horizon = int(rng.integers(1, 120))
+    window_only = draw(st.booleans())
+    vector_dim = int(rng.integers(1, 4))
+    runs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        n = int(rng.integers(1, 11))
+        w = rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < rng.uniform())
+        w[rng.random(n) < 0.2] = 0.0  # some nodes hear nobody
+        np.fill_diagonal(w, 0.0)
+        low = int(rng.integers(0, 4))  # low 0 gives s = 1 when a link lags 0
+        lags = rng.integers(low, low + 6, (n, n))
+        cfg = SimConfig(
+            t_step=t_step,
+            k_gain=float(rng.uniform(0.5, 2.0)),
+            c_weights=rng.uniform(0.5, 2.0, n),
+            horizon=horizon,
+            noise_std=float(rng.choice([0.0, 0.1])),
+            rng_seed=int(rng.integers(1000)),
+            sync_window_frac=float(rng.uniform(0.01, 1.0)),
+            init=InitialCondition(slopes=rng.normal(size=n), intercepts=rng.normal(size=n)),
+        )
+        g, delays = new_digraph(w), DelayMatrix(tau=lags * t_step)
+        kind = rng.integers(3)
+        if kind == 0:
+            a = rng.normal(size=(n, vector_dim, vector_dim))
+            q = a @ a.transpose(0, 2, 1) + 0.5 * np.eye(vector_dim)
+            runs.append((g, delays, cfg, rng.normal(size=(n, vector_dim)), q, window_only))
+        elif kind == 1:
+            runs.append((g, delays, cfg, rng.normal(size=n), None, window_only))
+        else:
+            cols = int(rng.integers(1, 4))
+            runs.append((g, delays, cfg, rng.normal(size=(n, cols)), None, window_only))
+    return runs
+
+
+@given(batch_cases())
+@settings(max_examples=80, deadline=None)
+def test_batch_equals_solo_runs_bit_for_bit(runs):
+    batch = simulate_batch(runs)
+    assert len(batch) == len(runs)
+    for (g, delays, cfg, gv, q, window_only), got in zip(runs, batch):
+        solo = simulate(g, delays, cfg, gv, q_mats=q, window_only=window_only)
+        assert got.first_step == solo.first_step
+        for name in ("times", "states", "derivatives"):
+            a, b = getattr(got, name), getattr(solo, name)
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert np.ascontiguousarray(a).tobytes() == b.tobytes()
+
+
+def test_batch_of_nothing_is_empty():
+    assert simulate_batch([]) == []
+
+
+def test_batch_checks_every_step_size_before_any_step(monkeypatch):
+    good = (ring3(), DelayMatrix.zero(3), SimConfig(horizon=50), np.ones(3))
+    # T_s * K * in_degree(1) = 1e-3 * 3000 * 1 = 3 trips the guard
+    bad = (ring3(), DelayMatrix.zero(3), SimConfig(horizon=50, k_gain=3000.0), np.ones(3))
+    calls = []
+    core = dde_sim._simulate_core
+    monkeypatch.setattr(
+        dde_sim, "_simulate_core", lambda *a: calls.append(1) or core(*a)
+    )
+    with pytest.raises(SimulationError, match=r"^member 2: step-size instability: "
+                       r"T_s \* k_0 \* in_degree\(0\) = 3\.000 >= 2$"):
+        simulate_batch([good, good, bad])
+    assert calls == []
+    with pytest.raises(SimulationError, match=r"^step-size instability"):
+        simulate(*bad)
+
+
+@pytest.mark.parametrize("lag", [0, 1, 5])
+@pytest.mark.parametrize("window_only", [False, True])
+def test_batch_reports_a_diverging_member_at_its_solo_step(lag, window_only):
+    # T_s * K * in_degree = 1.5 passes the step-size guard but diverges
+    diverging = (
+        two_node(),
+        DelayMatrix(tau=np.array([[0.0, lag], [lag, 0.0]])),
+        SimConfig(t_step=1.0, k_gain=1.5, horizon=5000),
+        np.array([1.0, 0.0]),
+    )
+    calm = (ring3(), DelayMatrix.uniform(3, float(lag)),
+            SimConfig(t_step=1.0, k_gain=0.2, horizon=5000), np.ones(3))
+    with pytest.raises(SimulationError) as solo:
+        simulate(*diverging, window_only=window_only)
+    assert str(solo.value).startswith("non-finite state at step")
+    with pytest.raises(SimulationError) as got:
+        simulate_batch([run + (None, window_only) for run in (calm, diverging, calm)])
+    assert str(got.value) == f"member 1: {solo.value}"
+
+
+@pytest.mark.parametrize(
+    "field, change",
+    [
+        ("t_step", lambda run: run._replace(cfg=replace(run.cfg, t_step=2e-3))),
+        ("horizon", lambda run: run._replace(cfg=replace(run.cfg, horizon=51))),
+        ("window_only", lambda run: run._replace(window_only=True)),
+    ],
+)
+def test_batch_members_must_share_step_horizon_and_window(field, change):
+    run = dde_sim.SimRun(ring3(), DelayMatrix.zero(3), SimConfig(horizon=50), np.ones(3))
+    with pytest.raises(ValueError, match=f"disagree on {field}$"):
+        simulate_batch([run, run, change(run)])

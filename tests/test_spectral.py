@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfsync import topologies
+from selfsync import spectral, topologies
 from selfsync.dde_sim import DelayMatrix, SimConfig, detect_sync_auto, simulate
 from selfsync.digraph import laplacian, new_digraph, scc_decompose
 from selfsync.spectral import (
@@ -107,6 +107,46 @@ def test_gamma_per_cluster_covers_each_root():
         # each gamma annihilates the Laplacian from the left
         assert np.abs(gam @ lap).max() < 1e-10
         assert gam.sum() == pytest.approx(1.0)
+
+
+def gamma_lstsq_reference(lap, scc, comp):
+    """Gamma of one root SCC by least squares on the stacked (r + 1) x r
+    system [block^T; 1^T] g = e_{r+1}, padded with zeros and summing to one."""
+    idx = np.asarray(sorted(scc.components[comp]))
+    block = lap[np.ix_(idx, idx)]
+    a = np.vstack([block.T, np.ones((1, len(idx)))])
+    b = np.zeros(len(idx) + 1)
+    b[-1] = 1.0
+    gamma = np.zeros(len(lap))
+    gamma[idx] = np.linalg.lstsq(a, b, rcond=None)[0]
+    return gamma / gamma.sum()
+
+
+@given(
+    st.integers(min_value=2, max_value=60),
+    st.sampled_from(["sc", "qsc"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_gamma_square_solve_matches_least_squares(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    make = topologies.random_sc if kind == "sc" else topologies.random_qsc
+    w = np.asarray(make(n, rng).weights)
+    # in-link weights spread over two decades, so the graph is far from balanced
+    g = new_digraph(w * 10.0 ** rng.uniform(-1.0, 1.0, size=(n, 1)))
+    lap = laplacian(g)
+    scc = scc_decompose(g)
+    (root,) = scc.root_components
+    ref = gamma_lstsq_reference(lap, scc, root)
+    gamma = gamma_left_eigenvector(lap, scc)
+    assert np.array_equal(gamma != 0.0, ref != 0.0)
+    assert np.abs(gamma - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_gamma_solve_reports_a_singular_block():
+    # a block with no links is not strongly connected: every equation is 0 = 0
+    with pytest.raises(SpectralError, match="left null-space solve failed"):
+        spectral._left_null_positive(np.zeros((3, 3)), residual_tol=1e-10)
 
 
 # ---------------------------------------------------------------- rates
