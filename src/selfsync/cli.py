@@ -16,6 +16,7 @@ from .dde_sim import (
     DelayMatrix,
     SimConfig,
     SimulationError,
+    check_delays,
     detect_sync,
     detect_sync_auto,
     simulate,
@@ -70,9 +71,11 @@ def _write_scenario(
 ) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / "digraph.json").write_text(digraph.to_document(g) + "\n")
-    _dump_json(
-        {"n": g.n, "tau": delays.tau.tolist(), "tau_max": delays.tau_max},
-        out / "delays.json",
+    # only link delays are ever read: zeros off the links, on one line, keep
+    # the n x n matrix short to write and to parse
+    link = DelayMatrix(tau=np.where(g.weights > 0.0, delays.tau, 0.0))
+    (out / "delays.json").write_text(
+        json.dumps({"n": g.n, "tau": link.tau.tolist(), "tau_max": link.tau_max}) + "\n"
     )
     if geom is not None:
         _dump_json(
@@ -123,7 +126,11 @@ def cmd_gen(args) -> int:
 def _load_scenario(path: Path):
     g = digraph.from_document((path / "digraph.json").read_text())
     ddoc = _load_json(path / "delays.json")
-    delays = DelayMatrix(tau=np.asarray(ddoc["tau"], dtype=float))
+    try:
+        delays = DelayMatrix(tau=np.asarray(ddoc["tau"], dtype=float))
+        check_delays(g, delays)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path / 'delays.json'}: {exc}") from exc
     sc = _load_json(path / "scenario.json")
     return g, delays, sc
 

@@ -115,10 +115,26 @@ class Trajectory:
         )
 
 
+def check_delays(g: SensorDigraph, delays: DelayMatrix, label: str = "") -> None:
+    """Raise ValueError unless tau is (n, n) and finite and nonnegative on every link."""
+    tau = np.asarray(delays.tau)
+    if tau.shape != (g.n, g.n):
+        raise ValueError(f"{label}delay matrix shape {tau.shape} does not match n = {g.n}")
+    links = g.weights > 0.0
+    link_tau = tau[links]
+    bad = ~((link_tau >= 0.0) & (link_tau < np.inf))
+    if bad.any():
+        i, j = np.argwhere(links)[bad][0]
+        raise ValueError(
+            f"{label}link delay tau[{i},{j}] = {tau[i, j]} is not finite and nonnegative"
+        )
+
+
 def _lag_matrix(g: SensorDigraph, delays: DelayMatrix, t_step: float) -> np.ndarray:
-    m = np.rint(delays.tau / t_step).astype(int)
-    m[g.weights <= 0.0] = 0
-    np.fill_diagonal(m, 0)
+    links = g.weights > 0.0
+    np.fill_diagonal(links, False)
+    m = np.zeros(links.shape, dtype=int)
+    m[links] = np.rint(delays.tau[links] / t_step)
     return m
 
 
@@ -208,6 +224,7 @@ def _member(run: SimRun, label: str) -> _Member:
             f"{label}step-size instability: T_s * k_{i} * in_degree({i}) = "
             f"{cfg.t_step * gain[i] * indeg[i]:.3f} >= 2"
         )
+    check_delays(g, run.delays, label)
     m = _lag_matrix(g, run.delays, cfg.t_step)
     mmax = int(m.max()) if m.size else 0
     links = w != 0.0

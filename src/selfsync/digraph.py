@@ -47,14 +47,14 @@ class SccDecomposition:
 
 
 def new_digraph(weights) -> SensorDigraph:
-    """Validate a square nonnegative weight matrix and wrap it."""
+    """Validate a square, finite, nonnegative weight matrix and wrap it."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise GraphValidationError(f"weights must be square, got shape {w.shape}")
-    neg = np.argwhere(w < 0.0)
-    if neg.size:
-        i, j = neg[0]
-        raise GraphValidationError(f"negative weight a[{i},{j}] = {w[i, j]}")
+    bad = np.argwhere(~((w >= 0.0) & (w < np.inf)))
+    if bad.size:
+        i, j = bad[0]
+        raise GraphValidationError(f"weight a[{i},{j}] = {w[i, j]} is not finite and nonnegative")
     diag = np.argwhere(np.diag(w) != 0.0)
     if diag.size:
         i = int(diag[0][0])
@@ -177,9 +177,27 @@ def to_document(g: SensorDigraph) -> str:
 
 
 def from_document(text: str) -> SensorDigraph:
+    """Parse a ``to_document`` payload. Edge indices must be integers in
+    [0, n), each (i, j) pair at most once."""
     doc = json.loads(text)
     n = int(doc["n"])
+    try:
+        edges = np.asarray(doc["edges"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise GraphValidationError(f"edges must be [i, j, a_ij] triples: {exc}") from exc
+    if edges.size == 0:
+        edges = edges.reshape(0, 3)
+    if edges.ndim != 2 or edges.shape[1] != 3:
+        raise GraphValidationError(f"edges must be [i, j, a_ij] triples, got shape {edges.shape}")
+    idx = edges[:, :2]
+    bad = np.flatnonzero(~((idx >= 0) & (idx < n) & (idx == np.floor(idx))).all(axis=1))
+    if bad.size:
+        e = edges[bad[0]].tolist()
+        raise GraphValidationError(f"edge {e}: indices must be integers in [0, {n})")
+    i, j = idx.astype(int).T
+    pairs, counts = np.unique(i * n + j, return_counts=True)
+    if (counts > 1).any():
+        raise GraphValidationError(f"duplicate edge {divmod(int(pairs[counts > 1][0]), n)}")
     w = np.zeros((n, n))
-    for i, j, a in doc["edges"]:
-        w[int(i), int(j)] = float(a)
+    w[i, j] = edges[:, 2]
     return new_digraph(w)

@@ -81,6 +81,13 @@ def pathloss_uniform_pipeline():
     return geom, g, DelayMatrix.uniform(8, 0.02)
 
 
+def rayleigh_pruned_pipeline():
+    geom = netgen.speed_for_max_delay(netgen.place_nodes(12, 3.0, 3), 0.05)
+    g = netgen.threshold_prune(netgen.channel_rayleigh(geom, 4), 0.6)
+    assert (g.weights == 0.0).sum() > 12  # pruning dropped links, not only the diagonal
+    return geom, g, netgen.delays_from_geometry(geom)
+
+
 @pytest.mark.parametrize(
     "cfg, pipeline",
     [
@@ -94,8 +101,12 @@ def pathloss_uniform_pipeline():
              "channel_mode": {"mode": "pathloss", "fading": 0.7}},
             pathloss_uniform_pipeline,
         ),
+        (
+            {"n": 12, "seed": 3, "d_side": 3.0, "tau_max": 0.05, "threshold": 0.6},
+            rayleigh_pruned_pipeline,
+        ),
     ],
-    ids=["rayleigh-geometry", "pathloss-uniform"],
+    ids=["rayleigh-geometry", "pathloss-uniform", "rayleigh-pruned"],
 )
 def test_gen_writes_the_netgen_pipeline(tmp_path, cfg, pipeline):
     geom, g, delays = pipeline()
@@ -104,7 +115,8 @@ def test_gen_writes_the_netgen_pipeline(tmp_path, cfg, pipeline):
     written = digraph.from_document((out / "digraph.json").read_text())
     assert np.array_equal(written.weights, g.weights)
     doc = json.loads((out / "delays.json").read_text())
-    assert np.array_equal(doc["tau"], delays.tau) and doc["tau_max"] == delays.tau_max
+    link_tau = np.where(g.weights > 0, delays.tau, 0.0)  # the file keeps link delays only
+    assert np.array_equal(doc["tau"], link_tau) and doc["tau_max"] == link_tau.max()
     doc = json.loads((out / "geometry.json").read_text())
     assert np.array_equal(doc["positions"], geom.positions) and doc["speed"] == geom.speed
 
@@ -424,10 +436,17 @@ def test_inspect_multi_root_scenario(demo_scenarios, capsys):
     assert "zero eigenvalue multiplicity: 2" in out
 
 
+def write_full_delays(scen, delays):
+    """Overwrite delays.json in the full pairwise layout, with a delay for every pair."""
+    write_json(scen / "delays.json",
+               {"n": len(delays.tau), "tau": delays.tau.tolist(), "tau_max": delays.tau_max})
+
+
 def test_inspect_prints_the_longest_link_delay(tmp_path, capsys):
     cfg = {"n": 12, "seed": 3, "d_side": 3.0, "tau_max": 0.05, "threshold": 0.6}
     out = tmp_path / "scen"
     assert main(["gen", write_json(tmp_path / "cfg.json", cfg), "--out-dir", str(out)]) == EXIT_OK
+    write_full_delays(out, experiments.random_network(cfg, cfg["seed"])[2])
     g = digraph.from_document((out / "digraph.json").read_text())
     tau = np.asarray(json.loads((out / "delays.json").read_text())["tau"])
     longest = tau[g.weights > 0.0].max()
@@ -435,6 +454,92 @@ def test_inspect_prints_the_longest_link_delay(tmp_path, capsys):
     capsys.readouterr()
     assert main(["inspect", str(out)]) == EXIT_OK
     assert f"max link delay: {longest:.6g}\n" in capsys.readouterr().out
+
+
+N300_CONFIG = {"n": 300, "seed": 301, "d_side": 7.75, "tau_max": 0.05, "threshold": 0.5,
+               "t_step": 1e-3, "k_gain": 5.0, "horizon": 1200}
+
+
+@pytest.mark.parametrize("case", ["sc", "qsc", "wc", "n300"])
+def test_link_only_and_full_matrix_delays_give_the_same_outputs(
+    tmp_path, demo_config, capsys, case
+):
+    """A scenario's report (but its timestamp) and inspect output do not depend
+    on whether delays.json holds only link delays or a delay for every pair."""
+    modes = [["--mode", "simulate"], ["--mode", "unbias2"], ["--mode", "gamma_protocol"]]
+    if case == "n300":
+        scen = tmp_path / "scen"
+        cfg = write_json(tmp_path / "n300.json", N300_CONFIG)
+        assert main(["gen", cfg, "--out-dir", str(scen)]) == EXIT_OK
+        full = experiments.random_network(N300_CONFIG, N300_CONFIG["seed"])[2]
+        modes[2] += ["--exec-mode", "predict"]  # 301 simulated columns take too long here
+    else:
+        assert main(["gen", demo_config, "--out-dir", str(tmp_path / "scen")]) == EXIT_OK
+        scen = tmp_path / "scen" / case
+        full = DelayMatrix.uniform(14, 0.05)
+
+    def outputs(layout):
+        runs = []
+        for k, argv in enumerate(modes):
+            out = tmp_path / layout / str(k)
+            code = main(["run", str(scen), *argv, "--out-dir", str(out), "--downsample", "10"])
+            report = None
+            if (out / "report.json").exists():
+                report = json.loads((out / "report.json").read_text())
+                del report["created_unix"]
+            runs.append((code, report))
+        capsys.readouterr()
+        assert main(["inspect", str(scen)]) == EXIT_OK
+        return runs, capsys.readouterr().out
+
+    link_only = outputs("link-only")
+    assert any(report is not None for _, report in link_only[0])
+    link_tau = np.asarray(json.loads((scen / "delays.json").read_text())["tau"])
+    assert not np.array_equal(link_tau, full.tau)  # the two files differ off the links
+    write_full_delays(scen, full)
+    assert outputs("full") == link_only
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda doc: doc["tau"][1].__setitem__(0, -0.1), "tau[1,0] = -0.1"),
+        (lambda doc: doc["tau"][1].__setitem__(0, float("nan")), "tau[1,0] = nan"),
+        (lambda doc: doc.__setitem__("tau", [row[:-1] for row in doc["tau"]]), "shape (14, 13)"),
+        (lambda doc: doc.__setitem__("tau", [[0.0], [0.0, 1.0]]), "inhomogeneous"),
+        (lambda doc: doc.pop("tau"), "'tau'"),
+    ],
+    ids=["negative", "nan", "shape", "ragged", "missing"],
+)
+def test_run_rejects_bad_delays_naming_the_file(demo_scenarios, tmp_path, capsys, edit, named):
+    scen = demo_scenarios / "sc"
+    assert digraph.from_document((scen / "digraph.json").read_text()).weights[1, 0] > 0
+    doc = json.loads((scen / "delays.json").read_text())
+    edit(doc)
+    write_json(scen / "delays.json", doc)
+    out = tmp_path / "out"
+    assert main(["run", str(scen), "--out-dir", str(out)]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and "delays.json" in err and named in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "edge, named",
+    [([-3, 2, 1.0], "[-3.0, 2.0, 1.0]"), ([3, 0, 1.0], "[3.0, 0.0, 1.0]"),
+     ([1.5, 0, 1.0], "[1.5, 0.0, 1.0]"), ([0, 1, 2.0], "duplicate edge (0, 1)")],
+    ids=["negative", "too-large", "non-integer", "duplicate"],
+)
+def test_run_rejects_bad_edges(tmp_path, capsys, edge, named):
+    scen = tmp_path / "scen"
+    g = digraph.new_digraph([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    cli._write_scenario(scen, g, DelayMatrix.uniform(3, 0.01), {"horizon": 100})
+    doc = json.loads((scen / "digraph.json").read_text())
+    write_json(scen / "digraph.json", {"n": 3, "edges": doc["edges"] + [edge]})
+    out = tmp_path / "out"
+    assert main(["run", str(scen), "--out-dir", str(out)]) == EXIT_BAD_CONFIG
+    assert named in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "inspect"])

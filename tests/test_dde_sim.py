@@ -1,5 +1,6 @@
 """Discrete-time integrator and synchronization detection."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -199,6 +200,35 @@ def test_vector_sim_validates_q_matrices():
         q = np.stack([np.eye(2), bad])
         with pytest.raises(ValueError, match="node 1 is not symmetric positive definite"):
             simulate(g, DelayMatrix.zero(2), cfg, np.ones((2, 2)), q_mats=q)
+
+
+
+@pytest.mark.parametrize(
+    "tau, named",
+    [(-0.01, "tau[1,0] = -0.01"), (np.nan, "tau[1,0] = nan"), (np.inf, "tau[1,0] = inf")],
+)
+def test_sim_rejects_bad_link_delays(tau, named):
+    delays = DelayMatrix.uniform(3, 0.01)
+    delays.tau[1, 0] = tau
+    with pytest.raises(ValueError, match=re.escape(f"link delay {named}")):
+        simulate(ring3(), delays, SimConfig(horizon=5), 1.0)
+    with pytest.raises(ValueError, match="member 1: link delay"):
+        simulate_batch([(ring3(), DelayMatrix.zero(3), SimConfig(horizon=5), 1.0),
+                        (ring3(), delays, SimConfig(horizon=5), 1.0)])
+
+
+def test_sim_rejects_a_delay_matrix_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"delay matrix shape \(2, 2\) does not match n = 3"):
+        simulate(ring3(), DelayMatrix.zero(2), SimConfig(horizon=5), 1.0)
+
+
+def test_sim_reads_delays_on_links_only():
+    links = DelayMatrix(tau=np.where(ring3().weights > 0, 0.01, 0.0))
+    pairs = DelayMatrix(tau=np.where(ring3().weights > 0, 0.01, np.nan))
+    cfg = SimConfig(horizon=50)
+    a = simulate(ring3(), links, cfg, np.array([0.3, 1.0, -0.4]))
+    b = simulate(ring3(), pairs, cfg, np.array([0.3, 1.0, -0.4]))
+    assert a.states.tobytes() == b.states.tobytes()
 
 
 # ---------------------------------------------------------------- detection

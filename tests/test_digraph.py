@@ -1,5 +1,7 @@
 """Structure layer: validation, degrees, Laplacian, SCC decomposition."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,14 @@ def test_new_digraph_rejects_negative_weight_with_location():
     w = np.zeros((3, 3))
     w[2, 1] = -0.5
     with pytest.raises(GraphValidationError, match=r"a\[2,1\]"):
+        new_digraph(w)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_new_digraph_rejects_non_finite_weight(value):
+    w = np.zeros((3, 3))
+    w[0, 1] = value
+    with pytest.raises(GraphValidationError, match=rf"a\[0,1\] = {value} is not finite"):
         new_digraph(w)
 
 
@@ -215,3 +225,25 @@ def test_document_roundtrip_exact():
 def test_document_rejects_invalid_payload():
     with pytest.raises(GraphValidationError):
         from_document('{"n": 2, "edges": [[0, 0, 1.0]]}')
+
+
+@pytest.mark.parametrize(
+    "edges, named",
+    [
+        ("[[-3, 2, 1.0]]", "indices must be integers in [0, 3)"),
+        ("[[0, 3, 1.0]]", "indices must be integers in [0, 3)"),
+        ("[[0.5, 1, 1.0]]", "indices must be integers in [0, 3)"),
+        ('[[NaN, 1, 1.0]]', "indices must be integers in [0, 3)"),
+        ("[[0, 1, 1.0], [2, 0, 1.0], [0, 1, 0.5]]", "duplicate edge (0, 1)"),
+        ("[[0, 1]]", "triples"),
+        ("[[0, 1, 1.0], [2, 0]]", "triples"),
+        ('[["a", 1, 1.0]]', "triples"),
+    ],
+)
+def test_document_rejects_bad_edges(edges, named):
+    with pytest.raises(GraphValidationError, match=re.escape(named)):
+        from_document(f'{{"n": 3, "edges": {edges}}}')
+
+
+def test_document_without_edges_is_the_empty_digraph():
+    assert np.array_equal(from_document('{"n": 3, "edges": []}').weights, np.zeros((3, 3)))
