@@ -31,7 +31,9 @@ n = 300 (Rayleigh links pruned below 0.5, geometry delays, as run-n300 makes
 it) from its JSON files into a ``SensorDigraph`` and a ``DelayMatrix``, the
 set-up of ``selfsync run`` and ``inspect``. ``montecarlo``: seconds of one
 ``experiments.run_estimation_montecarlo`` with the mc-n40 configuration (n =
-40, horizon 2000, clean and with coupling noise 0.1) over 2 and 10 trials.
+40, horizon 2000, clean and with coupling noise 0.1) over 2 and 10 trials,
+and ``peak_mb``, the ``tracemalloc`` peak in MB of one clean call, taken
+after and outside the timed calls.
 
 selfsync is imported from ``--src`` (default: this checkout's ``src/``), so one
 copy of the script can time two versions of the library on the same machine.
@@ -51,6 +53,7 @@ import platform
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -113,6 +116,16 @@ def timed(*calls) -> dict:
     for key, ts in times.items():
         fields.update({key: float(np.median(ts)), f"{key}_min": min(ts), f"{key}_max": max(ts)})
     return fields
+
+
+def traced_peak_mb(call) -> float:
+    """MB of the ``tracemalloc`` peak of one call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def graph_fields(g, delays, t_step: float) -> dict:
@@ -244,7 +257,8 @@ def montecarlo_row(selfsync, trials: int, seed: int) -> dict:
     return {"n": MC_N, "horizon": MC_HORIZON, "trials": trials,
             **timed(("clean_s", 1.0, lambda: experiments.run_estimation_montecarlo(cfg, trials)),
                     ("noisy_s", 1.0, lambda: experiments.run_estimation_montecarlo(noisy,
-                                                                                   trials)))}
+                                                                                   trials))),
+            "peak_mb": traced_peak_mb(lambda: experiments.run_estimation_montecarlo(cfg, trials))}
 
 
 def show(section: str, rows: list[dict]) -> list[dict]:

@@ -34,6 +34,7 @@ from .netgen import (
 )
 from .dde_sim import (
     InitialCondition,
+    NodeMean,
     SimConfig,
     SimRun,
     SimulationError,

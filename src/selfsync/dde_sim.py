@@ -98,7 +98,7 @@ class Trajectory:
     derivatives: np.ndarray  # RHS values at each sample, same shape as states
     t_step: float
     clusters: SyncResult | None = None
-    first_step: int = 0  # step of the first sample; > 0 for a window-only record
+    first_step: int = 0  # step of the first sample; > 0 for a "window" record
 
     @property
     def n(self) -> int:
@@ -112,6 +112,30 @@ class Trajectory:
             derivatives=self.derivatives[:, :, col],
             t_step=self.t_step,
             first_step=self.first_step,
+        )
+
+
+@dataclass
+class NodeMean:
+    """A "node_mean" record: the per-step mean over the nodes of one run's
+    derivatives, shape (samples, L), or (samples,) for g_values of shape (n,).
+    Column l equals ``column(l).derivatives.mean(axis=1)`` of the run's full
+    record bit for bit. It holds no per-node values, so `detect_sync` and the
+    trace writers reject it."""
+
+    times: np.ndarray
+    mean: np.ndarray
+    t_step: float
+
+    def column(self, col: int) -> NodeMean:
+        return NodeMean(times=self.times, mean=self.mean[:, col], t_step=self.t_step)
+
+
+def _per_node(traj, what: str) -> None:
+    if isinstance(traj, NodeMean):
+        raise TypeError(
+            f"{what} needs a per-node Trajectory, got a node-mean record "
+            "(record='node_mean'); simulate with record='full' or 'window'"
         )
 
 
@@ -138,8 +162,8 @@ def _lag_matrix(g: SensorDigraph, delays: DelayMatrix, t_step: float) -> np.ndar
     return m
 
 
-# steps between two compactions of a window-only record's history buffer
-_CHUNK = 1024
+# steps between two compactions of a bounded record's history buffer
+_CHUNK = 256
 # gathered entries per block, which bounds the block length and its buffers
 _BLOCK_ENTRIES = 1 << 16
 # unchecked states that trigger the non-finite check
@@ -148,16 +172,20 @@ _CHECK_EVERY = 64
 _NOISE_STEPS = 64
 
 
+# what a run records: every sample, the final sync window, or the node means
+RECORDS = ("full", "window", "node_mean")
+
+
 class SimRun(NamedTuple):
     """One member of a `simulate_batch` call; a plain tuple
-    (g, delays, cfg, g_values[, q_mats[, window_only]]) works too."""
+    (g, delays, cfg, g_values[, q_mats[, record]]) works too."""
 
     g: SensorDigraph
     delays: DelayMatrix
     cfg: SimConfig
     g_values: object
     q_mats: object = None
-    window_only: bool = False
+    record: str = "full"
 
 
 @dataclass
@@ -239,7 +267,7 @@ def _member(run: SimRun, label: str) -> _Member:
         np.fill_diagonal(m, mmax)
     dst, src = np.nonzero(links | np.diag(own))
     horizon = cfg.horizon
-    first = max(horizon + 1 - cfg.sync_window(horizon + 1), 0) if run.window_only else 0
+    first = max(horizon + 1 - cfg.sync_window(horizon + 1), 0) if run.record == "window" else 0
     return _Member(label, cfg, kq, gv, columns, indeg, mmax, span, first,
                    dst, src, m[dst, src], b[dst, src])
 
@@ -258,8 +286,8 @@ def _check_finite(x: np.ndarray, lo: int, hi: int, last_step: int, members, offs
 
 
 def _simulate_core(
-    members: list[_Member], t_step: float, horizon: int, window_only: bool
-) -> list[Trajectory]:
+    members: list[_Member], t_step: float, horizon: int, record: str
+) -> list[Trajectory] | list[NodeMean]:
     """Euler run of the disjoint union of members that share L and the gain
     kind, and are either all s = 1 or all s > 1; each member's record has
     shape (samples, n_b, L) and equals its solo run bit for bit.
@@ -267,8 +295,12 @@ def _simulate_core(
     A (n, 1) gain drives L independent scalar columns, with coupling noise
     drawn as (n, 1) per step and shared by every column; a (n, L, L) gain
     couples the L coordinates of a vector state, with noise drawn as (n, L).
-    With window_only only each member's last samples are recorded, and the
-    history keeps mmax + 1 rows plus a chunk, compacted when full.
+    A "window" record keeps each member's last samples and a "node_mean"
+    record each member's per-step node means; both keep mmax + 1 history
+    rows plus a chunk, compacted when full. A "node_mean" record holds at
+    most a chunk (plus one) of derivative rows, reduced per member and per
+    column at each compaction and at the end, on the slices
+    ``deriv[:, lo:hi, col]`` that a full record's columns are.
 
     Every link lags at least m_min steps, so the delayed inputs of the
     s = m_min + 1 steps from t on are all in the history at t. The run
@@ -287,17 +319,30 @@ def _simulate_core(
     mmax = max(mb.mmax for mb in members)
     span = min(mb.span for mb in members)
     first = min(mb.first for mb in members)
-    if window_only:
-        rows = mmax + 1 + min(horizon, max(_CHUNK, mmax + 1))
-    else:
+    if record == "full":
         rows = mmax + horizon + 1
+    else:
+        rows = mmax + 1 + min(horizon, max(_CHUNK, mmax + 1))
     # one spare row takes the state after the horizon, which is never read
     x = np.empty((rows + 1, n, dim))
     past = np.arange(-mmax, 1) * t_step
     for mb, lo, hi in zip(members, offsets, offsets[1:]):
         x[: mmax + 1, lo:hi] = mb.cfg.init.evaluate(past, hi - lo, dim)
-    deriv = np.empty((horizon + 1 - first, n, dim))
-    states = np.empty_like(deriv) if window_only else x[mmax:rows]
+    base = first  # step of deriv's first row
+    if record == "node_mean":
+        # the derivatives of the steps since the last compaction: at most
+        # a chunk, plus the last step's
+        deriv = np.empty((rows - mmax, n, dim))
+        means = [np.empty((horizon + 1, dim)) for _ in members]
+    else:
+        deriv = np.empty((horizon + 1 - first, n, dim))
+    states = np.empty_like(deriv) if record == "window" else x[mmax:rows]
+
+    def reduce_means(stop: int) -> None:
+        for mean, lo, hi in zip(means, offsets, offsets[1:]):
+            for col in range(dim):
+                mean[base:stop, col] = deriv[: stop - base, lo:hi, col].mean(axis=1)
+
     # The coupling sum_j a_ij (x_j(t - tau_ij) - x_i(t)) equals sum_j b_ij
     # x_j(t - tau_ij). The members' entry lists, shifted to the union's node
     # numbers, are grouped by (node i, coordinate l) with sources ascending,
@@ -355,10 +400,13 @@ def _simulate_core(
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while step <= horizon:
-            if step < horizon and cur + 1 == rows:  # only in a window-only record
+            if step < horizon and cur + 1 == rows:  # only in a bounded record
                 _check_finite(x, checked + 1, cur + 1, step, members, offsets)
                 x[: mmax + 1] = x[cur - mmax : cur + 1]
                 cur = checked = mmax
+                if record == "node_mean":
+                    reduce_means(step)
+                    base = step
             s = smax if step + smax <= horizon else horizon + 1 - step
             if step < first < step + s:  # a block lies wholly before or in the window
                 s = first - step
@@ -372,7 +420,7 @@ def _simulate_core(
             gathered = xf[(cur - mmax) * row :][gi]
             np.multiply(gathered, gw, out=gathered)
             c = np.add.reduceat(gathered, gs).reshape(s, n, dim)
-            d = deriv[step - first : step - first + s] if step >= first else skipped[:s]
+            d = deriv[step - base : step - base + s] if step >= first else skipped[:s]
             if k_over_c is not None:
                 np.multiply(k_over_c, c, out=d)
             else:
@@ -406,13 +454,19 @@ def _simulate_core(
                     rhs -= tmp
                     np.multiply(t_step, rhs, out=nxt)
                     nxt += xk
-            if window_only and step >= first:
+            if record == "window" and step >= first:
                 states[step - first : step - first + s] = x[cur : cur + s]
             cur += new
             step += s
             if cur - checked >= _CHECK_EVERY or step > horizon:
                 _check_finite(x, checked + 1, cur + 1, min(step, horizon), members, offsets)
                 checked = cur
+    if record == "node_mean":
+        reduce_means(horizon + 1)
+        return [
+            NodeMean(times=np.arange(horizon + 1) * t_step, mean=mean, t_step=t_step)
+            for mean in means
+        ]
     return [
         Trajectory(
             times=np.arange(mb.first, horizon + 1) * t_step,
@@ -425,16 +479,16 @@ def _simulate_core(
     ]
 
 
-def simulate_batch(runs) -> list[Trajectory]:
+def simulate_batch(runs) -> list[Trajectory] | list[NodeMean]:
     """Independent runs, each result equal bit for bit to its `simulate` call.
 
     Each run is a `SimRun` or a tuple (g, delays, cfg, g_values[, q_mats[,
-    window_only]]). Members must share cfg.t_step, cfg.horizon and
-    window_only; each keeps its own c, K, init, noise_std and rng_seed.
-    Members that share the column count L, the gain kind and the step
-    arithmetic (s = 1, or s > 1) run as one disjoint union. Every member
-    passes the step-size guard before any step; in a batch of more than one,
-    an error names the member by its index in `runs`.
+    record]]). Members must share cfg.t_step, cfg.horizon and record; each
+    keeps its own c, K, init, noise_std and rng_seed. Members that share the
+    column count L, the gain kind and the step arithmetic (s = 1, or s > 1)
+    run as one disjoint union. Every member passes the step-size guard
+    before any step; in a batch of more than one, an error names the member
+    by its index in `runs`.
     """
     runs = [SimRun(*run) for run in runs]
     if not runs:
@@ -442,23 +496,24 @@ def simulate_batch(runs) -> list[Trajectory]:
     for name, value in (
         ("t_step", lambda r: r.cfg.t_step),
         ("horizon", lambda r: r.cfg.horizon),
-        ("window_only", lambda r: bool(r.window_only)),
+        ("record", lambda r: r.record),
     ):
         if len({value(r) for r in runs}) > 1:
             raise ValueError(f"batch members disagree on {name}")
+    record = runs[0].record
+    if record not in RECORDS:
+        raise ValueError(f"record must be one of {RECORDS}, got {record!r}")
     labels = [f"member {b}: " if len(runs) > 1 else "" for b in range(len(runs))]
     members = [_member(run, label) for run, label in zip(runs, labels)]
     groups: dict[tuple, list[int]] = {}
     for b, mb in enumerate(members):
         groups.setdefault((mb.span > 1, mb.kq.ndim, mb.g_vals.shape[1]), []).append(b)
     cfg = runs[0].cfg
-    out: list[Trajectory] = [None] * len(runs)
+    out: list = [None] * len(runs)
     for group in groups.values():
-        trajs = _simulate_core(
-            [members[b] for b in group], cfg.t_step, cfg.horizon, bool(runs[0].window_only)
-        )
-        for b, traj in zip(group, trajs):
-            out[b] = traj if members[b].columns else traj.column(0)
+        results = _simulate_core([members[b] for b in group], cfg.t_step, cfg.horizon, record)
+        for b, result in zip(group, results):
+            out[b] = result if members[b].columns else result.column(0)
     return out
 
 
@@ -468,8 +523,8 @@ def simulate(
     cfg: SimConfig,
     g_values,
     q_mats=None,
-    window_only: bool = False,
-) -> Trajectory:
+    record: str = "full",
+) -> Trajectory | NodeMean:
     """Forward-Euler run of the coupled system with per-link lags
     m_ij = round(tau_ij / T_s); the one-member `simulate_batch`.
 
@@ -484,10 +539,13 @@ def simulate(
     a vector: xdot_i = g_i + K Q_i^{-1} sum_j a_ij (x_j(t - tau_ij) - x_i),
     with g_values of shape (n, L) and noise drawn as (n, L) per step.
 
-    window_only records only the final sync window, the last
-    cfg.sync_window(horizon + 1) samples, for callers that read nothing else.
+    record="full" keeps every sample. record="window" keeps only the final
+    sync window, the last cfg.sync_window(horizon + 1) samples, and
+    record="node_mean" returns a `NodeMean` of the per-step node means of the
+    derivatives; both keep a history whose size does not grow with the
+    horizon, for callers that read nothing else.
     """
-    return simulate_batch([SimRun(g, delays, cfg, g_values, q_mats, window_only)])[0]
+    return simulate_batch([SimRun(g, delays, cfg, g_values, q_mats, record)])[0]
 
 
 def detect_sync(
@@ -499,6 +557,7 @@ def detect_sync(
     Singleton groups count as clusters only for a one-node system; a cluster
     containing every node sets the global flag.
     """
+    _per_node(traj, "detect_sync")
     if not (tol > 0 and np.isfinite(tol)):
         raise ValueError(f"sync tolerance must be positive and finite, got {tol}")
     if window > len(traj.times):
@@ -557,6 +616,7 @@ def detect_sync_auto(
     traj: Trajectory, cfg: SimConfig, omega_scale: float
 ) -> SyncResult:
     """detect_sync with config-derived tolerance and window."""
+    _per_node(traj, "detect_sync")
     tol = cfg.sync_tol_rel * max(abs(omega_scale), 1e-12)
     window = cfg.sync_window(traj.first_step + len(traj.times))
     return detect_sync(traj, tol=tol, window=window)
@@ -564,6 +624,7 @@ def detect_sync_auto(
 
 def _strided(traj: Trajectory, downsample: int):
     """Every downsample-th sample of (times, states, derivatives), as views."""
+    _per_node(traj, "a trace writer")
     if downsample < 1:
         raise ValueError(f"downsample must be at least 1, got {downsample}")
     return (

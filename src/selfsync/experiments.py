@@ -12,7 +12,8 @@ from .netgen import DelayMatrix, NodeGeometry
 from .stats import consensus_function
 
 DOWNSAMPLE = 10  # iterations per aggregated Monte-Carlo sample
-# simulation record bytes that one Monte-Carlo batch of trials may hold
+# full simulation record bytes of one Monte-Carlo batch of trials; the trials
+# record node means only, so this bounds the batch size conservatively
 BATCH_RECORD_BYTES = 16 << 20
 
 
@@ -81,19 +82,20 @@ def _trial_inputs(cfg: dict, trial_seed: int):
 
 def _estimation_trials(cfg: dict, trial_seeds: list[int]) -> list[tuple]:
     """The trials' per-iteration traces, with every zero-delay pass run as
-    one batch and every delayed (g, 1) pass as another; each batch is reduced
-    to its node means and dropped before the next one runs."""
+    one batch and every delayed (g, 1) pass as another, each recording only
+    its node means."""
     inputs = [_trial_inputs(cfg, seed) for seed in trial_seeds]
     d_nodelay = [
-        traj.derivatives.mean(axis=1)
-        for traj in simulate_batch(
-            [(g, DelayMatrix.zero(g.n), sim, gvals) for g, _, sim, gvals, _ in inputs]
+        rec.mean
+        for rec in simulate_batch(
+            [(g, DelayMatrix.zero(g.n), sim, gvals, None, "node_mean")
+             for g, _, sim, gvals, _ in inputs]
         )
     ]
     d_delayed = [
-        (traj.column(0).derivatives.mean(axis=1), traj.column(1).derivatives.mean(axis=1))
-        for traj in simulate_batch(
-            [(g, delays, sim, np.column_stack([gvals, np.ones(g.n)]))
+        (rec.mean[:, 0], rec.mean[:, 1])
+        for rec in simulate_batch(
+            [(g, delays, sim, np.column_stack([gvals, np.ones(g.n)]), None, "node_mean")
              for g, delays, sim, gvals, _ in inputs]
         )
     ]
@@ -112,11 +114,12 @@ def run_estimation_trial(cfg: dict, trial_seed: int):
 
 def run_estimation_montecarlo(cfg: dict, trials: int):
     """Aggregate mean/std across trials of the per-iteration estimates; the
-    trials run in batches whose records fit in BATCH_RECORD_BYTES."""
+    trials run in batches whose full records would fit in BATCH_RECORD_BYTES."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     seed = int(cfg.get("seed", 0))
-    # a trial's delayed record: states and derivatives of 2 forcing columns
+    # a trial's full delayed record, states and derivatives of 2 forcing
+    # columns: a conservative bound since the trials record node means only
     record = 2 * 2 * 8 * int(cfg.get("n", 40)) * (int(cfg.get("horizon", 2000)) + 1)
     chunk = max(BATCH_RECORD_BYTES // record, 1)
     cents, series = [], {"nodelay": [], "delayed": [], "twostep": []}

@@ -141,12 +141,19 @@ def _consensus_values(
         return preds
     if mode != "simulate":
         raise ValueError(f"unknown protocol mode {mode!r}")
-    traj = simulate(g, delays, cfg, columns, window_only=True)
+    traj = simulate(g, delays, cfg, columns, record="window")
     values = []
     for col, omega in enumerate(preds):
-        sync = detect_sync_auto(traj.column(col), cfg, omega_scale=omega)
+        view = traj.column(col)
+        sync = detect_sync_auto(view, cfg, omega_scale=omega)
         if not sync.global_sync:
-            raise ProtocolError("simulation pass did not reach global synchronization")
+            d = view.derivatives[-sync.window :]
+            deviation = float(np.abs(d - d.mean(axis=0)).max())
+            raise ProtocolError(
+                "simulation pass did not reach global synchronization in column "
+                f"{col} of {len(preds)}: largest node deviation from its window mean "
+                f"{deviation:.3g} against tol {sync.tol:.3g} at horizon {cfg.horizon}"
+            )
         values.append(float(next(c.value for c in sync.clusters if len(c.nodes) == g.n)))
     return values
 

@@ -97,8 +97,10 @@ def rate_kappa_bound(
     if scc.connectivity_class is not Connectivity.SC:
         raise SpectralError("kappa bound is stated for SC digraphs only")
     g = gamma / np.abs(gamma).max()
-    dg = np.diag(g)
-    sym = 0.5 * (dg @ lap + lap.T @ dg)
+    # D_g L and L^T D_g as row and column scalings; adding +0.0 turns -0.0
+    # into +0.0, as the dense products give it
+    sym = 0.5 * (g[:, None] * lap + lap.T * g[None, :])
+    sym += 0.0
     lam = np.linalg.eigvalsh(sym)
     kappa = -float(lam[1])
     r = rate_no_delay(lap, scc) if no_delay_rate is None else no_delay_rate

@@ -1,6 +1,7 @@
 """Command-line driver: generation, runs, Monte-Carlo, exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -334,6 +335,19 @@ def test_run_gamma_protocol_mode(demo_scenarios, tmp_path):
     assert code == EXIT_OK
     report = json.loads((out / "report.json").read_text())
     assert len(report["unbias"]["gamma_tilde"]) == 14
+
+
+def test_run_gamma_protocol_without_sync_says_why(demo_scenarios, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run", str(demo_scenarios / "qsc"), "--mode", "gamma_protocol",
+                 "--horizon", "500", "--out-dir", str(out)])
+    assert code == EXIT_NO_SYNC
+    err = capsys.readouterr().err
+    assert re.search(
+        r"^error: simulation pass did not reach global synchronization in column \d+ of 7: "
+        r"largest node deviation from its window mean \S+ against tol \S+ at horizon 500$",
+        err.strip(),
+    )
 
 
 def test_run_reports_identical_modulo_timestamp(demo_scenarios, tmp_path):

@@ -1,6 +1,7 @@
 """Discrete-time integrator and synchronization detection."""
 
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from selfsync import dde_sim
 from selfsync.dde_sim import (
     DelayMatrix,
     InitialCondition,
+    NodeMean,
     SimConfig,
     SimulationError,
     Trajectory,
@@ -27,6 +29,10 @@ from selfsync.digraph import new_digraph
 
 def two_node():
     return new_digraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+# the record of a run parametrized by a window-only flag
+RECORD = {False: "full", True: "window"}
 
 
 def ring3(weight=1.0):
@@ -499,7 +505,7 @@ def test_ring_divergence_with_block_steps_reported_at_dense_step(lags, window_on
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dde_sim, "_CHUNK", 50)  # checked only before each compaction
         with pytest.raises(SimulationError) as got:
-            simulate(g, DelayMatrix(tau=m * 1.0), cfg, gv, window_only=window_only)
+            simulate(g, DelayMatrix(tau=m * 1.0), cfg, gv, record=RECORD[window_only])
     assert "non-finite state at step" in str(ref.value)
     assert str(got.value) == str(ref.value)
 
@@ -629,7 +635,7 @@ def assert_columns_and_tail_bit_exact(n, cols, w, lags, rng, noise_std, chunk):
     # a short chunk makes the history buffer compact many times per run
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dde_sim, "_CHUNK", chunk)
-        tail = simulate(g, delays, cfg, forcing, window_only=True)
+        tail = simulate(g, delays, cfg, forcing, record="window")
     keep = min(cfg.sync_window(cfg.horizon + 1), cfg.horizon + 1)
     assert tail.first_step == cfg.horizon + 1 - keep
     assert tail.times.tobytes() == full.times[-keep:].tobytes()
@@ -652,7 +658,7 @@ def test_window_only_record_over_several_default_chunks():
     delays = DelayMatrix(tau=np.array([[0.0, 0.0, 0.03], [0.01, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     forcing = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 0.0]])
     full = simulate(g, delays, cfg, forcing)
-    tail = simulate(g, delays, cfg, forcing, window_only=True)
+    tail = simulate(g, delays, cfg, forcing, record="window")
     assert cfg.horizon > 3 * dde_sim._CHUNK
     assert tail.derivatives.shape == (175, 3, 2)
     assert tail.states.tobytes() == full.states[-175:].tobytes()
@@ -730,7 +736,7 @@ def batch_cases(draw):
     rng = np.random.default_rng(seed)
     t_step = 2.0**-7
     horizon = int(rng.integers(1, 120))
-    window_only = draw(st.booleans())
+    record = draw(st.sampled_from(["full", "window"]))
     vector_dim = int(rng.integers(1, 4))
     runs = []
     for _ in range(draw(st.integers(min_value=1, max_value=6))):
@@ -755,12 +761,12 @@ def batch_cases(draw):
         if kind == 0:
             a = rng.normal(size=(n, vector_dim, vector_dim))
             q = a @ a.transpose(0, 2, 1) + 0.5 * np.eye(vector_dim)
-            runs.append((g, delays, cfg, rng.normal(size=(n, vector_dim)), q, window_only))
+            runs.append((g, delays, cfg, rng.normal(size=(n, vector_dim)), q, record))
         elif kind == 1:
-            runs.append((g, delays, cfg, rng.normal(size=n), None, window_only))
+            runs.append((g, delays, cfg, rng.normal(size=n), None, record))
         else:
             cols = int(rng.integers(1, 4))
-            runs.append((g, delays, cfg, rng.normal(size=(n, cols)), None, window_only))
+            runs.append((g, delays, cfg, rng.normal(size=(n, cols)), None, record))
     return runs
 
 
@@ -769,13 +775,102 @@ def batch_cases(draw):
 def test_batch_equals_solo_runs_bit_for_bit(runs):
     batch = simulate_batch(runs)
     assert len(batch) == len(runs)
-    for (g, delays, cfg, gv, q, window_only), got in zip(runs, batch):
-        solo = simulate(g, delays, cfg, gv, q_mats=q, window_only=window_only)
+    for (g, delays, cfg, gv, q, record), got in zip(runs, batch):
+        solo = simulate(g, delays, cfg, gv, q_mats=q, record=record)
         assert got.first_step == solo.first_step
         for name in ("times", "states", "derivatives"):
             a, b = getattr(got, name), getattr(solo, name)
             assert a.shape == b.shape and a.dtype == b.dtype
             assert np.ascontiguousarray(a).tobytes() == b.tobytes()
+
+
+def record_bytes(rec):
+    """Every field of a record, as (name, shape, dtype, bytes)."""
+    if isinstance(rec, NodeMean):
+        fields = {"times": rec.times, "mean": rec.mean}
+    else:
+        fields = {"times": rec.times, "states": rec.states, "derivatives": rec.derivatives,
+                  "first_step": np.asarray(rec.first_step)}
+    return [(name, a.shape, a.dtype, a.tobytes()) for name, a in fields.items()]
+
+
+@given(batch_cases(), st.integers(min_value=1, max_value=30))
+@settings(max_examples=80, deadline=None)
+def test_records_equal_slices_of_the_full_record(runs, chunk):
+    """With the compaction chunk patched to `chunk`, a "window" record is the
+    full record's tail and a "node_mean" record holds its per-column node
+    means, byte for byte; each kind's batch equals its solo runs."""
+    runs = [dde_sim.SimRun(*run[:5]) for run in runs]
+    full = simulate_batch(runs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dde_sim, "_CHUNK", chunk)
+        for record in ("window", "node_mean"):
+            members = [run._replace(record=record) for run in runs]
+            for run, got, ref in zip(members, simulate_batch(members), full):
+                assert record_bytes(got) == record_bytes(simulate(*run))
+                if record == "window":
+                    keep = min(run.cfg.sync_window(run.cfg.horizon + 1), run.cfg.horizon + 1)
+                    assert got.first_step == run.cfg.horizon + 1 - keep
+                    for name in ("times", "states", "derivatives"):
+                        want = getattr(ref, name)[-keep:]
+                        assert getattr(got, name).tobytes() == want.tobytes()
+                    continue
+                assert got.times.tobytes() == ref.times.tobytes()
+                if np.ndim(run.g_values) == 1:
+                    assert got.mean.shape == (run.cfg.horizon + 1,)
+                    assert got.mean.tobytes() == ref.derivatives.mean(axis=1).tobytes()
+                    continue
+                assert got.mean.shape == (run.cfg.horizon + 1, ref.derivatives.shape[2])
+                for col in range(got.mean.shape[1]):
+                    want = ref.column(col).derivatives.mean(axis=1)
+                    assert got.column(col).mean.tobytes() == want.tobytes()
+
+
+def traced_peak(g, delays, cfg, gv, record):
+    tracemalloc.start()
+    try:
+        simulate(g, delays, cfg, gv, record=record)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_node_mean_memory_does_not_grow_with_the_horizon():
+    # a 200-node ring whose links lag 100 steps: a full record takes
+    # 2 * (101 + horizon) * 200 * 8 bytes, 64 MB at horizon 20000
+    n = 200
+    w = np.zeros((n, n))
+    w[np.arange(n), np.arange(n) - 1] = 1.0
+    g, delays = new_digraph(w), DelayMatrix.uniform(n, 0.1)
+    gv = np.linspace(0.5, 1.5, n)
+    cfg = SimConfig(t_step=1e-3, k_gain=20.0, horizon=2000)
+    short = traced_peak(g, delays, cfg, gv, "node_mean")
+    long = traced_peak(g, delays, replace(cfg, horizon=20000), gv, "node_mean")
+    assert long <= 1.25 * short
+    full = traced_peak(g, delays, cfg, gv, "full")
+    assert full >= 2 * (101 + 2000) * n * 8
+    assert traced_peak(g, delays, replace(cfg, horizon=4000), gv, "full") >= 1.5 * full
+
+
+def test_node_mean_record_is_not_a_trajectory(tmp_path):
+    g = ring3()
+    cfg = SimConfig(horizon=50)
+    rec = simulate(g, DelayMatrix.zero(3), cfg, np.ones(3), record="node_mean")
+    assert isinstance(rec, NodeMean) and rec.mean.shape == (51,)
+    message = "needs a per-node Trajectory, got a node-mean record"
+    with pytest.raises(TypeError, match=message):
+        detect_sync(rec, tol=1e-3, window=10)
+    with pytest.raises(TypeError, match=message):
+        detect_sync_auto(rec, cfg, omega_scale=1.0)
+    with pytest.raises(TypeError, match=message):
+        trajectory_to_npz(rec, tmp_path / "t.npz")
+    with pytest.raises(TypeError, match=message):
+        trajectory_to_csv(rec, tmp_path / "t.csv")
+
+
+def test_record_must_be_a_known_kind():
+    with pytest.raises(ValueError, match="record must be one of"):
+        simulate(ring3(), DelayMatrix.zero(3), SimConfig(horizon=5), np.ones(3), record="tail")
 
 
 def test_batch_of_nothing_is_empty():
@@ -812,10 +907,10 @@ def test_batch_reports_a_diverging_member_at_its_solo_step(lag, window_only):
     calm = (ring3(), DelayMatrix.uniform(3, float(lag)),
             SimConfig(t_step=1.0, k_gain=0.2, horizon=5000), np.ones(3))
     with pytest.raises(SimulationError) as solo:
-        simulate(*diverging, window_only=window_only)
+        simulate(*diverging, record=RECORD[window_only])
     assert str(solo.value).startswith("non-finite state at step")
     with pytest.raises(SimulationError) as got:
-        simulate_batch([run + (None, window_only) for run in (calm, diverging, calm)])
+        simulate_batch([run + (None, RECORD[window_only]) for run in (calm, diverging, calm)])
     assert str(got.value) == f"member 1: {solo.value}"
 
 
@@ -824,7 +919,7 @@ def test_batch_reports_a_diverging_member_at_its_solo_step(lag, window_only):
     [
         ("t_step", lambda run: run._replace(cfg=replace(run.cfg, t_step=2e-3))),
         ("horizon", lambda run: run._replace(cfg=replace(run.cfg, horizon=51))),
-        ("window_only", lambda run: run._replace(window_only=True)),
+        ("record", lambda run: run._replace(record="window")),
     ],
 )
 def test_batch_members_must_share_step_horizon_and_window(field, change):

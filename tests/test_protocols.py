@@ -1,5 +1,6 @@
 """Consensus prediction, bias-removal protocols, and intercepts."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -451,6 +452,35 @@ def test_protocol_columns_equal_one_run_per_pass(noise_std, tol_rel):
     )
     assert (pred.omega_y, pred.omega_one, pred.ratio) == (omega_y, omega_one, ratio)
     assert pred.gamma_tilde.tobytes() == gamma_tilde.tobytes()
+
+
+def test_protocol_failure_names_column_deviation_tol_and_horizon():
+    # the c = 1 estimation pass of the gamma protocol on the QSC demo graph:
+    # columns (1, e_i for the 6 root nodes), far from synchronized at 500 steps
+    g = topologies.qsc_three_scc_14()
+    delays = DelayMatrix.uniform(14, 0.05)
+    cfg = SimConfig(t_step=1e-3, k_gain=30.0, horizon=500)
+    with pytest.raises(ProtocolError) as err:
+        gamma_estimation_protocol(g, delays, cfg, np.linspace(0.8, 1.2, 14), mode="simulate")
+    message = str(err.value)
+    assert message.startswith("simulation pass did not reach global synchronization in column ")
+    col, cols = map(int, re.search(r"in column (\d+) of (\d+):", message).groups())
+    assert cols == 7
+    # the failing column's own full run, detected as the protocol detects it
+    columns = np.zeros((14, 7))
+    columns[:, 0] = 1.0
+    columns[range(6), range(1, 7)] = 1.0
+    omega = predict_consensus(g, delays, cfg, columns[:, col], quantize_delays=True).omega_star
+    traj = simulate(g, delays, cfg, columns[:, col])
+    sync = detect_sync_auto(traj, cfg, omega_scale=omega)
+    assert not sync.global_sync
+    d = traj.derivatives[-sync.window :]
+    deviation = np.abs(d - d.mean(axis=0)).max()
+    assert deviation > sync.tol
+    assert message.endswith(
+        f": largest node deviation from its window mean {deviation:.3g} "
+        f"against tol {sync.tol:.3g} at horizon 500"
+    )
 
 
 def test_protocol_column_without_sync_raises():

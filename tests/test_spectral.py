@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfsync import spectral, topologies
+from selfsync import experiments, spectral, topologies
 from selfsync.dde_sim import DelayMatrix, SimConfig, detect_sync_auto, simulate
 from selfsync.digraph import laplacian, new_digraph, scc_decompose
 from selfsync.spectral import (
@@ -177,6 +177,29 @@ def test_kappa_bound_ordering_on_random_sc(rng):
         assert rate_kappa_bound(lap, scc, gamma, r) == kappa
         with pytest.raises(SpectralError, match="rate bound violated"):
             rate_kappa_bound(lap, scc, gamma, no_delay_rate=0.5 * kappa)
+
+
+def test_kappa_matrix_equals_the_dense_products_byte_for_byte(rng, monkeypatch):
+    # the scaled Laplacians of the demo, of random SC graphs with non-uniform
+    # c and of a run-n300-style netgen graph, with the gamma * c that run uses
+    cases = [(topologies.sc_14(), np.ones(14))]
+    cases += [(g, rng.uniform(0.5, 2.0, g.n))
+              for g in (topologies.random_sc(int(rng.integers(3, 30)), rng) for _ in range(10))]
+    _, g300, _ = experiments.random_network(
+        {"n": 300, "d_side": 7.75, "tau_max": 0.05, "threshold": 0.5}, 301)
+    cases.append((g300, rng.uniform(0.5, 1.5, 300)))
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.copy()) or eigvalsh(a))
+    for g, c in cases:
+        lap = (5.0 / c)[:, None] * laplacian(g)
+        scc = scc_decompose(g)
+        gamma = gamma_left_eigenvector(laplacian(g), scc) * c
+        kappa = rate_kappa_bound(lap, scc, gamma)
+        dg = np.diag(gamma / np.abs(gamma).max())
+        dense = 0.5 * (dg @ lap + lap.T @ dg)
+        assert seen.pop().tobytes() == dense.tobytes()
+        assert kappa == -float(eigvalsh(dense)[1])
 
 
 def test_kappa_bound_sc_only():
