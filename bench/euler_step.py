@@ -32,8 +32,13 @@ it) from its JSON files into a ``SensorDigraph`` and a ``DelayMatrix``, the
 set-up of ``selfsync run`` and ``inspect``. ``montecarlo``: seconds of one
 ``experiments.run_estimation_montecarlo`` with the mc-n40 configuration (n =
 40, horizon 2000, clean and with coupling noise 0.1) over 2 and 10 trials,
-and ``peak_mb``, the ``tracemalloc`` peak in MB of one clean call, taken
-after and outside the timed calls.
+each timed twice: with the script's process pinned to one CPU (``cpus=1``,
+where ``simulate_batch`` runs every step group in process) and on every usable
+CPU (where its step groups may run in forked lanes); the affinity is restored
+after each row. ``peak_mb`` is the ``tracemalloc`` peak in MB of one clean
+call, taken after and outside the timed calls; it does not see the memory of
+a forked lane, so ``child_maxrss_mb`` gives the largest RSS in MB of any
+child the script has reaped so far (``RUSAGE_CHILDREN``; 0 when none forked).
 
 selfsync is imported from ``--src`` (default: this checkout's ``src/``), so one
 copy of the script can time two versions of the library on the same machine.
@@ -50,6 +55,7 @@ import io
 import json
 import os
 import platform
+import resource
 import sys
 import tempfile
 import time
@@ -249,16 +255,32 @@ def load_row(selfsync, n: int, seed: int) -> dict:
                 **timed(("load_ms", 1e3, lambda: cli._load_scenario(scen)))}
 
 
-def montecarlo_row(selfsync, trials: int, seed: int) -> dict:
+@contextlib.contextmanager
+def pinned(cpus: int):
+    """This process restricted to the first ``cpus`` of its usable CPUs."""
+    usable = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, sorted(usable)[:cpus])
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, usable)
+
+
+def montecarlo_row(selfsync, trials: int, seed: int, cpus: int) -> dict:
     from selfsync import experiments
 
     cfg = {"n": MC_N, "horizon": MC_HORIZON, "seed": seed, **MC_CONFIG}
     noisy = {**cfg, "noise_std": MC_NOISE}
-    return {"n": MC_N, "horizon": MC_HORIZON, "trials": trials,
-            **timed(("clean_s", 1.0, lambda: experiments.run_estimation_montecarlo(cfg, trials)),
-                    ("noisy_s", 1.0, lambda: experiments.run_estimation_montecarlo(noisy,
-                                                                                   trials))),
-            "peak_mb": traced_peak_mb(lambda: experiments.run_estimation_montecarlo(cfg, trials))}
+    with pinned(cpus):
+        row = {"n": MC_N, "horizon": MC_HORIZON, "trials": trials, "cpus": cpus,
+               **timed(("clean_s", 1.0, lambda: experiments.run_estimation_montecarlo(cfg,
+                                                                                      trials)),
+                       ("noisy_s", 1.0, lambda: experiments.run_estimation_montecarlo(noisy,
+                                                                                      trials))),
+               "peak_mb": traced_peak_mb(lambda: experiments.run_estimation_montecarlo(cfg,
+                                                                                       trials))}
+    child_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    return {**row, "child_maxrss_mb": child_kb / 1024}
 
 
 def show(section: str, rows: list[dict]) -> list[dict]:
@@ -287,7 +309,8 @@ def main(argv=None) -> int:
         "quick": args.quick,
         "seed": seed,
         "repeats": REPEATS,
-        "machine": {"cpu_count": os.cpu_count(), "numpy": np.__version__,
+        "machine": {"cpu_count": os.cpu_count(), "usable_cpus": len(os.sched_getaffinity(0)),
+                    "numpy": np.__version__,
                     "python": platform.python_version()},
         "sizes": show("sizes", [size_row(selfsync, n, horizon, seed) for n in SIZES]),
         "columns": show("columns", column_rows(selfsync, horizon, seed)),
@@ -301,8 +324,9 @@ def main(argv=None) -> int:
         "channel": show("channel", [channel_row(selfsync, n, seed) for n in (40, 300)]),
         "structure": show("structure", [structure_row(selfsync, n, seed) for n in (300, 1000)]),
         "load": show("load", [load_row(selfsync, 300, seed)]),
-        "montecarlo": show("montecarlo", [montecarlo_row(selfsync, trials, seed)
-                                          for trials in MC_TRIALS]),
+        "montecarlo": show("montecarlo", [
+            montecarlo_row(selfsync, trials, seed, cpus)
+            for cpus in sorted({1, len(os.sched_getaffinity(0))}) for trials in MC_TRIALS]),
     }
     result["wall_s"] = round(time.perf_counter() - start, 2)
     if args.out:

@@ -109,6 +109,8 @@ def cmd_gen(args) -> int:
     if args.seed is not None:
         cfg["seed"] = args.seed
     out = Path(args.out_dir)
+    if "horizon" in cfg:  # copied to scenario.json, where run reads it
+        experiments.config_int(cfg, "horizon")
     if cfg.get("topology") == "demo14":
         paths = _gen_demo14(cfg, out)
     else:
@@ -140,7 +142,8 @@ def _sim_config(sc: dict, args) -> SimConfig:
         t_step=float(sc.get("t_step", 1e-3)),
         k_gain=float(sc.get("k_gain", 1.0)),
         c_weights=np.asarray(sc.get("c_weights", 1.0), dtype=float),
-        horizon=int(args.horizon if args.horizon is not None else sc.get("horizon", 5000)),
+        horizon=(args.horizon if args.horizon is not None
+                 else experiments.config_int(sc, "horizon", 5000)),
         noise_std=float(sc.get("noise_std", 0.0)),
         rng_seed=int(args.seed if args.seed is not None else sc.get("seed", 0)),
     )

@@ -3,6 +3,11 @@ synchronization detection on the derivative trajectories."""
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+import os
+import pickle
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -170,6 +175,11 @@ _BLOCK_ENTRIES = 1 << 16
 _CHECK_EVERY = 64
 # steps of coupling noise drawn per generator call
 _NOISE_STEPS = 64
+# estimated serial work of a batch, in gathered entries and node updates over
+# all steps, above which its step groups run in lanes: lanes took the mc-n40
+# warm-up (one trial at n = 40 over 200 steps, about 1e6) from 12 to 21 ms,
+# while an mc-n40 op (2 trials over 2000 steps, about 2e7) gains about 30 ms
+_LANE_WORK = 4_000_000
 
 
 # what a run records: every sample, the final sync window, or the node means
@@ -479,6 +489,96 @@ def _simulate_core(
     ]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 without os.fork or os.sched_getaffinity."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _outcomes(run, groups: list, lane: list[int]) -> dict:
+    """{k: (results, None)} or {k: (None, error)} for each step group k of a lane."""
+    out = {}
+    for k in lane:
+        try:
+            out[k] = (run(groups[k]), None)
+        except Exception as exc:  # handed to the caller, who raises it in serial order
+            out[k] = (None, exc)
+    return out
+
+
+def _current_cpu() -> int | None:
+    """The CPU this thread last ran on (field 39 of its stat), or None."""
+    try:
+        with open("/proc/thread-self/stat") as fh:
+            return int(fh.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _lane_child(run, groups: list, lane: list[int], cpu: int, w: int) -> None:
+    """Body of a forked lane on `cpu`: pickle the lane's outcomes into the pipe
+    w and leave by os._exit, without returning into the caller's stack."""
+    code = 1
+    try:
+        # a kernel that does not balance load (a cpuset with sched_load_balance
+        # 0) would keep the child on its parent's CPU
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, {cpu})
+        data = pickle.dumps(_outcomes(run, groups, lane), pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_lanes(run, groups: list, work: list[int], count: int) -> dict:
+    """The outcomes of every step group, dealt heaviest first to `count` lanes.
+    The caller runs the heaviest lane itself and each other lane runs in a
+    forked child, which sends its outcomes back through a pipe; every child is
+    reaped before this returns or raises. A lane whose fork fails runs here."""
+    lanes: list[list[int]] = [[] for _ in range(count)]
+    load = [0] * count
+    for k in sorted(range(len(groups)), key=lambda k: -work[k]):
+        i = load.index(min(load))
+        lanes[i].append(k)
+        load[i] += work[k]
+    own, *others = sorted(lanes, key=lambda lane: -sum(work[k] for k in lane))
+    usable = sorted(os.sched_getaffinity(0))
+    here = _current_cpu()
+    cpus = itertools.cycle([cpu for cpu in usable if cpu != here] or usable)
+    children, sent, outcomes = [], [], {}
+    try:
+        for lane, cpu in zip(others, cpus):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                own = own + lane
+                continue
+            if pid == 0:
+                _lane_child(run, groups, lane, cpu, w)
+            os.close(w)
+            children.append((pid, r))
+        outcomes.update(_outcomes(run, groups, own))
+    finally:
+        for pid, r in children:
+            with os.fdopen(r, "rb") as fh:
+                data = fh.read()
+            sent.append((pid, data, os.waitpid(pid, 0)[1]))
+    for pid, data, status in sent:
+        if not data:
+            raise RuntimeError(
+                f"simulation lane process {pid} ended with wait status {status} "
+                "before sending its results"
+            )
+        outcomes.update(pickle.loads(data))
+    return outcomes
+
+
 def simulate_batch(runs) -> list[Trajectory] | list[NodeMean]:
     """Independent runs, each result equal bit for bit to its `simulate` call.
 
@@ -486,9 +586,21 @@ def simulate_batch(runs) -> list[Trajectory] | list[NodeMean]:
     record]]). Members must share cfg.t_step, cfg.horizon and record; each
     keeps its own c, K, init, noise_std and rng_seed. Members that share the
     column count L, the gain kind and the step arithmetic (s = 1, or s > 1)
-    run as one disjoint union. Every member passes the step-size guard
-    before any step; in a batch of more than one, an error names the member
-    by its index in `runs`.
+    run as one disjoint union, a step group. Every member passes the
+    step-size guard before any step; in a batch of more than one, an error
+    names the member by its index in `runs`.
+
+    Step groups run side by side in lanes when the batch has more than one
+    group, its estimated serial work (gathered entries and node updates over
+    all steps) is above _LANE_WORK, os.fork and os.sched_getaffinity exist
+    (Linux), more than one CPU is usable and no other Python thread is alive.
+    The groups are dealt heaviest first to at most one lane per usable CPU;
+    this process runs the heaviest lane and each other lane runs in a forked
+    child that sends its results back pickled. The results, the errors and
+    their order are those of the in-process run: on failure the error of the
+    first failing group in serial order is raised, after every child has been
+    reaped. A child's memory is not in this process's RSS, nor seen by
+    tracemalloc; ``taskset`` restricts the lanes to the CPUs it allows.
     """
     runs = [SimRun(*run) for run in runs]
     if not runs:
@@ -505,13 +617,34 @@ def simulate_batch(runs) -> list[Trajectory] | list[NodeMean]:
         raise ValueError(f"record must be one of {RECORDS}, got {record!r}")
     labels = [f"member {b}: " if len(runs) > 1 else "" for b in range(len(runs))]
     members = [_member(run, label) for run, label in zip(runs, labels)]
-    groups: dict[tuple, list[int]] = {}
+    keyed: dict[tuple, list[int]] = {}
     for b, mb in enumerate(members):
-        groups.setdefault((mb.span > 1, mb.kq.ndim, mb.g_vals.shape[1]), []).append(b)
+        keyed.setdefault((mb.span > 1, mb.kq.ndim, mb.g_vals.shape[1]), []).append(b)
+    groups = list(keyed.values())
     cfg = runs[0].cfg
+
+    def run(group: list[int]) -> list:
+        return _simulate_core([members[b] for b in group], cfg.t_step, cfg.horizon, record)
+
+    work = [
+        (cfg.horizon + 1)
+        * sum((members[b].dst.size + len(members[b].indeg)) * members[b].g_vals.shape[1]
+              for b in group)
+        for group in groups
+    ]
+    outcomes = None
+    if len(groups) > 1 and sum(work) > _LANE_WORK and threading.active_count() == 1:
+        count = min(len(groups), _usable_cpus())
+        if count > 1:
+            outcomes = _run_lanes(run, groups, work, count)
     out: list = [None] * len(runs)
-    for group in groups.values():
-        results = _simulate_core([members[b] for b in group], cfg.t_step, cfg.horizon, record)
+    for k, group in enumerate(groups):
+        if outcomes is None:
+            results = run(group)
+        else:
+            results, error = outcomes[k]
+            if error is not None:
+                raise error
         for b, result in zip(group, results):
             out[b] = result if members[b].columns else result.column(0)
     return out

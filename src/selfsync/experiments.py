@@ -17,13 +17,24 @@ DOWNSAMPLE = 10  # iterations per aggregated Monte-Carlo sample
 BATCH_RECORD_BYTES = 16 << 20
 
 
+def config_int(cfg: dict, key: str, default: int | None = None) -> int:
+    """cfg[key], or the default, as an int; ValueError naming the key unless
+    it is a whole number of at least 1."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        float(value).is_integer() and value >= 1
+    ):
+        raise ValueError(f"{key} must be a whole number of at least 1, got {value!r}")
+    return int(value)
+
+
 def random_network(
     cfg: dict, seed: int
 ) -> tuple[NodeGeometry, SensorDigraph, DelayMatrix]:
     """Nodes placed uniformly on a square, with uniform or geometry-induced
     delays (tau_max, when given, is the delay of the most distant node pair)
     and Rayleigh or path-loss links, pruned below the threshold."""
-    n = int(cfg["n"])
+    n = config_int(cfg, "n")
     geom = netgen.place_nodes(
         n,
         float(cfg.get("d_side", 1.0)),
@@ -73,7 +84,7 @@ def _trial_inputs(cfg: dict, trial_seed: int):
         t_step=t_step,
         k_gain=float(cfg.get("k_gain", 30.0)),
         c_weights=c,
-        horizon=int(cfg.get("horizon", 2000)),
+        horizon=config_int(cfg, "horizon", 2000),
         noise_std=float(cfg.get("noise_std", 0.0)),
         rng_seed=trial_seed + 3,
     )
@@ -81,24 +92,19 @@ def _trial_inputs(cfg: dict, trial_seed: int):
 
 
 def _estimation_trials(cfg: dict, trial_seeds: list[int]) -> list[tuple]:
-    """The trials' per-iteration traces, with every zero-delay pass run as
-    one batch and every delayed (g, 1) pass as another, each recording only
-    its node means."""
+    """The trials' per-iteration traces from one batch call: every zero-delay
+    pass, then every delayed (g, 1) pass, each recording only its node means.
+    The two kinds fall into separate step groups, which run side by side in
+    lanes when `simulate_batch`'s conditions hold."""
     inputs = [_trial_inputs(cfg, seed) for seed in trial_seeds]
-    d_nodelay = [
-        rec.mean
-        for rec in simulate_batch(
-            [(g, DelayMatrix.zero(g.n), sim, gvals, None, "node_mean")
-             for g, _, sim, gvals, _ in inputs]
-        )
-    ]
-    d_delayed = [
-        (rec.mean[:, 0], rec.mean[:, 1])
-        for rec in simulate_batch(
-            [(g, delays, sim, np.column_stack([gvals, np.ones(g.n)]), None, "node_mean")
-             for g, delays, sim, gvals, _ in inputs]
-        )
-    ]
+    records = simulate_batch(
+        [(g, DelayMatrix.zero(g.n), sim, gvals, None, "node_mean")
+         for g, _, sim, gvals, _ in inputs]
+        + [(g, delays, sim, np.column_stack([gvals, np.ones(g.n)]), None, "node_mean")
+           for g, delays, sim, gvals, _ in inputs]
+    )
+    d_nodelay = [rec.mean for rec in records[: len(inputs)]]
+    d_delayed = [(rec.mean[:, 0], rec.mean[:, 1]) for rec in records[len(inputs) :]]
     out = []
     for (*_, centralized), nodelay, (delayed, unit) in zip(inputs, d_nodelay, d_delayed):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -120,7 +126,7 @@ def run_estimation_montecarlo(cfg: dict, trials: int):
     seed = int(cfg.get("seed", 0))
     # a trial's full delayed record, states and derivatives of 2 forcing
     # columns: a conservative bound since the trials record node means only
-    record = 2 * 2 * 8 * int(cfg.get("n", 40)) * (int(cfg.get("horizon", 2000)) + 1)
+    record = 2 * 2 * 8 * config_int(cfg, "n", 40) * (config_int(cfg, "horizon", 2000) + 1)
     chunk = max(BATCH_RECORD_BYTES // record, 1)
     cents, series = [], {"nodelay": [], "delayed": [], "twostep": []}
     for lo in range(0, trials, chunk):

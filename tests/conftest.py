@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
+
 import numpy as np
 import pytest
 
+from selfsync import dde_sim
 from selfsync.digraph import Connectivity
 
 
@@ -58,6 +62,30 @@ def left_null_space_oracle(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     if null_count == 0:
         return np.empty((0, mat.shape[0]))
     return vt[-null_count:]
+
+
+@contextlib.contextmanager
+def lanes(cpus: int = 2, work: int = 0, fork=None):
+    """simulate_batch as on a host with `cpus` usable CPUs and a lane
+    threshold of `work`; yields the list of os.fork calls, made by `fork`
+    (default: the real os.fork)."""
+    forks: list[int] = []
+    fork = fork or os.fork
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dde_sim, "_usable_cpus", lambda: cpus)
+        mp.setattr(dde_sim, "_LANE_WORK", work)
+        mp.setattr(os, "fork", lambda: forks.append(1) or fork())
+        yield forks
+
+
+def refuse_fork():
+    raise AssertionError("os.fork called")
+
+
+def assert_no_children() -> None:
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

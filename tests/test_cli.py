@@ -1,12 +1,14 @@
 """Command-line driver: generation, runs, Monte-Carlo, exit codes."""
 
 import json
+import os
 import re
 
 import numpy as np
 import pytest
 
-from selfsync import cli, digraph, experiments, netgen, protocols, spectral, stats
+from conftest import assert_no_children, lanes, refuse_fork
+from selfsync import cli, dde_sim, digraph, experiments, netgen, protocols, spectral, stats
 from selfsync.cli import (
     EXIT_BAD_CONFIG,
     EXIT_NO_SYNC,
@@ -126,6 +128,22 @@ def test_gen_rejects_zero_nodes(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json", {"n": 0, "seed": 1})
     assert main(["gen", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_BAD_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("n", 2.5), ("horizon", 2.5), ("n", True)])
+def test_gen_rejects_a_fractional_count(tmp_path, capsys, key, value):
+    cfg = write_json(tmp_path / "cfg.json", {"n": 4, "seed": 1, "horizon": 100, key: value})
+    assert main(["gen", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_BAD_CONFIG
+    assert f"config error: {key} must be a whole number" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "scenario.json").exists()
+
+
+def test_run_rejects_a_fractional_scenario_horizon(demo_scenarios, tmp_path, capsys):
+    path = demo_scenarios / "sc" / "scenario.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "horizon": 2.5}))
+    code = main(["run", str(demo_scenarios / "sc"), "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_BAD_CONFIG
+    assert "config error: horizon must be a whole number" in capsys.readouterr().err
 
 
 def test_gen_rejects_malformed_json(tmp_path, capsys):
@@ -427,6 +445,35 @@ def test_montecarlo_nan_literal_exits_bad_config(tmp_path, capsys, key):
     assert not (tmp_path / "x" / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value", [("n", 0), ("horizon", -1), ("horizon", 0), ("n", 2.5), ("horizon", 800.5)]
+)
+def test_montecarlo_rejects_a_count_below_one_or_fractional(tmp_path, capsys, key, value):
+    cfg = mc_config(tmp_path, **{key: value})
+    code = main(["montecarlo", cfg, "--trials", "2", "--out-dir", str(tmp_path / "x")])
+    assert code == EXIT_BAD_CONFIG
+    assert f"config error: {key} must be a whole number of at least 1, got {value!r}" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "x" / "summary.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_montecarlo_divergence_in_a_child_lane_exits_numerical(tmp_path, capsys):
+    # the states overflow: the zero-delay passes, the lighter step group and
+    # the first in serial order, fail in the forked lane
+    cfg = mc_config(tmp_path, xi=1e308, horizon=1000)
+    errs = []
+    for cpus in (1, 2):
+        with lanes(cpus=cpus) as forks:
+            code = main(["montecarlo", cfg, "--trials", "3", "--out-dir", str(tmp_path / "x")])
+        assert code == EXIT_NUMERICAL and len(forks) == cpus - 1
+        errs.append(capsys.readouterr().err)
+    assert errs[0].startswith("numerical error: member 0: non-finite state at step ")
+    assert errs[1] == errs[0]
+    assert_no_children()
+
+
 def test_montecarlo_rejects_zero_trials(tmp_path):
     cfg = mc_config(tmp_path)
     code = main(["montecarlo", cfg, "--trials", "0", "--out-dir", str(tmp_path / "x")])
@@ -683,6 +730,33 @@ def test_montecarlo_batches_bounded_by_record_bytes(monkeypatch):
     assert batches == [7, 3, 3, 1]
     assert whole[1] == split[1]
     assert all(whole[0][key].tobytes() == split[0][key].tobytes() for key in whole[0])
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 0.1])
+def test_montecarlo_with_lanes_equals_the_in_process_run(noise_std):
+    cfg = {**MC_N40, "n": 12, "horizon": 300, "noise_std": noise_std}
+    with lanes(cpus=1) as forks:
+        want = experiments.run_estimation_montecarlo(cfg, 5)
+    assert forks == []
+    with lanes() as forks:
+        got = experiments.run_estimation_montecarlo(cfg, 5)
+    assert len(forks) == 1  # one batch of 5 trials, two step groups
+    assert_no_children()
+    assert got[1] == want[1]
+    assert got[0].keys() == want[0].keys()
+    assert all(got[0][key].tobytes() == want[0][key].tobytes() for key in want[0])
+
+
+def test_single_member_calls_and_the_warm_up_never_fork(monkeypatch, demo_scenarios):
+    # lanes are open on this host, but a one-member call has one step group
+    # and the mc-n40 warm-up (1 trial, horizon 200) is below _LANE_WORK
+    monkeypatch.setattr(dde_sim, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    experiments.run_estimation_montecarlo({**MC_N40, "horizon": 200}, 1)
+    g, delays, _ = cli._load_scenario(demo_scenarios / "sc")
+    cfg = SimConfig(k_gain=30.0, horizon=6000)
+    simulate(g, delays, cfg, np.column_stack([np.ones(g.n), np.arange(g.n)]))
+    protocols.gamma_estimation_protocol(g, delays, cfg, np.ones(g.n), mode="simulate")
 
 
 def test_run_spectral_failure_exits_numerical(demo_scenarios, tmp_path, capsys, monkeypatch):

@@ -1,6 +1,8 @@
 """Discrete-time integrator and synchronization detection."""
 
+import os
 import re
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -25,6 +27,7 @@ from selfsync.dde_sim import (
     trajectory_to_npz,
 )
 from selfsync.digraph import new_digraph
+from conftest import assert_no_children, lanes, refuse_fork
 
 
 def two_node():
@@ -835,9 +838,12 @@ def traced_peak(g, delays, cfg, gv, record):
         tracemalloc.stop()
 
 
-def test_node_mean_memory_does_not_grow_with_the_horizon():
+def test_node_mean_memory_does_not_grow_with_the_horizon(monkeypatch):
     # a 200-node ring whose links lag 100 steps: a full record takes
-    # 2 * (101 + horizon) * 200 * 8 bytes, 64 MB at horizon 20000
+    # 2 * (101 + horizon) * 200 * 8 bytes, 64 MB at horizon 20000;
+    # tracemalloc sees no forked lane, so every run must stay in this process
+    monkeypatch.setattr(dde_sim, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", refuse_fork)
     n = 200
     w = np.zeros((n, n))
     w[np.arange(n), np.arange(n) - 1] = 1.0
@@ -926,3 +932,96 @@ def test_batch_members_must_share_step_horizon_and_window(field, change):
     run = dde_sim.SimRun(ring3(), DelayMatrix.zero(3), SimConfig(horizon=50), np.ones(3))
     with pytest.raises(ValueError, match=f"disagree on {field}$"):
         simulate_batch([run, run, change(run)])
+
+
+# ---------------------------------------------------------------- lanes
+
+
+def pair(lag, k_gain=1.5, horizon=3000):
+    # with K = 1.5, T_s * K * in_degree = 1.5 passes the step-size guard but
+    # diverges; lag 0 falls into the s = 1 step group, lag > 0 into s > 1
+    return (two_node(), DelayMatrix(tau=np.array([[0.0, lag], [lag, 0.0]])),
+            SimConfig(t_step=1.0, k_gain=k_gain, horizon=horizon), np.array([1.0, 0.0]))
+
+
+def calm_ring(horizon=3000):
+    return (ring3(), DelayMatrix.uniform(3, 5.0),
+            SimConfig(t_step=1.0, k_gain=0.2, horizon=horizon), np.ones(3))
+
+
+@given(batch_cases(), st.sampled_from(dde_sim.RECORDS), st.sampled_from([2, 3]))
+@settings(max_examples=60, deadline=None)
+def test_lanes_equal_the_in_process_run(runs, record, cpus):
+    """With lanes forced on, every record kind equals the in-process batch
+    byte for byte, one child is forked per lane but the first, and none is
+    left behind."""
+    runs = [dde_sim.SimRun(*run[:5], record) for run in runs]
+    groups = []
+    core = dde_sim._simulate_core
+    with lanes(cpus=1) as forks, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dde_sim, "_simulate_core", lambda *a: groups.append(1) or core(*a))
+        want = simulate_batch(runs)
+    assert forks == []
+    with lanes(cpus=cpus) as forks:
+        got = simulate_batch(runs)
+    assert len(forks) == min(len(groups), cpus) - 1
+    assert_no_children()
+    for a, b in zip(got, want, strict=True):
+        assert record_bytes(a) == record_bytes(b)
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [
+        # the diverging s = 1 group is the lighter one, run in the child
+        [pair(0), calm_ring(), calm_ring(), calm_ring()],
+        # the diverging s = 1 group is the heavier one, run here
+        [calm_ring(), pair(0), pair(0), pair(0)],
+        # both groups diverge: the first in serial order is run in the child
+        [pair(0), pair(1), pair(1)],
+    ],
+    ids=["in-child", "in-parent", "both"],
+)
+def test_lanes_raise_the_in_process_error(batch):
+    with pytest.raises(SimulationError) as solo, lanes(cpus=1):
+        simulate_batch(batch)
+    assert re.fullmatch(r"member \d: non-finite state at step \d+", str(solo.value))
+    with pytest.raises(SimulationError) as got, lanes() as forks:
+        simulate_batch(batch)
+    assert len(forks) == 1
+    assert str(got.value) == str(solo.value)
+    assert_no_children()
+
+
+def test_step_size_guard_fails_before_any_fork():
+    # T_s * K * in_degree(0) = 1 * 3 * 1 = 3 trips the guard
+    bad = (ring3(), DelayMatrix.zero(3), SimConfig(t_step=1.0, k_gain=3.0, horizon=3000),
+           np.ones(3))
+    with lanes(fork=refuse_fork), pytest.raises(
+        SimulationError, match=r"^member 2: step-size instability"
+    ):
+        simulate_batch([pair(0, k_gain=0.2), calm_ring(), bad])
+    assert_no_children()
+
+
+def test_lanes_need_a_second_cpu_fork_and_no_other_thread(monkeypatch):
+    batch = [pair(0, k_gain=0.2, horizon=300), calm_ring(horizon=300)]
+    want = [record_bytes(rec) for rec in simulate_batch(batch)]
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    monkeypatch.setattr(dde_sim, "_LANE_WORK", 0)
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert [record_bytes(rec) for rec in simulate_batch(batch)] == want
+    with monkeypatch.context() as mp:
+        mp.delattr(os, "fork")
+        assert [record_bytes(rec) for rec in simulate_batch(batch)] == want
+    monkeypatch.setattr(dde_sim, "_usable_cpus", lambda: 2)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, args=(10.0,))
+    other.start()
+    try:
+        assert [record_bytes(rec) for rec in simulate_batch(batch)] == want
+    finally:
+        stop.set()
+        other.join(timeout=10.0)
+    assert not other.is_alive()
