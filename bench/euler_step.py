@@ -34,8 +34,8 @@ set-up of ``selfsync run`` and ``inspect``. ``montecarlo``: seconds of one
 40, horizon 2000, clean and with coupling noise 0.1) over 2 and 10 trials,
 each timed twice: with the script's process pinned to one CPU (``cpus=1``,
 where ``simulate_batch`` runs every step group in process) and on every usable
-CPU (where its step groups may run in forked lanes); the affinity is restored
-after each row. ``peak_mb`` is the ``tracemalloc`` peak in MB of one clean
+CPU (where its step groups run in forked lanes while no other task is
+runnable); the affinity is restored after each row. ``peak_mb`` is the ``tracemalloc`` peak in MB of one clean
 call, taken after and outside the timed calls; it does not see the memory of
 a forked lane, so ``child_maxrss_mb`` gives the largest RSS in MB of any
 child the script has reaped so far (``RUSAGE_CHILDREN``; 0 when none forked).

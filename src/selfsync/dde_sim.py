@@ -4,7 +4,6 @@ synchronization detection on the derivative trajectories."""
 from __future__ import annotations
 
 import contextlib
-import itertools
 import os
 import pickle
 import threading
@@ -489,21 +488,31 @@ def _simulate_core(
     ]
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 without os.fork or os.sched_getaffinity."""
+def _lane_cpus() -> int:
+    """How many lanes may run now: the CPUs this process may run on, less the
+    tasks of the whole system that are runnable besides this one (the fourth
+    field of /proc/loadavg counts this one too); 1 without os.fork,
+    os.sched_getaffinity or /proc/loadavg."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return len(os.sched_getaffinity(0))
+    try:
+        with open("/proc/loadavg") as fh:
+            runnable = int(fh.read().split()[3].split("/")[0])
+    except (OSError, ValueError, IndexError):
+        return 1
+    return len(os.sched_getaffinity(0)) - (runnable - 1)
 
 
 def _outcomes(run, groups: list, lane: list[int]) -> dict:
-    """{k: (results, None)} or {k: (None, error)} for each step group k of a lane."""
+    """{k: (results, None)} for each step group k of a lane, in order, up to
+    and including the first failing group, which gives {k: (None, error)}."""
     out = {}
     for k in lane:
         try:
             out[k] = (run(groups[k]), None)
         except Exception as exc:  # handed to the caller, who raises it in serial order
             out[k] = (None, exc)
+            break
     return out
 
 
@@ -516,15 +525,15 @@ def _current_cpu() -> int | None:
         return None
 
 
-def _lane_child(run, groups: list, lane: list[int], cpu: int, w: int) -> None:
-    """Body of a forked lane on `cpu`: pickle the lane's outcomes into the pipe
-    w and leave by os._exit, without returning into the caller's stack."""
+def _lane_child(run, groups: list, lane: list[int], cpus: set[int], w: int) -> None:
+    """Body of a forked lane on `cpus`: pickle the lane's outcomes into the
+    pipe w and leave by os._exit, without returning into the caller's stack."""
     code = 1
     try:
         # a kernel that does not balance load (a cpuset with sched_load_balance
         # 0) would keep the child on its parent's CPU
         with contextlib.suppress(OSError):
-            os.sched_setaffinity(0, {cpu})
+            os.sched_setaffinity(0, cpus)
         data = pickle.dumps(_outcomes(run, groups, lane), pickle.HIGHEST_PROTOCOL)
         with os.fdopen(w, "wb") as fh:
             fh.write(data)
@@ -534,33 +543,33 @@ def _lane_child(run, groups: list, lane: list[int], cpu: int, w: int) -> None:
 
 
 def _run_lanes(run, groups: list, work: list[int], count: int) -> dict:
-    """The outcomes of every step group, dealt heaviest first to `count` lanes.
-    The caller runs the heaviest lane itself and each other lane runs in a
-    forked child, which sends its outcomes back through a pipe; every child is
-    reaped before this returns or raises. A lane whose fork fails runs here."""
+    """The outcomes of the step groups, dealt heaviest first to `count` lanes,
+    each of which runs its groups in serial order and stops at its first
+    failing group. The caller runs the heaviest lane itself and each other
+    lane runs in a forked child, kept off the caller's CPU, which sends its
+    outcomes back through a pipe; every child is reaped before this returns or
+    raises. A lane whose fork fails runs here."""
     lanes: list[list[int]] = [[] for _ in range(count)]
     load = [0] * count
     for k in sorted(range(len(groups)), key=lambda k: -work[k]):
         i = load.index(min(load))
         lanes[i].append(k)
         load[i] += work[k]
-    own, *others = sorted(lanes, key=lambda lane: -sum(work[k] for k in lane))
-    usable = sorted(os.sched_getaffinity(0))
-    here = _current_cpu()
-    cpus = itertools.cycle([cpu for cpu in usable if cpu != here] or usable)
+    own, *others = sorted(map(sorted, lanes), key=lambda lane: -sum(work[k] for k in lane))
+    cpus = set(os.sched_getaffinity(0)) - {_current_cpu()}
     children, sent, outcomes = [], [], {}
     try:
-        for lane, cpu in zip(others, cpus):
+        for lane in others:
             r, w = os.pipe()
             try:
                 pid = os.fork()
             except OSError:
                 os.close(r)
                 os.close(w)
-                own = own + lane
+                own = sorted(own + lane)
                 continue
             if pid == 0:
-                _lane_child(run, groups, lane, cpu, w)
+                _lane_child(run, groups, lane, cpus, w)
             os.close(w)
             children.append((pid, r))
         outcomes.update(_outcomes(run, groups, own))
@@ -593,14 +602,16 @@ def simulate_batch(runs) -> list[Trajectory] | list[NodeMean]:
     Step groups run side by side in lanes when the batch has more than one
     group, its estimated serial work (gathered entries and node updates over
     all steps) is above _LANE_WORK, os.fork and os.sched_getaffinity exist
-    (Linux), more than one CPU is usable and no other Python thread is alive.
-    The groups are dealt heaviest first to at most one lane per usable CPU;
-    this process runs the heaviest lane and each other lane runs in a forked
-    child that sends its results back pickled. The results, the errors and
-    their order are those of the in-process run: on failure the error of the
-    first failing group in serial order is raised, after every child has been
-    reaped. A child's memory is not in this process's RSS, nor seen by
-    tracemalloc; ``taskset`` restricts the lanes to the CPUs it allows.
+    (Linux), no other Python thread is alive, and the usable CPUs outnumber
+    the tasks runnable right now on the whole system (/proc/loadavg), this
+    one included. The groups are dealt heaviest first to one lane per such
+    idle CPU and this one; this process runs the heaviest lane and each other
+    lane runs in a forked child, kept off this process's CPU, that sends its
+    results back pickled. The results, the errors and their order are those
+    of the in-process run: on failure the error of the first failing group in
+    serial order is raised, after every child has been reaped. A child's
+    memory is not in this process's RSS, nor seen by tracemalloc; ``taskset``
+    restricts the lanes to the CPUs it allows.
     """
     runs = [SimRun(*run) for run in runs]
     if not runs:
@@ -632,19 +643,18 @@ def simulate_batch(runs) -> list[Trajectory] | list[NodeMean]:
               for b in group)
         for group in groups
     ]
-    outcomes = None
+    count = 1
     if len(groups) > 1 and sum(work) > _LANE_WORK and threading.active_count() == 1:
-        count = min(len(groups), _usable_cpus())
-        if count > 1:
-            outcomes = _run_lanes(run, groups, work, count)
+        count = min(len(groups), _lane_cpus())
+    if count > 1:
+        outcomes = _run_lanes(run, groups, work, count)
+    else:
+        outcomes = _outcomes(run, groups, range(len(groups)))
     out: list = [None] * len(runs)
     for k, group in enumerate(groups):
-        if outcomes is None:
-            results = run(group)
-        else:
-            results, error = outcomes[k]
-            if error is not None:
-                raise error
+        results, error = outcomes[k]
+        if error is not None:
+            raise error
         for b, result in zip(group, results):
             out[b] = result if members[b].columns else result.column(0)
     return out

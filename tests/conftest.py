@@ -72,7 +72,7 @@ def lanes(cpus: int = 2, work: int = 0, fork=None):
     forks: list[int] = []
     fork = fork or os.fork
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dde_sim, "_usable_cpus", lambda: cpus)
+        mp.setattr(dde_sim, "_lane_cpus", lambda: cpus)
         mp.setattr(dde_sim, "_LANE_WORK", work)
         mp.setattr(os, "fork", lambda: forks.append(1) or fork())
         yield forks

@@ -750,7 +750,7 @@ def test_montecarlo_with_lanes_equals_the_in_process_run(noise_std):
 def test_single_member_calls_and_the_warm_up_never_fork(monkeypatch, demo_scenarios):
     # lanes are open on this host, but a one-member call has one step group
     # and the mc-n40 warm-up (1 trial, horizon 200) is below _LANE_WORK
-    monkeypatch.setattr(dde_sim, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(dde_sim, "_lane_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", refuse_fork)
     experiments.run_estimation_montecarlo({**MC_N40, "horizon": 200}, 1)
     g, delays, _ = cli._load_scenario(demo_scenarios / "sc")

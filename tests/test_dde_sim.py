@@ -2,7 +2,10 @@
 
 import os
 import re
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -842,7 +845,7 @@ def test_node_mean_memory_does_not_grow_with_the_horizon(monkeypatch):
     # a 200-node ring whose links lag 100 steps: a full record takes
     # 2 * (101 + horizon) * 200 * 8 bytes, 64 MB at horizon 20000;
     # tracemalloc sees no forked lane, so every run must stay in this process
-    monkeypatch.setattr(dde_sim, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(dde_sim, "_lane_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", refuse_fork)
     n = 200
     w = np.zeros((n, n))
@@ -1015,7 +1018,7 @@ def test_lanes_need_a_second_cpu_fork_and_no_other_thread(monkeypatch):
     with monkeypatch.context() as mp:
         mp.delattr(os, "fork")
         assert [record_bytes(rec) for rec in simulate_batch(batch)] == want
-    monkeypatch.setattr(dde_sim, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(dde_sim, "_lane_cpus", lambda: 2)
     stop = threading.Event()
     other = threading.Thread(target=stop.wait, args=(10.0,))
     other.start()
@@ -1025,3 +1028,23 @@ def test_lanes_need_a_second_cpu_fork_and_no_other_thread(monkeypatch):
         stop.set()
         other.join(timeout=10.0)
     assert not other.is_alive()
+
+
+def test_lanes_stay_closed_while_another_task_is_runnable(monkeypatch):
+    # a busy loop in another process is runnable all the time, so neither of
+    # two usable CPUs is idle
+    batch = [pair(0, k_gain=0.2, horizon=300), calm_ring(horizon=300)]
+    want = [record_bytes(rec) for rec in simulate_batch(batch)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(dde_sim, "_LANE_WORK", 0)
+    spin = subprocess.Popen([sys.executable, "-c", "while True: pass"])
+    try:
+        deadline = time.monotonic() + 10.0
+        while dde_sim._lane_cpus() > 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert dde_sim._lane_cpus() <= 1
+        monkeypatch.setattr(os, "fork", refuse_fork)
+        assert [record_bytes(rec) for rec in simulate_batch(batch)] == want
+    finally:
+        spin.kill()
+        spin.wait()
