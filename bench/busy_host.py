@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""mc-n40 on a busy host: ``perfbench`` runs of two checkouts, side by side.
+"""A perfbench workload on a busy host: runs of two checkouts, side by side.
 
     python3 bench/busy_host.py --scenario pair --checkouts ../parent . \
-        --labels parent change --out BENCH.json
+        --labels parent change --workload run-n300 --out BENCH.json
 
 Each round runs every checkout in turn, alternating their order, under one
 ``--scenario``:
 
-``solo``: one ``perfbench/run.py --workload mc-n40`` run, nothing else busy.
+``solo``: one ``perfbench/run.py --workload <workload>`` run, nothing else
+busy (``--workload`` defaults to mc-n40).
 ``spin``: the same run beside a busy loop in another process.
-``pair``: two mc-n40 runs at once, with different seeds.
+``pair``: two runs of the workload at once, with different seeds.
 
 Every run, and the busy loop, starts pinned to a CPU of its own (the first
 run on the lowest usable CPU, the loop or second run on the next) and widens
@@ -23,7 +24,8 @@ computation ran in the same process. Under contention that computation slows
 too, so the reference figures hide what a forked lane costs the other tasks;
 the wall figures, and the total wall ops/s of a round, show it. Each row gives
 the median over the rounds of the runs' ``op_p50_s`` (reference and wall)
-and of the round's total wall ``ops_per_s``.
+and of the round's total wall ``ops_per_s``; ``--out`` stores the rows under
+``busy_host.<workload>.<scenario>``.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ def parse(out: str) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--scenario", choices=("solo", "spin", "pair"), required=True)
+    ap.add_argument("--workload", default="mc-n40", help="perfbench workload to run")
     ap.add_argument("--checkouts", nargs="+", type=Path, required=True)
     ap.add_argument("--labels", nargs="+", default=None,
                     help="names of the checkouts in the output (default: their directory names)")
@@ -82,7 +85,7 @@ def main() -> None:
         for checkout in args.checkouts if r % 2 == 0 else args.checkouts[::-1]:
             def bench(cpu: int, seed: int) -> subprocess.Popen:
                 return launch(checkout, cpu, every, [
-                    sys.executable, "perfbench/run.py", "--workload", "mc-n40",
+                    sys.executable, "perfbench/run.py", "--workload", args.workload,
                     "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0",
                 ])
 
@@ -99,7 +102,7 @@ def main() -> None:
                     spin.kill()
                     spin.wait()
             runs[named[checkout]].append(got)
-            print(args.scenario, named[checkout], r, json.dumps(got), flush=True)
+            print(args.workload, args.scenario, named[checkout], r, json.dumps(got), flush=True)
     result = {}
     for label, rounds in runs.items():
         result[label] = {
@@ -108,11 +111,11 @@ def main() -> None:
             "wall_ops_per_s": statistics.median(sum(g["wall_ops_per_s"] for g in row)
                                                 for row in rounds),
         }
-        print(args.scenario, label, json.dumps(result[label]), flush=True)
+        print(args.workload, args.scenario, label, json.dumps(result[label]), flush=True)
     if args.out:
         out = Path(args.out)
         doc = json.loads(out.read_text()) if out.exists() else {}
-        doc.setdefault("busy_host", {})[args.scenario] = {
+        doc.setdefault("busy_host", {}).setdefault(args.workload, {})[args.scenario] = {
             "rounds": args.rounds, "seconds": args.seconds, "cpus": len(cpus), "median": result,
         }
         out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

@@ -39,6 +39,11 @@ runnable); the affinity is restored after each row. ``peak_mb`` is the ``tracema
 call, taken after and outside the timed calls; it does not see the memory of
 a forked lane, so ``child_maxrss_mb`` gives the largest RSS in MB of any
 child the script has reaped so far (``RUSAGE_CHILDREN``; 0 when none forked).
+``run``: ms of one ``selfsync run`` (in process, trace at downsample 10) on a
+scenario made as the run-n300 workload makes it (n = 300, Rayleigh links
+pruned below 0.5, horizon 1200), pinned to one CPU (``cpus=1``: the analysis
+runs after the simulation, in process) and on every usable CPU (where it runs
+in a forked lane beside the simulation while no other task is runnable).
 
 selfsync is imported from ``--src`` (default: this checkout's ``src/``), so one
 copy of the script can time two versions of the library on the same machine.
@@ -99,6 +104,9 @@ MC_TRIALS = (2, 10)
 MC_NOISE = 0.1
 MC_CONFIG = {"d_side": 5.0, "t_step": 1e-3, "k_gain": 30.0, "tau_max": 0.1, "xi": 1.0,
              "sigma2": 0.25}
+# run rows: the run-n300 workload's scenario
+RUN_CONFIG = {"n": 300, "d_side": 7.75, "tau_max": 0.05, "threshold": 0.5, "t_step": 1e-3,
+              "k_gain": 5.0, "horizon": 1200}
 
 
 def timed(*calls) -> dict:
@@ -283,6 +291,32 @@ def montecarlo_row(selfsync, trials: int, seed: int, cpus: int) -> dict:
     return {**row, "child_maxrss_mb": child_kb / 1024}
 
 
+def run_row(selfsync, seed: int, cpus: int) -> dict:
+    from selfsync import cli
+
+    n = RUN_CONFIG["n"]
+    cfg = {**RUN_CONFIG, "seed": seed,
+           "g_values": np.random.default_rng(seed).uniform(0.5, 1.5, n).tolist()}
+    with tempfile.TemporaryDirectory() as tmp:
+        config, scen = Path(tmp) / "config.json", Path(tmp) / "scen"
+        config.write_text(json.dumps(cfg))
+        argv = ["run", str(scen), "--out-dir", str(Path(tmp) / "out"), "--downsample",
+                str(TRACE_DOWNSAMPLE)]
+
+        def cli_main(args: list[str]) -> None:
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main(args) != cli.EXIT_OK:
+                    raise RuntimeError(f"selfsync {args[0]} failed on {cfg}")
+
+        cli_main(["gen", str(config), "--out-dir", str(scen)])
+        g, delays, _ = cli._load_scenario(scen)
+        with pinned(cpus):
+            row = {**graph_fields(g, delays, T_STEP), "horizon": RUN_CONFIG["horizon"],
+                   "cpus": cpus, **timed(("op_ms", 1e3, lambda: cli_main(argv)))}
+    child_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    return {**row, "child_maxrss_mb": child_kb / 1024}
+
+
 def show(section: str, rows: list[dict]) -> list[dict]:
     for row in rows:
         print(section, " ".join(f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}"
@@ -327,6 +361,8 @@ def main(argv=None) -> int:
         "montecarlo": show("montecarlo", [
             montecarlo_row(selfsync, trials, seed, cpus)
             for cpus in sorted({1, len(os.sched_getaffinity(0))}) for trials in MC_TRIALS]),
+        "run": show("run", [run_row(selfsync, seed, cpus)
+                            for cpus in sorted({1, len(os.sched_getaffinity(0))})]),
     }
     result["wall_s"] = round(time.perf_counter() - start, 2)
     if args.out:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import digraph, experiments, protocols, spectral, topologies
+from . import digraph, experiments, lanes, protocols, spectral, topologies
 from .dde_sim import (
     DelayMatrix,
     SimConfig,
@@ -29,6 +29,11 @@ EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
 EXIT_NO_SYNC = 3
 EXIT_NUMERICAL = 4
+
+# `run --mode simulate` analyses the scenario in a forked lane beside the
+# simulation from this many nodes on: at n = 100 the analysis takes about 9 ms
+# and a fork about 3 ms, at n = 14 they take 0.5 and 3 ms
+RUN_LANE_NODES = 100
 
 
 def _load_json(path: Path) -> dict:
@@ -109,12 +114,13 @@ def cmd_gen(args) -> int:
     if args.seed is not None:
         cfg["seed"] = args.seed
     out = Path(args.out_dir)
+    seed = experiments.config_seed(cfg)
     if "horizon" in cfg:  # copied to scenario.json, where run reads it
         experiments.config_int(cfg, "horizon")
     if cfg.get("topology") == "demo14":
         paths = _gen_demo14(cfg, out)
     else:
-        geom, g, delays = experiments.random_network(cfg, int(cfg.get("seed", 0)))
+        geom, g, delays = experiments.random_network(cfg, seed)
         _write_scenario(out, g, delays, cfg, geom=geom)
         paths = [out]
     for p in paths:
@@ -145,7 +151,7 @@ def _sim_config(sc: dict, args) -> SimConfig:
         horizon=(args.horizon if args.horizon is not None
                  else experiments.config_int(sc, "horizon", 5000)),
         noise_std=float(sc.get("noise_std", 0.0)),
-        rng_seed=int(args.seed if args.seed is not None else sc.get("seed", 0)),
+        rng_seed=args.seed if args.seed is not None else experiments.config_seed(sc),
     )
     if args.window is not None:
         kwargs["sync_window_frac"] = args.window
@@ -161,7 +167,7 @@ def _g_values(sc: dict, g: digraph.SensorDigraph) -> np.ndarray:
     if "g_values" in sc:
         return np.broadcast_to(np.asarray(sc["g_values"], dtype=float), (g.n,)).copy()
     if sc.get("g_mode") == "estimation":
-        rng = np.random.default_rng(int(sc.get("seed", 0)) + 2)
+        rng = np.random.default_rng(experiments.config_seed(sc) + 2)
         return experiments.estimation_forcing(sc, g.n, rng)[1]
     return np.ones(g.n)
 
@@ -178,7 +184,22 @@ def cmd_run(args) -> int:
     g, delays, sc = _load_scenario(path)
     cfg = _sim_config(sc, args)
     gvals = _g_values(sc, g)
-    scc = digraph.scc_decompose(g)
+    analysis = None
+    if args.mode == "simulate":
+        # the analysis runs beside the simulation, in a forked lane when one
+        # is open; one that failed is redone below in serial order, so that
+        # each error is raised where a serial run raises it
+        count = 1
+        # only with a one-thread BLAS: a larger pool oversubscribes the CPUs
+        # left to the child, where eigvals at n = 300 took 2 s, not 70 ms
+        if g.n >= RUN_LANE_NODES and lanes.lane_count(2) > 1 and lanes.blas_threads() == 1:
+            count = 2
+        (traj, sim_error), (analysis, _) = lanes.run(
+            [lambda: simulate(g, delays, cfg, gvals),
+             lambda: experiments.analyse_scenario(g, delays, cfg, gvals)],
+            count,
+        )
+    scc = analysis.scc if analysis else digraph.scc_decompose(g)
     out_dir = Path(args.out_dir or path)
     out_dir.mkdir(parents=True, exist_ok=True)
     report: dict = {
@@ -191,7 +212,8 @@ def cmd_run(args) -> int:
             "connectivity": scc.connectivity_class.value,
         },
     }
-    pred = protocols.predict_consensus(g, delays, cfg, gvals, quantize_delays=True, scc=scc)
+    pred = analysis.prediction if analysis else protocols.predict_consensus(
+        g, delays, cfg, gvals, quantize_delays=True, scc=scc)
     report["predicted"] = {
         "global": len(pred.clusters) == 1,
         "clusters": [
@@ -230,8 +252,9 @@ def cmd_run(args) -> int:
         return EXIT_OK
 
     # mode: simulate
+    if sim_error is not None:
+        raise sim_error
     scale = max(abs(cl.omega) for cl in pred.clusters)
-    traj = simulate(g, delays, cfg, gvals)
     if args.tol is not None:
         window = cfg.sync_window(len(traj.times))
         sync = detect_sync(traj, tol=args.tol, window=window)
@@ -252,7 +275,12 @@ def cmd_run(args) -> int:
         "tol": sync.tol,
         "window": sync.window,
     }
-    report["rates"] = _rate_report(g, delays, cfg, scc, traj, pred)
+    rates = analysis.rates if analysis else experiments.spectral_rates(g, cfg, scc, pred)
+    if sync.global_sync and len(scc.root_components) == 1:
+        rates["empirical_fit"], rates["empirical_residual"] = spectral.empirical_rate(
+            traj, pred.omega_star
+        )
+    report["rates"] = rates
     report["trace"] = trace.name
     _finalize_report(report, out_dir / "report.json")
     # success: every predicted cluster actually synchronized
@@ -263,24 +291,6 @@ def cmd_run(args) -> int:
         return EXIT_NO_SYNC
     print(f"report written: {out_dir / 'report.json'}")
     return EXIT_OK
-
-
-def _rate_report(g, delays, cfg, scc, traj, pred) -> dict:
-    rates: dict = {}
-    if len(scc.root_components) == 1:
-        # spectrum of the gain-scaled system K D_c^{-1} L
-        kdl = (cfg.k_gain / cfg.c_array(g.n))[:, None] * digraph.laplacian(g)
-        no_delay = spectral.rate_no_delay(kdl, scc)
-        rates["no_delay_spectrum"] = no_delay
-        if scc.connectivity_class is digraph.Connectivity.SC:
-            # the left null vector of K D_c^{-1} L is gamma * c, gamma that of L
-            gamma_c = pred.clusters[0].gamma * cfg.c_array(g.n)
-            rates["kappa_bound"] = spectral.rate_kappa_bound(kdl, scc, gamma_c, no_delay)
-        if traj.clusters is not None and traj.clusters.global_sync:
-            rates["empirical_fit"], rates["empirical_residual"] = spectral.empirical_rate(
-                traj, pred.omega_star
-            )
-    return rates
 
 
 # ---------------------------------------------------------------- montecarlo

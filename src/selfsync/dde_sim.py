@@ -3,15 +3,13 @@ synchronization detection on the derivative trajectories."""
 
 from __future__ import annotations
 
-import contextlib
-import os
-import pickle
-import threading
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
+from . import lanes
 from .digraph import SensorDigraph
 from .netgen import DelayMatrix
 
@@ -488,106 +486,6 @@ def _simulate_core(
     ]
 
 
-def _lane_cpus() -> int:
-    """How many lanes may run now: the CPUs this process may run on, less the
-    tasks of the whole system that are runnable besides this one (the fourth
-    field of /proc/loadavg counts this one too); 1 without os.fork,
-    os.sched_getaffinity or /proc/loadavg."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    try:
-        with open("/proc/loadavg") as fh:
-            runnable = int(fh.read().split()[3].split("/")[0])
-    except (OSError, ValueError, IndexError):
-        return 1
-    return len(os.sched_getaffinity(0)) - (runnable - 1)
-
-
-def _outcomes(run, groups: list, lane: list[int]) -> dict:
-    """{k: (results, None)} for each step group k of a lane, in order, up to
-    and including the first failing group, which gives {k: (None, error)}."""
-    out = {}
-    for k in lane:
-        try:
-            out[k] = (run(groups[k]), None)
-        except Exception as exc:  # handed to the caller, who raises it in serial order
-            out[k] = (None, exc)
-            break
-    return out
-
-
-def _current_cpu() -> int | None:
-    """The CPU this thread last ran on (field 39 of its stat), or None."""
-    try:
-        with open("/proc/thread-self/stat") as fh:
-            return int(fh.read().rsplit(")", 1)[1].split()[36])
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def _lane_child(run, groups: list, lane: list[int], cpus: set[int], w: int) -> None:
-    """Body of a forked lane on `cpus`: pickle the lane's outcomes into the
-    pipe w and leave by os._exit, without returning into the caller's stack."""
-    code = 1
-    try:
-        # a kernel that does not balance load (a cpuset with sched_load_balance
-        # 0) would keep the child on its parent's CPU
-        with contextlib.suppress(OSError):
-            os.sched_setaffinity(0, cpus)
-        data = pickle.dumps(_outcomes(run, groups, lane), pickle.HIGHEST_PROTOCOL)
-        with os.fdopen(w, "wb") as fh:
-            fh.write(data)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _run_lanes(run, groups: list, work: list[int], count: int) -> dict:
-    """The outcomes of the step groups, dealt heaviest first to `count` lanes,
-    each of which runs its groups in serial order and stops at its first
-    failing group. The caller runs the heaviest lane itself and each other
-    lane runs in a forked child, kept off the caller's CPU, which sends its
-    outcomes back through a pipe; every child is reaped before this returns or
-    raises. A lane whose fork fails runs here."""
-    lanes: list[list[int]] = [[] for _ in range(count)]
-    load = [0] * count
-    for k in sorted(range(len(groups)), key=lambda k: -work[k]):
-        i = load.index(min(load))
-        lanes[i].append(k)
-        load[i] += work[k]
-    own, *others = sorted(map(sorted, lanes), key=lambda lane: -sum(work[k] for k in lane))
-    cpus = set(os.sched_getaffinity(0)) - {_current_cpu()}
-    children, sent, outcomes = [], [], {}
-    try:
-        for lane in others:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                own = sorted(own + lane)
-                continue
-            if pid == 0:
-                _lane_child(run, groups, lane, cpus, w)
-            os.close(w)
-            children.append((pid, r))
-        outcomes.update(_outcomes(run, groups, own))
-    finally:
-        for pid, r in children:
-            with os.fdopen(r, "rb") as fh:
-                data = fh.read()
-            sent.append((pid, data, os.waitpid(pid, 0)[1]))
-    for pid, data, status in sent:
-        if not data:
-            raise RuntimeError(
-                f"simulation lane process {pid} ended with wait status {status} "
-                "before sending its results"
-            )
-        outcomes.update(pickle.loads(data))
-    return outcomes
-
-
 def simulate_batch(runs) -> list[Trajectory] | list[NodeMean]:
     """Independent runs, each result equal bit for bit to its `simulate` call.
 
@@ -599,17 +497,16 @@ def simulate_batch(runs) -> list[Trajectory] | list[NodeMean]:
     step-size guard before any step; in a batch of more than one, an error
     names the member by its index in `runs`.
 
-    Step groups run side by side in lanes when the batch has more than one
-    group, its estimated serial work (gathered entries and node updates over
-    all steps) is above _LANE_WORK, os.fork and os.sched_getaffinity exist
-    (Linux), no other Python thread is alive, and the usable CPUs outnumber
-    the tasks runnable right now on the whole system (/proc/loadavg), this
-    one included. The groups are dealt heaviest first to one lane per such
-    idle CPU and this one; this process runs the heaviest lane and each other
-    lane runs in a forked child, kept off this process's CPU, that sends its
-    results back pickled. The results, the errors and their order are those
-    of the in-process run: on failure the error of the first failing group in
-    serial order is raised, after every child has been reaped. A child's
+    Step groups run side by side in lanes (`lanes.run`), heaviest first, when
+    the batch has more than one group, its estimated serial work (gathered
+    entries and node updates over all steps) is above _LANE_WORK, os.fork and
+    os.sched_getaffinity exist (Linux), no other Python thread is alive, and
+    the usable CPUs outnumber the tasks runnable right now on the whole system
+    (/proc/loadavg), this one included. This process runs the heaviest group,
+    and the others are dealt to one forked child per other idle CPU. The
+    results, the errors and their order are those of the in-process run: on
+    failure the error of the first failing group in serial order is raised,
+    after every group has run and every child has been reaped. A child's
     memory is not in this process's RSS, nor seen by tracemalloc; ``taskset``
     restricts the lanes to the CPUs it allows.
     """
@@ -643,13 +540,9 @@ def simulate_batch(runs) -> list[Trajectory] | list[NodeMean]:
               for b in group)
         for group in groups
     ]
-    count = 1
-    if len(groups) > 1 and sum(work) > _LANE_WORK and threading.active_count() == 1:
-        count = min(len(groups), _lane_cpus())
-    if count > 1:
-        outcomes = _run_lanes(run, groups, work, count)
-    else:
-        outcomes = _outcomes(run, groups, range(len(groups)))
+    count = lanes.lane_count(len(groups)) if sum(work) > _LANE_WORK else 1
+    order = sorted(range(len(groups)), key=lambda k: -work[k])
+    outcomes = dict(zip(order, lanes.run([partial(run, groups[k]) for k in order], count)))
     out: list = [None] * len(runs)
     for k, group in enumerate(groups):
         results, error = outcomes[k]

@@ -1,31 +1,81 @@
-"""The paper's estimation experiment: random sensor networks and the Monte-Carlo
-comparison of the delay-free, delayed and two-step estimates."""
+"""The paper's experiments: the closed-form analysis of one scenario, random
+sensor networks and the Monte-Carlo comparison of the delay-free, delayed and
+two-step estimates."""
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from . import netgen
+from . import netgen, spectral
 from .dde_sim import SimConfig, simulate_batch
-from .digraph import SensorDigraph
+from .digraph import Connectivity, SccDecomposition, SensorDigraph, laplacian, scc_decompose
 from .netgen import DelayMatrix, NodeGeometry
+from .protocols import ConsensusPrediction, predict_consensus
 from .stats import consensus_function
 
 DOWNSAMPLE = 10  # iterations per aggregated Monte-Carlo sample
-# full simulation record bytes of one Monte-Carlo batch of trials; the trials
-# record node means only, so this bounds the batch size conservatively
-BATCH_RECORD_BYTES = 16 << 20
+# Monte-Carlo trials per simulate_batch call. A trial records node means only,
+# so a batch holds its members' set-up and bounded histories; at n = 40, 100
+# trials took as long in batches of 6 as of 16, with 6 MB less peak RSS
+BATCH_TRIALS = 6
 
 
-def config_int(cfg: dict, key: str, default: int | None = None) -> int:
+def config_int(cfg: dict, key: str, default: int | None = None, minimum: int = 1) -> int:
     """cfg[key], or the default, as an int; ValueError naming the key unless
-    it is a whole number of at least 1."""
+    it is a whole number of at least `minimum`."""
     value = cfg.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
-        float(value).is_integer() and value >= 1
+        float(value).is_integer() and value >= minimum
     ):
-        raise ValueError(f"{key} must be a whole number of at least 1, got {value!r}")
+        raise ValueError(
+            f"{key} must be a whole number of at least {minimum}, got {value!r}"
+        )
     return int(value)
+
+
+def config_seed(cfg: dict) -> int:
+    """cfg["seed"], 0 by default; ValueError unless a whole number of at least 0."""
+    return config_int(cfg, "seed", 0, minimum=0)
+
+
+class ScenarioAnalysis(NamedTuple):
+    """The closed-form view of a scenario: its SCCs, the predicted consensus
+    and the spectral rates (`spectral_rates`)."""
+
+    scc: SccDecomposition
+    prediction: ConsensusPrediction
+    rates: dict[str, float]
+
+
+def spectral_rates(
+    g: SensorDigraph, cfg: SimConfig, scc: SccDecomposition, prediction: ConsensusPrediction
+) -> dict[str, float]:
+    """On a digraph with one root SCC, the zero-delay rate of K D_c^-1 L
+    (`no_delay_spectrum`) and, on an SC digraph, its kappa bound
+    (`kappa_bound`); empty otherwise."""
+    rates: dict[str, float] = {}
+    if len(scc.root_components) == 1:
+        # spectrum of the gain-scaled system K D_c^{-1} L
+        kdl = (cfg.k_gain / cfg.c_array(g.n))[:, None] * laplacian(g)
+        no_delay = spectral.rate_no_delay(kdl, scc)
+        rates["no_delay_spectrum"] = no_delay
+        if scc.connectivity_class is Connectivity.SC:
+            # the left null vector of K D_c^{-1} L is gamma * c, gamma that of L
+            gamma_c = prediction.clusters[0].gamma * cfg.c_array(g.n)
+            rates["kappa_bound"] = spectral.rate_kappa_bound(kdl, scc, gamma_c, no_delay)
+    return rates
+
+
+def analyse_scenario(
+    g: SensorDigraph, delays: DelayMatrix, cfg: SimConfig, g_values
+) -> ScenarioAnalysis:
+    """SCCs, the consensus predicted with the link delays rounded to the
+    sampling grid, as the integrator honors them, and the spectral rates."""
+    scc = scc_decompose(g)
+    prediction = predict_consensus(g, delays, cfg, g_values, quantize_delays=True, scc=scc)
+    return ScenarioAnalysis(scc, prediction, spectral_rates(g, cfg, scc, prediction))
 
 
 def random_network(
@@ -120,17 +170,13 @@ def run_estimation_trial(cfg: dict, trial_seed: int):
 
 def run_estimation_montecarlo(cfg: dict, trials: int):
     """Aggregate mean/std across trials of the per-iteration estimates; the
-    trials run in batches whose full records would fit in BATCH_RECORD_BYTES."""
+    trials run in batches of BATCH_TRIALS."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    seed = int(cfg.get("seed", 0))
-    # a trial's full delayed record, states and derivatives of 2 forcing
-    # columns: a conservative bound since the trials record node means only
-    record = 2 * 2 * 8 * config_int(cfg, "n", 40) * (config_int(cfg, "horizon", 2000) + 1)
-    chunk = max(BATCH_RECORD_BYTES // record, 1)
+    seed = config_seed(cfg)
     cents, series = [], {"nodelay": [], "delayed": [], "twostep": []}
-    for lo in range(0, trials, chunk):
-        seeds = [seed + 1000 * t for t in range(lo, min(lo + chunk, trials))]
+    for lo in range(0, trials, BATCH_TRIALS):
+        seeds = [seed + 1000 * t for t in range(lo, min(lo + BATCH_TRIALS, trials))]
         for cent, *estimates in _estimation_trials(cfg, seeds):
             cents.append(cent)
             for rows, estimate in zip(series.values(), estimates):

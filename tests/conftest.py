@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from selfsync import dde_sim
+from selfsync import cli, dde_sim, lanes as lanes_module
 from selfsync.digraph import Connectivity
 
 
@@ -65,15 +65,18 @@ def left_null_space_oracle(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def lanes(cpus: int = 2, work: int = 0, fork=None):
-    """simulate_batch as on a host with `cpus` usable CPUs and a lane
-    threshold of `work`; yields the list of os.fork calls, made by `fork`
+def lanes(cpus: int = 2, work: int = 0, nodes: int = 0, fork=None):
+    """Lanes as on a host with `cpus` usable idle CPUs and a one-thread BLAS,
+    with a lane threshold of `work` for simulate_batch and of `nodes` for
+    `selfsync run`; yields the list of os.fork calls, made by `fork`
     (default: the real os.fork)."""
     forks: list[int] = []
     fork = fork or os.fork
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dde_sim, "_lane_cpus", lambda: cpus)
+        mp.setattr(lanes_module, "_lane_cpus", lambda: cpus)
+        mp.setattr(lanes_module, "blas_threads", lambda: 1)
         mp.setattr(dde_sim, "_LANE_WORK", work)
+        mp.setattr(cli, "RUN_LANE_NODES", nodes)
         mp.setattr(os, "fork", lambda: forks.append(1) or fork())
         yield forks
 

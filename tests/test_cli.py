@@ -9,6 +9,7 @@ import pytest
 
 from conftest import assert_no_children, lanes, refuse_fork
 from selfsync import cli, dde_sim, digraph, experiments, netgen, protocols, spectral, stats
+from selfsync import lanes as lanes_module
 from selfsync.cli import (
     EXIT_BAD_CONFIG,
     EXIT_NO_SYNC,
@@ -136,6 +137,34 @@ def test_gen_rejects_a_fractional_count(tmp_path, capsys, key, value):
     assert main(["gen", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_BAD_CONFIG
     assert f"config error: {key} must be a whole number" in capsys.readouterr().err
     assert not (tmp_path / "o" / "scenario.json").exists()
+
+
+@pytest.mark.parametrize("value", [2.5, -1])
+def test_gen_rejects_a_seed_that_is_not_a_whole_number_of_at_least_0(tmp_path, capsys, value):
+    cfg = write_json(tmp_path / "cfg.json", {"n": 4, "seed": value})
+    assert main(["gen", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_BAD_CONFIG
+    assert f"config error: seed must be a whole number of at least 0, got {value!r}" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("where", ["_sim_config", "_g_values"])
+def test_run_rejects_a_fractional_scenario_seed(demo_scenarios, tmp_path, capsys, where):
+    path = demo_scenarios / "sc" / "scenario.json"
+    sc = {**json.loads(path.read_text()), "seed": 2.5}
+    argv = ["run", str(demo_scenarios / "sc"), "--out-dir", str(tmp_path / "o")]
+    if where == "_g_values":
+        # --seed leaves the scenario's seed to the estimation forcing alone
+        sc = {**sc, "g_mode": "estimation"}
+        del sc["g_values"]
+        argv += ["--seed", "3"]
+    path.write_text(json.dumps(sc))
+    assert main(argv) == EXIT_BAD_CONFIG
+    assert "config error: seed must be a whole number of at least 0, got 2.5" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_rejects_a_fractional_scenario_horizon(demo_scenarios, tmp_path, capsys):
@@ -458,6 +487,18 @@ def test_montecarlo_rejects_a_count_below_one_or_fractional(tmp_path, capsys, ke
     assert not (tmp_path / "x" / "summary.json").exists()
 
 
+def test_montecarlo_rejects_a_fractional_seed(tmp_path, capsys):
+    cfg = mc_config(tmp_path, seed=2.5)
+    code = main(["montecarlo", cfg, "--trials", "2", "--out-dir", str(tmp_path / "x")])
+    assert code == EXIT_BAD_CONFIG
+    assert "config error: seed must be a whole number of at least 0, got 2.5" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "x" / "summary.json").exists()
+    cfg = mc_config(tmp_path, seed=0)
+    assert main(["montecarlo", cfg, "--trials", "2", "--out-dir", str(tmp_path / "x")]) == EXIT_OK
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_montecarlo_divergence_in_a_child_lane_exits_numerical(tmp_path, capsys):
     # the states overflow: the zero-delay passes, the lighter step group and
@@ -717,19 +758,21 @@ def test_batched_trials_equal_their_solo_trials(noise_std):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_montecarlo_batches_bounded_by_record_bytes(monkeypatch):
-    cfg = {**MC_N40, "n": 8, "horizon": 150, "noise_std": 0.1}
-    batches = []
+def test_montecarlo_batches_by_trial_count(tmp_path, monkeypatch):
+    # the mc-n40 workload's 2 trials are one batch
+    assert experiments.BATCH_TRIALS >= 6
+    cfg = mc_config(tmp_path, n=8, horizon=150, noise_std=0.1)
     trials = experiments._estimation_trials
-    monkeypatch.setattr(experiments, "_estimation_trials",
-                        lambda c, seeds: batches.append(len(seeds)) or trials(c, seeds))
-    whole = experiments.run_estimation_montecarlo(cfg, 7)
-    # one trial's delayed record: 2 arrays x 2 columns x 8 nodes x 151 samples
-    monkeypatch.setattr(experiments, "BATCH_RECORD_BYTES", 3 * 2 * 2 * 8 * 8 * 151)
-    split = experiments.run_estimation_montecarlo(cfg, 7)
-    assert batches == [7, 3, 3, 1]
-    assert whole[1] == split[1]
-    assert all(whole[0][key].tobytes() == split[0][key].tobytes() for key in whole[0])
+    batches = {}
+    for size in (3, 7):
+        monkeypatch.setattr(experiments, "BATCH_TRIALS", size)
+        monkeypatch.setattr(experiments, "_estimation_trials", lambda c, seeds: batches.setdefault(
+            size, []).append(len(seeds)) or trials(c, seeds))
+        out = str(tmp_path / f"batch{size}")
+        assert main(["montecarlo", cfg, "--trials", "7", "--out-dir", out]) == EXIT_OK
+    assert batches == {3: [3, 3, 1], 7: [7]}
+    for name in ("montecarlo.csv", "summary.json"):
+        assert (tmp_path / "batch3" / name).read_bytes() == (tmp_path / "batch7" / name).read_bytes()
 
 
 @pytest.mark.parametrize("noise_std", [0.0, 0.1])
@@ -750,7 +793,7 @@ def test_montecarlo_with_lanes_equals_the_in_process_run(noise_std):
 def test_single_member_calls_and_the_warm_up_never_fork(monkeypatch, demo_scenarios):
     # lanes are open on this host, but a one-member call has one step group
     # and the mc-n40 warm-up (1 trial, horizon 200) is below _LANE_WORK
-    monkeypatch.setattr(dde_sim, "_lane_cpus", lambda: 2)
+    monkeypatch.setattr(lanes_module, "_lane_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", refuse_fork)
     experiments.run_estimation_montecarlo({**MC_N40, "horizon": 200}, 1)
     g, delays, _ = cli._load_scenario(demo_scenarios / "sc")
@@ -768,3 +811,124 @@ def test_run_spectral_failure_exits_numerical(demo_scenarios, tmp_path, capsys, 
     code = main(["run", str(demo_scenarios / "qsc"), "--mode", "predict", "--out-dir", str(out)])
     assert code == EXIT_NUMERICAL
     assert "numerical error: left null-space residual" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- the run's analysis lane
+
+
+@pytest.fixture(scope="module")
+def n300_scenario(tmp_path_factory):
+    """A run-n300-style scenario: 300 nodes, about 11k Rayleigh links."""
+    tmp = tmp_path_factory.mktemp("n300")
+    cfg = {"n": 300, "d_side": 7.75, "tau_max": 0.05, "threshold": 0.5, "t_step": 1e-3,
+           "k_gain": 5.0, "horizon": 1200, "seed": 3,
+           "g_values": np.random.default_rng(3).uniform(0.5, 1.5, 300).tolist()}
+    assert main(["gen", write_json(tmp / "cfg.json", cfg), "--out-dir", str(tmp / "scen")]) == 0
+    return tmp / "scen"
+
+
+def run_outcome(capsys, scen, out, cpus, nodes=0, flags=()):
+    """(exit code, stderr, files left in out, forks) of one `selfsync run`,
+    with report.json read without its timestamp."""
+    with lanes(cpus=cpus, nodes=nodes) as forks:
+        code = main(["run", str(scen), "--out-dir", str(out), *flags])
+    assert_no_children()
+    files = {}
+    for path in sorted(out.iterdir()) if out.exists() else [None]:
+        if path is None:
+            files = None
+        elif path.name == "report.json":
+            files[path.name] = {**json.loads(path.read_text()), "created_unix": None}
+        else:
+            files[path.name] = path.read_bytes()
+    return code, capsys.readouterr().err, files, len(forks)
+
+
+@pytest.mark.parametrize("name", ["sc", "qsc", "wc", "n300"])
+def test_run_with_the_analysis_lane_equals_the_serial_run(
+    demo_scenarios, n300_scenario, tmp_path, capsys, name
+):
+    scen, flags, nodes = demo_scenarios / name, (), 0
+    if name == "n300":
+        # the lane opens at this size without lowering the threshold
+        scen, flags, nodes = n300_scenario, ("--downsample", "10"), cli.RUN_LANE_NODES
+    *closed, forks = run_outcome(capsys, scen, tmp_path / "closed", 1, nodes, flags)
+    assert forks == 0
+    *opened, forks = run_outcome(capsys, scen, tmp_path / "open", 2, nodes, flags)
+    assert forks == 1
+    assert closed[0] == EXIT_OK and sorted(closed[2]) == ["report.json", "trace.npz"]
+    assert opened == closed
+
+
+def break_prediction(monkeypatch, scenario):
+    def failing_solver(block, residual_tol):
+        raise SpectralError("left null-space residual 1.0e-03 exceeds tolerance")
+
+    monkeypatch.setattr(spectral, "_left_null_positive", failing_solver)
+
+
+def break_simulation(monkeypatch, scenario):
+    # T_s * K * in_degree(0) = 1e-3 * 3000 * 1 = 3 trips the step-size guard
+    write_json(scenario, {**json.loads(scenario.read_text()), "k_gain": 3000.0})
+
+
+def break_rates(monkeypatch, scenario):
+    def failing_bound(*args):
+        raise SpectralError("rate bound violated: r=2 > kappa=1")
+
+    monkeypatch.setattr(spectral, "rate_kappa_bound", failing_bound)
+
+
+def break_both(monkeypatch, scenario):
+    break_simulation(monkeypatch, scenario)
+    break_prediction(monkeypatch, scenario)
+
+
+def lose_the_lane(monkeypatch, scenario):
+    monkeypatch.setattr(lanes_module, "_lane_child", lambda *args: os._exit(3))
+
+
+@pytest.mark.parametrize(
+    "fault, code, err, files",
+    [
+        (break_prediction, EXIT_NUMERICAL, "numerical error: left null-space residual", []),
+        (break_simulation, EXIT_NUMERICAL, "numerical error: step-size instability", []),
+        # the prediction's error comes first, as in a serial run
+        (break_both, EXIT_NUMERICAL, "numerical error: left null-space residual", []),
+        # a rate error comes after the trace is written
+        (break_rates, EXIT_NUMERICAL, "numerical error: rate bound violated", ["trace.npz"]),
+        # a lane lost before it sends its outcomes is redone in process
+        (lose_the_lane, EXIT_OK, "", ["report.json", "trace.npz"]),
+    ],
+    ids=["prediction", "simulation", "both", "rates", "lost-lane"],
+)
+def test_run_errors_with_the_analysis_lane_are_those_of_the_serial_run(
+    demo_scenarios, tmp_path, capsys, monkeypatch, fault, code, err, files
+):
+    fault(monkeypatch, demo_scenarios / "sc" / "scenario.json")
+    *closed, forks = run_outcome(capsys, demo_scenarios / "sc", tmp_path / "closed", 1)
+    assert forks == 0
+    *opened, forks = run_outcome(capsys, demo_scenarios / "sc", tmp_path / "open", 2)
+    assert forks == 1
+    assert closed[0] == code and closed[1].startswith(err) and sorted(closed[2]) == files
+    assert opened == closed
+
+
+def test_demo14_runs_never_fork(demo_scenarios, tmp_path, monkeypatch):
+    # a usable CPU is idle and BLAS runs one thread, but 14 nodes are below
+    # the run's lane threshold
+    monkeypatch.setattr(lanes_module, "_lane_cpus", lambda: 2)
+    monkeypatch.setattr(lanes_module, "blas_threads", lambda: 1)
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    for name in ("sc", "qsc", "wc"):
+        out = str(tmp_path / name)
+        assert main(["run", str(demo_scenarios / name), "--out-dir", out]) == EXIT_OK
+
+
+@pytest.mark.parametrize("threads", [2, None])
+def test_the_analysis_lane_needs_a_one_thread_blas(n300_scenario, tmp_path, monkeypatch, threads):
+    monkeypatch.setattr(lanes_module, "_lane_cpus", lambda: 2)
+    monkeypatch.setattr(lanes_module, "blas_threads", lambda: threads)
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    argv = ["run", str(n300_scenario), "--horizon", "200", "--tol", "1e9"]
+    assert main(argv + ["--out-dir", str(tmp_path / "o")]) == EXIT_OK

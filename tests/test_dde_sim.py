@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfsync import dde_sim
+from selfsync import lanes as lanes_module
 from selfsync.dde_sim import (
     DelayMatrix,
     InitialCondition,
@@ -845,7 +846,7 @@ def test_node_mean_memory_does_not_grow_with_the_horizon(monkeypatch):
     # a 200-node ring whose links lag 100 steps: a full record takes
     # 2 * (101 + horizon) * 200 * 8 bytes, 64 MB at horizon 20000;
     # tracemalloc sees no forked lane, so every run must stay in this process
-    monkeypatch.setattr(dde_sim, "_lane_cpus", lambda: 2)
+    monkeypatch.setattr(lanes_module, "_lane_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", refuse_fork)
     n = 200
     w = np.zeros((n, n))
@@ -1018,7 +1019,7 @@ def test_lanes_need_a_second_cpu_fork_and_no_other_thread(monkeypatch):
     with monkeypatch.context() as mp:
         mp.delattr(os, "fork")
         assert [record_bytes(rec) for rec in simulate_batch(batch)] == want
-    monkeypatch.setattr(dde_sim, "_lane_cpus", lambda: 2)
+    monkeypatch.setattr(lanes_module, "_lane_cpus", lambda: 2)
     stop = threading.Event()
     other = threading.Thread(target=stop.wait, args=(10.0,))
     other.start()
@@ -1040,9 +1041,9 @@ def test_lanes_stay_closed_while_another_task_is_runnable(monkeypatch):
     spin = subprocess.Popen([sys.executable, "-c", "while True: pass"])
     try:
         deadline = time.monotonic() + 10.0
-        while dde_sim._lane_cpus() > 1 and time.monotonic() < deadline:
+        while lanes_module._lane_cpus() > 1 and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert dde_sim._lane_cpus() <= 1
+        assert lanes_module._lane_cpus() <= 1
         monkeypatch.setattr(os, "fork", refuse_fork)
         assert [record_bytes(rec) for rec in simulate_batch(batch)] == want
     finally:
