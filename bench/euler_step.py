@@ -20,10 +20,13 @@ the ``selfsync run`` demo, the 14-node SC reference digraph with a uniform
 ``random_sc`` graphs) and L in {1, 2} at n = 40 (the netgen graph).
 ``protocol``: seconds of one ``gamma_estimation_protocol(mode="simulate")``
 on the same ``random_sc`` graphs, with the horizon escalation of the gamma
-sweep. ``trace``: ms and bytes of the CSV and the npz trace writer, the two
-alternating in one process, on the demo14 full trace (8001 samples) and on the
-n = 300 netgen graph over horizon 1200 at downsample 10, as ``selfsync run``
-on run-n300 writes it. ``channel``: µs per drawn link (n(n - 1) of them) of
+sweep. ``trace``: ms and bytes of the npz trace writer on the demo14 full
+trace (8001 samples) and on the n = 300 netgen graph over horizon 1200 at
+downsample 10, as ``selfsync run`` on run-n300 writes it. ``setup``:
+``setup_peak_mb``, the ``tracemalloc`` peak in MB (1e6 bytes) of a 1-step
+``simulate`` on a freshly built netgen graph (seed 7, whatever ``--seed``) at
+n in {300, 1000, 2000}: the set-up of the core, which dominates so short a
+run. ``channel``: µs per drawn link (n(n - 1) of them) of
 ``channel_rayleigh`` at n = 40 and 300. ``structure``: ms of
 ``scc_decompose`` plus ``gamma_per_cluster`` of the Laplacian on the n = 300
 and 1000 netgen graphs. ``load``: ms of reading a ``selfsync gen`` scenario at
@@ -97,6 +100,9 @@ DEMO_HORIZON = 8000
 TRACE_N = 300
 TRACE_HORIZON = 1200
 TRACE_DOWNSAMPLE = 10
+# setup rows: 1-step runs on the netgen graphs of these sizes and seed
+SETUP_SIZES = (300, 1000, 2000)
+SETUP_SEED = 7
 # montecarlo rows: the mc-n40 workload's configuration
 MC_N = 40
 MC_HORIZON = 2000
@@ -115,9 +121,14 @@ def timed(*calls) -> dict:
     that a drift of the host's speed hits them alike. The reference chunk of
     ``perfbench/speed.py`` is timed after each call, and the call's wall time
     converted with it to reference seconds: the time it would take on a host
-    where the chunk takes ``REF_S``. Returns the row fields ``key`` (median,
-    times ``scale``), ``key_min``, ``key_max`` and ``chunk_s``."""
-    speed, times = Speedometer(), {key: [] for key, _, _ in calls}
+    where the chunk takes ``REF_S``. Returns the row fields ``key`` (the median
+    of the converted calls, times ``scale``), ``chunk_s`` (the row's mean chunk
+    time), and ``key_min`` and ``key_max``: the fastest and the slowest call's
+    wall time converted with ``chunk_s``, not with its own chunk sample, whose
+    noise alone could put a call at a quarter of its wall time; so the median
+    can fall just outside them."""
+    speed = Speedometer()
+    walls, times = {key: [] for key, _, _ in calls}, {key: [] for key, _, _ in calls}
     for _, _, call in calls:
         call()
     for rep in range(REPEATS):
@@ -125,10 +136,14 @@ def timed(*calls) -> dict:
             t0 = time.perf_counter()
             call()
             wall = time.perf_counter() - t0
+            walls[key].append(wall * scale)
             times[key].append(to_reference(wall, speed.sample(wall)) * scale)
-    fields = {"chunk_s": speed.mean_s()}
+    chunk = speed.mean_s()
+    fields = {"chunk_s": chunk}
     for key, ts in times.items():
-        fields.update({key: float(np.median(ts)), f"{key}_min": min(ts), f"{key}_max": max(ts)})
+        fields.update({key: float(np.median(ts)),
+                       f"{key}_min": to_reference(min(walls[key]), chunk),
+                       f"{key}_max": to_reference(max(walls[key]), chunk)})
     return fields
 
 
@@ -219,15 +234,19 @@ def protocol_row(selfsync, n: int, seed: int) -> dict:
 def trace_row(selfsync, record: str, g, delays, cfg, gvals, downsample: int) -> dict:
     traj = selfsync.simulate(g, delays, cfg, gvals)
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {fmt: Path(tmp) / f"trace.{fmt}" for fmt in ("csv", "npz")}
-        fields = timed(
-            ("csv_ms", 1e3, lambda: selfsync.trajectory_to_csv(
-                traj, paths["csv"], downsample=downsample)),
-            ("npz_ms", 1e3, lambda: selfsync.trajectory_to_npz(
-                traj, paths["npz"], downsample=downsample)))
+        path = Path(tmp) / "trace.npz"
+        fields = timed(("npz_ms", 1e3, lambda: selfsync.trajectory_to_npz(
+            traj, path, downsample=downsample)))
         return {"record": record, **graph_fields(g, delays, T_STEP), "horizon": cfg.horizon,
                 "rows": len(traj.times[::downsample]), "downsample": downsample, **fields,
-                **{f"{fmt}_bytes": path.stat().st_size for fmt, path in paths.items()}}
+                "npz_bytes": path.stat().st_size}
+
+
+def setup_row(selfsync, n: int) -> dict:
+    g, delays, cfg, gvals = build_case(selfsync, n, SETUP_SEED, horizon=1)
+    # measured first, so that nothing has touched the new graph before
+    peak = traced_peak_mb(lambda: selfsync.simulate(g, delays, cfg, gvals))
+    return {**graph_fields(g, delays, T_STEP), "setup_peak_mb": peak}
 
 
 def channel_row(selfsync, n: int, seed: int) -> dict:
@@ -355,6 +374,7 @@ def main(argv=None) -> int:
             trace_row(selfsync, "demo14", *demo_case(selfsync, seed), 1),
             trace_row(selfsync, f"n{TRACE_N}", *build_case(selfsync, TRACE_N, seed, TRACE_HORIZON),
                       TRACE_DOWNSAMPLE)]),
+        "setup": show("setup", [setup_row(selfsync, n) for n in SETUP_SIZES]),
         "channel": show("channel", [channel_row(selfsync, n, seed) for n in (40, 300)]),
         "structure": show("structure", [structure_row(selfsync, n, seed) for n in (300, 1000)]),
         "load": show("load", [load_row(selfsync, 300, seed)]),

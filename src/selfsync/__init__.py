@@ -45,7 +45,6 @@ from .dde_sim import (
     detect_sync_auto,
     simulate,
     simulate_batch,
-    trajectory_to_csv,
     trajectory_to_npz,
 )
 from .protocols import (

@@ -19,6 +19,7 @@ from .dde_sim import (
     check_delays,
     detect_sync,
     detect_sync_auto,
+    run_work,
     simulate,
     trajectory_to_npz,
 )
@@ -34,6 +35,10 @@ EXIT_NUMERICAL = 4
 # simulation from this many nodes on: at n = 100 the analysis takes about 9 ms
 # and a fork about 3 ms, at n = 14 they take 0.5 and 3 ms
 RUN_LANE_NODES = 100
+# and from this estimated simulation work (`run_work`) on: at n = 300 with 11k
+# links the lane lost at horizon 100 (about 1.1e6) and won at 400 (4.5e6),
+# with mixed outcomes at 200 to 300
+RUN_LANE_WORK = 2_000_000
 
 
 def _load_json(path: Path) -> dict:
@@ -78,7 +83,8 @@ def _write_scenario(
     (out / "digraph.json").write_text(digraph.to_document(g) + "\n")
     # only link delays are ever read: zeros off the links, on one line, keep
     # the n x n matrix short to write and to parse
-    link = DelayMatrix(tau=np.where(g.weights > 0.0, delays.tau, 0.0))
+    link = DelayMatrix(tau=np.zeros((g.n, g.n)))
+    link.tau[g.links] = delays.tau[g.links]
     (out / "delays.json").write_text(
         json.dumps({"n": g.n, "tau": link.tau.tolist(), "tau_max": link.tau_max}) + "\n"
     )
@@ -192,7 +198,9 @@ def cmd_run(args) -> int:
         count = 1
         # only with a one-thread BLAS: a larger pool oversubscribes the CPUs
         # left to the child, where eigvals at n = 300 took 2 s, not 70 ms
-        if g.n >= RUN_LANE_NODES and lanes.lane_count(2) > 1 and lanes.blas_threads() == 1:
+        work = run_work(cfg.horizon, g.links[0].size, g.n)
+        if (g.n >= RUN_LANE_NODES and work >= RUN_LANE_WORK and lanes.lane_count(2) > 1
+                and lanes.blas_threads() == 1):
             count = 2
         (traj, sim_error), (analysis, _) = lanes.run(
             [lambda: simulate(g, delays, cfg, gvals),
@@ -336,7 +344,7 @@ def cmd_inspect(args) -> int:
         if scc.connectivity_class is digraph.Connectivity.SC:
             kappa = spectral.rate_kappa_bound(lap, scc, gamma, rate)
             print(f"kappa bound: {kappa:.6g}")
-    print(f"max link delay: {delays.tau[g.weights > 0.0].max(initial=0.0):.6g}")
+    print(f"max link delay: {delays.tau[g.links].max(initial=0.0):.6g}")
     return EXIT_OK
 
 

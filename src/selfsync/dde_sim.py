@@ -141,27 +141,19 @@ def _per_node(traj, what: str) -> None:
         )
 
 
-def check_delays(g: SensorDigraph, delays: DelayMatrix, label: str = "") -> None:
-    """Raise ValueError unless tau is (n, n) and finite and nonnegative on every link."""
+def check_delays(g: SensorDigraph, delays: DelayMatrix, label: str = "") -> np.ndarray:
+    """The delays of g's links, in `g.links` order; raise ValueError unless
+    tau is (n, n) and finite and nonnegative on every link."""
     tau = np.asarray(delays.tau)
     if tau.shape != (g.n, g.n):
         raise ValueError(f"{label}delay matrix shape {tau.shape} does not match n = {g.n}")
-    links = g.weights > 0.0
-    link_tau = tau[links]
-    bad = ~((link_tau >= 0.0) & (link_tau < np.inf))
-    if bad.any():
-        i, j = np.argwhere(links)[bad][0]
-        raise ValueError(
-            f"{label}link delay tau[{i},{j}] = {tau[i, j]} is not finite and nonnegative"
-        )
-
-
-def _lag_matrix(g: SensorDigraph, delays: DelayMatrix, t_step: float) -> np.ndarray:
-    links = g.weights > 0.0
-    np.fill_diagonal(links, False)
-    m = np.zeros(links.shape, dtype=int)
-    m[links] = np.rint(delays.tau[links] / t_step)
-    return m
+    dst, src = g.links
+    link_tau = tau[dst, src]
+    bad = np.flatnonzero(~((link_tau >= 0.0) & (link_tau < np.inf)))
+    if bad.size:
+        i, j, value = dst[bad[0]], src[bad[0]], link_tau[bad[0]]
+        raise ValueError(f"{label}link delay tau[{i},{j}] = {value} is not finite and nonnegative")
+    return link_tau
 
 
 # steps between two compactions of a bounded record's history buffer
@@ -172,11 +164,17 @@ _BLOCK_ENTRIES = 1 << 16
 _CHECK_EVERY = 64
 # steps of coupling noise drawn per generator call
 _NOISE_STEPS = 64
-# estimated serial work of a batch, in gathered entries and node updates over
-# all steps, above which its step groups run in lanes: lanes took the mc-n40
-# warm-up (one trial at n = 40 over 200 steps, about 1e6) from 12 to 21 ms,
-# while an mc-n40 op (2 trials over 2000 steps, about 2e7) gains about 30 ms
+# estimated serial work of a batch (`run_work`) above which its step groups
+# run in lanes: lanes took the mc-n40 warm-up (one trial at n = 40 over 200
+# steps, about 1e6) from 12 to 21 ms, while an mc-n40 op (2 trials over 2000
+# steps, about 2e7) gains about 30 ms
 _LANE_WORK = 4_000_000
+
+
+def run_work(horizon: int, entries: int, nodes: int, columns: int = 1) -> int:
+    """Estimated serial work of an Euler run over steps 0..horizon: the
+    gathered entries and the node updates of every step and column."""
+    return (horizon + 1) * (entries + nodes) * columns
 
 
 # what a run records: every sample, the final sync window, or the node means
@@ -198,10 +196,11 @@ class SimRun(NamedTuple):
 @dataclass
 class _Member:
     """One run's own arrays, built as its solo run builds them. Its coupling
-    b = A - diag(in_degree) is the entry list (dst, src, lag, weight): every
-    off-diagonal link, and every diagonal entry with s = 1; with s > 1 the
-    self term is left out, and a node without in-links gets a zero-weight
-    entry at lag mmax instead, so that its run of entries is not empty."""
+    b = A - diag(in_degree) is the entry list (dst, src, lag, weight), sorted
+    by (dst, src): every link of `g.links`, plus own entries (i, i) of weight
+    -in_degree(i). With s = 1 every node has one, at lag 0; with s > 1 the
+    self term is left out, and only a node without in-links has one (weight
+    -0.0) at lag mmax, so that its run of entries is not empty."""
 
     label: str  # prefix of the member's error messages
     cfg: SimConfig
@@ -259,24 +258,18 @@ def _member(run: SimRun, label: str) -> _Member:
             f"{label}step-size instability: T_s * k_{i} * in_degree({i}) = "
             f"{cfg.t_step * gain[i] * indeg[i]:.3f} >= 2"
         )
-    check_delays(g, run.delays, label)
-    m = _lag_matrix(g, run.delays, cfg.t_step)
-    mmax = int(m.max()) if m.size else 0
-    links = w != 0.0
-    np.fill_diagonal(links, False)
-    span = int(m[links].min()) + 1 if links.any() else 1
-    b = w.copy()
-    np.fill_diagonal(b, -indeg)
-    if span == 1:
-        own = np.ones(n, dtype=bool)
-    else:
-        own = ~links.any(axis=1)
-        np.fill_diagonal(m, mmax)
-    dst, src = np.nonzero(links | np.diag(own))
+    dst, src = g.links
+    lag = np.rint(check_delays(g, run.delays, label) / cfg.t_step).astype(int)
+    mmax = int(lag.max(initial=0))
+    span = int(lag.min()) + 1 if lag.size else 1
+    own = np.arange(n) if span == 1 else np.flatnonzero(np.bincount(dst, minlength=n) == 0)
+    order = np.argsort(np.r_[dst * n + src, own * (n + 1)])
+    dst, src = np.r_[dst, own][order], np.r_[src, own][order]
+    lag = np.r_[lag, np.full(own.size, 0 if span == 1 else mmax)][order]
+    weight = np.r_[w[g.links], -indeg[own]][order]
     horizon = cfg.horizon
     first = max(horizon + 1 - cfg.sync_window(horizon + 1), 0) if run.record == "window" else 0
-    return _Member(label, cfg, kq, gv, columns, indeg, mmax, span, first,
-                   dst, src, m[dst, src], b[dst, src])
+    return _Member(label, cfg, kq, gv, columns, indeg, mmax, span, first, dst, src, lag, weight)
 
 
 def _check_finite(x: np.ndarray, lo: int, hi: int, last_step: int, members, offsets) -> None:
@@ -498,8 +491,8 @@ def simulate_batch(runs) -> list[Trajectory] | list[NodeMean]:
     names the member by its index in `runs`.
 
     Step groups run side by side in lanes (`lanes.run`), heaviest first, when
-    the batch has more than one group, its estimated serial work (gathered
-    entries and node updates over all steps) is above _LANE_WORK, os.fork and
+    the batch has more than one group, its estimated serial work (`run_work`
+    summed over the members) is above _LANE_WORK, os.fork and
     os.sched_getaffinity exist (Linux), no other Python thread is alive, and
     the usable CPUs outnumber the tasks runnable right now on the whole system
     (/proc/loadavg), this one included. This process runs the heaviest group,
@@ -535,9 +528,8 @@ def simulate_batch(runs) -> list[Trajectory] | list[NodeMean]:
         return _simulate_core([members[b] for b in group], cfg.t_step, cfg.horizon, record)
 
     work = [
-        (cfg.horizon + 1)
-        * sum((members[b].dst.size + len(members[b].indeg)) * members[b].g_vals.shape[1]
-              for b in group)
+        sum(run_work(cfg.horizon, mb.dst.size, len(mb.indeg), mb.g_vals.shape[1])
+            for mb in (members[b] for b in group))
         for group in groups
     ]
     count = lanes.lane_count(len(groups)) if sum(work) > _LANE_WORK else 1
@@ -658,36 +650,14 @@ def detect_sync_auto(
     return detect_sync(traj, tol=tol, window=window)
 
 
-def _strided(traj: Trajectory, downsample: int):
-    """Every downsample-th sample of (times, states, derivatives), as views."""
+def trajectory_to_npz(traj: Trajectory, path, downsample: int = 1) -> None:
+    """Uncompressed npz trace at exactly `path`, holding every downsample-th
+    sample as the arrays t (samples,), x and dx (samples, n), or (samples, n,
+    L) for vector states or forcing columns; the samples are exact, with no
+    decimal rounding."""
     _per_node(traj, "a trace writer")
     if downsample < 1:
         raise ValueError(f"downsample must be at least 1, got {downsample}")
-    return (
-        traj.times[::downsample],
-        traj.states[::downsample],
-        traj.derivatives[::downsample],
-    )
-
-
-def trajectory_to_csv(traj: Trajectory, path, downsample: int = 1) -> None:
-    """CSV trace with header (t, x_1..x_n, dx_1..dx_n); vector states flatten
-    coordinate-major."""
-    times, states, deriv = _strided(traj, downsample)
-    states = states.reshape(len(times), -1)
-    deriv = deriv.reshape(len(times), -1)
-    cols = states.shape[1]
-    header = ",".join(
-        ["t"] + [f"x_{k + 1}" for k in range(cols)] + [f"dx_{k + 1}" for k in range(cols)]
-    )
-    data = np.column_stack([times, states, deriv])
-    np.savetxt(path, data, delimiter=",", header=header, comments="")
-
-
-def trajectory_to_npz(traj: Trajectory, path, downsample: int = 1) -> None:
-    """Uncompressed npz trace at exactly `path`, holding the arrays t
-    (samples,), x and dx (samples, n), or (samples, n, L) for vector states
-    or forcing columns; the samples are exact, with no decimal rounding."""
-    times, states, deriv = _strided(traj, downsample)
     with open(path, "wb") as fh:
-        np.savez(fh, t=times, x=states, dx=deriv)
+        np.savez(fh, t=traj.times[::downsample], x=traj.states[::downsample],
+                 dx=traj.derivatives[::downsample])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,17 @@ class SensorDigraph:
     @property
     def n(self) -> int:
         return self.weights.shape[0]
+
+    @cached_property
+    def links(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dst, src) of every link, a positive off-diagonal weight: receivers
+        ascending, then transmitters ascending; read-only, computed once."""
+        mask = self.weights > 0.0
+        np.fill_diagonal(mask, False)
+        dst, src = np.nonzero(mask)
+        dst.setflags(write=False)
+        src.setflags(write=False)
+        return dst, src
 
 
 @dataclass(frozen=True)
@@ -82,9 +94,11 @@ def laplacian(g: SensorDigraph) -> np.ndarray:
     return lap
 
 
-def _successors(mask: np.ndarray) -> list[list[int]]:
-    """Adjacency lists along the data flow: j -> i for each mask[i, j], i ascending."""
-    return [np.flatnonzero(mask[:, j]).tolist() for j in range(len(mask))]
+def _successors(dst: np.ndarray, src: np.ndarray, n: int) -> list[list[int]]:
+    """Adjacency lists along the data flow: j -> i for each link (i, j), i in link order."""
+    heads = dst[np.argsort(src, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+    return [heads[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 def _tarjan_scc(adj: list[list[int]]) -> tuple[list[list[int]], np.ndarray]:
@@ -144,10 +158,9 @@ def scc_decompose(g: SensorDigraph) -> SccDecomposition:
     component only after every component downstream of it, so the reversed
     emission order runs upstream first.
     """
-    links = g.weights > 0.0
-    comps, comp_of = _tarjan_scc(_successors(links))
-    rows, cols = np.nonzero(links)
-    a, b = comp_of[rows], comp_of[cols]
+    dst, src = g.links
+    comps, comp_of = _tarjan_scc(_successors(dst, src, g.n))
+    a, b = comp_of[dst], comp_of[src]
     cross = a != b
     edges = set(zip(a[cross].tolist(), b[cross].tolist()))  # data flows b -> a
     roots = np.setdiff1d(np.arange(len(comps)), a[cross]).tolist()
@@ -155,8 +168,9 @@ def scc_decompose(g: SensorDigraph) -> SccDecomposition:
         cls = Connectivity.SC
     elif len(roots) == 1:
         cls = Connectivity.QSC
-    elif len(_tarjan_scc(_successors(links | links.T))[0]) == 1:
-        # the SCCs of the symmetrized digraph are its connected components
+    elif len(_tarjan_scc(_successors(np.r_[dst, src], np.r_[src, dst], g.n))[0]) == 1:
+        # the SCCs of the symmetrized digraph are its connected components; a
+        # link present both ways is listed twice, which changes no component
         cls = Connectivity.WC
     else:
         cls = Connectivity.DISCONNECTED
@@ -170,9 +184,9 @@ def scc_decompose(g: SensorDigraph) -> SccDecomposition:
 
 
 def to_document(g: SensorDigraph) -> str:
-    """Serialize as JSON {n, edges: [[i, j, a_ij]]}, row-major edge order."""
-    rows, cols = np.nonzero(g.weights > 0.0)
-    edges = [[int(i), int(j), float(g.weights[i, j])] for i, j in zip(rows, cols)]
+    """Serialize as JSON {n, edges: [[i, j, a_ij]]}, in the order of `links`."""
+    dst, src = g.links
+    edges = [list(e) for e in zip(dst.tolist(), src.tolist(), g.weights[dst, src].tolist())]
     return json.dumps({"n": g.n, "edges": edges}, indent=1)
 
 

@@ -67,9 +67,9 @@ def left_null_space_oracle(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 @contextlib.contextmanager
 def lanes(cpus: int = 2, work: int = 0, nodes: int = 0, fork=None):
     """Lanes as on a host with `cpus` usable idle CPUs and a one-thread BLAS,
-    with a lane threshold of `work` for simulate_batch and of `nodes` for
-    `selfsync run`; yields the list of os.fork calls, made by `fork`
-    (default: the real os.fork)."""
+    with a lane threshold of `work` for simulate_batch and for `selfsync run`,
+    and of `nodes` for `selfsync run`; yields the list of os.fork calls, made
+    by `fork` (default: the real os.fork)."""
     forks: list[int] = []
     fork = fork or os.fork
     with pytest.MonkeyPatch.context() as mp:
@@ -77,6 +77,7 @@ def lanes(cpus: int = 2, work: int = 0, nodes: int = 0, fork=None):
         mp.setattr(lanes_module, "blas_threads", lambda: 1)
         mp.setattr(dde_sim, "_LANE_WORK", work)
         mp.setattr(cli, "RUN_LANE_NODES", nodes)
+        mp.setattr(cli, "RUN_LANE_WORK", work)
         mp.setattr(os, "fork", lambda: forks.append(1) or fork())
         yield forks
 

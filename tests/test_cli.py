@@ -827,10 +827,10 @@ def n300_scenario(tmp_path_factory):
     return tmp / "scen"
 
 
-def run_outcome(capsys, scen, out, cpus, nodes=0, flags=()):
+def run_outcome(capsys, scen, out, cpus, nodes=0, flags=(), work=0):
     """(exit code, stderr, files left in out, forks) of one `selfsync run`,
     with report.json read without its timestamp."""
-    with lanes(cpus=cpus, nodes=nodes) as forks:
+    with lanes(cpus=cpus, work=work, nodes=nodes) as forks:
         code = main(["run", str(scen), "--out-dir", str(out), *flags])
     assert_no_children()
     files = {}
@@ -848,16 +848,28 @@ def run_outcome(capsys, scen, out, cpus, nodes=0, flags=()):
 def test_run_with_the_analysis_lane_equals_the_serial_run(
     demo_scenarios, n300_scenario, tmp_path, capsys, name
 ):
-    scen, flags, nodes = demo_scenarios / name, (), 0
+    scen, flags, nodes, work = demo_scenarios / name, (), 0, 0
     if name == "n300":
-        # the lane opens at this size without lowering the threshold
-        scen, flags, nodes = n300_scenario, ("--downsample", "10"), cli.RUN_LANE_NODES
-    *closed, forks = run_outcome(capsys, scen, tmp_path / "closed", 1, nodes, flags)
+        # the lane opens at this size and horizon without lowering the thresholds
+        scen, flags = n300_scenario, ("--downsample", "10")
+        nodes, work = cli.RUN_LANE_NODES, cli.RUN_LANE_WORK
+    *closed, forks = run_outcome(capsys, scen, tmp_path / "closed", 1, nodes, flags, work)
     assert forks == 0
-    *opened, forks = run_outcome(capsys, scen, tmp_path / "open", 2, nodes, flags)
+    *opened, forks = run_outcome(capsys, scen, tmp_path / "open", 2, nodes, flags, work)
     assert forks == 1
     assert closed[0] == EXIT_OK and sorted(closed[2]) == ["report.json", "trace.npz"]
     assert opened == closed
+
+
+@pytest.mark.parametrize("horizon, lanes_opened", [(50, 0), (1200, 1)])
+def test_the_analysis_lane_stays_closed_for_a_short_simulation(
+    n300_scenario, tmp_path, capsys, horizon, lanes_opened
+):
+    # at 300 nodes the lane lost to the serial run at horizon 100 and won at 400
+    flags = ("--horizon", str(horizon), "--tol", "1e9", "--downsample", "10")
+    code, _, _, forks = run_outcome(capsys, n300_scenario, tmp_path / "o", 2,
+                                    cli.RUN_LANE_NODES, flags, cli.RUN_LANE_WORK)
+    assert code == EXIT_OK and forks == lanes_opened
 
 
 def break_prediction(monkeypatch, scenario):
@@ -930,5 +942,7 @@ def test_the_analysis_lane_needs_a_one_thread_blas(n300_scenario, tmp_path, monk
     monkeypatch.setattr(lanes_module, "_lane_cpus", lambda: 2)
     monkeypatch.setattr(lanes_module, "blas_threads", lambda: threads)
     monkeypatch.setattr(os, "fork", refuse_fork)
+    g, _, _ = cli._load_scenario(n300_scenario)
+    assert cli.run_work(200, g.links[0].size, g.n) >= cli.RUN_LANE_WORK  # else BLAS is moot
     argv = ["run", str(n300_scenario), "--horizon", "200", "--tol", "1e9"]
     assert main(argv + ["--out-dir", str(tmp_path / "o")]) == EXIT_OK

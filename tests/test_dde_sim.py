@@ -27,7 +27,6 @@ from selfsync.dde_sim import (
     detect_sync_auto,
     simulate,
     simulate_batch,
-    trajectory_to_csv,
     trajectory_to_npz,
 )
 from selfsync.digraph import new_digraph
@@ -244,6 +243,53 @@ def test_sim_reads_delays_on_links_only():
     assert a.states.tobytes() == b.states.tobytes()
 
 
+def dense_member_entries(g, delays, t_step):
+    """(mmax, span, (dst, src, lag, weight)) built the dense way: a lag matrix
+    and b = A - diag(in_degree), masked and gathered back."""
+    w = g.weights
+    links = w > 0.0
+    np.fill_diagonal(links, False)
+    m = np.zeros(links.shape, dtype=int)
+    m[links] = np.rint(delays.tau[links] / t_step)
+    mmax = int(m.max()) if m.size else 0
+    span = int(m[links].min()) + 1 if links.any() else 1
+    b = w.copy()
+    np.fill_diagonal(b, -w.sum(axis=1))
+    if span == 1:
+        own = np.ones(len(w), dtype=bool)
+    else:
+        own = ~links.any(axis=1)
+        np.fill_diagonal(m, mmax)
+    dst, src = np.nonzero(links | np.diag(own))
+    return mmax, span, (dst, src, m[dst, src], b[dst, src])
+
+
+@st.composite
+def member_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    w = rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < draw(st.floats(0.0, 1.0)))
+    w[rng.random(n) < 0.3] = 0.0  # receivers without in-links
+    np.fill_diagonal(w, 0.0)
+    shortest = draw(st.sampled_from([0, 1, 4]))  # 0 admits lag-0 links, so s = 1
+    t_step = 2.0**-7  # exact in binary, so tau / t_step rounds back to the lag
+    tau = rng.integers(shortest, shortest + 6, (n, n)) * t_step
+    tau[(w == 0.0) & (rng.random((n, n)) < 0.5)] = np.nan  # never read
+    return new_digraph(w), DelayMatrix(tau=tau), t_step
+
+
+@given(member_cases())
+@settings(max_examples=150, deadline=None)
+def test_member_entries_equal_the_dense_construction_byte_for_byte(case):
+    g, delays, t_step = case
+    mb = dde_sim._member(dde_sim.SimRun(g, delays, SimConfig(t_step=t_step), np.ones(g.n)), "")
+    mmax, span, want = dense_member_entries(g, delays, t_step)
+    assert (mb.mmax, mb.span) == (mmax, span)
+    for got, ref in zip((mb.dst, mb.src, mb.lag, mb.weight), want):
+        # bytes, so that the -0.0 weight of a node without in-links counts too
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
 # ---------------------------------------------------------------- detection
 
 
@@ -307,50 +353,6 @@ def test_detect_sync_auto_tolerance_scaling():
 
 
 # ---------------------------------------------------------------- export
-
-
-def test_trajectory_csv_roundtrip(tmp_path):
-    g = two_node()
-    cfg = SimConfig(t_step=1e-3, horizon=20)
-    traj = simulate(g, DelayMatrix.zero(2), cfg, np.array([1.0, 2.0]))
-    path = tmp_path / "trace.csv"
-    trajectory_to_csv(traj, path, downsample=2)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,x_1,x_2,dx_1,dx_2"
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (11, 5)
-    np.testing.assert_allclose(data[:, 0], traj.times[::2])
-    np.testing.assert_allclose(data[:, 1:3], traj.states[::2], atol=1e-12)
-    for downsample in (0, -1):
-        with pytest.raises(ValueError, match=f"got {downsample}"):
-            trajectory_to_csv(traj, tmp_path / "bad.csv", downsample=downsample)
-    assert not (tmp_path / "bad.csv").exists()
-
-
-def csv_reference(traj, path, downsample):
-    """The full record stacked first, then strided."""
-    states = traj.states.reshape(len(traj.times), -1)
-    deriv = traj.derivatives.reshape(len(traj.times), -1)
-    cols = states.shape[1]
-    header = ",".join(
-        ["t"] + [f"x_{k + 1}" for k in range(cols)] + [f"dx_{k + 1}" for k in range(cols)]
-    )
-    data = np.column_stack([traj.times, states, deriv])[::downsample]
-    np.savetxt(path, data, delimiter=",", header=header, comments="")
-
-
-@pytest.mark.parametrize("downsample", [1, 3])
-def test_trajectory_csv_bytes_equal_strided_full_record(tmp_path, downsample):
-    g = ring3()
-    cfg = SimConfig(t_step=1e-3, k_gain=2.0, horizon=31, noise_std=0.1)
-    delays = DelayMatrix.uniform(3, 2e-3)
-    scalar = simulate(g, delays, cfg, np.array([1.0, 2.0, 3.0]))
-    columns = simulate(g, delays, cfg, np.arange(6.0).reshape(3, 2))
-    for traj in (scalar, columns):
-        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        trajectory_to_csv(traj, got, downsample=downsample)
-        csv_reference(traj, want, downsample)
-        assert got.read_bytes() == want.read_bytes()
 
 
 def export_trajectories():
@@ -862,6 +864,18 @@ def test_node_mean_memory_does_not_grow_with_the_horizon(monkeypatch):
     assert traced_peak(g, delays, replace(cfg, horizon=4000), gv, "full") >= 1.5 * full
 
 
+def test_set_up_memory_follows_the_links_not_n_squared():
+    # a 1000-node ring with chords, 2000 links: building the entries through
+    # dense n x n lag and coupling matrices peaked at about 17 MiB
+    n = 1000
+    w = np.zeros((n, n))
+    i = np.arange(n)
+    w[(i + 1) % n, i] = 1.0
+    w[(i + 37) % n, i] = 0.5
+    g, delays = new_digraph(w), DelayMatrix.uniform(n, 0.005)
+    assert traced_peak(g, delays, SimConfig(horizon=1), np.ones(n), "full") < 2 * 2**20
+
+
 def test_node_mean_record_is_not_a_trajectory(tmp_path):
     g = ring3()
     cfg = SimConfig(horizon=50)
@@ -874,8 +888,6 @@ def test_node_mean_record_is_not_a_trajectory(tmp_path):
         detect_sync_auto(rec, cfg, omega_scale=1.0)
     with pytest.raises(TypeError, match=message):
         trajectory_to_npz(rec, tmp_path / "t.npz")
-    with pytest.raises(TypeError, match=message):
-        trajectory_to_csv(rec, tmp_path / "t.csv")
 
 
 def test_record_must_be_a_known_kind():

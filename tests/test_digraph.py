@@ -209,6 +209,20 @@ def test_topo_order_and_condensation_match_bruteforce(w):
     assert got == want
 
 
+@given(weight_matrices())
+@settings(max_examples=60, deadline=None)
+def test_links_are_the_positive_weights_row_major_read_only_and_computed_once(w):
+    g = new_digraph(w)
+    want = np.nonzero(g.weights > 0)
+    assert len(g.links) == 2
+    for got, ref in zip(g.links, want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[...] = 0
+    assert g.links is g.links
+
+
 # ---------------------------------------------------------------- documents
 
 
