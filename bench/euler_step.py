@@ -13,7 +13,7 @@ lag (the core advances s steps per gather; s = 1 when some link has lag 0).
 {14, 40, 200, 1000}, each on a seeded netgen graph (uniform placement at a
 fixed node density, path-loss amplitudes pruned below 0.5, geometry delays
 with the longest link lagging 50 steps), over 1000 steps, or 200 with
-``--quick``, which keeps the whole run under 30 s. ``demo14``: µs per step of
+``--quick``, which keeps the whole run under 45 s. ``demo14``: µs per step of
 the ``selfsync run`` demo, the 14-node SC reference digraph with a uniform
 50-step lag (s = 51), K = 30, one forcing column, horizon 8000. ``columns``:
 µs per step of L forcing columns, L in {1, n + 1} at n in {4, 8} (seeded
@@ -42,6 +42,12 @@ runnable); the affinity is restored after each row. ``peak_mb`` is the ``tracema
 call, taken after and outside the timed calls; it does not see the memory of
 a forked lane, so ``child_maxrss_mb`` gives the largest RSS in MB of any
 child the script has reaped so far (``RUSAGE_CHILDREN``; 0 when none forked).
+``analysis``: ms of ``experiments.analyse_scenario`` (SCCs, prediction and
+spectral rates) and of a horizon-1200 ``simulate`` on scenarios made as the
+run-n300 workload makes them, at n in {100, 200, 300, 500, 800} and its node
+density; ``analysis_work`` is the analysis's time in ``run_work`` units (the
+simulation's work times the ratio of the two times), and ``analysis_coef``
+that divided by n^3, the coefficient of ``experiments.analysis_work``.
 ``run``: ms of one ``selfsync run`` (in process, trace at downsample 10) on a
 scenario made as the run-n300 workload makes it (n = 300, Rayleigh links
 pruned below 0.5, horizon 1200), pinned to one CPU (``cpus=1``: the analysis
@@ -113,22 +119,23 @@ MC_CONFIG = {"d_side": 5.0, "t_step": 1e-3, "k_gain": 30.0, "tau_max": 0.1, "xi"
 # run rows: the run-n300 workload's scenario
 RUN_CONFIG = {"n": 300, "d_side": 7.75, "tau_max": 0.05, "threshold": 0.5, "t_step": 1e-3,
               "k_gain": 5.0, "horizon": 1200}
+# analysis rows: scenarios made as run-n300's, at these sizes
+ANALYSIS_SIZES = (100, 200, 300, 500, 800)
 
 
 def timed(*calls) -> dict:
     """Time ``(key, scale, call)`` entries: one warm-up call each, then
     ``REPEATS`` rounds of one call each, in reversed order every other round so
     that a drift of the host's speed hits them alike. The reference chunk of
-    ``perfbench/speed.py`` is timed after each call, and the call's wall time
-    converted with it to reference seconds: the time it would take on a host
-    where the chunk takes ``REF_S``. Returns the row fields ``key`` (the median
-    of the converted calls, times ``scale``), ``chunk_s`` (the row's mean chunk
-    time), and ``key_min`` and ``key_max``: the fastest and the slowest call's
-    wall time converted with ``chunk_s``, not with its own chunk sample, whose
-    noise alone could put a call at a quarter of its wall time; so the median
-    can fall just outside them."""
+    ``perfbench/speed.py`` is timed after each call, and every call's wall
+    time is converted with the row's mean chunk time to reference seconds:
+    the time it would take on a host where the chunk takes ``REF_S``. Returns
+    the row fields ``key`` (the median converted call, times ``scale``),
+    ``chunk_s`` (the row's mean chunk time), and ``key_min`` and ``key_max``
+    (the fastest and the slowest converted call), so the median lies between
+    them."""
     speed = Speedometer()
-    walls, times = {key: [] for key, _, _ in calls}, {key: [] for key, _, _ in calls}
+    walls = {key: [] for key, _, _ in calls}
     for _, _, call in calls:
         call()
     for rep in range(REPEATS):
@@ -137,13 +144,13 @@ def timed(*calls) -> dict:
             call()
             wall = time.perf_counter() - t0
             walls[key].append(wall * scale)
-            times[key].append(to_reference(wall, speed.sample(wall)) * scale)
+            speed.sample(wall)
     chunk = speed.mean_s()
     fields = {"chunk_s": chunk}
-    for key, ts in times.items():
-        fields.update({key: float(np.median(ts)),
-                       f"{key}_min": to_reference(min(walls[key]), chunk),
-                       f"{key}_max": to_reference(max(walls[key]), chunk)})
+    for key, ws in walls.items():
+        fields.update({key: to_reference(float(np.median(ws)), chunk),
+                       f"{key}_min": to_reference(min(ws), chunk),
+                       f"{key}_max": to_reference(max(ws), chunk)})
     return fields
 
 
@@ -310,28 +317,51 @@ def montecarlo_row(selfsync, trials: int, seed: int, cpus: int) -> dict:
     return {**row, "child_maxrss_mb": child_kb / 1024}
 
 
+def cli_main(cli, args: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(args) != cli.EXIT_OK:
+            raise RuntimeError(f"selfsync {' '.join(args)} failed")
+
+
+def run_scenario(cli, n: int, seed: int, tmp: Path) -> Path:
+    """A scenario made as the run-n300 workload makes it, at n nodes and the
+    same node density."""
+    cfg = {**RUN_CONFIG, "n": n, "d_side": RUN_CONFIG["d_side"] * (n / RUN_CONFIG["n"]) ** 0.5,
+           "seed": seed, "g_values": np.random.default_rng(seed).uniform(0.5, 1.5, n).tolist()}
+    config, scen = tmp / "config.json", tmp / "scen"
+    config.write_text(json.dumps(cfg))
+    cli_main(cli, ["gen", str(config), "--out-dir", str(scen)])
+    return scen
+
+
+def analysis_row(selfsync, n: int, seed: int) -> dict:
+    from selfsync import cli, experiments
+    from selfsync.dde_sim import run_work
+
+    with tempfile.TemporaryDirectory() as tmp:
+        g, delays, sc = cli._load_scenario(run_scenario(cli, n, seed, Path(tmp)))
+    gv = np.asarray(sc["g_values"])
+    cfg = selfsync.SimConfig(t_step=T_STEP, k_gain=RUN_CONFIG["k_gain"],
+                             horizon=RUN_CONFIG["horizon"])
+    row = {**graph_fields(g, delays, T_STEP), "horizon": cfg.horizon,
+           **timed(("analysis_ms", 1e3, lambda: experiments.analyse_scenario(g, delays, cfg, gv)),
+                   ("sim_ms", 1e3, lambda: selfsync.simulate(g, delays, cfg, gv)))}
+    work = run_work(cfg.horizon, g.links[0].size, g.n)
+    return {**row, "analysis_work": row["analysis_ms"] / row["sim_ms"] * work,
+            "analysis_coef": row["analysis_ms"] / row["sim_ms"] * work / n**3}
+
+
 def run_row(selfsync, seed: int, cpus: int) -> dict:
     from selfsync import cli
 
-    n = RUN_CONFIG["n"]
-    cfg = {**RUN_CONFIG, "seed": seed,
-           "g_values": np.random.default_rng(seed).uniform(0.5, 1.5, n).tolist()}
     with tempfile.TemporaryDirectory() as tmp:
-        config, scen = Path(tmp) / "config.json", Path(tmp) / "scen"
-        config.write_text(json.dumps(cfg))
+        scen = run_scenario(cli, RUN_CONFIG["n"], seed, Path(tmp))
         argv = ["run", str(scen), "--out-dir", str(Path(tmp) / "out"), "--downsample",
                 str(TRACE_DOWNSAMPLE)]
-
-        def cli_main(args: list[str]) -> None:
-            with contextlib.redirect_stdout(io.StringIO()):
-                if cli.main(args) != cli.EXIT_OK:
-                    raise RuntimeError(f"selfsync {args[0]} failed on {cfg}")
-
-        cli_main(["gen", str(config), "--out-dir", str(scen)])
         g, delays, _ = cli._load_scenario(scen)
         with pinned(cpus):
             row = {**graph_fields(g, delays, T_STEP), "horizon": RUN_CONFIG["horizon"],
-                   "cpus": cpus, **timed(("op_ms", 1e3, lambda: cli_main(argv)))}
+                   "cpus": cpus, **timed(("op_ms", 1e3, lambda: cli_main(cli, argv)))}
     child_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     return {**row, "child_maxrss_mb": child_kb / 1024}
 
@@ -381,6 +411,7 @@ def main(argv=None) -> int:
         "montecarlo": show("montecarlo", [
             montecarlo_row(selfsync, trials, seed, cpus)
             for cpus in sorted({1, len(os.sched_getaffinity(0))}) for trials in MC_TRIALS]),
+        "analysis": show("analysis", [analysis_row(selfsync, n, seed) for n in ANALYSIS_SIZES]),
         "run": show("run", [run_row(selfsync, seed, cpus)
                             for cpus in sorted({1, len(os.sched_getaffinity(0))})]),
     }

@@ -31,16 +31,6 @@ EXIT_BAD_CONFIG = 2
 EXIT_NO_SYNC = 3
 EXIT_NUMERICAL = 4
 
-# `run --mode simulate` analyses the scenario in a forked lane beside the
-# simulation from this many nodes on: at n = 100 the analysis takes about 9 ms
-# and a fork about 3 ms, at n = 14 they take 0.5 and 3 ms
-RUN_LANE_NODES = 100
-# and from this estimated simulation work (`run_work`) on: at n = 300 with 11k
-# links the lane lost at horizon 100 (about 1.1e6) and won at 400 (4.5e6),
-# with mixed outcomes at 200 to 300
-RUN_LANE_WORK = 2_000_000
-
-
 def _load_json(path: Path) -> dict:
     try:
         with open(path) as fh:
@@ -141,10 +131,13 @@ def _load_scenario(path: Path):
     g = digraph.from_document((path / "digraph.json").read_text())
     ddoc = _load_json(path / "delays.json")
     try:
-        delays = DelayMatrix(tau=np.asarray(ddoc["tau"], dtype=float))
-        check_delays(g, delays)
+        link_tau = check_delays(g, DelayMatrix(tau=np.asarray(ddoc["tau"], dtype=float)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path / 'delays.json'}: {exc}") from exc
+    # entries off the links meet zero weights; zeroed, as _write_scenario writes
+    # them, a non-finite one (JSON takes Infinity and NaN) cannot poison a sum
+    delays = DelayMatrix(tau=np.zeros((g.n, g.n)))
+    delays.tau[g.links] = link_tau
     sc = _load_json(path / "scenario.json")
     return g, delays, sc
 
@@ -195,17 +188,10 @@ def cmd_run(args) -> int:
         # the analysis runs beside the simulation, in a forked lane when one
         # is open; one that failed is redone below in serial order, so that
         # each error is raised where a serial run raises it
-        count = 1
-        # only with a one-thread BLAS: a larger pool oversubscribes the CPUs
-        # left to the child, where eigvals at n = 300 took 2 s, not 70 ms
-        work = run_work(cfg.horizon, g.links[0].size, g.n)
-        if (g.n >= RUN_LANE_NODES and work >= RUN_LANE_WORK and lanes.lane_count(2) > 1
-                and lanes.blas_threads() == 1):
-            count = 2
         (traj, sim_error), (analysis, _) = lanes.run(
             [lambda: simulate(g, delays, cfg, gvals),
              lambda: experiments.analyse_scenario(g, delays, cfg, gvals)],
-            count,
+            [run_work(cfg.horizon, g.links[0].size, g.n), experiments.analysis_work(g.n)],
         )
     scc = analysis.scc if analysis else digraph.scc_decompose(g)
     out_dir = Path(args.out_dir or path)

@@ -164,11 +164,6 @@ _BLOCK_ENTRIES = 1 << 16
 _CHECK_EVERY = 64
 # steps of coupling noise drawn per generator call
 _NOISE_STEPS = 64
-# estimated serial work of a batch (`run_work`) above which its step groups
-# run in lanes: lanes took the mc-n40 warm-up (one trial at n = 40 over 200
-# steps, about 1e6) from 12 to 21 ms, while an mc-n40 op (2 trials over 2000
-# steps, about 2e7) gains about 30 ms
-_LANE_WORK = 4_000_000
 
 
 def run_work(horizon: int, entries: int, nodes: int, columns: int = 1) -> int:
@@ -490,18 +485,13 @@ def simulate_batch(runs) -> list[Trajectory] | list[NodeMean]:
     step-size guard before any step; in a batch of more than one, an error
     names the member by its index in `runs`.
 
-    Step groups run side by side in lanes (`lanes.run`), heaviest first, when
-    the batch has more than one group, its estimated serial work (`run_work`
-    summed over the members) is above _LANE_WORK, os.fork and
-    os.sched_getaffinity exist (Linux), no other Python thread is alive, and
-    the usable CPUs outnumber the tasks runnable right now on the whole system
-    (/proc/loadavg), this one included. This process runs the heaviest group,
-    and the others are dealt to one forked child per other idle CPU. The
-    results, the errors and their order are those of the in-process run: on
-    failure the error of the first failing group in serial order is raised,
-    after every group has run and every child has been reaped. A child's
-    memory is not in this process's RSS, nor seen by tracemalloc; ``taskset``
-    restricts the lanes to the CPUs it allows.
+    Step groups run side by side in lanes by the rule of `lanes.run`, each
+    with its estimated work (`run_work` summed over its members). The results,
+    the errors and their order are those of the in-process run: on failure the
+    error of the first failing group in serial order is raised, after every
+    group has run and every child has been reaped. A child's memory is not in
+    this process's RSS, nor seen by tracemalloc; ``taskset`` restricts the
+    lanes to the CPUs it allows.
     """
     runs = [SimRun(*run) for run in runs]
     if not runs:
@@ -532,12 +522,9 @@ def simulate_batch(runs) -> list[Trajectory] | list[NodeMean]:
             for mb in (members[b] for b in group))
         for group in groups
     ]
-    count = lanes.lane_count(len(groups)) if sum(work) > _LANE_WORK else 1
-    order = sorted(range(len(groups)), key=lambda k: -work[k])
-    outcomes = dict(zip(order, lanes.run([partial(run, groups[k]) for k in order], count)))
+    outcomes = lanes.run([partial(run, group) for group in groups], work)
     out: list = [None] * len(runs)
-    for k, group in enumerate(groups):
-        results, error = outcomes[k]
+    for group, (results, error) in zip(groups, outcomes):
         if error is not None:
             raise error
         for b, result in zip(group, results):

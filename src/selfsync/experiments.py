@@ -20,6 +20,11 @@ DOWNSAMPLE = 10  # iterations per aggregated Monte-Carlo sample
 # so a batch holds its members' set-up and bounded histories; at n = 40, 100
 # trials took as long in batches of 6 as of 16, with 6 MB less peak RSS
 BATCH_TRIALS = 6
+# `analysis_work` per n^3: a least-squares fit to the analysis's measured work
+# at n = 100 to 800 (`bench/euler_step.py` analysis rows); at n = 300 it reads
+# 9.4e6 for 1.3e7, so a simulation of 1.3e7 there is the heavier task and stays
+# in process, where its trajectory needs no pickling
+ANALYSIS_WORK = 0.35
 
 
 def config_int(cfg: dict, key: str, default: int | None = None, minimum: int = 1) -> int:
@@ -66,6 +71,11 @@ def spectral_rates(
             gamma_c = prediction.clusters[0].gamma * cfg.c_array(g.n)
             rates["kappa_bound"] = spectral.rate_kappa_bound(kdl, scc, gamma_c, no_delay)
     return rates
+
+
+def analysis_work(n: int) -> float:
+    """Estimated work of `analyse_scenario` on n nodes in `run_work` units."""
+    return ANALYSIS_WORK * n**3
 
 
 def analyse_scenario(

@@ -1,13 +1,19 @@
-"""Lanes: independent callables run side by side, the caller's share in this
-process and every other share in a forked child that pickles its outcomes
-back through a pipe."""
+"""Lanes: independent tasks run side by side, the heaviest in this process and
+others in forked children that pickle their outcomes back through a pipe."""
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import os
 import pickle
 import threading
+
+# work (`dde_sim.run_work` units) from which a task but the heaviest may get a
+# lane: at n = 300 `selfsync run` lost with a lane at simulation work 1.1e6 and
+# won at 4.5e6; the mc-n40 warm-up (groups of 3.3e5 and 6.5e5) lost, its op won
+LANE_WORK = 2_000_000
 
 
 def _lane_cpus() -> int:
@@ -25,7 +31,7 @@ def _lane_cpus() -> int:
     return len(os.sched_getaffinity(0)) - (runnable - 1)
 
 
-def lane_count(wanted: int) -> int:
+def _lane_count(wanted: int) -> int:
     """How many of `wanted` lanes may open now: 1 while another Python thread
     is alive (a fork copies no thread but the caller's), else at most one per
     usable CPU that is idle now plus this one (`_lane_cpus`)."""
@@ -34,34 +40,42 @@ def lane_count(wanted: int) -> int:
     return max(1, min(wanted, _lane_cpus()))
 
 
-# OpenBLAS's thread-count getter, in plain, 64-bit-integer and numpy's own
-# (scipy-openblas) builds
-_OPENBLAS_THREADS = ("openblas_get_num_threads", "openblas_get_num_threads64_",
-                     "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_")
-
-
-def blas_threads() -> int | None:
-    """Threads of the OpenBLAS mapped into this process (numpy's BLAS), as
-    OpenBLAS counts them; None where none is found (another BLAS, or no
-    /proc/self/maps)."""
-    import ctypes
-
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
-    except OSError:
-        return None
+@functools.cache
+def _openblas(name: str, restype, *argtypes):
+    """The function openblas_<name>, declared with restype and argtypes, of the
+    OpenBLAS mapped into this process (numpy's BLAS), in plain, 64-bit-integer
+    or numpy's own (scipy-openblas) builds; None where none is found (another
+    BLAS, or no /proc/self/maps)."""
+    paths = []
+    with contextlib.suppress(OSError), open("/proc/self/maps") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    names = [f"{prefix}openblas_{name}{suffix}" for prefix in ("", "scipy_")
+             for suffix in ("", "64_")]
     for path in paths:
-        try:
+        with contextlib.suppress(OSError):
             lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _OPENBLAS_THREADS:
-            getter = getattr(lib, name, None)
-            if getter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                return getter()
+            for function in (getattr(lib, symbol, None) for symbol in names):
+                if function is not None:
+                    function.restype, function.argtypes = restype, list(argtypes)
+                    return function
     return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS capped at one thread in the block, and its thread count
+    restored after; another BLAS is left alone."""
+    get_threads = _openblas("get_num_threads", ctypes.c_int)
+    set_threads = _openblas("set_num_threads", None, ctypes.c_int)
+    threads = get_threads() if get_threads and set_threads else 1
+    if threads == 1:
+        yield
+        return
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
 
 
 def _current_cpu() -> int | None:
@@ -101,48 +115,49 @@ def _lane_child(tasks: list, lane: list[int], cpus: set[int], w: int) -> None:
         os._exit(code)
 
 
-def run(tasks: list, count: int) -> list[tuple]:
+def run(tasks: list, work: list) -> list[tuple]:
     """Each task's (result, None), or (None, error) for a task that raised.
 
-    The tasks are dealt in list order to `count` (at least 1) lanes, task k
-    to lane k % count, and each lane runs its tasks in list order; every task
-    runs, whether or not another one failed. This process runs lane 0, which holds
-    the first task, and each other lane runs in a forked child, kept off this
-    process's CPU, that pickles its outcomes back through a pipe. Every child
-    is reaped before this returns or raises. A lane whose fork fails runs
-    here; a child that ends without sending its outcomes (killed, or a result
-    that does not pickle) gives each of its tasks a RuntimeError."""
-    own, *others = [list(range(i, len(tasks), count))
-                    for i in range(min(count, len(tasks)) or 1)]
+    work[k] is task k's estimated work (`dde_sim.run_work` units). Heaviest
+    first (ties in list order), the tasks are dealt in turn to the lanes: this
+    process's, which holds the heaviest, and one per other task of at least
+    LANE_WORK, as far as `_lane_count` allows. Each lane runs its tasks in that
+    order; every task runs, whether or not another one failed. Another lane
+    runs in a forked child, kept off this process's CPU, that pickles its
+    outcomes back through a pipe; every child is reaped before this returns or
+    raises. A lane whose fork fails, or whose child ends without sending its
+    outcomes (killed, or a result that does not pickle), runs here.
+
+    Every task runs with numpy's OpenBLAS capped at one thread, here and in a
+    child, which inherits the cap: a larger pool would oversubscribe the CPUs
+    left to a child (eigvals at n = 300 took 1.9 s there with 2 threads, 42 ms
+    with one), and a task's round-off must not depend on where it runs."""
+    order = sorted(range(len(tasks)), key=lambda k: -work[k])
+    count = _lane_count(1 + sum(work[k] >= LANE_WORK for k in order[1:]))
+    own, *others = [order[i::count] for i in range(count)]
     cpus = set(os.sched_getaffinity(0)) - {_current_cpu()} if others else set()
-    children, sent, outcomes = [], [], {}
-    try:
-        for lane in others:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
+    with _one_blas_thread():
+        children, sent, outcomes = [], [], {}
+        try:
+            for lane in others:
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(r)
+                    os.close(w)
+                    own = own + lane
+                    continue
+                if pid == 0:
+                    _lane_child(tasks, lane, cpus, w)
                 os.close(w)
-                own = own + lane
-                continue
-            if pid == 0:
-                _lane_child(tasks, lane, cpus, w)
-            os.close(w)
-            children.append((pid, lane, r))
-        outcomes.update(_outcomes(tasks, own))
-    finally:
-        for pid, lane, r in children:
-            with os.fdopen(r, "rb") as fh:
-                data = fh.read()
-            sent.append((pid, lane, data, os.waitpid(pid, 0)[1]))
-    for pid, lane, data, status in sent:
-        if data:
-            outcomes.update(pickle.loads(data))
-        else:
-            lost = RuntimeError(
-                f"lane process {pid} ended with wait status {status} "
-                "before sending its results"
-            )
-            outcomes.update({k: (None, lost) for k in lane})
-    return [outcomes[k] for k in range(len(tasks))]
+                children.append((lane, r, pid))
+            outcomes.update(_outcomes(tasks, own))
+        finally:
+            for lane, r, pid in children:
+                with os.fdopen(r, "rb") as fh:
+                    sent.append((lane, fh.read()))
+                os.waitpid(pid, 0)
+        for lane, data in sent:
+            outcomes.update(pickle.loads(data) if data else _outcomes(tasks, lane))
+        return [outcomes[k] for k in range(len(tasks))]

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from selfsync import cli, dde_sim, lanes as lanes_module
+from selfsync import lanes as lanes_module
 from selfsync.digraph import Connectivity
 
 
@@ -65,19 +65,14 @@ def left_null_space_oracle(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def lanes(cpus: int = 2, work: int = 0, nodes: int = 0, fork=None):
-    """Lanes as on a host with `cpus` usable idle CPUs and a one-thread BLAS,
-    with a lane threshold of `work` for simulate_batch and for `selfsync run`,
-    and of `nodes` for `selfsync run`; yields the list of os.fork calls, made
-    by `fork` (default: the real os.fork)."""
+def lanes(cpus: int = 2, work: int = 0):
+    """Lanes as on a host with `cpus` usable idle CPUs, where a task of at
+    least `work` may get a lane of its own; yields the list of os.fork calls."""
     forks: list[int] = []
-    fork = fork or os.fork
+    fork = os.fork
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lanes_module, "_lane_cpus", lambda: cpus)
-        mp.setattr(lanes_module, "blas_threads", lambda: 1)
-        mp.setattr(dde_sim, "_LANE_WORK", work)
-        mp.setattr(cli, "RUN_LANE_NODES", nodes)
-        mp.setattr(cli, "RUN_LANE_WORK", work)
+        mp.setattr(lanes_module, "LANE_WORK", work)
         mp.setattr(os, "fork", lambda: forks.append(1) or fork())
         yield forks
 

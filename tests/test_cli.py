@@ -1,14 +1,18 @@
 """Command-line driver: generation, runs, Monte-Carlo, exit codes."""
 
+import contextlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import assert_no_children, lanes, refuse_fork
-from selfsync import cli, dde_sim, digraph, experiments, netgen, protocols, spectral, stats
+from selfsync import (cli, dde_sim, digraph, experiments, netgen, protocols, spectral, stats,
+                     topologies)
 from selfsync import lanes as lanes_module
 from selfsync.cli import (
     EXIT_BAD_CONFIG,
@@ -792,7 +796,8 @@ def test_montecarlo_with_lanes_equals_the_in_process_run(noise_std):
 
 def test_single_member_calls_and_the_warm_up_never_fork(monkeypatch, demo_scenarios):
     # lanes are open on this host, but a one-member call has one step group
-    # and the mc-n40 warm-up (1 trial, horizon 200) is below _LANE_WORK
+    # and the lighter step group of the mc-n40 warm-up (1 trial, horizon 200)
+    # is below LANE_WORK
     monkeypatch.setattr(lanes_module, "_lane_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", refuse_fork)
     experiments.run_estimation_montecarlo({**MC_N40, "horizon": 200}, 1)
@@ -813,6 +818,28 @@ def test_run_spectral_failure_exits_numerical(demo_scenarios, tmp_path, capsys, 
     assert "numerical error: left null-space residual" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_a_non_finite_delay_off_the_links_reads_as_zero(tmp_path, value):
+    # JSON takes Infinity and NaN; only the link delays are checked
+    cfg = {"n": 8, "seed": 12, "d_side": 3.0, "tau_max": 0.05, "threshold": 0.3,
+           "k_gain": 5.0, "horizon": 3000}
+    scen = tmp_path / "scen"
+    assert main(["gen", write_json(tmp_path / "cfg.json", cfg), "--out-dir", str(scen)]) == 0
+    w = np.asarray(digraph.from_document((scen / "digraph.json").read_text()).weights)
+    i, j = np.argwhere((w == 0.0) & ~np.eye(8, dtype=bool))[0]
+    doc = json.loads((scen / "delays.json").read_text())
+    assert doc["tau"][i][j] == 0.0
+    reports = []
+    for tau in (0.0, value):
+        doc["tau"][i][j] = tau
+        (scen / "delays.json").write_text(json.dumps(doc))
+        out = tmp_path / f"out{len(reports)}"
+        assert main(["run", str(scen), "--mode", "predict", "--out-dir", str(out)]) == EXIT_OK
+        reports.append({**json.loads((out / "report.json").read_text()), "created_unix": None})
+        assert main(["run", str(scen), "--out-dir", str(out / "sim")]) == EXIT_OK
+    assert reports[1] == reports[0]
+
+
 # ---------------------------------------------------------------- the run's analysis lane
 
 
@@ -827,35 +854,35 @@ def n300_scenario(tmp_path_factory):
     return tmp / "scen"
 
 
-def run_outcome(capsys, scen, out, cpus, nodes=0, flags=(), work=0):
-    """(exit code, stderr, files left in out, forks) of one `selfsync run`,
-    with report.json read without its timestamp."""
-    with lanes(cpus=cpus, work=work, nodes=nodes) as forks:
+def out_files(out):
+    """The files left in out, report.json read without its timestamp; None
+    when out does not exist."""
+    if not out.exists():
+        return None
+    return {path.name: {**json.loads(path.read_text()), "created_unix": None}
+            if path.name == "report.json" else path.read_bytes()
+            for path in sorted(out.iterdir())}
+
+
+def run_outcome(capsys, scen, out, cpus, flags=(), work=0):
+    """(exit code, stderr, files left in out, forks) of one `selfsync run`."""
+    with lanes(cpus=cpus, work=work) as forks:
         code = main(["run", str(scen), "--out-dir", str(out), *flags])
     assert_no_children()
-    files = {}
-    for path in sorted(out.iterdir()) if out.exists() else [None]:
-        if path is None:
-            files = None
-        elif path.name == "report.json":
-            files[path.name] = {**json.loads(path.read_text()), "created_unix": None}
-        else:
-            files[path.name] = path.read_bytes()
-    return code, capsys.readouterr().err, files, len(forks)
+    return code, capsys.readouterr().err, out_files(out), len(forks)
 
 
 @pytest.mark.parametrize("name", ["sc", "qsc", "wc", "n300"])
 def test_run_with_the_analysis_lane_equals_the_serial_run(
     demo_scenarios, n300_scenario, tmp_path, capsys, name
 ):
-    scen, flags, nodes, work = demo_scenarios / name, (), 0, 0
+    scen, flags, work = demo_scenarios / name, (), 0
     if name == "n300":
-        # the lane opens at this size and horizon without lowering the thresholds
-        scen, flags = n300_scenario, ("--downsample", "10")
-        nodes, work = cli.RUN_LANE_NODES, cli.RUN_LANE_WORK
-    *closed, forks = run_outcome(capsys, scen, tmp_path / "closed", 1, nodes, flags, work)
+        # the lane opens at this size and horizon without lowering the threshold
+        scen, flags, work = n300_scenario, ("--downsample", "10"), lanes_module.LANE_WORK
+    *closed, forks = run_outcome(capsys, scen, tmp_path / "closed", 1, flags, work)
     assert forks == 0
-    *opened, forks = run_outcome(capsys, scen, tmp_path / "open", 2, nodes, flags, work)
+    *opened, forks = run_outcome(capsys, scen, tmp_path / "open", 2, flags, work)
     assert forks == 1
     assert closed[0] == EXIT_OK and sorted(closed[2]) == ["report.json", "trace.npz"]
     assert opened == closed
@@ -867,9 +894,65 @@ def test_the_analysis_lane_stays_closed_for_a_short_simulation(
 ):
     # at 300 nodes the lane lost to the serial run at horizon 100 and won at 400
     flags = ("--horizon", str(horizon), "--tol", "1e9", "--downsample", "10")
-    code, _, _, forks = run_outcome(capsys, n300_scenario, tmp_path / "o", 2,
-                                    cli.RUN_LANE_NODES, flags, cli.RUN_LANE_WORK)
+    code, _, _, forks = run_outcome(capsys, n300_scenario, tmp_path / "o", 2, flags,
+                                    lanes_module.LANE_WORK)
     assert code == EXIT_OK and forks == lanes_opened
+
+
+def bench_ops(demo_scenarios, n300_scenario, tmp_path):
+    """The fork decisions of the benchmark's workloads, as {name: (calls, forks)}:
+    each runs its calls as the workload does, and forks that often in all."""
+    def run(scen, *flags):
+        def call():
+            assert main(["run", str(scen), "--out-dir", str(tmp_path / "o"), *flags]) == EXIT_OK
+
+        return call
+
+    def gamma_sweep():
+        rng = np.random.default_rng(0)
+        for n in (4, 8):
+            g = topologies.random_sc(n, rng)
+            cfg = SimConfig(t_step=2e-3, k_gain=20.0, c_weights=rng.uniform(0.5, 2.0, n),
+                            horizon=8000, sync_tol_rel=1e-7)
+            with contextlib.suppress(protocols.ProtocolError):
+                protocols.gamma_estimation_protocol(g, DelayMatrix.uniform(n, 0.02), cfg,
+                                                    rng.normal(1.0, 0.4, n), mode="simulate")
+
+    mc_n40 = {**MC_N40, "horizon": 2000}
+    return {
+        # the analysis of 14 nodes (about 14^3) is the lighter task
+        "cli-demo14": ([run(demo_scenarios / name, "--horizon", horizon, "--tol", "1e9")
+                        for name in ("sc", "qsc", "wc") for horizon in ("200", "8000")], 0),
+        # one step group per call
+        "gamma-sweep": ([gamma_sweep], 0),
+        # its lighter step group is about 3.3e5
+        "mc-n40 warm-up": ([lambda: experiments.run_estimation_montecarlo(
+            {**mc_n40, "horizon": 200}, 1)], 0),
+        # one batch call per op, of 3 step groups of about 6.5e6 on 2 idle CPUs
+        "mc-n40 op": ([lambda: experiments.run_estimation_montecarlo(mc_n40, 2),
+                       lambda: experiments.run_estimation_montecarlo(
+                           {**mc_n40, "noise_std": 0.1}, 2)], 2),
+        # the simulation (about 2.2e6 at horizon 200 and 1.3e7 at 1200) and the
+        # analysis of 300 nodes each pass LANE_WORK; at horizon 50 the
+        # simulation (about 5.7e5) does not
+        "run-n300 warm-up": ([run(n300_scenario, "--horizon", "200", "--tol", "1e9")], 1),
+        "run-n300 op": ([run(n300_scenario, "--downsample", "10")], 1),
+        "run-n300 at horizon 50": ([run(n300_scenario, "--horizon", "50", "--tol", "1e9")], 0),
+    }
+
+
+@pytest.mark.parametrize("workload", ["cli-demo14", "gamma-sweep", "mc-n40 warm-up",
+                                      "mc-n40 op", "run-n300 warm-up", "run-n300 op",
+                                      "run-n300 at horizon 50"])
+def test_the_bench_workloads_fork_as_the_lane_rule_says(
+    demo_scenarios, n300_scenario, tmp_path, capsys, workload
+):
+    calls, want = bench_ops(demo_scenarios, n300_scenario, tmp_path)[workload]
+    with lanes(cpus=2, work=lanes_module.LANE_WORK) as forks:
+        for call in calls:
+            call()
+    assert_no_children()
+    assert len(forks) == want
 
 
 def break_prediction(monkeypatch, scenario):
@@ -927,22 +1010,47 @@ def test_run_errors_with_the_analysis_lane_are_those_of_the_serial_run(
 
 
 def test_demo14_runs_never_fork(demo_scenarios, tmp_path, monkeypatch):
-    # a usable CPU is idle and BLAS runs one thread, but 14 nodes are below
-    # the run's lane threshold
+    # a usable CPU is idle, but the lighter task, the analysis of 14 nodes, is
+    # far below LANE_WORK
     monkeypatch.setattr(lanes_module, "_lane_cpus", lambda: 2)
-    monkeypatch.setattr(lanes_module, "blas_threads", lambda: 1)
     monkeypatch.setattr(os, "fork", refuse_fork)
     for name in ("sc", "qsc", "wc"):
         out = str(tmp_path / name)
         assert main(["run", str(demo_scenarios / name), "--out-dir", out]) == EXIT_OK
 
 
-@pytest.mark.parametrize("threads", [2, None])
-def test_the_analysis_lane_needs_a_one_thread_blas(n300_scenario, tmp_path, monkeypatch, threads):
-    monkeypatch.setattr(lanes_module, "_lane_cpus", lambda: 2)
-    monkeypatch.setattr(lanes_module, "blas_threads", lambda: threads)
-    monkeypatch.setattr(os, "fork", refuse_fork)
-    g, _, _ = cli._load_scenario(n300_scenario)
-    assert cli.run_work(200, g.links[0].size, g.n) >= cli.RUN_LANE_WORK  # else BLAS is moot
-    argv = ["run", str(n300_scenario), "--horizon", "200", "--tol", "1e9"]
-    assert main(argv + ["--out-dir", str(tmp_path / "o")]) == EXIT_OK
+LANE_BLAS = """
+import ctypes, json, os, sys
+from selfsync import cli, lanes
+
+lanes._lane_cpus = lambda: 2
+get_threads = lanes._openblas("get_num_threads", ctypes.c_int)
+threads = get_threads and [get_threads(), *(r for r, _ in lanes.run(
+    [get_threads, get_threads], [lanes.LANE_WORK] * 2)), get_threads()]
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+runs = []
+for cpus in (1, 2):
+    lanes._lane_cpus = lambda: cpus
+    code = cli.main(["run", sys.argv[1], "--out-dir", sys.argv[2] + str(cpus),
+                     "--downsample", "10"])
+    runs.append((code, len(forks)))
+print(json.dumps({"threads": threads, "runs": runs}))
+"""
+
+
+def test_a_lane_runs_one_blas_thread_and_the_run_equals_the_serial_run(n300_scenario, tmp_path):
+    # numpy's default pool on a host of 2 CPUs: a 2-thread pool inherited by
+    # a child kept off its parent's CPU oversubscribes the CPU left to it, and
+    # its round-off differs from one thread's
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+    proc = subprocess.run([sys.executable, "-c", LANE_BLAS, str(n300_scenario),
+                           str(tmp_path / "out")], env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+    got = json.loads(proc.stdout.splitlines()[-1])
+    # both lanes run one thread, and the pool's size is restored after the
+    # call (None: no OpenBLAS)
+    assert got["threads"] in ([2, 1, 1, 2], None)
+    # the serial run forks nothing, the one with a lane once
+    assert got["runs"] == [[EXIT_OK, 0], [EXIT_OK, 1]]
+    assert out_files(tmp_path / "out1") == out_files(tmp_path / "out2")

@@ -1013,18 +1013,18 @@ def test_step_size_guard_fails_before_any_fork():
     # T_s * K * in_degree(0) = 1 * 3 * 1 = 3 trips the guard
     bad = (ring3(), DelayMatrix.zero(3), SimConfig(t_step=1.0, k_gain=3.0, horizon=3000),
            np.ones(3))
-    with lanes(fork=refuse_fork), pytest.raises(
+    with lanes() as forks, pytest.raises(
         SimulationError, match=r"^member 2: step-size instability"
     ):
         simulate_batch([pair(0, k_gain=0.2), calm_ring(), bad])
-    assert_no_children()
+    assert forks == []
 
 
 def test_lanes_need_a_second_cpu_fork_and_no_other_thread(monkeypatch):
     batch = [pair(0, k_gain=0.2, horizon=300), calm_ring(horizon=300)]
     want = [record_bytes(rec) for rec in simulate_batch(batch)]
     monkeypatch.setattr(os, "fork", refuse_fork)
-    monkeypatch.setattr(dde_sim, "_LANE_WORK", 0)
+    monkeypatch.setattr(lanes_module, "LANE_WORK", 0)
     with monkeypatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert [record_bytes(rec) for rec in simulate_batch(batch)] == want
@@ -1049,7 +1049,7 @@ def test_lanes_stay_closed_while_another_task_is_runnable(monkeypatch):
     batch = [pair(0, k_gain=0.2, horizon=300), calm_ring(horizon=300)]
     want = [record_bytes(rec) for rec in simulate_batch(batch)]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(dde_sim, "_LANE_WORK", 0)
+    monkeypatch.setattr(lanes_module, "LANE_WORK", 0)
     spin = subprocess.Popen([sys.executable, "-c", "while True: pass"])
     try:
         deadline = time.monotonic() + 10.0
