@@ -45,7 +45,9 @@ child the script has reaped so far (``RUSAGE_CHILDREN``; 0 when none forked).
 ``analysis``: ms of ``experiments.analyse_scenario`` (SCCs, prediction and
 spectral rates) and of a horizon-1200 ``simulate`` on scenarios made as the
 run-n300 workload makes them, at n in {100, 200, 300, 500, 800} and its node
-density; ``analysis_work`` is the analysis's time in ``run_work`` units (the
+density; each analysis call gets a fresh copy of the graph (``new_digraph``),
+made before the call, since a graph caches its SCCs and gammas;
+``analysis_work`` is the analysis's time in ``run_work`` units (the
 simulation's work times the ratio of the two times), and ``analysis_coef``
 that divided by n^3, the coefficient of ``experiments.analysis_work``.
 ``run``: ms of one ``selfsync run`` (in process, trace at downsample 10) on a
@@ -343,8 +345,10 @@ def analysis_row(selfsync, n: int, seed: int) -> dict:
     gv = np.asarray(sc["g_values"])
     cfg = selfsync.SimConfig(t_step=T_STEP, k_gain=RUN_CONFIG["k_gain"],
                              horizon=RUN_CONFIG["horizon"])
+    fresh = iter([selfsync.new_digraph(g.weights) for _ in range(REPEATS + 1)])
     row = {**graph_fields(g, delays, T_STEP), "horizon": cfg.horizon,
-           **timed(("analysis_ms", 1e3, lambda: experiments.analyse_scenario(g, delays, cfg, gv)),
+           **timed(("analysis_ms", 1e3,
+                    lambda: experiments.analyse_scenario(next(fresh), delays, cfg, gv)),
                    ("sim_ms", 1e3, lambda: selfsync.simulate(g, delays, cfg, gv)))}
     work = run_work(cfg.horizon, g.links[0].size, g.n)
     return {**row, "analysis_work": row["analysis_ms"] / row["sim_ms"] * work,

@@ -69,6 +69,7 @@ def _scenario_record(cfg: dict) -> dict:
 def _write_scenario(
     out: Path, g: digraph.SensorDigraph, delays: DelayMatrix, cfg: dict, geom=None
 ) -> None:
+    check_delays(g, delays)  # no directory for a scenario that run rejects
     out.mkdir(parents=True, exist_ok=True)
     (out / "digraph.json").write_text(digraph.to_document(g) + "\n")
     # only link delays are ever read: zeros off the links, on one line, keep
@@ -193,7 +194,7 @@ def cmd_run(args) -> int:
              lambda: experiments.analyse_scenario(g, delays, cfg, gvals)],
             [run_work(cfg.horizon, g.links[0].size, g.n), experiments.analysis_work(g.n)],
         )
-    scc = analysis.scc if analysis else digraph.scc_decompose(g)
+    scc = analysis.scc if analysis else g.scc
     out_dir = Path(args.out_dir or path)
     out_dir.mkdir(parents=True, exist_ok=True)
     report: dict = {
@@ -207,7 +208,7 @@ def cmd_run(args) -> int:
         },
     }
     pred = analysis.prediction if analysis else protocols.predict_consensus(
-        g, delays, cfg, gvals, quantize_delays=True, scc=scc)
+        g, delays, cfg, gvals, quantize_delays=True)
     report["predicted"] = {
         "global": len(pred.clusters) == 1,
         "clusters": [
@@ -228,8 +229,7 @@ def cmd_run(args) -> int:
             else protocols.gamma_estimation_protocol
         )
         try:
-            rep = fn(g, delays, cfg, gvals, mode=args.exec_mode, scc=scc,
-                     gammas={cl.component: cl.gamma for cl in pred.clusters})
+            rep = fn(g, delays, cfg, gvals, mode=args.exec_mode)
         except protocols.ProtocolError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NO_SYNC
@@ -269,7 +269,7 @@ def cmd_run(args) -> int:
         "tol": sync.tol,
         "window": sync.window,
     }
-    rates = analysis.rates if analysis else experiments.spectral_rates(g, cfg, scc, pred)
+    rates = analysis.rates if analysis else experiments.spectral_rates(g, cfg)
     if sync.global_sync and len(scc.root_components) == 1:
         rates["empirical_fit"], rates["empirical_residual"] = spectral.empirical_rate(
             traj, pred.omega_star
@@ -315,21 +315,20 @@ def cmd_montecarlo(args) -> int:
 
 def cmd_inspect(args) -> int:
     g, delays, sc = _load_scenario(Path(args.scenario))
-    scc = digraph.scc_decompose(g)
-    lap = digraph.laplacian(g)
+    scc = g.scc
     print(f"nodes: {g.n}")
     print(f"connectivity: {scc.connectivity_class.value}")
     print(f"components: {[sorted(c) for c in scc.components]}")
     print(f"root components: {scc.root_components}")
     print(f"zero eigenvalue multiplicity: {len(scc.root_components)}")
     if len(scc.root_components) == 1:
-        gamma = spectral.gamma_left_eigenvector(lap, scc)
+        gamma = g.root_gammas[scc.root_components[0]]
         print(f"gamma (sum one): {np.array2string(gamma, precision=6)}")
-        rate = spectral.rate_no_delay(lap, scc)
-        print(f"rate (no delay, unit gains): {rate:.6g}")
-        if scc.connectivity_class is digraph.Connectivity.SC:
-            kappa = spectral.rate_kappa_bound(lap, scc, gamma, rate)
-            print(f"kappa bound: {kappa:.6g}")
+        # with K = c = 1, the rates of K D_c^-1 L are those of L
+        rates = experiments.spectral_rates(g, SimConfig())
+        print(f"rate (no delay, unit gains): {rates['no_delay_spectrum']:.6g}")
+        if "kappa_bound" in rates:
+            print(f"kappa bound: {rates['kappa_bound']:.6g}")
     print(f"max link delay: {delays.tau[g.links].max(initial=0.0):.6g}")
     return EXIT_OK
 
@@ -380,7 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # one BLAS thread, as in a lane: no output depends on the pool's size
+        with lanes.one_blas_thread():
+            return args.func(args)
     except (SimulationError, spectral.SpectralError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

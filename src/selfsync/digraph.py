@@ -48,6 +48,21 @@ class SensorDigraph:
         src.setflags(write=False)
         return dst, src
 
+    # the weights are read-only (`new_digraph`), so the structure below,
+    # which depends on them alone, is computed once per graph
+    @cached_property
+    def scc(self) -> SccDecomposition:
+        """`scc_decompose` of this graph."""
+        return scc_decompose(self)
+
+    @cached_property
+    def root_gammas(self) -> dict[int, np.ndarray]:
+        """`spectral.gamma_per_cluster` of the Laplacian: {root component:
+        gamma}, each read-only, summing to one, positive exactly on its SCC."""
+        from . import spectral  # spectral imports this module
+
+        return spectral.gamma_per_cluster(laplacian(self), self.scc)
+
 
 @dataclass(frozen=True)
 class SccDecomposition:

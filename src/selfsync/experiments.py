@@ -10,7 +10,7 @@ import numpy as np
 
 from . import netgen, spectral
 from .dde_sim import SimConfig, simulate_batch
-from .digraph import Connectivity, SccDecomposition, SensorDigraph, laplacian, scc_decompose
+from .digraph import Connectivity, SccDecomposition, SensorDigraph, laplacian
 from .netgen import DelayMatrix, NodeGeometry
 from .protocols import ConsensusPrediction, predict_consensus
 from .stats import consensus_function
@@ -47,20 +47,20 @@ def config_seed(cfg: dict) -> int:
 
 class ScenarioAnalysis(NamedTuple):
     """The closed-form view of a scenario: its SCCs, the predicted consensus
-    and the spectral rates (`spectral_rates`)."""
+    and the spectral rates (`spectral_rates`). The SCCs come along because an
+    analysis run in a forked lane fills the child's `g.scc`, not the caller's."""
 
     scc: SccDecomposition
     prediction: ConsensusPrediction
     rates: dict[str, float]
 
 
-def spectral_rates(
-    g: SensorDigraph, cfg: SimConfig, scc: SccDecomposition, prediction: ConsensusPrediction
-) -> dict[str, float]:
+def spectral_rates(g: SensorDigraph, cfg: SimConfig) -> dict[str, float]:
     """On a digraph with one root SCC, the zero-delay rate of K D_c^-1 L
     (`no_delay_spectrum`) and, on an SC digraph, its kappa bound
     (`kappa_bound`); empty otherwise."""
     rates: dict[str, float] = {}
+    scc = g.scc
     if len(scc.root_components) == 1:
         # spectrum of the gain-scaled system K D_c^{-1} L
         kdl = (cfg.k_gain / cfg.c_array(g.n))[:, None] * laplacian(g)
@@ -68,7 +68,7 @@ def spectral_rates(
         rates["no_delay_spectrum"] = no_delay
         if scc.connectivity_class is Connectivity.SC:
             # the left null vector of K D_c^{-1} L is gamma * c, gamma that of L
-            gamma_c = prediction.clusters[0].gamma * cfg.c_array(g.n)
+            gamma_c = g.root_gammas[scc.root_components[0]] * cfg.c_array(g.n)
             rates["kappa_bound"] = spectral.rate_kappa_bound(kdl, scc, gamma_c, no_delay)
     return rates
 
@@ -83,9 +83,8 @@ def analyse_scenario(
 ) -> ScenarioAnalysis:
     """SCCs, the consensus predicted with the link delays rounded to the
     sampling grid, as the integrator honors them, and the spectral rates."""
-    scc = scc_decompose(g)
-    prediction = predict_consensus(g, delays, cfg, g_values, quantize_delays=True, scc=scc)
-    return ScenarioAnalysis(scc, prediction, spectral_rates(g, cfg, scc, prediction))
+    prediction = predict_consensus(g, delays, cfg, g_values, quantize_delays=True)
+    return ScenarioAnalysis(g.scc, prediction, spectral_rates(g, cfg))
 
 
 def random_network(

@@ -62,7 +62,7 @@ def _openblas(name: str, restype, *argtypes):
 
 
 @contextlib.contextmanager
-def _one_blas_thread():
+def one_blas_thread():
     """numpy's OpenBLAS capped at one thread in the block, and its thread count
     restored after; another BLAS is left alone."""
     get_threads = _openblas("get_num_threads", ctypes.c_int)
@@ -136,7 +136,7 @@ def run(tasks: list, work: list) -> list[tuple]:
     count = _lane_count(1 + sum(work[k] >= LANE_WORK for k in order[1:]))
     own, *others = [order[i::count] for i in range(count)]
     cpus = set(os.sched_getaffinity(0)) - {_current_cpu()} if others else set()
-    with _one_blas_thread():
+    with one_blas_thread():
         children, sent, outcomes = [], [], {}
         try:
             for lane in others:

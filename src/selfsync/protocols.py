@@ -6,9 +6,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import spectral
 from .dde_sim import SimConfig, detect_sync_auto, simulate
-from .digraph import SccDecomposition, SensorDigraph, laplacian, scc_decompose
+from .digraph import SensorDigraph, laplacian
 from .netgen import DelayMatrix
 
 
@@ -72,8 +71,6 @@ def predict_consensus(
     g_values,
     q_mats=None,
     quantize_delays: bool = False,
-    scc: SccDecomposition | None = None,
-    gammas: dict[int, np.ndarray] | None = None,
 ) -> ConsensusPrediction:
     """Closed-form synchronized derivative of every root SCC.
 
@@ -83,14 +80,10 @@ def predict_consensus(
     and omega solves
     (sum_i gamma_i Q_i + I_L * delay term) omega = sum_i gamma_i Q_i g_i.
     With quantize_delays the link delays are rounded to the sampling grid,
-    matching what the discrete-time integrator actually honors. `scc` is g's
-    decomposition and `gammas` its `spectral.gamma_per_cluster`, if already
-    known; gamma depends on g alone, not on c, K or the forcing.
+    matching what the discrete-time integrator actually honors. Each gamma
+    is g's own (`SensorDigraph.root_gammas`): it depends on g alone, not on
+    c, K or the forcing.
     """
-    if scc is None:
-        scc = scc_decompose(g)
-    if gammas is None:
-        gammas = spectral.gamma_per_cluster(laplacian(g), scc)
     tau = _effective_tau(delays, cfg, quantize_delays)
     gv = np.asarray(g_values, dtype=float)
     columns = gv.ndim == 2
@@ -101,7 +94,7 @@ def predict_consensus(
     else:
         q = np.asarray(q_mats, dtype=float)
     clusters = []
-    for k, gam in gammas.items():
+    for k, gam in g.root_gammas.items():
         delay = _delay_term(g, tau, gam, cfg.k_gain)
         if q_mats is None:
             gq = float(np.sum(gam * c))
@@ -115,7 +108,7 @@ def predict_consensus(
                 omega = np.linalg.solve(gq + delay * np.eye(q.shape[1]), rhs)
             except np.linalg.LinAlgError as exc:
                 raise ProtocolError(f"singular combined matrix: {exc}") from exc
-        clusters.append(ClusterPrediction(k, scc.components[k], gam, omega, gq, delay))
+        clusters.append(ClusterPrediction(k, g.scc.components[k], gam, omega, gq, delay))
     covered = frozenset().union(*(cl.nodes for cl in clusters))
     return ConsensusPrediction(tuple(clusters), frozenset(range(g.n)) - covered)
 
@@ -126,16 +119,12 @@ def _consensus_values(
     cfg: SimConfig,
     columns: np.ndarray,
     mode: str,
-    scc: SccDecomposition | None = None,
-    gammas: dict[int, np.ndarray] | None = None,
 ) -> list[float]:
     """One protocol pass per forcing column (n, L): exact predictions, or
     measurements from one simulated run that carries every column. Each
     column is detected against its own predicted omega*."""
     quantize = mode == "simulate"
-    pred = predict_consensus(
-        g, delays, cfg, columns, quantize_delays=quantize, scc=scc, gammas=gammas
-    )
+    pred = predict_consensus(g, delays, cfg, columns, quantize_delays=quantize)
     preds = [float(omega) for omega in pred.omega_star]
     if mode == "predict":
         return preds
@@ -164,16 +153,13 @@ def two_step_unbias(
     cfg: SimConfig,
     g_values,
     mode: str = "predict",
-    scc: SccDecomposition | None = None,
-    gammas: dict[int, np.ndarray] | None = None,
 ) -> UnbiasReport:
     """Run with true forcings and with g = 1 and take the ratio; the delay and
     channel denominator cancels. In simulate mode both passes are columns of
-    one run. `scc` and `gammas` are g's decomposition and per-cluster gammas,
-    if already known."""
+    one run."""
     gvals = np.broadcast_to(np.asarray(g_values, dtype=float), (g.n,))
     omega_y, omega_one = _consensus_values(
-        g, delays, cfg, np.column_stack([gvals, np.ones(g.n)]), mode, scc, gammas
+        g, delays, cfg, np.column_stack([gvals, np.ones(g.n)]), mode
     )
     if abs(omega_one) < 1e-300:
         raise ProtocolError("unit-forcing consensus is numerically zero")
@@ -188,31 +174,23 @@ def gamma_estimation_protocol(
     cfg: SimConfig,
     g_values,
     mode: str = "predict",
-    scc: SccDecomposition | None = None,
-    gammas: dict[int, np.ndarray] | None = None,
 ) -> UnbiasReport:
     """(N_r + 1)-pass estimation of the normalized left eigenvector, followed
     by c-compensation and a final two-step ratio.
 
     All estimation passes run with c = 1 as the columns [1, e_i for each root
     node i] of one run; nodes outside the root SCC keep gamma_tilde = 0 and
-    their original c. `scc` and `gammas` are g's decomposition and
-    per-cluster gammas, if already known; every pass reuses them.
+    their original c.
     """
-    if scc is None:
-        scc = scc_decompose(g)
+    scc = g.scc
     if len(scc.root_components) != 1:
         raise ProtocolError("protocol requires a QSC digraph")
-    if gammas is None:
-        gammas = spectral.gamma_per_cluster(laplacian(g), scc)
     root_nodes = sorted(scc.components[scc.root_components[0]])
     cfg_unit = replace(cfg, c_weights=1.0)
     columns = np.zeros((g.n, 1 + len(root_nodes)))
     columns[:, 0] = 1.0
     columns[root_nodes, 1 + np.arange(len(root_nodes))] = 1.0
-    omega_one, *omega_root = _consensus_values(
-        g, delays, cfg_unit, columns, mode, scc, gammas
-    )
+    omega_one, *omega_root = _consensus_values(g, delays, cfg_unit, columns, mode)
     gamma_tilde = np.zeros(g.n)
     gamma_tilde[root_nodes] = np.array(omega_root) / omega_one
     c = cfg.c_array(g.n)
@@ -224,7 +202,7 @@ def gamma_estimation_protocol(
     scale = np.exp(np.log(c[pos]).mean() - np.log(compensated[pos]).mean())
     compensated[pos] *= scale
     cfg_comp = replace(cfg, c_weights=compensated)
-    final = two_step_unbias(g, delays, cfg_comp, g_values, mode=mode, scc=scc, gammas=gammas)
+    final = two_step_unbias(g, delays, cfg_comp, g_values, mode=mode)
     return UnbiasReport(
         omega_y=final.omega_y,
         omega_one=final.omega_one,

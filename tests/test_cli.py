@@ -1,6 +1,7 @@
 """Command-line driver: generation, runs, Monte-Carlo, exit codes."""
 
 import contextlib
+import ctypes
 import json
 import os
 import re
@@ -133,6 +134,20 @@ def test_gen_rejects_zero_nodes(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json", {"n": 0, "seed": 1})
     assert main(["gen", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_BAD_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [{"topology": "demo14", "tau": -0.05}, {"topology": "demo14", "tau": float("nan")},
+     {"n": 6, "seed": 1, "delay_mode": {"mode": "uniform", "tau": -1}}],
+    ids=["demo14-negative", "demo14-nan", "uniform-negative"],
+)
+def test_gen_rejects_delays_that_run_rejects_and_writes_nothing(tmp_path, capsys, cfg):
+    out = tmp_path / "o"
+    assert main(["gen", write_json(tmp_path / "cfg.json", cfg), "--out-dir", str(out)]) == (
+        EXIT_BAD_CONFIG)
+    assert "is not finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [("n", 2.5), ("horizon", 2.5), ("n", True)])
@@ -342,7 +357,6 @@ def test_protocol_runs_decompose_the_digraph_once(
         return decompose(g)
 
     monkeypatch.setattr(digraph, "scc_decompose", counting)
-    monkeypatch.setattr(protocols, "scc_decompose", counting)
     argv = ["run", str(demo_scenarios / "sc"), "--mode", mode, "--exec-mode", exec_mode,
             "--out-dir", str(tmp_path / "out")]
     assert main(argv) == EXIT_OK
@@ -1037,6 +1051,22 @@ for cpus in (1, 2):
     runs.append((code, len(forks)))
 print(json.dumps({"threads": threads, "runs": runs}))
 """
+
+
+@pytest.mark.skipif(lanes_module._openblas("get_num_threads", ctypes.c_int) is None,
+                    reason="numpy's BLAS is not OpenBLAS")
+def test_predict_and_simulate_modes_predict_alike_under_a_blas_pool(n300_scenario, tmp_path):
+    # simulate mode predicts inside a lane, at one BLAS thread; predict mode
+    # must not use the 2-thread pool, whose round-off differs
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+    predicted = []
+    for mode in ("predict", "simulate"):
+        out = tmp_path / mode
+        subprocess.run([sys.executable, "-m", "selfsync.cli", "run", str(n300_scenario),
+                        "--mode", mode, "--out-dir", str(out), "--downsample", "10"],
+                       env=env, check=True, capture_output=True, timeout=120)
+        predicted.append(json.loads((out / "report.json").read_text())["predicted"])
+    assert predicted[0] == predicted[1]
 
 
 def test_a_lane_runs_one_blas_thread_and_the_run_equals_the_serial_run(n300_scenario, tmp_path):

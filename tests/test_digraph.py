@@ -1,13 +1,14 @@
 """Structure layer: validation, degrees, Laplacian, SCC decomposition."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfsync import topologies
+from selfsync import digraph, spectral, topologies
 from selfsync.digraph import (
     Connectivity,
     GraphValidationError,
@@ -19,6 +20,7 @@ from selfsync.digraph import (
     scc_decompose,
     to_document,
 )
+from selfsync.spectral import gamma_per_cluster
 from conftest import classify_bruteforce, scc_partition_bruteforce
 
 
@@ -221,6 +223,36 @@ def test_links_are_the_positive_weights_row_major_read_only_and_computed_once(w)
         with pytest.raises(ValueError, match="read-only"):
             got[...] = 0
     assert g.links is g.links
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_scc_and_root_gammas_are_computed_once_per_graph(seed, multiroot):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 13))
+    g = topologies.random_wc_multiroot(n, rng) if multiroot else topologies.random_qsc(n, rng)
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    with mock.patch.object(digraph, "scc_decompose", counting(scc_decompose)), \
+            mock.patch.object(spectral, "gamma_per_cluster", counting(gamma_per_cluster)):
+        scc, gammas = g.scc, g.root_gammas
+        assert g.scc is scc and g.root_gammas is gammas
+    assert calls == ["scc_decompose", "gamma_per_cluster"]
+    want = scc_decompose(g)
+    assert scc == want
+    want_gammas = gamma_per_cluster(laplacian(g), want)
+    assert gammas.keys() == want_gammas.keys() == set(want.root_components)
+    for k, gamma in gammas.items():
+        assert np.array_equal(gamma, want_gammas[k])
+        with pytest.raises(ValueError, match="read-only"):
+            gamma[0] = 1.0
 
 
 # ---------------------------------------------------------------- documents

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfsync import protocols, spectral, topologies
+from selfsync import digraph, protocols, spectral, topologies
 from selfsync.dde_sim import DelayMatrix, SimConfig, detect_sync_auto, simulate
 from selfsync.digraph import laplacian, new_digraph, scc_decompose
 from selfsync.protocols import (
@@ -263,7 +263,7 @@ def test_gamma_protocol_op_solves_gamma_once(monkeypatch, mode):
     monkeypatch.setattr(
         spectral, "_gamma_for_component", counting(spectral._gamma_for_component, "gamma")
     )
-    monkeypatch.setattr(protocols, "scc_decompose", counting(protocols.scc_decompose, "scc"))
+    monkeypatch.setattr(digraph, "scc_decompose", counting(digraph.scc_decompose, "scc"))
     rng = np.random.default_rng(12)
     g = topologies.random_sc(8, rng)
     cfg = SimConfig(t_step=1e-3, k_gain=15.0, c_weights=rng.uniform(0.5, 2.0, 8))
@@ -272,6 +272,9 @@ def test_gamma_protocol_op_solves_gamma_once(monkeypatch, mode):
     assert rep.mode == mode
     assert calls["gamma"] == 1
     assert calls["scc"] <= 2
+    # a second protocol on the same graph reuses its gamma
+    gamma_estimation_protocol(g, DelayMatrix.uniform(8, 0.05), cfg, gv, mode=mode)
+    assert calls["gamma"] == 1
 
 
 def simulate_vector_converged(g, delays, cfg, qm, gv):
