@@ -13,12 +13,24 @@ lag (the core advances s steps per gather; s = 1 when some link has lag 0).
 {14, 40, 200, 1000}, each on a seeded netgen graph (uniform placement at a
 fixed node density, path-loss amplitudes pruned below 0.5, geometry delays
 with the longest link lagging 50 steps), over 1000 steps, or 200 with
-``--quick``, which keeps the whole run under 45 s. ``demo14``: µs per step of
+``--quick``, which keeps the whole run near a minute. ``demo14``: µs per step of
 the ``selfsync run`` demo, the 14-node SC reference digraph with a uniform
 50-step lag (s = 51), K = 30, one forcing column, horizon 8000. ``columns``:
 µs per step of L forcing columns, L in {1, n + 1} at n in {4, 8} (seeded
 ``random_sc`` graphs) and L in {1, 2} at n = 40 (the netgen graph).
-``protocol``: seconds of one ``gamma_estimation_protocol(mode="simulate")``
+``span``: µs per step of ``simulate`` with every link lagging s - 1 steps,
+over ``SPAN_HORIZON`` steps: at n in {14, 200} (``graph=sc14``, ``sc_14``
+with K = 30, and ``graph=netgen``, the ``sizes`` graph) for s in {2, 4, 8,
+16, 51}; on a directed ring with a chord to every third node (``graph=ring``,
+two links per node, so that the self term weighs more than the gather) at n
+in {50, 100, 200, 400} for s in {8, 51}; and one ``simulate_batch`` of the
+delayed passes of ``BATCH_TRIALS`` mc-n40 trials (``record="node_mean"``,
+spans 1 to 4, pinned to one CPU). Where the library has
+``dde_sim._SCAN_SPAN``, each row is also timed with every block of s > 1
+stepping its self term by the prefix scan (``scan_us_per_step``:
+``_SCAN_SPAN`` 2, ``_SCAN_ROW`` unbounded) and with none
+(``step_us_per_step``); ``us_per_step`` is the library as it is: these rows
+set ``_SCAN_SPAN`` and ``_SCAN_ROW``. ``protocol``: seconds of one ``gamma_estimation_protocol(mode="simulate")``
 on the same ``random_sc`` graphs, with the horizon escalation of the gamma
 sweep. ``trace``: ms and bytes of the npz trace writer on the demo14 full
 trace (8001 samples) and on the n = 300 netgen graph over horizon 1200 at
@@ -38,7 +50,9 @@ set-up of ``selfsync run`` and ``inspect``. ``montecarlo``: seconds of one
 each timed twice: with the script's process pinned to one CPU (``cpus=1``,
 where ``simulate_batch`` runs every step group in process) and on every usable
 CPU (where its step groups run in forked lanes while no other task is
-runnable); the affinity is restored after each row. ``peak_mb`` is the ``tracemalloc`` peak in MB of one clean
+runnable); the affinity is restored after each row. ``clean_forked`` and
+``noisy_forked`` count the timed calls (of ``REPEATS``) that forked a lane,
+by counting ``os.fork`` in this process. ``peak_mb`` is the ``tracemalloc`` peak in MB of one clean
 call, taken after and outside the timed calls; it does not see the memory of
 a forked lane, so ``child_maxrss_mb`` gives the largest RSS in MB of any
 child the script has reaped so far (``RUSAGE_CHILDREN``; 0 when none forked).
@@ -54,7 +68,8 @@ that divided by n^3, the coefficient of ``experiments.analysis_work``.
 scenario made as the run-n300 workload makes it (n = 300, Rayleigh links
 pruned below 0.5, horizon 1200), pinned to one CPU (``cpus=1``: the analysis
 runs after the simulation, in process) and on every usable CPU (where it runs
-in a forked lane beside the simulation while no other task is runnable).
+in a forked lane beside the simulation while no other task is runnable);
+``op_forked`` counts the timed calls (of ``REPEATS``) that forked a lane.
 
 selfsync is imported from ``--src`` (default: this checkout's ``src/``), so one
 copy of the script can time two versions of the library on the same machine.
@@ -121,6 +136,13 @@ MC_CONFIG = {"d_side": 5.0, "t_step": 1e-3, "k_gain": 30.0, "tau_max": 0.1, "xi"
 # run rows: the run-n300 workload's scenario
 RUN_CONFIG = {"n": 300, "d_side": 7.75, "tau_max": 0.05, "threshold": 0.5, "t_step": 1e-3,
               "k_gain": 5.0, "horizon": 1200}
+# span rows: uniform lags of s - 1 steps at these n and s
+SPAN_NETGEN_N = 200
+SPAN_BLOCKS = (2, 4, 8, 16, 51)
+SPAN_RING_SIZES = (50, 100, 200, 400)
+SPAN_RING_BLOCKS = (8, 51)
+SPAN_RING_K_GAIN = 100.0
+SPAN_HORIZON = 2000
 # analysis rows: scenarios made as run-n300's, at these sizes
 ANALYSIS_SIZES = (100, 200, 300, 500, 800)
 
@@ -154,6 +176,32 @@ def timed(*calls) -> dict:
                        f"{key}_min": to_reference(min(ws), chunk),
                        f"{key}_max": to_reference(max(ws), chunk)})
     return fields
+
+
+def counting_forks(call, tally: list):
+    """call, wrapped so that each run appends to tally how many children it
+    forked (calls of ``os.fork`` in this process)."""
+    def run():
+        fork, forks = os.fork, []
+
+        def counted():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        os.fork = counted
+        try:
+            return call()
+        finally:
+            os.fork = fork
+            tally.append(len(forks))
+    return run
+
+
+def forked(tally: list) -> int:
+    """Timed calls of a ``timed`` row that forked: all but the warm-up."""
+    return sum(1 for forks in tally[1:] if forks)
 
 
 def traced_peak_mb(call) -> float:
@@ -221,6 +269,70 @@ def column_rows(selfsync, horizon: int, seed: int) -> list[dict]:
     cases = [(sc_case(selfsync, n, seed, horizon)[:3], (1, n + 1)) for n in SC_SIZES]
     cases.append((build_case(selfsync, 40, seed, horizon)[:3], (1, 2)))
     return [columns_row(selfsync, *case, cols, seed) for case, widths in cases for cols in widths]
+
+
+def at_scan(selfsync, scan: bool, call):
+    """call, run with every block of s > 1 scanned, or with none."""
+    def run():
+        dde_sim = selfsync.dde_sim
+        old = dde_sim._SCAN_SPAN, dde_sim._SCAN_ROW
+        dde_sim._SCAN_SPAN, dde_sim._SCAN_ROW = (2, 2**62) if scan else (2**62, 0)
+        try:
+            return call()
+        finally:
+            dde_sim._SCAN_SPAN, dde_sim._SCAN_ROW = old
+    return run
+
+
+def span_timed(selfsync, steps: int, call) -> dict:
+    """``us_per_step`` of call, and where the library scans, the same with
+    every s > 1 scanned and with none scanned."""
+    calls = [("us_per_step", 1e6 / steps, call)]
+    if hasattr(selfsync.dde_sim, "_SCAN_SPAN"):
+        calls += [("scan_us_per_step", 1e6 / steps, at_scan(selfsync, True, call)),
+                  ("step_us_per_step", 1e6 / steps, at_scan(selfsync, False, call))]
+    return timed(*calls)
+
+
+def ring_case(selfsync, n: int, seed: int):
+    w = np.zeros((n, n))
+    w[np.arange(n), np.arange(n) - 1] = 1.0
+    w[np.arange(n), np.arange(n) - 3] = 0.5
+    cfg = selfsync.SimConfig(t_step=T_STEP, k_gain=SPAN_RING_K_GAIN, horizon=SPAN_HORIZON)
+    return selfsync.new_digraph(w), None, cfg, np.random.default_rng(seed).uniform(0.5, 1.5, n)
+
+
+def span_row(selfsync, graph: str, g, cfg, gvals, block: int) -> dict:
+    delays = selfsync.DelayMatrix.uniform(g.n, (block - 1) * T_STEP)
+    cfg = replace(cfg, horizon=SPAN_HORIZON)
+    return {"graph": graph, **graph_fields(g, delays, T_STEP), "horizon": SPAN_HORIZON,
+            **span_timed(selfsync, SPAN_HORIZON + 1,
+                         lambda: selfsync.simulate(g, delays, cfg, gvals))}
+
+
+def span_rows(selfsync, seed: int) -> list[dict]:
+    cases = [("sc14", demo_case(selfsync, seed), SPAN_BLOCKS),
+             ("netgen", build_case(selfsync, SPAN_NETGEN_N, seed, SPAN_HORIZON), SPAN_BLOCKS)]
+    cases += [("ring", ring_case(selfsync, n, seed), SPAN_RING_BLOCKS) for n in SPAN_RING_SIZES]
+    return [span_row(selfsync, graph, g, cfg, gvals, block)
+            for graph, (g, _, cfg, gvals), blocks in cases for block in blocks]
+
+
+def mixed_span_row(selfsync, seed: int) -> dict:
+    """The delayed passes of one mc-n40 batch, as ``_estimation_trials``
+    builds them."""
+    from selfsync import experiments
+
+    cfg = {"n": MC_N, "horizon": MC_HORIZON, "seed": seed, **MC_CONFIG}
+    seeds = [seed + 1000 * t for t in range(experiments.BATCH_TRIALS)]
+    runs = [(g, delays, sim, np.column_stack([gvals, np.ones(g.n)]), None, "node_mean")
+            for g, delays, sim, gvals, _ in (experiments._trial_inputs(cfg, s) for s in seeds)]
+    spans = sorted(graph_fields(g, delays, T_STEP)["block"] for g, delays, *_ in runs)
+    with pinned(1):
+        return {"n": MC_N, "horizon": MC_HORIZON, "members": len(runs),
+                "blocks": " ".join(map(str, spans)),
+                **span_timed(selfsync, MC_HORIZON + 1,
+                             lambda: selfsync.simulate_batch(runs))}
 
 
 def protocol_op(selfsync, g, delays, cfg, gv) -> int:
@@ -307,12 +419,16 @@ def montecarlo_row(selfsync, trials: int, seed: int, cpus: int) -> dict:
 
     cfg = {"n": MC_N, "horizon": MC_HORIZON, "seed": seed, **MC_CONFIG}
     noisy = {**cfg, "noise_std": MC_NOISE}
+    clean_forks, noisy_forks = [], []
     with pinned(cpus):
         row = {"n": MC_N, "horizon": MC_HORIZON, "trials": trials, "cpus": cpus,
-               **timed(("clean_s", 1.0, lambda: experiments.run_estimation_montecarlo(cfg,
-                                                                                      trials)),
-                       ("noisy_s", 1.0, lambda: experiments.run_estimation_montecarlo(noisy,
-                                                                                      trials))),
+               **timed(("clean_s", 1.0, counting_forks(
+                           lambda: experiments.run_estimation_montecarlo(cfg, trials),
+                           clean_forks)),
+                       ("noisy_s", 1.0, counting_forks(
+                           lambda: experiments.run_estimation_montecarlo(noisy, trials),
+                           noisy_forks))),
+               "clean_forked": forked(clean_forks), "noisy_forked": forked(noisy_forks),
                "peak_mb": traced_peak_mb(lambda: experiments.run_estimation_montecarlo(cfg,
                                                                                        trials))}
     child_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
@@ -363,9 +479,12 @@ def run_row(selfsync, seed: int, cpus: int) -> dict:
         argv = ["run", str(scen), "--out-dir", str(Path(tmp) / "out"), "--downsample",
                 str(TRACE_DOWNSAMPLE)]
         g, delays, _ = cli._load_scenario(scen)
+        forks = []
         with pinned(cpus):
             row = {**graph_fields(g, delays, T_STEP), "horizon": RUN_CONFIG["horizon"],
-                   "cpus": cpus, **timed(("op_ms", 1e3, lambda: cli_main(cli, argv)))}
+                   "cpus": cpus, **timed(("op_ms", 1e3, counting_forks(
+                       lambda: cli_main(cli, argv), forks))),
+                   "op_forked": forked(forks)}
     child_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     return {**row, "child_maxrss_mb": child_kb / 1024}
 
@@ -403,6 +522,7 @@ def main(argv=None) -> int:
         "columns": show("columns", column_rows(selfsync, horizon, seed)),
         "demo14": show("demo14", [columns_row(selfsync, *demo_case(selfsync, seed)[:3], 1,
                                               seed)])[0],
+        "span": show("span", span_rows(selfsync, seed) + [mixed_span_row(selfsync, seed)]),
         "protocol": show("protocol", [protocol_row(selfsync, n, seed) for n in SC_SIZES]),
         "trace": show("trace", [
             trace_row(selfsync, "demo14", *demo_case(selfsync, seed), 1),

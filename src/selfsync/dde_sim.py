@@ -62,8 +62,9 @@ class SimConfig:
             raise ValueError("coefficients c_i must be positive and finite")
         if not (self.noise_std >= 0 and np.isfinite(self.noise_std)):
             raise ValueError("noise std must be nonnegative and finite")
-        if not self.horizon >= 1:
-            raise ValueError(f"horizon must be at least one step, got {self.horizon}")
+        h = self.horizon
+        if not (isinstance(h, (int, np.integer)) and not isinstance(h, bool) and h >= 1):
+            raise ValueError(f"horizon must be a whole number of at least one step, got {h}")
         if not (self.sync_tol_rel > 0 and np.isfinite(self.sync_tol_rel)):
             raise ValueError(f"sync_tol_rel must be positive and finite, got {self.sync_tol_rel}")
         if not 0 < self.sync_window_frac <= 1:
@@ -164,6 +165,11 @@ _BLOCK_ENTRIES = 1 << 16
 _CHECK_EVERY = 64
 # steps of coupling noise drawn per generator call
 _NOISE_STEPS = 64
+# shortest block length s whose self term is stepped by a prefix scan
+_SCAN_SPAN = 8
+# most values per step (n * L) of a run whose self term is scanned: on larger
+# rows the scan's log2(s) passes over the block cost more than s steps' calls
+_SCAN_ROW = 128
 
 
 def run_work(horizon: int, entries: int, nodes: int, columns: int = 1) -> int:
@@ -210,6 +216,11 @@ class _Member:
     src: np.ndarray
     lag: np.ndarray
     weight: np.ndarray
+
+    @property
+    def scans(self) -> bool:
+        """Whether the self term is stepped by the prefix scan."""
+        return self.span >= _SCAN_SPAN and self.g_vals.size <= _SCAN_ROW
 
 
 def _member(run: SimRun, label: str) -> _Member:
@@ -267,6 +278,11 @@ def _member(run: SimRun, label: str) -> _Member:
     return _Member(label, cfg, kq, gv, columns, indeg, mmax, span, first, dst, src, lag, weight)
 
 
+def _label(members, offsets, node: int) -> str:
+    """The error prefix of the member that owns union node `node`."""
+    return members[int(np.searchsorted(offsets, node, side="right")) - 1].label
+
+
 def _check_finite(x: np.ndarray, lo: int, hi: int, last_step: int, members, offsets) -> None:
     """Raise at the first non-finite state among rows lo..hi-1 of x, whose
     row hi-1 holds the state of step last_step, naming its member."""
@@ -274,17 +290,17 @@ def _check_finite(x: np.ndarray, lo: int, hi: int, last_step: int, members, offs
     if not ok.all():
         bad = int(np.argmin(ok.reshape(hi - lo, -1).all(axis=1)))
         node = int(np.argmin(ok[bad].all(axis=1)))
-        label = members[int(np.searchsorted(offsets, node, side="right")) - 1].label
         raise SimulationError(
-            f"{label}non-finite state at step {last_step - (hi - 1 - lo) + bad}"
+            f"{_label(members, offsets, node)}non-finite state at step "
+            f"{last_step - (hi - 1 - lo) + bad}"
         )
 
 
 def _simulate_core(
     members: list[_Member], t_step: float, horizon: int, record: str
 ) -> list[Trajectory] | list[NodeMean]:
-    """Euler run of the disjoint union of members that share L and the gain
-    kind, and are either all s = 1 or all s > 1; each member's record has
+    """Euler run of the disjoint union of members that share L, the gain kind
+    and the step arithmetic (see `simulate_batch`); each member's record has
     shape (samples, n_b, L) and equals its solo run bit for bit.
 
     A (n, 1) gain drives L independent scalar columns, with coupling noise
@@ -292,32 +308,44 @@ def _simulate_core(
     couples the L coordinates of a vector state, with noise drawn as (n, L).
     A "window" record keeps each member's last samples and a "node_mean"
     record each member's per-step node means; both keep mmax + 1 history
-    rows plus a chunk, compacted when full. A "node_mean" record holds at
-    most a chunk (plus one) of derivative rows, reduced per member and per
-    column at each compaction and at the end, on the slices
-    ``deriv[:, lo:hi, col]`` that a full record's columns are.
+    rows plus a chunk of at least _CHUNK steps, a whole number of blocks,
+    compacted when full. A "node_mean" record holds at most a chunk (plus
+    one) of derivative rows, reduced per member and per column at each
+    compaction and at the end, on the slices ``deriv[:, lo:hi, col]`` that a
+    full record's columns are.
 
     Every link lags at least m_min steps, so the delayed inputs of the
     s = m_min + 1 steps from t on are all in the history at t. The run
-    advances in blocks of s steps: one gather sums the delayed coupling of
-    the whole block, and only the lag-0 self term -k_i d_in(i) x_i(t) is left
-    to a per-step recurrence. A lag-0 link gives s = 1, where the self term
-    stays in the gather. A block shorter than a member's own s computes the
-    same numbers, so the union runs at its shortest s. States are checked
-    for non-finite values once _CHECK_EVERY unchecked ones have piled up,
-    before each compaction and at the end, and a failure is reported at its
-    first step.
+    advances in blocks of s steps: gathers of at most _BLOCK_ENTRIES entries
+    sum the delayed coupling d of the whole block, and only the lag-0 self
+    term -k_i d_in(i) x_i(t) is left. A lag-0 link gives s = 1, where the
+    self term stays in the gather. Below _SCAN_SPAN, or on rows of more than
+    _SCAN_ROW values (n L), the self term runs step by step, and a block
+    shorter than s computes the same numbers, so such a union runs at its
+    shortest s. Otherwise every member scans and has the same s: within a
+    block the self term is the recurrence x_{k+1} = a x_k + T d_k, with
+    a = I - T k_i d_in(i), solved by a Hillis-Steele prefix scan in
+    ceil(log2 s) passes over z = T d, with a's powers tabulated once; the
+    derivative is then d - k_i d_in(i) x. The scan's rounding depends on
+    where blocks start, so its blocks start at multiples of s from step 0
+    whatever the record or block size; only the horizon cuts one short.
+
+    States are checked for non-finite values once _CHECK_EVERY unchecked ones
+    have piled up, before each compaction and at the end; a scanned block
+    checks its derivative rows, which overflow a step before the state does.
+    A failure is reported at the first step a per-step run finds it.
     """
     offsets = np.cumsum([0] + [len(mb.indeg) for mb in members])
     n = int(offsets[-1])
     dim = members[0].g_vals.shape[1]
     mmax = max(mb.mmax for mb in members)
     span = min(mb.span for mb in members)
+    scan = members[0].scans
     first = min(mb.first for mb in members)
     if record == "full":
         rows = mmax + horizon + 1
     else:
-        rows = mmax + 1 + min(horizon, max(_CHUNK, mmax + 1))
+        rows = mmax + 1 + min(horizon, -(-max(_CHUNK, mmax + 1) // span) * span)
     # one spare row takes the state after the horizon, which is never read
     x = np.empty((rows + 1, n, dim))
     past = np.arange(-mmax, 1) * t_step
@@ -342,8 +370,8 @@ def _simulate_core(
     # x_j(t - tau_ij). The members' entry lists, shifted to the union's node
     # numbers, are grouped by (node i, coordinate l) with sources ascending,
     # so that np.add.reduceat sums each (i, l) run over the member's own
-    # entries. Entry e of step k of a block reads x.reshape(-1) at idx[e] + k
-    # rows past the block's base.
+    # entries. Entry e of step k of a gather reads x.reshape(-1) at idx[e] + k
+    # rows past the gather's base.
     dst = np.concatenate([mb.dst + lo for mb, lo in zip(members, offsets)])
     src = np.concatenate([mb.src + lo for mb, lo in zip(members, offsets)])
     lag = np.concatenate([mb.lag for mb in members])
@@ -354,14 +382,16 @@ def _simulate_core(
     weight = np.repeat(np.concatenate([mb.weight for mb in members]), dim)[order]
     lagged_src = src + (mmax - lag) * n
     idx = (lagged_src[:, None] * dim + coord).ravel()[order]
-    # the entry list tiled once for the longest block
+    # the entry list tiled once for the longest gather
     per_step, row = idx.size, n * dim
     smax = max(min(span, _BLOCK_ENTRIES // per_step), 1)
+    block = span if scan else smax
+    pieces = [(p, min(smax, block - p)) for p in range(0, block, smax)]  # gathers of a block
     shift = np.arange(smax)[:, None]
     idx = (idx + shift * row).ravel()
     weight = np.tile(weight, smax)
     starts = (starts + shift * per_step).ravel()
-    skipped = np.empty((smax, n, dim))  # derivatives of steps before the window
+    skipped = np.empty((block, n, dim))  # derivatives of steps before the window
     xf = x.reshape(-1)
     kq = np.concatenate([mb.kq for mb in members])
     self_gain = np.concatenate(
@@ -374,8 +404,27 @@ def _simulate_core(
         # over (n, L) costs about 2.5x one that does not
         k_over_c = np.ascontiguousarray(np.broadcast_to(kq, (n, dim)))
         self_gain = np.ascontiguousarray(np.broadcast_to(self_gain, (n, dim)))
+    if scan:
+        # power[j - 1] = a^j for j = 1..s: per node, elementwise for a
+        # scalar gain and matrix powers for a vector one
+        if k_over_c is not None:
+            power = np.multiply.accumulate(
+                np.broadcast_to(1.0 - t_step * self_gain, (span, n, dim)), axis=0
+            )
+            apply = np.multiply
+        else:
+            power = np.empty((span, n, dim, dim))
+            power[0] = np.eye(dim) - t_step * self_gain
+            for j in range(1, span):
+                np.einsum("ilm,imk->ilk", power[j - 1], power[0], out=power[j])
+
+            def apply(mat, vec, out):
+                return np.einsum("...lm,...m->...l", mat, vec, out=out)
+
+        z, zbuf = np.empty((span, n, dim)), np.empty((span, n, dim))
+    else:
+        tmp = np.empty((n, dim))
     g_vals = np.concatenate([mb.g_vals for mb in members])
-    tmp = np.empty((n, dim))
     # Each noisy member's stream is drawn _NOISE_STEPS steps ahead, spread
     # over its columns. Consecutive draws split one stream, so block k reads
     # the values its own (s, n_b, cols) draw would give.
@@ -402,24 +451,25 @@ def _simulate_core(
                 if record == "node_mean":
                     reduce_means(step)
                     base = step
-            s = smax if step + smax <= horizon else horizon + 1 - step
-            if step < first < step + s:  # a block lies wholly before or in the window
-                s = first - step
+            s = block if step + block <= horizon else horizon + 1 - step
             new = s if step + s <= horizon else s - 1  # states this block writes
-            if cur + new >= rows:
+            if cur + new >= rows:  # a gather-sized block meets a compaction
                 s = new = rows - 1 - cur
-            if s == smax:
-                gi, gw, gs = idx, weight, starts
-            else:
-                gi, gw, gs = idx[: s * per_step], weight[: s * per_step], starts[: s * row]
-            gathered = xf[(cur - mmax) * row :][gi]
-            np.multiply(gathered, gw, out=gathered)
-            c = np.add.reduceat(gathered, gs).reshape(s, n, dim)
             d = deriv[step - base : step - base + s] if step >= first else skipped[:s]
-            if k_over_c is not None:
-                np.multiply(k_over_c, c, out=d)
-            else:
-                np.einsum("ilm,sim->sil", kq, c, out=d)
+            cuts = pieces if s == block else [(p, min(smax, s - p)) for p in range(0, s, smax)]
+            for p, k in cuts:  # one gather, unless a scanned block exceeds smax steps
+                if k == smax:
+                    gi, gw, gs = idx, weight, starts
+                else:
+                    gi, gw, gs = idx[: k * per_step], weight[: k * per_step], starts[: k * row]
+                gathered = xf[(cur - mmax + p) * row :][gi]
+                np.multiply(gathered, gw, out=gathered)
+                c = np.add.reduceat(gathered, gs).reshape(k, n, dim)
+                dk = d if k == s else d[p : p + k]
+                if k_over_c is not None:
+                    np.multiply(k_over_c, c, out=dk)
+                else:
+                    np.einsum("ilm,sim->sil", kq, c, out=dk)
             d += g_vals
             if noisy:
                 if used + s > len(noise):
@@ -439,7 +489,7 @@ def _simulate_core(
                 nxt = x[cur + 1]
                 np.multiply(t_step, d[0], out=nxt)
                 nxt += x[cur]
-            else:
+            elif not scan:
                 xs = x[cur : cur + s + 1]
                 for rhs, xk, nxt in zip(d, xs, xs[1:]):
                     if k_over_c is not None:
@@ -449,8 +499,34 @@ def _simulate_core(
                     rhs -= tmp
                     np.multiply(t_step, rhs, out=nxt)
                     nxt += xk
-            if record == "window" and step >= first:
-                states[step - first : step - first + s] = x[cur : cur + s]
+            else:
+                xs, zs, buf = x[cur : cur + s + 1], z[:s], zbuf[:s]
+                np.multiply(t_step, d, out=zs)
+                o = 1
+                while o < s:  # zs[j] sums a^(j-i) T d_i over j - 2o < i <= j
+                    apply(power[o - 1], zs[: s - o], out=buf[: s - o])
+                    zs[o:] += buf[: s - o]
+                    o *= 2
+                apply(power[:s], xs[0], out=xs[1:])
+                xs[1:] += zs
+                apply(self_gain, xs[:-1], out=buf)
+                d -= buf
+                if not np.isfinite(d).all():
+                    j = int(np.argmin(np.isfinite(d).reshape(s, -1).all(axis=1)))
+                    _check_finite(x, checked + 1, cur + j + 1, step + j, members, offsets)
+                    if step + j < horizon:
+                        node = int(np.argmin(np.isfinite(d[j]).all(axis=1)))
+                        raise SimulationError(
+                            f"{_label(members, offsets, node)}non-finite state at step "
+                            f"{step + j + 1}"
+                        )
+                # a finite derivative row vouches for its state
+                checked = cur + s - 1
+            if record == "window" and step + s > first:
+                lo = max(first - step, 0)
+                if lo:  # the block that holds the window's first step
+                    deriv[: s - lo] = d[lo:]
+                states[step + lo - first : step + s - first] = x[cur + lo : cur + s]
             cur += new
             step += s
             if cur - checked >= _CHECK_EVERY or step > horizon:
@@ -480,10 +556,12 @@ def simulate_batch(runs) -> list[Trajectory] | list[NodeMean]:
     Each run is a `SimRun` or a tuple (g, delays, cfg, g_values[, q_mats[,
     record]]). Members must share cfg.t_step, cfg.horizon and record; each
     keeps its own c, K, init, noise_std and rng_seed. Members that share the
-    column count L, the gain kind and the step arithmetic (s = 1, or s > 1)
-    run as one disjoint union, a step group. Every member passes the
-    step-size guard before any step; in a batch of more than one, an error
-    names the member by its index in `runs`.
+    column count L, the gain kind and the step arithmetic (s = 1, s > 1
+    stepped step by step, or one exact s of a member that scans, whose
+    blocks round by where they start; see `_simulate_core`) run as one
+    disjoint union, a step group. Every member passes the step-size guard
+    before any step; in a batch of more than one, an error names the member
+    by its index in `runs`.
 
     Step groups run side by side in lanes by the rule of `lanes.run`, each
     with its estimated work (`run_work` summed over its members). The results,
@@ -510,7 +588,8 @@ def simulate_batch(runs) -> list[Trajectory] | list[NodeMean]:
     members = [_member(run, label) for run, label in zip(runs, labels)]
     keyed: dict[tuple, list[int]] = {}
     for b, mb in enumerate(members):
-        keyed.setdefault((mb.span > 1, mb.kq.ndim, mb.g_vals.shape[1]), []).append(b)
+        arithmetic = mb.span if mb.scans else min(mb.span, 2)
+        keyed.setdefault((arithmetic, mb.kq.ndim, mb.g_vals.shape[1]), []).append(b)
     groups = list(keyed.values())
     cfg = runs[0].cfg
 

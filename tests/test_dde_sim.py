@@ -83,6 +83,12 @@ def test_config_rejects_non_finite_values(field, value):
     [
         ("horizon", 0),
         ("horizon", -1),
+        ("horizon", 2.5),
+        ("horizon", 10.0),
+        ("horizon", np.inf),
+        ("horizon", np.nan),
+        ("horizon", True),
+        ("horizon", "10"),
         ("sync_tol_rel", np.nan),
         ("sync_tol_rel", -1e-4),
         ("sync_tol_rel", 0.0),
@@ -95,6 +101,11 @@ def test_config_rejects_non_finite_values(field, value):
 def test_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=f"{field}.* got {value}"):
         SimConfig(**{field: value})
+
+
+def test_config_takes_a_numpy_integer_horizon():
+    traj = simulate(ring3(), DelayMatrix.zero(3), SimConfig(horizon=np.int64(3)), np.ones(3))
+    assert traj.times.shape == (4,)
 
 
 def test_initial_condition_kinds():
@@ -617,7 +628,7 @@ def column_cases(draw):
     return n, cols, w, lags, rng, draw(st.sampled_from([0.0, 0.1])), chunk
 
 
-def assert_columns_and_tail_bit_exact(n, cols, w, lags, rng, noise_std, chunk):
+def assert_columns_and_tail_bit_exact(n, cols, w, lags, rng, noise_std, chunk, horizon=None):
     """Every column equals its single run and the window-only record, with
     the compaction chunk patched to `chunk`, equals the full record's tail."""
     t_step = 2.0**-7
@@ -625,7 +636,7 @@ def assert_columns_and_tail_bit_exact(n, cols, w, lags, rng, noise_std, chunk):
         t_step=t_step,
         k_gain=1.5,
         c_weights=rng.uniform(0.5, 2.0, n),
-        horizon=int(rng.integers(1, 120)),
+        horizon=int(rng.integers(1, 120)) if horizon is None else horizon,
         noise_std=noise_std,
         rng_seed=int(rng.integers(1000)),
         sync_window_frac=float(rng.uniform(0.0, 1.0)),
@@ -737,14 +748,16 @@ def test_block_core_columns_windows_and_block_lengths_bit_exact(case):
 
 
 @st.composite
-def batch_cases(draw):
+def batch_cases(draw, long_lags=False, max_horizon=120):
     """1..6 members with their own graph, lags, gains, forcing, init, noise
     and window; some s = 1, some s > 1, scalar members with 1..3 forcing
-    columns and at most one vector group with a shared L."""
+    columns and at most one vector group with a shared L. With long_lags,
+    some members' links all lag at least 7, 8, 12 or 30 steps, so that they
+    scan."""
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = np.random.default_rng(seed)
     t_step = 2.0**-7
-    horizon = int(rng.integers(1, 120))
+    horizon = int(rng.integers(1, max_horizon))
     record = draw(st.sampled_from(["full", "window"]))
     vector_dim = int(rng.integers(1, 4))
     runs = []
@@ -754,6 +767,9 @@ def batch_cases(draw):
         w[rng.random(n) < 0.2] = 0.0  # some nodes hear nobody
         np.fill_diagonal(w, 0.0)
         low = int(rng.integers(0, 4))  # low 0 gives s = 1 when a link lags 0
+        if long_lags and draw(st.booleans()):
+            # a few values, so that some scanning members share their s
+            low = int(rng.choice([7, 8, 12, 30]))
         lags = rng.integers(low, low + 6, (n, n))
         cfg = SimConfig(
             t_step=t_step,
@@ -779,9 +795,7 @@ def batch_cases(draw):
     return runs
 
 
-@given(batch_cases())
-@settings(max_examples=80, deadline=None)
-def test_batch_equals_solo_runs_bit_for_bit(runs):
+def assert_batch_equals_solo_runs(runs):
     batch = simulate_batch(runs)
     assert len(batch) == len(runs)
     for (g, delays, cfg, gv, q, record), got in zip(runs, batch):
@@ -791,6 +805,12 @@ def test_batch_equals_solo_runs_bit_for_bit(runs):
             a, b = getattr(got, name), getattr(solo, name)
             assert a.shape == b.shape and a.dtype == b.dtype
             assert np.ascontiguousarray(a).tobytes() == b.tobytes()
+
+
+@given(batch_cases())
+@settings(max_examples=80, deadline=None)
+def test_batch_equals_solo_runs_bit_for_bit(runs):
+    assert_batch_equals_solo_runs(runs)
 
 
 def record_bytes(rec):
@@ -803,9 +823,7 @@ def record_bytes(rec):
     return [(name, a.shape, a.dtype, a.tobytes()) for name, a in fields.items()]
 
 
-@given(batch_cases(), st.integers(min_value=1, max_value=30))
-@settings(max_examples=80, deadline=None)
-def test_records_equal_slices_of_the_full_record(runs, chunk):
+def assert_records_are_slices_of_the_full_record(runs, chunk):
     """With the compaction chunk patched to `chunk`, a "window" record is the
     full record's tail and a "node_mean" record holds its per-column node
     means, byte for byte; each kind's batch equals its solo runs."""
@@ -833,6 +851,12 @@ def test_records_equal_slices_of_the_full_record(runs, chunk):
                 for col in range(got.mean.shape[1]):
                     want = ref.column(col).derivatives.mean(axis=1)
                     assert got.column(col).mean.tobytes() == want.tobytes()
+
+
+@given(batch_cases(), st.integers(min_value=1, max_value=30))
+@settings(max_examples=80, deadline=None)
+def test_records_equal_slices_of_the_full_record(runs, chunk):
+    assert_records_are_slices_of_the_full_record(runs, chunk)
 
 
 def traced_peak(g, delays, cfg, gv, record):
@@ -948,6 +972,148 @@ def test_batch_members_must_share_step_horizon_and_window(field, change):
     run = dde_sim.SimRun(ring3(), DelayMatrix.zero(3), SimConfig(horizon=50), np.ones(3))
     with pytest.raises(ValueError, match=f"disagree on {field}$"):
         simulate_batch([run, run, change(run)])
+
+
+# ---------------------------------------------------------------- scan
+
+
+@st.composite
+def scan_cases(draw):
+    """Digraphs whose links all lag at least 7 steps, so that the core steps
+    the self term of its blocks of s >= 8 steps by the prefix scan; some nodes
+    hear nobody, and n = 1 is excluded, as it has no link."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < draw(st.floats(0.05, 1.0)))
+    w[rng.random(n) < 0.2] = 0.0  # some nodes hear nobody
+    w[1, 0] = 0.5  # at least one link
+    np.fill_diagonal(w, 0.0)
+    low = draw(st.integers(min_value=dde_sim._SCAN_SPAN - 1, max_value=60))
+    if draw(st.booleans()):
+        lags = np.full((n, n), low)
+    else:
+        lags = rng.integers(low, low + 18, (n, n))
+    cols = draw(st.integers(min_value=1, max_value=4))
+    chunk = draw(st.integers(min_value=1, max_value=30))
+    entries = draw(st.integers(min_value=1, max_value=200))
+    return n, cols, w, lags, rng, draw(st.sampled_from([0.0, 0.1])), chunk, entries
+
+
+@given(scan_cases())
+@settings(max_examples=40, deadline=None)
+def test_scan_core_matches_dense_reference(case):
+    _, _, w, lags, rng, noise_std, _, _ = case
+    for dim in (1, 2):
+        horizon = int(rng.integers(1, 1500))
+        assert_core_matches_dense_reference(w, lags, rng, noise_std, dim, horizon)
+
+
+@given(scan_cases())
+@settings(max_examples=40, deadline=None)
+def test_scan_core_columns_windows_and_gathers_bit_exact(case):
+    """Columns equal their single runs, a window record with a short chunk
+    is the full record's tail, and a block gathered in pieces of at most
+    `entries` entries gives the same bits as one gather."""
+    *args, rng, noise_std, chunk, entries = case
+    horizon = int(rng.integers(1, 400))
+    g, delays, cfg, forcing, full = assert_columns_and_tail_bit_exact(
+        *args, rng, noise_std, chunk, horizon
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dde_sim, "_BLOCK_ENTRIES", entries)
+        pieces = simulate(g, delays, cfg, forcing)
+        mp.setattr(dde_sim, "_CHUNK", chunk)
+        tail = simulate(g, delays, cfg, forcing, record="window")
+    assert pieces.states.tobytes() == full.states.tobytes()
+    assert pieces.derivatives.tobytes() == full.derivatives.tobytes()
+    assert tail.derivatives.tobytes() == full.derivatives[tail.first_step :].tobytes()
+
+
+@given(scan_cases())
+@settings(max_examples=40, deadline=None)
+def test_scan_core_node_means_are_the_full_record_means(case):
+    n, cols, w, lags, rng, noise_std, chunk, _ = case
+    t_step = 2.0**-7
+    cfg = SimConfig(
+        t_step=t_step,
+        k_gain=1.5,
+        c_weights=rng.uniform(0.5, 2.0, n),
+        horizon=int(rng.integers(1, 400)),
+        noise_std=noise_std,
+        rng_seed=int(rng.integers(1000)),
+        init=InitialCondition(slopes=rng.normal(size=n), intercepts=rng.normal(size=n)),
+    )
+    g, delays = new_digraph(w), DelayMatrix(tau=lags * t_step)
+    forcing = rng.normal(size=(n, cols))
+    full = simulate(g, delays, cfg, forcing)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dde_sim, "_CHUNK", chunk)
+        means = simulate(g, delays, cfg, forcing, record="node_mean")
+    for col in range(cols):
+        want = full.column(col).derivatives.mean(axis=1)
+        assert means.column(col).mean.tobytes() == want.tobytes()
+
+
+@given(batch_cases(long_lags=True, max_horizon=300), st.integers(min_value=1, max_value=40))
+@settings(max_examples=40, deadline=None)
+def test_batch_of_spans_below_and_above_the_scan_equals_solo_runs(runs, row):
+    """With _SCAN_ROW patched to `row`, some long-lag members scan and others
+    step their self term one step at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dde_sim, "_SCAN_ROW", row)
+        assert_batch_equals_solo_runs(runs)
+
+
+@pytest.mark.parametrize("cols", [1, 3])
+def test_a_row_above_the_scan_row_steps_one_step_at_a_time(cols):
+    # a 20-node ring whose links lag 10 steps: s = 11, n * L = 20 * cols
+    n = 20
+    w = np.zeros((n, n))
+    w[np.arange(n), np.arange(n) - 1] = 1.0
+    g, delays = new_digraph(w), DelayMatrix.uniform(n, 10.0 * 2.0**-7)
+    cfg = SimConfig(t_step=2.0**-7, k_gain=1.5, horizon=500, noise_std=0.1)
+    gv = np.linspace(0.5, 1.5, n * cols).reshape(n, cols)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dde_sim, "_SCAN_SPAN", 2**62)
+        stepped = simulate(g, delays, cfg, gv)
+        mp.setattr(dde_sim, "_SCAN_SPAN", 8)
+        mp.setattr(dde_sim, "_SCAN_ROW", n * cols - 1)
+        over = simulate(g, delays, cfg, gv)
+        mp.setattr(dde_sim, "_SCAN_ROW", n * cols)
+        scanned = simulate(g, delays, cfg, gv)
+    assert over.states.tobytes() == stepped.states.tobytes()
+    assert over.derivatives.tobytes() == stepped.derivatives.tobytes()
+    assert scanned.states.tobytes() != stepped.states.tobytes()
+    assert_rel_close(scanned.states, stepped.states, 1e-12)
+
+
+@given(batch_cases(long_lags=True, max_horizon=300), st.integers(min_value=1, max_value=30))
+@settings(max_examples=40, deadline=None)
+def test_scanned_records_equal_slices_of_the_full_record(runs, chunk):
+    assert_records_are_slices_of_the_full_record(runs, chunk)
+
+
+@pytest.mark.parametrize(
+    "graph, lag, gain",
+    [("two_node", 7, 1.2), ("two_node", 10, 1.9), ("two_node", 50, 1.9),
+     ("ring3", 8, 1.5), ("ring3", 64, 1.9)],
+)
+@pytest.mark.parametrize("record", dde_sim.RECORDS)
+def test_scan_divergence_reported_at_same_step_as_dense_reference(graph, lag, gain, record):
+    # T_s * K * in_degree = gain passes the step-size guard; the scanned
+    # state overflows later than the dense step's k_i d_in(i) x_i does
+    g = two_node() if graph == "two_node" else ring3()
+    m = np.where(g.weights > 0.0, lag, 0)
+    gv = np.array([1.0, 0.0, -0.5])[: g.n]
+    cfg = SimConfig(t_step=1.0, k_gain=gain, horizon=20000)
+    kq = np.full((g.n, 1, 1), gain)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationError) as ref:
+        dense_core_reference(g.weights, m, kq, gv[:, None], 1.0, cfg.horizon, cfg.init, 0.0, 0)
+    with pytest.raises(SimulationError) as got:
+        simulate(g, DelayMatrix(tau=m * 1.0), cfg, gv, record=record)
+    assert "non-finite state at step" in str(ref.value)
+    assert str(got.value) == str(ref.value)
 
 
 # ---------------------------------------------------------------- lanes
