@@ -19,19 +19,16 @@ the ``selfsync run`` demo, the 14-node SC reference digraph with a uniform
 µs per step of L forcing columns, L in {1, n + 1} at n in {4, 8} (seeded
 ``random_sc`` graphs) and L in {1, 2} at n = 40 (the netgen graph).
 ``span``: µs per step of ``simulate`` with every link lagging s - 1 steps,
-over ``SPAN_HORIZON`` steps: at n in {14, 200} (``graph=sc14``, ``sc_14``
-with K = 30, and ``graph=netgen``, the ``sizes`` graph) for s in {2, 4, 8,
-16, 51}; on a directed ring with a chord to every third node (``graph=ring``,
-two links per node, so that the self term weighs more than the gather) at n
-in {50, 100, 200, 400} for s in {8, 51}; and one ``simulate_batch`` of the
+over ``SPAN_HORIZON`` steps, ``SPAN_REPEATS`` rounds: at n in {14, 200}
+(``graph=sc14``, ``sc_14`` with K = 30, and ``graph=netgen``, the ``sizes``
+graph) for s in {2, 4, 6, 7, 8, 11, 16, 51}; and one ``simulate_batch`` of the
 delayed passes of ``BATCH_TRIALS`` mc-n40 trials (``record="node_mean"``,
 spans 1 to 4, pinned to one CPU). Where the library has
 ``dde_sim._SCAN_SPAN``, each row is also timed with every block of s > 1
-stepping its self term by the prefix scan (``scan_us_per_step``:
-``_SCAN_SPAN`` 2, ``_SCAN_ROW`` unbounded) and with none
-(``step_us_per_step``); ``us_per_step`` is the library as it is: these rows
-set ``_SCAN_SPAN`` and ``_SCAN_ROW``. ``protocol``: seconds of one ``gamma_estimation_protocol(mode="simulate")``
-on the same ``random_sc`` graphs, with the horizon escalation of the gamma
+stepping its self term by the prefix scan (``scan_us_per_step``,
+``_SCAN_SPAN`` 2) and with none (``step_us_per_step``); ``us_per_step`` is
+the library as it is. These rows set ``_SCAN_SPAN``. ``protocol``: seconds
+of one ``gamma_estimation_protocol(mode="simulate")`` on the same ``random_sc`` graphs, with the horizon escalation of the gamma
 sweep. ``trace``: ms and bytes of the npz trace writer on the demo14 full
 trace (8001 samples) and on the n = 300 netgen graph over horizon 1200 at
 downsample 10, as ``selfsync run`` on run-n300 writes it. ``setup``:
@@ -138,18 +135,16 @@ RUN_CONFIG = {"n": 300, "d_side": 7.75, "tau_max": 0.05, "threshold": 0.5, "t_st
               "k_gain": 5.0, "horizon": 1200}
 # span rows: uniform lags of s - 1 steps at these n and s
 SPAN_NETGEN_N = 200
-SPAN_BLOCKS = (2, 4, 8, 16, 51)
-SPAN_RING_SIZES = (50, 100, 200, 400)
-SPAN_RING_BLOCKS = (8, 51)
-SPAN_RING_K_GAIN = 100.0
+SPAN_BLOCKS = (2, 4, 6, 7, 8, 11, 16, 51)
 SPAN_HORIZON = 2000
+SPAN_REPEATS = 15
 # analysis rows: scenarios made as run-n300's, at these sizes
 ANALYSIS_SIZES = (100, 200, 300, 500, 800)
 
 
-def timed(*calls) -> dict:
+def timed(*calls, repeats: int = REPEATS) -> dict:
     """Time ``(key, scale, call)`` entries: one warm-up call each, then
-    ``REPEATS`` rounds of one call each, in reversed order every other round so
+    ``repeats`` rounds of one call each, in reversed order every other round so
     that a drift of the host's speed hits them alike. The reference chunk of
     ``perfbench/speed.py`` is timed after each call, and every call's wall
     time is converted with the row's mean chunk time to reference seconds:
@@ -162,7 +157,7 @@ def timed(*calls) -> dict:
     walls = {key: [] for key, _, _ in calls}
     for _, _, call in calls:
         call()
-    for rep in range(REPEATS):
+    for rep in range(repeats):
         for key, scale, call in calls if rep % 2 == 0 else calls[::-1]:
             t0 = time.perf_counter()
             call()
@@ -275,12 +270,12 @@ def at_scan(selfsync, scan: bool, call):
     """call, run with every block of s > 1 scanned, or with none."""
     def run():
         dde_sim = selfsync.dde_sim
-        old = dde_sim._SCAN_SPAN, dde_sim._SCAN_ROW
-        dde_sim._SCAN_SPAN, dde_sim._SCAN_ROW = (2, 2**62) if scan else (2**62, 0)
+        old = dde_sim._SCAN_SPAN
+        dde_sim._SCAN_SPAN = 2 if scan else 2**62
         try:
             return call()
         finally:
-            dde_sim._SCAN_SPAN, dde_sim._SCAN_ROW = old
+            dde_sim._SCAN_SPAN = old
     return run
 
 
@@ -291,15 +286,7 @@ def span_timed(selfsync, steps: int, call) -> dict:
     if hasattr(selfsync.dde_sim, "_SCAN_SPAN"):
         calls += [("scan_us_per_step", 1e6 / steps, at_scan(selfsync, True, call)),
                   ("step_us_per_step", 1e6 / steps, at_scan(selfsync, False, call))]
-    return timed(*calls)
-
-
-def ring_case(selfsync, n: int, seed: int):
-    w = np.zeros((n, n))
-    w[np.arange(n), np.arange(n) - 1] = 1.0
-    w[np.arange(n), np.arange(n) - 3] = 0.5
-    cfg = selfsync.SimConfig(t_step=T_STEP, k_gain=SPAN_RING_K_GAIN, horizon=SPAN_HORIZON)
-    return selfsync.new_digraph(w), None, cfg, np.random.default_rng(seed).uniform(0.5, 1.5, n)
+    return timed(*calls, repeats=SPAN_REPEATS)
 
 
 def span_row(selfsync, graph: str, g, cfg, gvals, block: int) -> dict:
@@ -311,11 +298,10 @@ def span_row(selfsync, graph: str, g, cfg, gvals, block: int) -> dict:
 
 
 def span_rows(selfsync, seed: int) -> list[dict]:
-    cases = [("sc14", demo_case(selfsync, seed), SPAN_BLOCKS),
-             ("netgen", build_case(selfsync, SPAN_NETGEN_N, seed, SPAN_HORIZON), SPAN_BLOCKS)]
-    cases += [("ring", ring_case(selfsync, n, seed), SPAN_RING_BLOCKS) for n in SPAN_RING_SIZES]
+    cases = [("sc14", demo_case(selfsync, seed)),
+             ("netgen", build_case(selfsync, SPAN_NETGEN_N, seed, SPAN_HORIZON))]
     return [span_row(selfsync, graph, g, cfg, gvals, block)
-            for graph, (g, _, cfg, gvals), blocks in cases for block in blocks]
+            for graph, (g, _, cfg, gvals) in cases for block in SPAN_BLOCKS]
 
 
 def mixed_span_row(selfsync, seed: int) -> dict:

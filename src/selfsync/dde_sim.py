@@ -167,9 +167,6 @@ _CHECK_EVERY = 64
 _NOISE_STEPS = 64
 # shortest block length s whose self term is stepped by a prefix scan
 _SCAN_SPAN = 8
-# most values per step (n * L) of a run whose self term is scanned: on larger
-# rows the scan's log2(s) passes over the block cost more than s steps' calls
-_SCAN_ROW = 128
 
 
 def run_work(horizon: int, entries: int, nodes: int, columns: int = 1) -> int:
@@ -220,7 +217,7 @@ class _Member:
     @property
     def scans(self) -> bool:
         """Whether the self term is stepped by the prefix scan."""
-        return self.span >= _SCAN_SPAN and self.g_vals.size <= _SCAN_ROW
+        return self.span >= _SCAN_SPAN
 
 
 def _member(run: SimRun, label: str) -> _Member:
@@ -319,16 +316,16 @@ def _simulate_core(
     advances in blocks of s steps: gathers of at most _BLOCK_ENTRIES entries
     sum the delayed coupling d of the whole block, and only the lag-0 self
     term -k_i d_in(i) x_i(t) is left. A lag-0 link gives s = 1, where the
-    self term stays in the gather. Below _SCAN_SPAN, or on rows of more than
-    _SCAN_ROW values (n L), the self term runs step by step, and a block
-    shorter than s computes the same numbers, so such a union runs at its
-    shortest s. Otherwise every member scans and has the same s: within a
-    block the self term is the recurrence x_{k+1} = a x_k + T d_k, with
-    a = I - T k_i d_in(i), solved by a Hillis-Steele prefix scan in
-    ceil(log2 s) passes over z = T d, with a's powers tabulated once; the
-    derivative is then d - k_i d_in(i) x. The scan's rounding depends on
-    where blocks start, so its blocks start at multiples of s from step 0
-    whatever the record or block size; only the horizon cuts one short.
+    self term stays in the gather. Below _SCAN_SPAN the self term runs step
+    by step, and a block shorter than s computes the same numbers, so such a
+    union runs at its shortest s. Otherwise every member scans and has the
+    same s: within a block the self term is the recurrence
+    x_{k+1} = a x_k + T d_k, with a = I - T k_i d_in(i), solved by a
+    Hillis-Steele prefix scan in ceil(log2 s) passes over z = T d, with a's
+    powers tabulated once; the derivative is then d - k_i d_in(i) x. The
+    scan's rounding depends on where blocks start, so its blocks start at
+    multiples of s from step 0 whatever the record or block size; only the
+    horizon cuts one short.
 
     States are checked for non-finite values once _CHECK_EVERY unchecked ones
     have piled up, before each compaction and at the end; a scanned block
@@ -386,11 +383,19 @@ def _simulate_core(
     per_step, row = idx.size, n * dim
     smax = max(min(span, _BLOCK_ENTRIES // per_step), 1)
     block = span if scan else smax
-    pieces = [(p, min(smax, block - p)) for p in range(0, block, smax)]  # gathers of a block
     shift = np.arange(smax)[:, None]
     idx = (idx + shift * row).ravel()
     weight = np.tile(weight, smax)
     starts = (starts + shift * per_step).ravel()
+
+    def gathers(s: int) -> list[tuple]:
+        """(entries, weights, run starts, first step, steps) of each gather of
+        a block of s steps: one, unless a scanned block exceeds smax steps."""
+        cuts = [(p, min(smax, s - p)) for p in range(0, s, smax)]
+        return [(idx[: k * per_step], weight[: k * per_step], starts[: k * row], p, k)
+                for p, k in cuts]
+
+    whole = gathers(block)  # the gathers of a whole block
     skipped = np.empty((block, n, dim))  # derivatives of steps before the window
     xf = x.reshape(-1)
     kq = np.concatenate([mb.kq for mb in members])
@@ -456,12 +461,7 @@ def _simulate_core(
             if cur + new >= rows:  # a gather-sized block meets a compaction
                 s = new = rows - 1 - cur
             d = deriv[step - base : step - base + s] if step >= first else skipped[:s]
-            cuts = pieces if s == block else [(p, min(smax, s - p)) for p in range(0, s, smax)]
-            for p, k in cuts:  # one gather, unless a scanned block exceeds smax steps
-                if k == smax:
-                    gi, gw, gs = idx, weight, starts
-                else:
-                    gi, gw, gs = idx[: k * per_step], weight[: k * per_step], starts[: k * row]
+            for gi, gw, gs, p, k in whole if s == block else gathers(s):
                 gathered = xf[(cur - mmax + p) * row :][gi]
                 np.multiply(gathered, gw, out=gathered)
                 c = np.add.reduceat(gathered, gs).reshape(k, n, dim)
