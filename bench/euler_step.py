@@ -38,10 +38,15 @@ n in {300, 1000, 2000}: the set-up of the core, which dominates so short a
 run. ``channel``: µs per drawn link (n(n - 1) of them) of
 ``channel_rayleigh`` at n = 40 and 300. ``structure``: ms of
 ``scc_decompose`` plus ``gamma_per_cluster`` of the Laplacian on the n = 300
-and 1000 netgen graphs. ``load``: ms of reading a ``selfsync gen`` scenario at
-n = 300 (Rayleigh links pruned below 0.5, geometry delays, as run-n300 makes
-it) from its JSON files into a ``SensorDigraph`` and a ``DelayMatrix``, the
-set-up of ``selfsync run`` and ``inspect``. ``montecarlo``: seconds of one
+and 1000 netgen graphs. ``load``: ms of one ``selfsync gen`` (``gen_ms``)
+and of reading its scenario (Rayleigh links pruned below 0.5, geometry
+delays, as run-n300 makes it) into a ``SensorDigraph`` and a
+``DelayMatrix`` (``load_ms``), the set-up of ``selfsync run`` and
+``inspect``, at n in {14, 300, 1000}: ``layout=table`` reads ``links.npy``,
+and ``layout=json`` the JSON files, after the table is deleted (a library
+whose ``gen`` writes no table gives only ``json`` rows). ``peak_mb`` is the
+``tracemalloc`` peak in MB of one load, and ``bytes`` the size of the
+scenario directory. ``montecarlo``: seconds of one
 ``experiments.run_estimation_montecarlo`` with the mc-n40 configuration (n =
 40, horizon 2000, clean and with coupling noise 0.1) over 2 and 10 trials,
 each timed twice: with the script's process pinned to one CPU (``cpus=1``,
@@ -138,6 +143,8 @@ SPAN_NETGEN_N = 200
 SPAN_BLOCKS = (2, 4, 6, 7, 8, 11, 16, 51)
 SPAN_HORIZON = 2000
 SPAN_REPEATS = 15
+# load rows: gen scenarios at these sizes
+LOAD_SIZES = (14, 300, 1000)
 # analysis rows: scenarios made as run-n300's, at these sizes
 ANALYSIS_SIZES = (100, 200, 300, 500, 800)
 
@@ -372,7 +379,7 @@ def structure_row(selfsync, n: int, seed: int) -> dict:
                 selfsync.laplacian(g), selfsync.scc_decompose(g))))}
 
 
-def load_row(selfsync, n: int, seed: int) -> dict:
+def load_rows(selfsync, n: int, seed: int) -> list[dict]:
     from selfsync import cli
 
     cfg = {"n": n, "d_side": float(np.sqrt(n / DENSITY)), "tau_max": TAU_MAX,
@@ -380,13 +387,22 @@ def load_row(selfsync, n: int, seed: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         config, scen = Path(tmp) / "config.json", Path(tmp) / "scen"
         config.write_text(json.dumps(cfg))
-        with contextlib.redirect_stdout(io.StringIO()):
-            if cli.main(["gen", str(config), "--out-dir", str(scen)]) != cli.EXIT_OK:
-                raise RuntimeError(f"selfsync gen failed on {cfg}")
-        g, delays, _ = cli._load_scenario(scen)
-        return {**graph_fields(g, delays, T_STEP),
-                "bytes": sum(f.stat().st_size for f in scen.iterdir()),
-                **timed(("load_ms", 1e3, lambda: cli._load_scenario(scen)))}
+        gen = timed(("gen_ms", 1e3, lambda: cli_main(cli, ["gen", str(config), "--out-dir",
+                                                            str(scen)])))
+        del gen["chunk_s"]
+        rows = []
+        for layout in ("table", "json"):
+            table = scen / "links.npy"
+            if layout == "json":
+                table.unlink(missing_ok=True)  # the JSON files are read without it
+            elif not table.exists():
+                continue
+            g, delays, _ = cli._load_scenario(scen)
+            rows.append({"layout": layout, **graph_fields(g, delays, T_STEP),
+                         "bytes": sum(f.stat().st_size for f in scen.iterdir()), **gen,
+                         **timed(("load_ms", 1e3, lambda: cli._load_scenario(scen))),
+                         "peak_mb": traced_peak_mb(lambda: cli._load_scenario(scen))})
+        return rows
 
 
 @contextlib.contextmanager
@@ -517,7 +533,7 @@ def main(argv=None) -> int:
         "setup": show("setup", [setup_row(selfsync, n) for n in SETUP_SIZES]),
         "channel": show("channel", [channel_row(selfsync, n, seed) for n in (40, 300)]),
         "structure": show("structure", [structure_row(selfsync, n, seed) for n in (300, 1000)]),
-        "load": show("load", [load_row(selfsync, 300, seed)]),
+        "load": show("load", [row for n in LOAD_SIZES for row in load_rows(selfsync, n, seed)]),
         "montecarlo": show("montecarlo", [
             montecarlo_row(selfsync, trials, seed, cpus)
             for cpus in sorted({1, len(os.sched_getaffinity(0))}) for trials in MC_TRIALS]),

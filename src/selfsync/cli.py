@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -66,19 +67,40 @@ def _scenario_record(cfg: dict) -> dict:
     return {k: cfg[k] for k in keys if k in cfg}
 
 
+# a record of links.npy: one link of the scenario, in `SensorDigraph.links` order
+LINK_RECORD = np.dtype([("dst", "<i4"), ("src", "<i4"), ("weight", "<f8"), ("tau", "<f8")])
+# the files links.npy mirrors, fingerprinted in scenario.json
+MIRRORED = ("digraph.json", "delays.json")
+
+
+def _fingerprint(data: bytes) -> dict:
+    return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+
+
 def _write_scenario(
     out: Path, g: digraph.SensorDigraph, delays: DelayMatrix, cfg: dict, geom=None
 ) -> None:
     check_delays(g, delays)  # no directory for a scenario that run rejects
     out.mkdir(parents=True, exist_ok=True)
-    (out / "digraph.json").write_text(digraph.to_document(g) + "\n")
+    dst, src = g.links
     # only link delays are ever read: zeros off the links, on one line, keep
     # the n x n matrix short to write and to parse
     link = DelayMatrix(tau=np.zeros((g.n, g.n)))
-    link.tau[g.links] = delays.tau[g.links]
-    (out / "delays.json").write_text(
-        json.dumps({"n": g.n, "tau": link.tau.tolist(), "tau_max": link.tau_max}) + "\n"
-    )
+    link.tau[dst, src] = delays.tau[dst, src]
+    docs = {"digraph.json": digraph.to_document(g),
+            "delays.json": json.dumps({"n": g.n, "tau": link.tau.tolist(),
+                                       "tau_max": link.tau_max})}
+    links = {"n": g.n}
+    for name, text in docs.items():
+        data = (text + "\n").encode()
+        (out / name).write_bytes(data)
+        links[name] = _fingerprint(data)
+    # the same links as one binary table, which run and inspect read while
+    # the JSON files still match their fingerprints
+    table = np.empty(dst.size, LINK_RECORD)
+    table["dst"], table["src"] = dst, src
+    table["weight"], table["tau"] = g.weights[dst, src], link.tau[dst, src]
+    np.save(out / "links.npy", table, allow_pickle=False)
     if geom is not None:
         _dump_json(
             {
@@ -89,7 +111,7 @@ def _write_scenario(
             },
             out / "geometry.json",
         )
-    _dump_json(_scenario_record(cfg), out / "scenario.json")
+    _dump_json({**_scenario_record(cfg), "links": links}, out / "scenario.json")
 
 
 def _gen_demo14(cfg: dict, out: Path) -> list[Path]:
@@ -128,18 +150,67 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------- run
 
 
-def _load_scenario(path: Path):
+def _link_delays(g: digraph.SensorDigraph, link_tau: np.ndarray) -> DelayMatrix:
+    """The delay matrix holding link_tau, the delays of g's links in
+    `g.links` order, and zeros off the links."""
+    # entries off the links meet zero weights; zeroed, as _write_scenario writes
+    # them, a non-finite one (JSON takes Infinity and NaN) cannot poison a sum
+    delays = DelayMatrix(tau=np.zeros((g.n, g.n)))
+    delays.tau[g.links] = link_tau
+    return delays
+
+
+def _table_is_current(path: Path, links) -> bool:
+    """Whether links.npy exists and scenario.json's `links` record matches the
+    JSON files it mirrors as they are now; an edited file reads from JSON."""
+    if not isinstance(links, dict) or not (path / "links.npy").is_file():
+        return False
+    for name in MIRRORED:
+        file = path / name
+        if not file.is_file() or links.get(name) != _fingerprint(file.read_bytes()):
+            return False
+    return True
+
+
+def _load_table(path: Path, links: dict):
+    """The digraph and delays of links.npy, checked as those of the JSON
+    files are; a ValueError names the table."""
+    table_path = path / "links.npy"
+    try:
+        table = np.load(table_path, allow_pickle=False)
+        if table.dtype != LINK_RECORD or table.ndim != 1:
+            raise ValueError(f"holds {table.dtype} of shape {table.shape}, "
+                             f"not a list of {LINK_RECORD} records")
+        g = digraph.from_links(experiments.config_int(links, "n"), table["dst"], table["src"],
+                               table["weight"])
+        tau = np.zeros((g.n, g.n))
+        tau[table["dst"], table["src"]] = table["tau"]
+        link_tau = check_delays(g, DelayMatrix(tau=tau))
+    except (EOFError, ValueError) as exc:
+        raise ValueError(f"{table_path}: {exc}") from exc
+    del tau  # one n x n tau alive at a time
+    return g, _link_delays(g, link_tau)
+
+
+def _load_documents(path: Path):
     g = digraph.from_document((path / "digraph.json").read_text())
     ddoc = _load_json(path / "delays.json")
     try:
         link_tau = check_delays(g, DelayMatrix(tau=np.asarray(ddoc["tau"], dtype=float)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path / 'delays.json'}: {exc}") from exc
-    # entries off the links meet zero weights; zeroed, as _write_scenario writes
-    # them, a non-finite one (JSON takes Infinity and NaN) cannot poison a sum
-    delays = DelayMatrix(tau=np.zeros((g.n, g.n)))
-    delays.tau[g.links] = link_tau
+    return g, _link_delays(g, link_tau)
+
+
+def _load_scenario(path: Path):
+    """(digraph, delays, scenario.json) of a scenario directory: from
+    links.npy while the JSON files match their fingerprints, else from them."""
     sc = _load_json(path / "scenario.json")
+    links = sc.get("links")
+    if _table_is_current(path, links):
+        g, delays = _load_table(path, links)
+    else:
+        g, delays = _load_documents(path)
     return g, delays, sc
 
 
@@ -336,7 +407,9 @@ def cmd_inspect(args) -> int:
 # ---------------------------------------------------------------- entry
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built once per process."""
     ap = argparse.ArgumentParser(prog="selfsync")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -344,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--out-dir", default="scenario")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("run", help="simulate / predict / run protocols on a scenario")
     p.add_argument("scenario")
@@ -361,18 +433,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", default=None)
     p.add_argument("--downsample", type=int, default=1)
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("montecarlo", help="Monte-Carlo estimation experiment")
     p.add_argument("config")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", default="montecarlo")
-    p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("inspect", help="print structure and rate bounds")
     p.add_argument("scenario")
-    p.set_defaults(func=cmd_inspect)
     return ap
 
 
@@ -381,7 +450,8 @@ def main(argv=None) -> int:
     try:
         # one BLAS thread, as in a lane: no output depends on the pool's size
         with lanes.one_blas_thread():
-            return args.func(args)
+            # looked up per call, so that a wrapped or patched command is the one run
+            return globals()[f"cmd_{args.command}"](args)
     except (SimulationError, spectral.SpectralError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -206,8 +206,7 @@ def to_document(g: SensorDigraph) -> str:
 
 
 def from_document(text: str) -> SensorDigraph:
-    """Parse a ``to_document`` payload. Edge indices must be integers in
-    [0, n), each (i, j) pair at most once."""
+    """Parse a ``to_document`` payload, checked as `from_links` checks it."""
     doc = json.loads(text)
     n = int(doc["n"])
     try:
@@ -218,15 +217,24 @@ def from_document(text: str) -> SensorDigraph:
         edges = edges.reshape(0, 3)
     if edges.ndim != 2 or edges.shape[1] != 3:
         raise GraphValidationError(f"edges must be [i, j, a_ij] triples, got shape {edges.shape}")
-    idx = edges[:, :2]
+    return from_links(n, *edges.T)
+
+
+def from_links(n: int, dst, src, weight) -> SensorDigraph:
+    """The digraph of n nodes with weight[k] on the link from src[k] to
+    dst[k]. Indices must be integers in [0, n), each (dst, src) pair at most
+    once, and the weights pass `new_digraph`."""
+    dst, src, weight = np.asarray(dst), np.asarray(src), np.asarray(weight)
+    idx = np.column_stack([dst, src])
     bad = np.flatnonzero(~((idx >= 0) & (idx < n) & (idx == np.floor(idx))).all(axis=1))
     if bad.size:
-        e = edges[bad[0]].tolist()
+        k = bad[0]
+        e = [dst[k].item(), src[k].item(), weight[k].item()]
         raise GraphValidationError(f"edge {e}: indices must be integers in [0, {n})")
-    i, j = idx.astype(int).T
+    i, j = idx.astype(np.int64).T
     pairs, counts = np.unique(i * n + j, return_counts=True)
     if (counts > 1).any():
         raise GraphValidationError(f"duplicate edge {divmod(int(pairs[counts > 1][0]), n)}")
     w = np.zeros((n, n))
-    w[i, j] = edges[:, 2]
+    w[i, j] = weight
     return new_digraph(w)

@@ -7,9 +7,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_no_children, lanes, refuse_fork
 from selfsync import (cli, dde_sim, digraph, experiments, netgen, protocols, spectral, stats,
@@ -1084,3 +1088,191 @@ def test_a_lane_runs_one_blas_thread_and_the_run_equals_the_serial_run(n300_scen
     # the serial run forks nothing, the one with a lane once
     assert got["runs"] == [[EXIT_OK, 0], [EXIT_OK, 1]]
     assert out_files(tmp_path / "out1") == out_files(tmp_path / "out2")
+
+
+# ---------------------------------------------------------------- the links table
+
+
+def test_main_parses_every_call_afresh_with_one_parser(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_run", lambda args: seen.append(vars(args)) or EXIT_OK)
+    assert main(["run", "scen", "--horizon", "50", "--seed", "3"]) == EXIT_OK
+    assert main(["run", "scen"]) == EXIT_OK
+    assert seen[0]["horizon"] == 50 and seen[0]["seed"] == 3
+    fresh = cli.build_parser.__wrapped__().parse_args(["run", "scen"])
+    assert seen[1] == vars(fresh) and seen[1]["horizon"] is None and seen[1]["seed"] is None
+    assert cli.build_parser() is cli.build_parser()
+
+
+def counting_table_loads(monkeypatch) -> list:
+    """The paths of the links tables np.load reads from here on."""
+    loads, load = [], np.load
+
+    def counting(file, *args, **kwargs):
+        if str(file).endswith("links.npy"):
+            loads.append(file)
+        return load(file, *args, **kwargs)
+
+    monkeypatch.setattr(np, "load", counting)
+    return loads
+
+
+def scenario_outputs(capsys, scen, out):
+    """(exit code, report without its timestamp, trace.npz bytes, inspect
+    output) of a simulate run and an inspect of scen."""
+    code = main(["run", str(scen), "--out-dir", str(out), "--downsample", "10"])
+    report = {**json.loads((out / "report.json").read_text()), "created_unix": None}
+    capsys.readouterr()
+    assert main(["inspect", str(scen)]) == EXIT_OK
+    return code, report, (out / "trace.npz").read_bytes(), capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", ["sc", "qsc", "wc", "n300"])
+def test_the_table_and_the_json_files_give_the_same_outputs(
+    tmp_path, demo_config, capsys, monkeypatch, case
+):
+    if case == "n300":
+        scen = tmp_path / "scen"
+        cfg = write_json(tmp_path / "n300.json", N300_CONFIG)
+        assert main(["gen", cfg, "--out-dir", str(scen)]) == EXIT_OK
+    else:
+        assert main(["gen", demo_config, "--out-dir", str(tmp_path / "scen")]) == EXIT_OK
+        scen = tmp_path / "scen" / case
+    loads = counting_table_loads(monkeypatch)
+    table = scenario_outputs(capsys, scen, tmp_path / "table")
+    assert len(loads) == 2  # run and inspect read the table
+    (scen / "links.npy").unlink()
+    documents = scenario_outputs(capsys, scen, tmp_path / "json")
+    assert len(loads) == 2
+    assert table[0] == EXIT_OK and table == documents
+
+
+def reformat(scen, name):
+    """Rewrite a scenario JSON file with the same content in other bytes."""
+    write_json(scen / name, json.loads((scen / name).read_text()))
+
+
+@pytest.mark.parametrize("edited", ["delays.json", "digraph.json"])
+def test_run_reads_the_json_files_once_one_is_edited(
+    demo_scenarios, tmp_path, monkeypatch, edited
+):
+    scen = demo_scenarios / "qsc"
+    loads = counting_table_loads(monkeypatch)
+    argv = ["run", str(scen), "--mode", "predict", "--out-dir", str(tmp_path / "o")]
+    assert main(argv) == EXIT_OK and len(loads) == 1
+    reformat(scen, edited)
+    assert main(argv) == EXIT_OK and len(loads) == 1
+    # an edit that changes what the file says is seen
+    if edited == "delays.json":
+        doc = json.loads((scen / "delays.json").read_text())
+        doc["tau"][1][0] = -1.0
+        write_json(scen / "delays.json", doc)
+    else:
+        write_json(scen / "digraph.json", {"n": 14, "edges": [[0, 20, 1.0]]})
+    assert main(argv) == EXIT_BAD_CONFIG and len(loads) == 1
+
+
+def test_a_scenario_without_a_links_record_reads_the_json_files(
+    demo_scenarios, tmp_path, monkeypatch
+):
+    scen = demo_scenarios / "sc"
+    sc = json.loads((scen / "scenario.json").read_text())
+    assert sc["links"]["n"] == 14
+    del sc["links"]
+    write_json(scen / "scenario.json", sc)
+    loads = counting_table_loads(monkeypatch)
+    assert main(["inspect", str(scen)]) == EXIT_OK and loads == []
+
+
+def bad_table(table):
+    """links.npy edits that keep the JSON fingerprints, with the error each names."""
+    first = table[0]
+    return {
+        "index-too-large": (lambda t: t["src"].__setitem__(0, 14), "in [0, 14)"),
+        "index-negative": (lambda t: t["dst"].__setitem__(0, -1), "in [0, 14)"),
+        "duplicate": (lambda t: t[["dst", "src"]].__setitem__(1, first[["dst", "src"]]),
+                      f"duplicate edge ({first['dst']}, {first['src']})"),
+        "negative-tau": (lambda t: t["tau"].__setitem__(0, -0.1), "= -0.1 is not finite"),
+        "nan-tau": (lambda t: t["tau"].__setitem__(0, np.nan), "= nan is not finite"),
+        "nan-weight": (lambda t: t["weight"].__setitem__(0, np.nan), "= nan is not finite"),
+    }
+
+
+@pytest.mark.parametrize("edit", list(bad_table(np.zeros(2, cli.LINK_RECORD))))
+def test_a_bad_table_with_current_fingerprints_exits_2_naming_it(
+    demo_scenarios, tmp_path, capsys, edit
+):
+    scen = demo_scenarios / "sc"
+    table = np.load(scen / "links.npy")
+    change, named = bad_table(table)[edit]
+    change(table)
+    np.save(scen / "links.npy", table)
+    for argv in (["run", str(scen), "--out-dir", str(tmp_path / "out")], ["inspect", str(scen)]):
+        assert main(argv) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "config error:" in err and "links.npy" in err and named in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("content", [b"", b"\x93NUMPY", np.zeros(3), np.zeros(3, "<i4, <i4, <f8")],
+                         ids=["empty", "truncated", "floats", "three-fields"])
+def test_an_unreadable_table_exits_2_naming_it(demo_scenarios, capsys, content):
+    scen = demo_scenarios / "sc"
+    if isinstance(content, bytes):
+        (scen / "links.npy").write_bytes(content)
+    else:
+        np.save(scen / "links.npy", content)
+    assert main(["inspect", str(scen)]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and "links.npy" in err
+
+
+@pytest.mark.parametrize("cfg", [{"topology": "demo14", "tau": 0.05, "seed": 1},
+                                 {"n": 9, "seed": 12, "d_side": 3.0, "tau_max": 0.05,
+                                  "threshold": 0.1}], ids=["demo14", "netgen"])
+def test_gen_writes_the_same_table_and_fingerprints_every_time(tmp_path, cfg):
+    config = write_json(tmp_path / "cfg.json", cfg)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["gen", config, "--out-dir", str(a)]) == EXIT_OK
+    assert main(["gen", config, "--out-dir", str(b)]) == EXIT_OK
+    written = sorted(p.relative_to(a) for p in a.rglob("*") if p.name in
+                     ("links.npy", "scenario.json"))
+    assert len(written) == (6 if "topology" in cfg else 2)
+    for rel in written:
+        assert (a / rel).read_bytes() == (b / rel).read_bytes()
+
+
+@st.composite
+def scenario_links(draw):
+    """A digraph with weights from subnormal to near the largest double, and
+    link delays with full 17-digit mantissas."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+    mask = mask.reshape(n, n) & ~np.eye(n, dtype=bool)
+    count = int(mask.sum())
+    weight = st.one_of(st.floats(min_value=5e-324, max_value=2.2e-308),
+                       st.floats(min_value=1e307, max_value=1.7976931348623157e308),
+                       st.floats(min_value=5e-324, max_value=1e3))
+    tau = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0),
+                    st.floats(min_value=0.0, max_value=1e300))
+    w = np.zeros((n, n))
+    w[mask] = draw(st.lists(weight, min_size=count, max_size=count))
+    delays = np.zeros((n, n))
+    delays[mask] = draw(st.lists(tau, min_size=count, max_size=count))
+    return digraph.new_digraph(w), DelayMatrix(tau=delays)
+
+
+@given(scenario_links())
+@settings(max_examples=60, deadline=None)
+def test_the_table_and_the_json_files_hold_the_same_bits(case):
+    g, delays = case
+    with tempfile.TemporaryDirectory() as tmp:
+        scen = Path(tmp)
+        cli._write_scenario(scen, g, delays, {})
+        sc = json.loads((scen / "scenario.json").read_text())
+        assert cli._table_is_current(scen, sc["links"])
+        loaded = [cli._load_table(scen, sc["links"]), cli._load_documents(scen)]
+    for got, got_delays in loaded:
+        assert got.weights.tobytes() == g.weights.tobytes()
+        assert all(np.array_equal(a, b) for a, b in zip(got.links, g.links))
+        assert got_delays.tau.tobytes() == np.where(g.weights > 0, delays.tau, 0.0).tobytes()
