@@ -21,13 +21,15 @@ the ``selfsync run`` demo, the 14-node SC reference digraph with a uniform
 ``span``: µs per step of ``simulate`` with every link lagging s - 1 steps,
 over ``SPAN_HORIZON`` steps, ``SPAN_REPEATS`` rounds: at n in {14, 200}
 (``graph=sc14``, ``sc_14`` with K = 30, and ``graph=netgen``, the ``sizes``
-graph) for s in {2, 4, 6, 7, 8, 11, 16, 51}; and one ``simulate_batch`` of the
-delayed passes of ``BATCH_TRIALS`` mc-n40 trials (``record="node_mean"``,
-spans 1 to 4, pinned to one CPU). Where the library has
-``dde_sim._SCAN_SPAN``, each row is also timed with every block of s > 1
-stepping its self term by the prefix scan (``scan_us_per_step``,
-``_SCAN_SPAN`` 2) and with none (``step_us_per_step``); ``us_per_step`` is
-the library as it is. These rows set ``_SCAN_SPAN``. ``protocol``: seconds
+graph) for s in {2, 4, 6, 7, 8, 11, 16, 51}; at n = 1000 on the directed
+ring of unit weights (``graph=ring``, one link per node, T K d_in = 0.5) for
+s = 51; and one ``simulate_batch`` of the delayed passes of ``BATCH_TRIALS``
+mc-n40 trials (``record="node_mean"``, spans 1 to 4, pinned to one CPU).
+Where the library has ``dde_sim._SCAN_SPAN``, each row is also timed with
+every block of s > 1 solving its self term by the scan
+(``scan_us_per_step``, ``_SCAN_SPAN`` 2) and with none
+(``step_us_per_step``); ``us_per_step`` is the library as it is. These rows
+set ``_SCAN_SPAN``. ``protocol``: seconds
 of one ``gamma_estimation_protocol(mode="simulate")`` on the same ``random_sc`` graphs, with the horizon escalation of the gamma
 sweep. ``trace``: ms and bytes of the npz trace writer on the demo14 full
 trace (8001 samples) and on the n = 300 netgen graph over horizon 1200 at
@@ -138,9 +140,12 @@ MC_CONFIG = {"d_side": 5.0, "t_step": 1e-3, "k_gain": 30.0, "tau_max": 0.1, "xi"
 # run rows: the run-n300 workload's scenario
 RUN_CONFIG = {"n": 300, "d_side": 7.75, "tau_max": 0.05, "threshold": 0.5, "t_step": 1e-3,
               "k_gain": 5.0, "horizon": 1200}
-# span rows: uniform lags of s - 1 steps at these n and s
+# span rows: uniform lags of s - 1 steps at these n and s, and one sparse
+# directed ring
 SPAN_NETGEN_N = 200
 SPAN_BLOCKS = (2, 4, 6, 7, 8, 11, 16, 51)
+SPAN_RING_N = 1000
+SPAN_RING_BLOCK = 51
 SPAN_HORIZON = 2000
 SPAN_REPEATS = 15
 # load rows: gen scenarios at these sizes
@@ -304,11 +309,21 @@ def span_row(selfsync, graph: str, g, cfg, gvals, block: int) -> dict:
                          lambda: selfsync.simulate(g, delays, cfg, gvals))}
 
 
+def ring_case(selfsync, n: int, seed: int):
+    """The directed n-cycle of unit weights, at T K d_in = 0.5."""
+    w = np.zeros((n, n))
+    w[np.arange(n), np.arange(n) - 1] = 1.0
+    cfg = selfsync.SimConfig(t_step=T_STEP, k_gain=0.5 / T_STEP, horizon=SPAN_HORIZON)
+    return selfsync.new_digraph(w), cfg, np.random.default_rng(seed).uniform(0.5, 1.5, n)
+
+
 def span_rows(selfsync, seed: int) -> list[dict]:
     cases = [("sc14", demo_case(selfsync, seed)),
              ("netgen", build_case(selfsync, SPAN_NETGEN_N, seed, SPAN_HORIZON))]
-    return [span_row(selfsync, graph, g, cfg, gvals, block)
+    rows = [span_row(selfsync, graph, g, cfg, gvals, block)
             for graph, (g, _, cfg, gvals) in cases for block in SPAN_BLOCKS]
+    return rows + [span_row(selfsync, "ring", *ring_case(selfsync, SPAN_RING_N, seed),
+                            SPAN_RING_BLOCK)]
 
 
 def mixed_span_row(selfsync, seed: int) -> dict:

@@ -244,7 +244,11 @@ def _g_values(sc: dict, g: digraph.SensorDigraph) -> np.ndarray:
 
 
 def _finalize_report(report: dict, out: Path) -> None:
-    body = json.dumps(report, sort_keys=True, default=_json_default)
+    """Write the report with the SHA-256 digest of its content; the scenario's
+    path is left out of the digest, so that a scenario run from another
+    directory gets the same one."""
+    scenario = {k: v for k, v in report["scenario"].items() if k != "path"}
+    body = json.dumps({**report, "scenario": scenario}, sort_keys=True, default=_json_default)
     report["digest"] = hashlib.sha256(body.encode()).hexdigest()
     report["created_unix"] = time.time()
     _dump_json(report, out)

@@ -165,8 +165,20 @@ _BLOCK_ENTRIES = 1 << 16
 _CHECK_EVERY = 64
 # steps of coupling noise drawn per generator call
 _NOISE_STEPS = 64
-# shortest block length s whose self term is stepped by a prefix scan
+# shortest block length s whose self term is solved by the cumulative-sum scan
 _SCAN_SPAN = 8
+# smallest |a|^s (for a vector gain, the smallest singular value of a^s),
+# a = I - T k_i d_in(i), over the nodes of a member that scans: the scan
+# multiplies by the inverse powers of a up to a^(1-s), so a^s must be
+# invertible, and at or above this floor a product a^s v stays a normal float
+# for every |v| above 1e-157, so that no block input loses digits to underflow.
+# A member below it (T k_i d_in(i) at or near 1, or a long s) is stepped.
+_SCAN_FLOOR = 1e-150
+# largest ratio of the largest to the smallest singular value of a vector
+# gain's a^s in a member that scans: the inverse powers scale the rounding of
+# the cumulative sum by up to this ratio, which 2x2 runs read as about 2e-15
+# times it in relative error (a scalar gain's ratio is 1)
+_SCAN_SPREAD = 16.0
 
 
 def run_work(horizon: int, entries: int, nodes: int, columns: int = 1) -> int:
@@ -208,16 +220,24 @@ class _Member:
     indeg: np.ndarray
     mmax: int
     span: int  # s = shortest link lag + 1, before the caps
+    scans: bool  # whether the self term is solved by the cumulative-sum scan
     first: int  # first recorded step
     dst: np.ndarray
     src: np.ndarray
     lag: np.ndarray
     weight: np.ndarray
 
-    @property
-    def scans(self) -> bool:
-        """Whether the self term is stepped by the prefix scan."""
-        return self.span >= _SCAN_SPAN
+
+def _scan_holds(kq: np.ndarray, indeg: np.ndarray, t_step: float, span: int) -> bool:
+    """Whether a^s, with a = I - T k_i d_in(i) formed as the scan forms it,
+    keeps its singular values on every node at or above _SCAN_FLOOR and within
+    a ratio of _SCAN_SPREAD; a scalar gain's a is taken as a 1x1 matrix, so
+    that it decides as its vector twin."""
+    gain = kq.reshape(len(kq), kq.shape[-1], -1) * indeg[:, None, None]
+    a = np.eye(gain.shape[1]) - t_step * gain
+    sv = np.linalg.svd(np.linalg.matrix_power(a, span), compute_uv=False)
+    low = sv[:, -1]
+    return bool((low >= _SCAN_FLOOR).all() and (sv[:, 0] <= _SCAN_SPREAD * low).all())
 
 
 def _member(run: SimRun, label: str) -> _Member:
@@ -265,6 +285,7 @@ def _member(run: SimRun, label: str) -> _Member:
     lag = np.rint(check_delays(g, run.delays, label) / cfg.t_step).astype(int)
     mmax = int(lag.max(initial=0))
     span = int(lag.min()) + 1 if lag.size else 1
+    scans = span >= _SCAN_SPAN and _scan_holds(kq, indeg, cfg.t_step, span)
     own = np.arange(n) if span == 1 else np.flatnonzero(np.bincount(dst, minlength=n) == 0)
     order = np.argsort(np.r_[dst * n + src, own * (n + 1)])
     dst, src = np.r_[dst, own][order], np.r_[src, own][order]
@@ -272,7 +293,9 @@ def _member(run: SimRun, label: str) -> _Member:
     weight = np.r_[w[g.links], -indeg[own]][order]
     horizon = cfg.horizon
     first = max(horizon + 1 - cfg.sync_window(horizon + 1), 0) if run.record == "window" else 0
-    return _Member(label, cfg, kq, gv, columns, indeg, mmax, span, first, dst, src, lag, weight)
+    return _Member(
+        label, cfg, kq, gv, columns, indeg, mmax, span, scans, first, dst, src, lag, weight
+    )
 
 
 def _label(members, offsets, node: int) -> str:
@@ -316,16 +339,23 @@ def _simulate_core(
     advances in blocks of s steps: gathers of at most _BLOCK_ENTRIES entries
     sum the delayed coupling d of the whole block, and only the lag-0 self
     term -k_i d_in(i) x_i(t) is left. A lag-0 link gives s = 1, where the
-    self term stays in the gather. Below _SCAN_SPAN the self term runs step
-    by step, and a block shorter than s computes the same numbers, so such a
-    union runs at its shortest s. Otherwise every member scans and has the
-    same s: within a block the self term is the recurrence
-    x_{k+1} = a x_k + T d_k, with a = I - T k_i d_in(i), solved by a
-    Hillis-Steele prefix scan in ceil(log2 s) passes over z = T d, with a's
-    powers tabulated once; the derivative is then d - k_i d_in(i) x. The
-    scan's rounding depends on where blocks start, so its blocks start at
-    multiples of s from step 0 whatever the record or block size; only the
-    horizon cuts one short.
+    self term stays in the gather. Below _SCAN_SPAN, or where some node's
+    a^s falls below _SCAN_FLOOR or spreads past _SCAN_SPREAD, the self term
+    runs step by step, and a block shorter than s computes the same numbers,
+    so such a union runs at its shortest s. Otherwise every member scans and
+    has the same s: within a block the self term is the recurrence
+    x_{k+1} = a x_k + T d_k, with a = I - T k_i d_in(i), solved in closed form,
+
+        x_{t+j} = a^(j-s) (a^s x_t + sum_{i<j} T a^(s-1-i) d_i),
+
+    by five calls whatever s is: the block's d times the tabulated
+    T a^(s-1-i), a^s x_t, its sum into row 0, one cumulative sum along the
+    block and a product with the tabulated a^(j-s). Only powers a^k with
+    k >= 0 scale the summands, so no partial sum outgrows the states it makes.
+    The tables are built once per call; the derivative is then
+    d - k_i d_in(i) x. The scan's rounding depends on where blocks start, so
+    its blocks start at multiples of s from step 0 whatever the record or
+    block size; only the horizon cuts one short.
 
     States are checked for non-finite values once _CHECK_EVERY unchecked ones
     have piled up, before each compaction and at the end; a scanned block
@@ -410,22 +440,29 @@ def _simulate_core(
         k_over_c = np.ascontiguousarray(np.broadcast_to(kq, (n, dim)))
         self_gain = np.ascontiguousarray(np.broadcast_to(self_gain, (n, dim)))
     if scan:
-        # power[j - 1] = a^j for j = 1..s: per node, elementwise for a
-        # scalar gain and matrix powers for a vector one
+        # power[j - 1] = a^j for j = 1..s, per node: elementwise for a scalar
+        # gain and matrix powers for a vector one; lead[i] = T a^(s-1-i) and
+        # back[j] = a^(j+1-s) for i, j = 0..s-1, whose inverse powers come
+        # from 1 / a^j, or from np.linalg.inv, which is that on a 1x1 matrix
         if k_over_c is not None:
             power = np.multiply.accumulate(
                 np.broadcast_to(1.0 - t_step * self_gain, (span, n, dim)), axis=0
             )
+            one, inverse = 1.0, np.reciprocal
             apply = np.multiply
         else:
             power = np.empty((span, n, dim, dim))
             power[0] = np.eye(dim) - t_step * self_gain
             for j in range(1, span):
                 np.einsum("ilm,imk->ilk", power[j - 1], power[0], out=power[j])
+            one, inverse = np.eye(dim), np.linalg.inv
 
             def apply(mat, vec, out):
                 return np.einsum("...lm,...m->...l", mat, vec, out=out)
 
+        lead, back = np.empty_like(power), np.empty_like(power)
+        lead[-1], lead[:-1] = t_step * one, t_step * power[-2::-1]
+        back[-1], back[:-1] = one, inverse(power[-2::-1])
         z, zbuf = np.empty((span, n, dim)), np.empty((span, n, dim))
     else:
         tmp = np.empty((n, dim))
@@ -500,15 +537,14 @@ def _simulate_core(
                     np.multiply(t_step, rhs, out=nxt)
                     nxt += xk
             else:
+                # x_{t+j} = a^(j-s) (a^s x_t + sum_{i<j} T a^(s-1-i) d_i),
+                # with the tables' last s rows for a block cut short
                 xs, zs, buf = x[cur : cur + s + 1], z[:s], zbuf[:s]
-                np.multiply(t_step, d, out=zs)
-                o = 1
-                while o < s:  # zs[j] sums a^(j-i) T d_i over j - 2o < i <= j
-                    apply(power[o - 1], zs[: s - o], out=buf[: s - o])
-                    zs[o:] += buf[: s - o]
-                    o *= 2
-                apply(power[:s], xs[0], out=xs[1:])
-                xs[1:] += zs
+                apply(lead[span - s :], d, out=zs)
+                apply(power[s - 1], xs[0], out=xs[s])
+                zs[0] += xs[s]
+                np.add.accumulate(zs, axis=0, out=buf)  # np.cumsum without its wrapper
+                apply(back[span - s :], buf, out=xs[1:])
                 apply(self_gain, xs[:-1], out=buf)
                 d -= buf
                 if not np.isfinite(d).all():

@@ -74,8 +74,14 @@ class SccDecomposition:
 
 
 def new_digraph(weights) -> SensorDigraph:
-    """Validate a square, finite, nonnegative weight matrix and wrap it."""
-    w = np.asarray(weights, dtype=float)
+    """Validate a square, finite, nonnegative weight matrix and wrap a copy of
+    it, so that the caller's array stays its own."""
+    return _own_digraph(np.array(weights, dtype=float))
+
+
+def _own_digraph(w: np.ndarray) -> SensorDigraph:
+    """`new_digraph` of a float array that no caller keeps: validated, made
+    read-only and wrapped without a copy."""
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise GraphValidationError(f"weights must be square, got shape {w.shape}")
     bad = np.argwhere(~((w >= 0.0) & (w < np.inf)))
@@ -86,7 +92,6 @@ def new_digraph(weights) -> SensorDigraph:
     if diag.size:
         i = int(diag[0][0])
         raise GraphValidationError(f"nonzero diagonal entry a[{i},{i}] = {w[i, i]}")
-    w = w.copy()
     w.setflags(write=False)
     return SensorDigraph(weights=w)
 
@@ -237,4 +242,4 @@ def from_links(n: int, dst, src, weight) -> SensorDigraph:
         raise GraphValidationError(f"duplicate edge {divmod(int(pairs[counts > 1][0]), n)}")
     w = np.zeros((n, n))
     w[i, j] = weight
-    return new_digraph(w)
+    return _own_digraph(w)

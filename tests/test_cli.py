@@ -5,6 +5,7 @@ import ctypes
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -428,6 +429,21 @@ def test_run_reports_identical_modulo_timestamp(demo_scenarios, tmp_path):
     for rep in outs:
         rep.pop("created_unix")
     assert outs[0] == outs[1]
+
+
+def test_run_digest_does_not_depend_on_the_scenario_path(demo_scenarios, tmp_path):
+    moved = tmp_path / "elsewhere" / "sc"
+    shutil.copytree(demo_scenarios / "sc", moved)
+    reports = {}
+    for name, scen, extra in (("here", demo_scenarios / "sc", []), ("moved", moved, []),
+                              ("short", moved, ["--horizon", "5000"])):
+        out = tmp_path / name
+        assert main(["run", str(scen), "--out-dir", str(out)] + extra) == EXIT_OK
+        reports[name] = json.loads((out / "report.json").read_text())
+    assert reports["here"]["scenario"]["path"] == str(demo_scenarios / "sc")
+    assert reports["moved"]["scenario"]["path"] == str(moved)
+    assert reports["here"]["digest"] == reports["moved"]["digest"]
+    assert reports["short"]["digest"] != reports["moved"]["digest"]
 
 
 # ---------------------------------------------------------------- montecarlo

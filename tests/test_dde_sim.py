@@ -447,9 +447,14 @@ def kernel_cases(draw):
     return n, dim, w, lags, rng, draw(st.sampled_from([0.0, 0.1]))
 
 
-def assert_core_matches_dense_reference(w, lags, rng, noise_std, dim, horizon):
+def assert_core_matches_dense_reference(w, lags, rng, noise_std, dim, horizon, reach=None):
+    """With `reach`, c (or Q) is set so that T_s k_i d_in(i) (the eigenvalues
+    of T_s K Q_i^-1 d_in(i)) of every node that hears somebody lies in
+    (0, reach], so that a = I - T_s k_i d_in(i) lies in [1 - reach, 1)."""
     n = w.shape[0]
     t_step = 2.0**-7  # exact in binary, so tau / t_step rounds back to the lag
+    heard = w.sum(axis=1) > 0.0
+    scale = t_step * 1.5 * w.sum(axis=1)[heard]  # T_s K d_in(i)
     cfg = SimConfig(
         t_step=t_step,
         k_gain=1.5,
@@ -463,6 +468,8 @@ def assert_core_matches_dense_reference(w, lags, rng, noise_std, dim, horizon):
     m = np.where(w > 0.0, lags, 0)
     if dim == 1:
         c = rng.uniform(0.5, 2.0, n)
+        if reach is not None:
+            c[heard] = scale / rng.uniform(0.0, reach, heard.sum())
         gv = rng.normal(size=n)
         traj = simulate(g, delays, replace(cfg, c_weights=c), gv)
         kq = (cfg.k_gain / c).reshape(n, 1, 1)
@@ -471,6 +478,8 @@ def assert_core_matches_dense_reference(w, lags, rng, noise_std, dim, horizon):
     else:
         a = rng.normal(size=(n, dim, dim))
         q = a @ a.transpose(0, 2, 1) + 0.5 * np.eye(dim)  # SPD, not diagonal
+        if reach is not None:  # T_s K d_in Q^-1 = reach (I + a a^T / 2)^-1
+            q[heard] = (scale / reach)[:, None, None] * (q[heard] / 2 + 0.75 * np.eye(dim))
         gv = rng.normal(size=(n, dim))
         traj = simulate(g, delays, cfg, gv, q_mats=q)
         kq = cfg.k_gain * np.linalg.inv(q)
@@ -1000,13 +1009,16 @@ def scan_cases(draw):
     return n, cols, w, lags, rng, draw(st.sampled_from([0.0, 0.1])), chunk, entries
 
 
-@given(scan_cases())
+@given(scan_cases(), st.one_of(st.none(), st.floats(0.05, 1.0)))
 @settings(max_examples=40, deadline=None)
-def test_scan_core_matches_dense_reference(case):
+def test_scan_core_matches_dense_reference(case, reach):
+    """With reach, T_s k_i d_in(i) ranges up to 1, where a = 1 - T_s k_i d_in(i)
+    nears 0 and a^s may fall below the scan's floor, so that the member is
+    stepped."""
     _, _, w, lags, rng, noise_std, _, _ = case
     for dim in (1, 2):
         horizon = int(rng.integers(1, 1500))
-        assert_core_matches_dense_reference(w, lags, rng, noise_std, dim, horizon)
+        assert_core_matches_dense_reference(w, lags, rng, noise_std, dim, horizon, reach)
 
 
 @given(scan_cases())
@@ -1087,6 +1099,49 @@ def test_scan_divergence_reported_at_same_step_as_dense_reference(graph, lag, ga
         simulate(g, DelayMatrix(tau=m * 1.0), cfg, gv, record=record)
     assert "non-finite state at step" in str(ref.value)
     assert str(got.value) == str(ref.value)
+
+
+# K of a two-node ring at T_s = 1 and c = 1 (or Q = I), where a = 1 - K: 0
+# exactly; 2^-47, whose a^11 = 2^-517 lies below the scan's floor; or -0.25
+GUARD_GAINS = {"a_zero": 1.0, "below_floor": 1.0 - 2.0**-47, "a_negative": 1.25}
+
+
+def guarded_run(g, gain, dim, lag=10, horizon=200):
+    """A run of g at uniform lag `lag` (s = 11), with scalar gains (dim 0) or
+    vector gains of Q = I (dim 1 or 2)."""
+    cfg = SimConfig(t_step=1.0, k_gain=gain, horizon=horizon)
+    delays = DelayMatrix(tau=np.where(g.weights > 0.0, float(lag), 0.0))
+    if dim == 0:
+        return (g, delays, cfg, np.linspace(1.0, 0.0, g.n), None, "full")
+    gv = np.linspace(1.0, -1.0, g.n * dim).reshape(g.n, dim)
+    return (g, delays, cfg, gv, np.broadcast_to(np.eye(dim), (g.n, dim, dim)), "full")
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2])
+@pytest.mark.parametrize("case", GUARD_GAINS)
+def test_scan_floor_steps_members_whose_a_power_vanishes(case, dim):
+    """A member whose a^s lies below _SCAN_FLOOR is stepped, one with
+    -1 < a < 0 scans; each matches the dense reference and, batched after a
+    member of its own s that scans, its solo run bit for bit. Unguarded, the
+    scan of a = 0 fails."""
+    run = guarded_run(two_node(), GUARD_GAINS[case], dim)
+    g, delays, cfg, gv = run[:4]
+    assert dde_sim._member(dde_sim.SimRun(*run), "").scans == (case == "a_negative")
+    traj = simulate(*run[:5])
+    cols = max(dim, 1)
+    kq = np.broadcast_to(cfg.k_gain * np.eye(cols), (2, cols, cols))
+    ref_states, ref_deriv = dense_core_reference(
+        g.weights, delays.tau.astype(int), kq, gv.reshape(2, cols), 1.0, cfg.horizon,
+        cfg.init, 0.0, 0)
+    assert_rel_close(traj.states.reshape(ref_states.shape), ref_states, 1e-12)
+    assert_rel_close(traj.derivatives.reshape(ref_deriv.shape), ref_deriv, 1e-12)
+    assert_batch_equals_solo_runs([guarded_run(ring3(), 0.3, dim), run])
+    if case == "a_zero":
+        unguarded = SimulationError if dim == 0 else np.linalg.LinAlgError
+        with pytest.MonkeyPatch.context() as mp, np.errstate(divide="ignore"):
+            mp.setattr(dde_sim, "_SCAN_FLOOR", 0.0)
+            with pytest.raises(unguarded):
+                simulate(*run[:5])
 
 
 # ---------------------------------------------------------------- lanes

@@ -1,6 +1,7 @@
 """Structure layer: validation, degrees, Laplacian, SCC decomposition."""
 
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from selfsync.digraph import (
     GraphValidationError,
     degrees,
     from_document,
+    from_links,
     is_balanced,
     laplacian,
     new_digraph,
@@ -65,6 +67,30 @@ def test_digraph_weights_are_immutable():
     g = new_digraph(ring3())
     with pytest.raises(ValueError):
         g.weights[0, 1] = 5.0
+
+
+def test_new_digraph_keeps_a_copy_of_the_callers_weights():
+    w = ring3()
+    g = new_digraph(w)
+    w[0, 1] = 5.0
+    assert np.array_equal(g.weights, ring3())
+
+
+def test_from_links_holds_one_n_by_n_array():
+    """A sparse ring at n = 1000: the weights take 8 MB, and the tracemalloc
+    peak of from_links stays below 1.5 times that, where a second copy of
+    the matrix would take it to 16 MB."""
+    n = 1000
+    dst = np.arange(n)
+    tracemalloc.start()
+    try:
+        g = from_links(n, dst, (dst + 1) % n, np.full(n, 0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8
+    assert not g.weights.flags.writeable
+    assert g.weights[0, 1] == 0.5 and g.weights.sum() == 0.5 * n
 
 
 # ---------------------------------------------------------------- degrees
