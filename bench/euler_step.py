@@ -39,16 +39,22 @@ downsample 10, as ``selfsync run`` on run-n300 writes it. ``setup``:
 n in {300, 1000, 2000}: the set-up of the core, which dominates so short a
 run. ``channel``: µs per drawn link (n(n - 1) of them) of
 ``channel_rayleigh`` at n = 40 and 300. ``structure``: ms of
-``scc_decompose`` plus ``gamma_per_cluster`` of the Laplacian on the n = 300
-and 1000 netgen graphs. ``load``: ms of one ``selfsync gen`` (``gen_ms``)
+``scc_decompose`` alone (``scc_ms``) and of ``scc_decompose`` plus
+``gamma_per_cluster`` of the Laplacian (``scc_gamma_ms``) on the n = 300,
+1000 and 2000 netgen graphs. ``load``: ms of one ``selfsync gen`` (``gen_ms``)
 and of reading its scenario (Rayleigh links pruned below 0.5, geometry
 delays, as run-n300 makes it) into a ``SensorDigraph`` and a
 ``DelayMatrix`` (``load_ms``), the set-up of ``selfsync run`` and
-``inspect``, at n in {14, 300, 1000}: ``layout=table`` reads ``links.npy``,
+``inspect``, at n in {14, 300, 1000, 2000}: ``layout=table`` reads ``links.npy``,
 and ``layout=json`` the JSON files, after the table is deleted (a library
 whose ``gen`` writes no table gives only ``json`` rows). ``peak_mb`` is the
 ``tracemalloc`` peak in MB of one load, and ``bytes`` the size of the
-scenario directory. ``montecarlo``: seconds of one
+scenario directory. ``cold``: ms of a fresh interpreter that runs one
+``selfsync gen`` of the ``load`` scenario (``cold_gen_ms``) and of one that
+only imports selfsync (``import_ms``), at n in {40, 300}: ``gen`` as a
+process pays what a warm ``gen_ms`` does not, such as the first
+``channel_rayleigh`` call's read-back of numpy's ziggurat tables.
+``montecarlo``: seconds of one
 ``experiments.run_estimation_montecarlo`` with the mc-n40 configuration (n =
 40, horizon 2000, clean and with coupling noise 0.1) over 2 and 10 trials,
 each timed twice: with the script's process pinned to one CPU (``cpus=1``,
@@ -91,6 +97,7 @@ import json
 import os
 import platform
 import resource
+import subprocess
 import sys
 import tempfile
 import time
@@ -149,7 +156,11 @@ SPAN_RING_BLOCK = 51
 SPAN_HORIZON = 2000
 SPAN_REPEATS = 15
 # load rows: gen scenarios at these sizes
-LOAD_SIZES = (14, 300, 1000)
+LOAD_SIZES = (14, 300, 1000, 2000)
+# structure rows: netgen graphs at these sizes
+STRUCTURE_SIZES = (300, 1000, 2000)
+# cold rows: gen in a fresh interpreter at these sizes
+COLD_SIZES = (40, 300)
 # analysis rows: scenarios made as run-n300's, at these sizes
 ANALYSIS_SIZES = (100, 200, 300, 500, 800)
 
@@ -390,18 +401,23 @@ def structure_row(selfsync, n: int, seed: int) -> dict:
     scc = selfsync.scc_decompose(g)
     return {**graph_fields(g, delays, T_STEP), "components": len(scc.components),
             "roots": len(scc.root_components),
-            **timed(("scc_gamma_ms", 1e3, lambda: selfsync.gamma_per_cluster(
-                selfsync.laplacian(g), selfsync.scc_decompose(g))))}
+            **timed(("scc_ms", 1e3, lambda: selfsync.scc_decompose(g)),
+                    ("scc_gamma_ms", 1e3, lambda: selfsync.gamma_per_cluster(
+                        selfsync.laplacian(g), selfsync.scc_decompose(g))))}
+
+
+def load_config(n: int, seed: int) -> dict:
+    """The gen config of the ``load`` and ``cold`` rows."""
+    return {"n": n, "d_side": float(np.sqrt(n / DENSITY)), "tau_max": TAU_MAX,
+            "threshold": THRESHOLD, "seed": seed}
 
 
 def load_rows(selfsync, n: int, seed: int) -> list[dict]:
     from selfsync import cli
 
-    cfg = {"n": n, "d_side": float(np.sqrt(n / DENSITY)), "tau_max": TAU_MAX,
-           "threshold": THRESHOLD, "seed": seed}
     with tempfile.TemporaryDirectory() as tmp:
         config, scen = Path(tmp) / "config.json", Path(tmp) / "scen"
-        config.write_text(json.dumps(cfg))
+        config.write_text(json.dumps(load_config(n, seed)))
         gen = timed(("gen_ms", 1e3, lambda: cli_main(cli, ["gen", str(config), "--out-dir",
                                                             str(scen)])))
         del gen["chunk_s"]
@@ -418,6 +434,22 @@ def load_rows(selfsync, n: int, seed: int) -> list[dict]:
                          **timed(("load_ms", 1e3, lambda: cli._load_scenario(scen))),
                          "peak_mb": traced_peak_mb(lambda: cli._load_scenario(scen))})
         return rows
+
+
+def cold_row(src: str, n: int, seed: int) -> dict:
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def fresh(*code: str):
+        return lambda: subprocess.run([sys.executable, "-c", *code], env=env, check=True,
+                                      stdout=subprocess.DEVNULL)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(load_config(n, seed)))
+        gen = ("import sys; from selfsync.cli import main; sys.exit(main(sys.argv[1:]))", "gen",
+               str(config), "--out-dir", str(Path(tmp) / "scen"))
+        return {"n": n, **timed(("cold_gen_ms", 1e3, fresh(*gen)),
+                                ("import_ms", 1e3, fresh("import selfsync")))}
 
 
 @contextlib.contextmanager
@@ -547,8 +579,10 @@ def main(argv=None) -> int:
                       TRACE_DOWNSAMPLE)]),
         "setup": show("setup", [setup_row(selfsync, n) for n in SETUP_SIZES]),
         "channel": show("channel", [channel_row(selfsync, n, seed) for n in (40, 300)]),
-        "structure": show("structure", [structure_row(selfsync, n, seed) for n in (300, 1000)]),
+        "structure": show("structure", [structure_row(selfsync, n, seed)
+                                        for n in STRUCTURE_SIZES]),
         "load": show("load", [row for n in LOAD_SIZES for row in load_rows(selfsync, n, seed)]),
+        "cold": show("cold", [cold_row(args.src, n, seed) for n in COLD_SIZES]),
         "montecarlo": show("montecarlo", [
             montecarlo_row(selfsync, trials, seed, cpus)
             for cpus in sorted({1, len(os.sched_getaffinity(0))}) for trials in MC_TRIALS]),

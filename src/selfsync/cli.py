@@ -77,19 +77,34 @@ def _fingerprint(data: bytes) -> dict:
     return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
 
 
+def _delays_document(n: int, dst: np.ndarray, src: np.ndarray, link_tau: np.ndarray) -> str:
+    """delays.json of n nodes whose link from src[k] to dst[k] lags link_tau[k]
+    (links in `SensorDigraph.links` order, receivers ascending): the dense
+    matrix with zeros off the links, on one line, as json.dumps writes it,
+    without building the matrix. Only link delays are ever read, and the
+    zeros keep it short to write and to parse."""
+    zeros = ["0.0"] * n
+    ends = np.cumsum(np.bincount(dst, minlength=n)).tolist()
+    cols, taus = src.tolist(), link_tau.tolist()
+    rows, lo = [], 0
+    for hi in ends:
+        row = zeros.copy()
+        for j, t in zip(cols[lo:hi], taus[lo:hi]):
+            row[j] = repr(t)  # a finite float's JSON number
+        rows.append("[" + ", ".join(row) + "]")
+        lo = hi
+    tau_max = max(0.0, max(taus, default=0.0))  # the zeros off the links count
+    return '{"n": %d, "tau": [%s], "tau_max": %r}' % (n, ", ".join(rows), tau_max)
+
+
 def _write_scenario(
     out: Path, g: digraph.SensorDigraph, delays: DelayMatrix, cfg: dict, geom=None
 ) -> None:
-    check_delays(g, delays)  # no directory for a scenario that run rejects
+    link_tau = check_delays(g, delays)  # no directory for a scenario that run rejects
     out.mkdir(parents=True, exist_ok=True)
     dst, src = g.links
-    # only link delays are ever read: zeros off the links, on one line, keep
-    # the n x n matrix short to write and to parse
-    link = DelayMatrix(tau=np.zeros((g.n, g.n)))
-    link.tau[dst, src] = delays.tau[dst, src]
     docs = {"digraph.json": digraph.to_document(g),
-            "delays.json": json.dumps({"n": g.n, "tau": link.tau.tolist(),
-                                       "tau_max": link.tau_max})}
+            "delays.json": _delays_document(g.n, dst, src, link_tau)}
     links = {"n": g.n}
     for name, text in docs.items():
         data = (text + "\n").encode()
@@ -99,7 +114,7 @@ def _write_scenario(
     # the JSON files still match their fingerprints
     table = np.empty(dst.size, LINK_RECORD)
     table["dst"], table["src"] = dst, src
-    table["weight"], table["tau"] = g.weights[dst, src], link.tau[dst, src]
+    table["weight"], table["tau"] = g.weights[dst, src], link_tau
     np.save(out / "links.npy", table, allow_pickle=False)
     if geom is not None:
         _dump_json(

@@ -134,38 +134,35 @@ def _tarjan_scc(adj: list[list[int]]) -> tuple[list[list[int]], np.ndarray]:
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = lowlink[root] = counter
+        counter += 1
+        # (node, its successors not yet looked at, its place on the stack)
+        work = [(root, iter(adj[root]), len(stack))]
+        stack.append(root)
         while work:
-            u, pi = work[-1]
-            if pi == 0:
-                index[u] = lowlink[u] = counter
-                counter += 1
-                stack.append(u)
-            advanced = False
-            for k in range(pi, len(adj[u])):
-                v = adj[u][k]
+            u, succ, at = work[-1]
+            for v in succ:
                 if index[v] == -1:
-                    work[-1] = (u, k + 1)
-                    work.append((v, 0))
-                    advanced = True
+                    index[v] = lowlink[v] = counter
+                    counter += 1
+                    work.append((v, iter(adj[v]), len(stack)))
+                    stack.append(v)
                     break
-                if comp_of[v] == -1:
-                    lowlink[u] = min(lowlink[u], index[v])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[u])
-            if lowlink[u] == index[u]:
-                comp = []
-                while True:
-                    v = stack.pop()
-                    comp_of[v] = len(sccs)
-                    comp.append(v)
-                    if v == u:
-                        break
-                sccs.append(sorted(comp))
+                if comp_of[v] == -1 and index[v] < lowlink[u]:
+                    lowlink[u] = index[v]
+            else:
+                work.pop()
+                low = lowlink[u]
+                if work:
+                    parent = work[-1][0]
+                    if low < lowlink[parent]:
+                        lowlink[parent] = low
+                if low == index[u]:
+                    comp = stack[at:]
+                    del stack[at:]
+                    for v in comp:
+                        comp_of[v] = len(sccs)
+                    sccs.append(sorted(comp))
     return sccs, np.array(comp_of, dtype=int)
 
 
@@ -203,11 +200,19 @@ def scc_decompose(g: SensorDigraph) -> SccDecomposition:
     )
 
 
+# one link of `to_document`, laid out as json.dumps(..., indent=1) lays it out;
+# %r of a finite float is its JSON number
+_EDGE = "  [\n   %d,\n   %d,\n   %r\n  ]"
+
+
 def to_document(g: SensorDigraph) -> str:
-    """Serialize as JSON {n, edges: [[i, j, a_ij]]}, in the order of `links`."""
+    """Serialize as JSON {n, edges: [[i, j, a_ij]]}, in the order of `links`:
+    the text of ``json.dumps(doc, indent=1)``, built one link at a time."""
     dst, src = g.links
-    edges = [list(e) for e in zip(dst.tolist(), src.tolist(), g.weights[dst, src].tolist())]
-    return json.dumps({"n": g.n, "edges": edges}, indent=1)
+    edges = ",\n".join(map(_EDGE.__mod__, zip(dst.tolist(), src.tolist(),
+                                               g.weights[dst, src].tolist())))
+    body = "[\n" + edges + "\n ]" if edges else "[]"
+    return '{\n "n": %d,\n "edges": %s\n}' % (g.n, body)
 
 
 def from_document(text: str) -> SensorDigraph:

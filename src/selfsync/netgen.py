@@ -60,8 +60,10 @@ def place_nodes(
         raise ValueError("square side must be positive")
     rng = np.random.default_rng(rng_seed)
     pos = rng.uniform(0.0, d_side, size=(n, 2))
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
+    dx = pos[:, None, 0] - pos[None, :, 0]
+    dy = pos[:, None, 1] - pos[None, :, 1]
+    # bit for bit the sum of squares over a length-2 axis, without its temporaries
+    dist = np.sqrt(dx * dx + dy * dy)
     p = np.broadcast_to(np.asarray(powers, dtype=float), (n,)).copy()
     if np.any(p <= 0):
         raise ValueError("transmit powers must be positive")

@@ -146,10 +146,13 @@ def empirical_rate(traj, omega_star, fit_start: float = 0.05) -> tuple[float, fl
         raise SpectralError("trajectory has not synchronized (run detect_sync first)")
     omega = np.atleast_1d(np.asarray(omega_star, dtype=float))
     d = traj.derivatives
-    if d.ndim == 2:
-        err = np.abs(d - omega[None, :]).max(axis=1)
-    else:
-        err = np.abs(d - omega[None, :, :]).max(axis=(1, 2))
+    # omega* of a column or a coordinate pairs with the last axis; err(t) is a
+    # running maximum over the node columns, which costs less than a
+    # reduction of each sample over its short node axis
+    dev = np.abs(d - omega).reshape(len(d), -1)
+    err = dev[:, 0].copy()
+    for col in dev.T[1:]:
+        np.maximum(err, col, out=err)
     t = traj.times
     scale = max(np.abs(omega).max(), 1.0)
     if err.max() < 1e-12 * scale:

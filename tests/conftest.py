@@ -54,6 +54,55 @@ def classify_bruteforce(w: np.ndarray) -> Connectivity:
     return Connectivity.DISCONNECTED
 
 
+def tarjan_scc_reference(adj: list[list[int]]) -> tuple[list[list[int]], np.ndarray]:
+    """The iterative Tarjan pass that `digraph._tarjan_scc` replaced, kept as
+    the reference for its output: report digests carry component indices, so
+    the components must come out in this order."""
+    n = len(adj)
+    index = [-1] * n
+    lowlink = [0] * n
+    comp_of = [-1] * n
+    stack: list[int] = []
+    sccs: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            u, pi = work[-1]
+            if pi == 0:
+                index[u] = lowlink[u] = counter
+                counter += 1
+                stack.append(u)
+            advanced = False
+            for k in range(pi, len(adj[u])):
+                v = adj[u][k]
+                if index[v] == -1:
+                    work[-1] = (u, k + 1)
+                    work.append((v, 0))
+                    advanced = True
+                    break
+                if comp_of[v] == -1:
+                    lowlink[u] = min(lowlink[u], index[v])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[u])
+            if lowlink[u] == index[u]:
+                comp = []
+                while True:
+                    v = stack.pop()
+                    comp_of[v] = len(sccs)
+                    comp.append(v)
+                    if v == u:
+                        break
+                sccs.append(sorted(comp))
+    return sccs, np.array(comp_of, dtype=int)
+
+
 def left_null_space_oracle(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Dense-SVD basis of the left null space, rows orthonormal."""
     u, s, vt = np.linalg.svd(mat.T)

@@ -1259,10 +1259,10 @@ def test_gen_writes_the_same_table_and_fingerprints_every_time(tmp_path, cfg):
 
 
 @st.composite
-def scenario_links(draw):
+def scenario_links(draw, max_n=7):
     """A digraph with weights from subnormal to near the largest double, and
     link delays with full 17-digit mantissas."""
-    n = draw(st.integers(min_value=1, max_value=7))
+    n = draw(st.integers(min_value=1, max_value=max_n))
     mask = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
     mask = mask.reshape(n, n) & ~np.eye(n, dtype=bool)
     count = int(mask.sum())
@@ -1292,3 +1292,17 @@ def test_the_table_and_the_json_files_hold_the_same_bits(case):
         assert got.weights.tobytes() == g.weights.tobytes()
         assert all(np.array_equal(a, b) for a, b in zip(got.links, g.links))
         assert got_delays.tau.tobytes() == np.where(g.weights > 0, delays.tau, 0.0).tobytes()
+
+
+@given(scenario_links(max_n=12),
+       st.one_of(st.just(0.0), st.floats(allow_nan=True, allow_infinity=True)))
+@settings(max_examples=150, deadline=None)
+def test_delays_json_is_the_json_dumps_text_of_the_dense_link_matrix(case, off_link):
+    g, delays = case
+    tau = np.where(g.weights > 0, delays.tau, off_link)  # off the links: never written
+    link = np.where(g.weights > 0, delays.tau, 0.0)
+    dense = json.dumps({"n": g.n, "tau": link.tolist(), "tau_max": float(link.max())})
+    with tempfile.TemporaryDirectory() as tmp:
+        cli._write_scenario(Path(tmp), g, DelayMatrix(tau=tau), {})
+        assert (Path(tmp) / "delays.json").read_bytes() == (dense + "\n").encode()
+        assert (Path(tmp) / "digraph.json").read_text() == digraph.to_document(g) + "\n"

@@ -1,5 +1,6 @@
 """Structure layer: validation, degrees, Laplacian, SCC decomposition."""
 
+import json
 import re
 import tracemalloc
 from unittest import mock
@@ -23,7 +24,7 @@ from selfsync.digraph import (
     to_document,
 )
 from selfsync.spectral import gamma_per_cluster
-from conftest import classify_bruteforce, scc_partition_bruteforce
+from conftest import classify_bruteforce, scc_partition_bruteforce, tarjan_scc_reference
 
 
 def ring3(weight=1.0):
@@ -237,6 +238,59 @@ def test_topo_order_and_condensation_match_bruteforce(w):
     assert got == want
 
 
+def assert_tarjan_as_reference(adj: list[list[int]]) -> None:
+    comps, comp_of = digraph._tarjan_scc(adj)
+    ref_comps, ref_comp_of = tarjan_scc_reference(adj)
+    assert comps == ref_comps
+    assert np.array_equal(comp_of, ref_comp_of)
+
+
+@st.composite
+def sparse_digraphs(draw, max_n=40):
+    """Digraphs of 1 to max_n nodes with up to 2n links, so that many have
+    several components and nodes with successors in different ones."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    node = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    w = np.zeros((n, n))
+    for i, j in pairs:
+        w[i, j] = float(i != j)
+    return w
+
+
+@given(st.one_of(weight_matrices(max_n=16), sparse_digraphs()), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_tarjan_emits_the_reference_components_in_its_order(w, symmetrize):
+    g = new_digraph(w)
+    dst, src = g.links
+    if symmetrize:  # the weak-connectivity pass of scc_decompose
+        dst, src = np.r_[dst, src], np.r_[src, dst]
+    assert_tarjan_as_reference(digraph._successors(dst, src, g.n))
+
+
+def test_tarjan_as_reference_on_seeded_sparse_digraphs():
+    # about 1.7 links per node: many components, and nodes whose successors
+    # lie in different ones, where the order of the search shows
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        n = int(rng.integers(2, 41))
+        w = (rng.random((n, n)) < rng.uniform(0.5, 3.0) / n).astype(float)
+        np.fill_diagonal(w, 0.0)
+        g = new_digraph(w)
+        assert_tarjan_as_reference(digraph._successors(*g.links, n))
+
+
+def test_tarjan_as_reference_on_a_long_path_and_a_chain_of_two_cycles():
+    n = 5000
+    path = [[u + 1] for u in range(n - 1)] + [[]]
+    assert_tarjan_as_reference(path)
+    assert_tarjan_as_reference(path[::-1])  # emitted root by root
+    # 2-cycles {2k, 2k + 1}, each feeding the next one
+    chain = [[u ^ 1] + ([u + 1] if u % 2 and u + 1 < n else []) for u in range(n)]
+    assert_tarjan_as_reference(chain)
+    assert len(digraph._tarjan_scc(chain)[0]) == n // 2
+
+
 @given(weight_matrices())
 @settings(max_examples=60, deadline=None)
 def test_links_are_the_positive_weights_row_major_read_only_and_computed_once(w):
@@ -292,6 +346,31 @@ def test_document_roundtrip_exact():
     g = new_digraph(w)
     back = from_document(to_document(g))
     assert np.array_equal(back.weights, g.weights)
+
+
+@st.composite
+def weighted_digraphs(draw, max_n=12):
+    """Digraphs of 1 to max_n nodes, n = 1 without links, with weights from
+    subnormal to the largest double."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+    mask = mask.reshape(n, n) & ~np.eye(n, dtype=bool)
+    count = int(mask.sum())
+    weight = st.one_of(st.floats(min_value=5e-324, max_value=2.2e-308),
+                       st.floats(min_value=1e307, max_value=1.7976931348623157e308),
+                       st.floats(min_value=5e-324, max_value=1e3))
+    w = np.zeros((n, n))
+    w[mask] = draw(st.lists(weight, min_size=count, max_size=count))
+    return new_digraph(w)
+
+
+@given(weighted_digraphs())
+@settings(max_examples=150, deadline=None)
+def test_document_is_the_json_dumps_text(g):
+    dst, src = g.links
+    edges = [[i, j, a] for i, j, a in zip(dst.tolist(), src.tolist(),
+                                          g.weights[dst, src].tolist())]
+    assert to_document(g) == json.dumps({"n": g.n, "edges": edges}, indent=1)
 
 
 def test_document_rejects_invalid_payload():

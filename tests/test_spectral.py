@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from selfsync import experiments, spectral, topologies
 from selfsync.dde_sim import DelayMatrix, SimConfig, detect_sync_auto, simulate
 from selfsync.digraph import laplacian, new_digraph, scc_decompose
+from selfsync.protocols import predict_consensus
 from selfsync.spectral import (
     SpectralError,
     characteristic_function,
@@ -267,17 +268,50 @@ def test_empirical_rate_requires_synchronized_trajectory():
         empirical_rate(traj, 2.0)
 
 
-def test_empirical_rate_matches_spectrum_on_chain():
-    # tree digraph: triangular Laplacian, real spectrum {0, w1, w2, w3}
+def chain4():
+    """Tree digraph: triangular Laplacian, real spectrum {0, 0.8, 1.7, 2.5}."""
     w = np.zeros((4, 4))
     w[1, 0], w[2, 1], w[3, 2] = 0.8, 1.7, 2.5
-    g = new_digraph(w)
+    return new_digraph(w)
+
+
+def test_empirical_rate_matches_spectrum_on_chain():
+    g = chain4()
     cfg = SimConfig(t_step=1e-3, horizon=30_000)
     gv = np.array([1.0, 1.5, 0.7, 1.2])
     traj = simulate(g, DelayMatrix.zero(4), cfg, gv)
     detect_sync_auto(traj, cfg, omega_scale=1.0)
     slope, _ = empirical_rate(traj, 1.0)
     assert slope == pytest.approx(-0.8, rel=0.1)
+
+
+def test_empirical_rate_of_identical_columns_is_the_single_run_rate():
+    g, gv = chain4(), np.array([1.0, 1.5, 0.7, 1.2])
+    cfg = SimConfig(t_step=1e-3, horizon=12_000)
+    delays = DelayMatrix.uniform(4, 5e-3)
+    single = simulate(g, delays, cfg, gv)
+    detect_sync_auto(single, cfg, omega_scale=1.0)
+    columns = simulate(g, delays, cfg, np.column_stack([gv, gv]))
+    detect_sync_auto(columns, cfg, omega_scale=1.0)
+    rate = empirical_rate(single, 1.0)
+    assert rate[0] < 0.0
+    assert empirical_rate(columns, [1.0, 1.0]) == rate
+    assert empirical_rate(columns, 1.0) == rate
+
+
+def test_empirical_rate_of_a_vector_run_is_finite():
+    g = chain4()
+    q = np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, 3.0]], np.eye(2),
+                  [[1.5, -0.2], [-0.2, 0.8]]])
+    gv = np.array([[1.0, -0.5], [1.5, 0.2], [0.7, 0.0], [1.2, 2.0]])
+    cfg = SimConfig(t_step=1e-3, k_gain=5.0, horizon=12_000)
+    delays = DelayMatrix.uniform(4, 5e-3)
+    pred = predict_consensus(g, delays, cfg, gv, q_mats=q, quantize_delays=True)
+    traj = simulate(g, delays, cfg, gv, q_mats=q)
+    detect_sync_auto(traj, cfg, omega_scale=float(np.abs(pred.omega_star).max()))
+    slope, resid = empirical_rate(traj, pred.omega_star)
+    assert np.isfinite(slope) and np.isfinite(resid)
+    assert slope < 0.0
 
 
 def test_empirical_rate_degenerate_on_flat_start():
