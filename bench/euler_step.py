@@ -67,19 +67,18 @@ call, taken after and outside the timed calls; it does not see the memory of
 a forked lane, so ``child_maxrss_mb`` gives the largest RSS in MB of any
 child the script has reaped so far (``RUSAGE_CHILDREN``; 0 when none forked).
 ``analysis``: ms of ``experiments.analyse_scenario`` (SCCs, prediction and
-spectral rates) and of a horizon-1200 ``simulate`` on scenarios made as the
-run-n300 workload makes them, at n in {100, 200, 300, 500, 800} and its node
-density; each analysis call gets a fresh copy of the graph (``new_digraph``),
-made before the call, since a graph caches its SCCs and gammas;
-``analysis_work`` is the analysis's time in ``run_work`` units (the
-simulation's work times the ratio of the two times), and ``analysis_coef``
-that divided by n^3, the coefficient of ``experiments.analysis_work``.
-``run``: ms of one ``selfsync run`` (in process, trace at downsample 10) on a
-scenario made as the run-n300 workload makes it (n = 300, Rayleigh links
-pruned below 0.5, horizon 1200), pinned to one CPU (``cpus=1``: the analysis
-runs after the simulation, in process) and on every usable CPU (where it runs
-in a forked lane beside the simulation while no other task is runnable);
-``op_forked`` counts the timed calls (of ``REPEATS``) that forked a lane.
+spectral rates) on scenarios made as the run-n300 workload makes them, at n
+in {100, 200, 300, 500, 800} and its node density; each call gets a fresh
+copy of the graph (``new_digraph``), made before the call, since a graph
+caches its SCCs and gammas. ``run``: ms of one ``selfsync gen``
+(``gen_ms``) and of one ``selfsync run`` of its scenario (``run_ms``, trace
+at downsample 10), both in process, on scenarios made as the run-n300
+workload makes them (Rayleigh links pruned below 0.5, horizon 1200) at n in
+{300, 1000}, and 2000 without ``--quick``; a library whose ``gen`` stores
+the analysis pays it there, and one without pays it in every ``run``. A run
+that detects no sync within the horizon (exit 3, as at n = 1000) is timed
+all the same. ``run_forked`` counts the timed runs (of ``REPEATS``) that
+forked a lane.
 
 selfsync is imported from ``--src`` (default: this checkout's ``src/``), so one
 copy of the script can time two versions of the library on the same machine.
@@ -163,6 +162,10 @@ STRUCTURE_SIZES = (300, 1000, 2000)
 COLD_SIZES = (40, 300)
 # analysis rows: scenarios made as run-n300's, at these sizes
 ANALYSIS_SIZES = (100, 200, 300, 500, 800)
+# run rows: gen and run of scenarios made as run-n300's, at these sizes, and
+# at RUN_LARGE without --quick
+RUN_SIZES = (300, 1000)
+RUN_LARGE = 2000
 
 
 def timed(*calls, repeats: int = REPEATS) -> dict:
@@ -428,7 +431,7 @@ def load_rows(selfsync, n: int, seed: int) -> list[dict]:
                 table.unlink(missing_ok=True)  # the JSON files are read without it
             elif not table.exists():
                 continue
-            g, delays, _ = cli._load_scenario(scen)
+            g, delays = cli._load_scenario(scen)[:2]
             rows.append({"layout": layout, **graph_fields(g, delays, T_STEP),
                          "bytes": sum(f.stat().st_size for f in scen.iterdir()), **gen,
                          **timed(("load_ms", 1e3, lambda: cli._load_scenario(scen))),
@@ -484,10 +487,13 @@ def montecarlo_row(selfsync, trials: int, seed: int, cpus: int) -> dict:
     return {**row, "child_maxrss_mb": child_kb / 1024}
 
 
-def cli_main(cli, args: list[str]) -> None:
+def cli_main(cli, args: list[str], no_sync: bool = False) -> None:
+    """cli.main(args), its stdout dropped; RuntimeError unless it exits 0, or
+    3 (no sync within the horizon) where no_sync allows it."""
     with contextlib.redirect_stdout(io.StringIO()):
-        if cli.main(args) != cli.EXIT_OK:
-            raise RuntimeError(f"selfsync {' '.join(args)} failed")
+        code = cli.main(args)
+    if code != cli.EXIT_OK and not (no_sync and code == cli.EXIT_NO_SYNC):
+        raise RuntimeError(f"selfsync {' '.join(args)} failed")
 
 
 def run_scenario(cli, n: int, seed: int, tmp: Path) -> Path:
@@ -503,39 +509,33 @@ def run_scenario(cli, n: int, seed: int, tmp: Path) -> Path:
 
 def analysis_row(selfsync, n: int, seed: int) -> dict:
     from selfsync import cli, experiments
-    from selfsync.dde_sim import run_work
 
     with tempfile.TemporaryDirectory() as tmp:
-        g, delays, sc = cli._load_scenario(run_scenario(cli, n, seed, Path(tmp)))
+        g, delays, sc = cli._load_scenario(run_scenario(cli, n, seed, Path(tmp)))[:3]
     gv = np.asarray(sc["g_values"])
     cfg = selfsync.SimConfig(t_step=T_STEP, k_gain=RUN_CONFIG["k_gain"],
                              horizon=RUN_CONFIG["horizon"])
     fresh = iter([selfsync.new_digraph(g.weights) for _ in range(REPEATS + 1)])
-    row = {**graph_fields(g, delays, T_STEP), "horizon": cfg.horizon,
-           **timed(("analysis_ms", 1e3,
-                    lambda: experiments.analyse_scenario(next(fresh), delays, cfg, gv)),
-                   ("sim_ms", 1e3, lambda: selfsync.simulate(g, delays, cfg, gv)))}
-    work = run_work(cfg.horizon, g.links[0].size, g.n)
-    return {**row, "analysis_work": row["analysis_ms"] / row["sim_ms"] * work,
-            "analysis_coef": row["analysis_ms"] / row["sim_ms"] * work / n**3}
+    return {**graph_fields(g, delays, T_STEP),
+            **timed(("analysis_ms", 1e3,
+                     lambda: experiments.analyse_scenario(next(fresh), delays, cfg, gv)))}
 
 
-def run_row(selfsync, seed: int, cpus: int) -> dict:
+def run_row(selfsync, n: int, seed: int) -> dict:
     from selfsync import cli
 
     with tempfile.TemporaryDirectory() as tmp:
-        scen = run_scenario(cli, RUN_CONFIG["n"], seed, Path(tmp))
-        argv = ["run", str(scen), "--out-dir", str(Path(tmp) / "out"), "--downsample",
-                str(TRACE_DOWNSAMPLE)]
-        g, delays, _ = cli._load_scenario(scen)
+        scen = run_scenario(cli, n, seed, Path(tmp))
+        gen = ["gen", str(Path(tmp) / "config.json"), "--out-dir", str(scen)]
+        run = ["run", str(scen), "--out-dir", str(Path(tmp) / "out"), "--downsample",
+               str(TRACE_DOWNSAMPLE)]
+        g, delays = cli._load_scenario(scen)[:2]
         forks = []
-        with pinned(cpus):
-            row = {**graph_fields(g, delays, T_STEP), "horizon": RUN_CONFIG["horizon"],
-                   "cpus": cpus, **timed(("op_ms", 1e3, counting_forks(
-                       lambda: cli_main(cli, argv), forks))),
-                   "op_forked": forked(forks)}
-    child_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return {**row, "child_maxrss_mb": child_kb / 1024}
+        return {**graph_fields(g, delays, T_STEP), "horizon": RUN_CONFIG["horizon"],
+                **timed(("gen_ms", 1e3, lambda: cli_main(cli, gen)),
+                        ("run_ms", 1e3, counting_forks(lambda: cli_main(cli, run, True),
+                                                       forks))),
+                "run_forked": forked(forks)}
 
 
 def show(section: str, rows: list[dict]) -> list[dict]:
@@ -587,8 +587,8 @@ def main(argv=None) -> int:
             montecarlo_row(selfsync, trials, seed, cpus)
             for cpus in sorted({1, len(os.sched_getaffinity(0))}) for trials in MC_TRIALS]),
         "analysis": show("analysis", [analysis_row(selfsync, n, seed) for n in ANALYSIS_SIZES]),
-        "run": show("run", [run_row(selfsync, seed, cpus)
-                            for cpus in sorted({1, len(os.sched_getaffinity(0))})]),
+        "run": show("run", [run_row(selfsync, n, seed)
+                            for n in RUN_SIZES + (() if args.quick else (RUN_LARGE,))]),
     }
     result["wall_s"] = round(time.perf_counter() - start, 2)
     if args.out:

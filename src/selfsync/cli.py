@@ -20,7 +20,6 @@ from .dde_sim import (
     check_delays,
     detect_sync,
     detect_sync_auto,
-    run_work,
     simulate,
     trajectory_to_npz,
 )
@@ -32,14 +31,19 @@ EXIT_BAD_CONFIG = 2
 EXIT_NO_SYNC = 3
 EXIT_NUMERICAL = 4
 
-def _load_json(path: Path) -> dict:
+def _read_json(path: Path) -> tuple[dict, bytes]:
+    """The JSON document of path and the bytes it was read from."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        data = path.read_bytes()
+        return json.loads(data), data
     except FileNotFoundError as exc:
         raise ValueError(f"{path}: not found") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+
+
+def _load_json(path: Path) -> dict:
+    return _read_json(path)[0]
 
 
 def _json_default(obj):
@@ -50,10 +54,11 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _dump_json(obj: dict, path: Path) -> None:
-    path.write_text(
-        json.dumps(obj, indent=1, sort_keys=True, default=_json_default) + "\n"
-    )
+def _dump_json(obj: dict, path: Path) -> str:
+    """Write obj to path as indented JSON; the text written."""
+    text = json.dumps(obj, indent=1, sort_keys=True, default=_json_default) + "\n"
+    path.write_text(text)
+    return text
 
 
 # ---------------------------------------------------------------- scenarios
@@ -71,10 +76,52 @@ def _scenario_record(cfg: dict) -> dict:
 LINK_RECORD = np.dtype([("dst", "<i4"), ("src", "<i4"), ("weight", "<f8"), ("tau", "<f8")])
 # the files links.npy mirrors, fingerprinted in scenario.json
 MIRRORED = ("digraph.json", "delays.json")
+# the format of analysis.json; a file of another version is not read
+ANALYSIS_VERSION = 1
 
 
 def _fingerprint(data: bytes) -> dict:
     return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def _analysis_fingerprints(scenario: bytes, links: dict) -> dict:
+    """The fingerprints an analysis is computed from: those of scenario.json,
+    whose bytes are given, and of the files links.npy mirrors, as its `links`
+    record holds them."""
+    return {"scenario.json": _fingerprint(scenario), **{name: links[name] for name in MIRRORED}}
+
+
+def _analysis_record(g: digraph.SensorDigraph, prediction) -> dict:
+    """The connectivity, root components and predicted consensus of g, as
+    analysis.json holds them and `run` reports them."""
+    return {
+        "connectivity": g.scc.connectivity_class.value,
+        "root_components": list(g.scc.root_components),
+        "clusters": [{"component": cl.component, "nodes": sorted(cl.nodes), "value": cl.omega}
+                     for cl in prediction.clusters],
+        "unpredicted_nodes": sorted(prediction.unpredicted),
+    }
+
+
+def _write_analysis(out: Path, g: digraph.SensorDigraph, delays: DelayMatrix, sc_data: bytes,
+                    fingerprints: dict) -> None:
+    """analysis.json: `experiments.analyse_scenario` of the scenario in out,
+    whose scenario.json holds sc_data, as a `run` without flags computes it,
+    with the fingerprints of the files it is computed from. None is written
+    for an analysis that raises: `run` computes it and raises in its own
+    order, and `gen` still writes the scenario."""
+    file = out / "analysis.json"
+    file.unlink(missing_ok=True)
+    try:
+        sc = json.loads(sc_data)
+        cfg = _sim_config(sc, build_parser().parse_args(["run", "scenario"]))  # no flags
+        analysis = experiments.analyse_scenario(g, delays, cfg, _g_values(sc, g))
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        print(f"{file} not written: {exc}", file=sys.stderr)
+        return
+    _dump_json({"version": ANALYSIS_VERSION, "fingerprints": fingerprints,
+                **_analysis_record(g, analysis.prediction), "spectral_rates": analysis.rates},
+               file)
 
 
 def _delays_document(n: int, dst: np.ndarray, src: np.ndarray, link_tau: np.ndarray) -> str:
@@ -126,7 +173,10 @@ def _write_scenario(
             },
             out / "geometry.json",
         )
-    _dump_json({**_scenario_record(cfg), "links": links}, out / "scenario.json")
+    sc_data = _dump_json({**_scenario_record(cfg), "links": links}, out / "scenario.json").encode()
+    # analysed as run loads it: the delays of the links, zeros off them
+    _write_analysis(out, g, _link_delays(g, link_tau), sc_data,
+                    _analysis_fingerprints(sc_data, links))
 
 
 def _gen_demo14(cfg: dict, out: Path) -> list[Path]:
@@ -218,15 +268,61 @@ def _load_documents(path: Path):
 
 
 def _load_scenario(path: Path):
-    """(digraph, delays, scenario.json) of a scenario directory: from
-    links.npy while the JSON files match their fingerprints, else from them."""
-    sc = _load_json(path / "scenario.json")
+    """(digraph, delays, scenario.json, fingerprints) of a scenario directory:
+    from links.npy while the JSON files match their fingerprints, else from
+    them. fingerprints (`_analysis_fingerprints`) are those of the files as
+    read from the table, and None from the JSON files, where no stored
+    analysis is read."""
+    sc, data = _read_json(path / "scenario.json")
     links = sc.get("links")
-    if _table_is_current(path, links):
-        g, delays = _load_table(path, links)
-    else:
-        g, delays = _load_documents(path)
-    return g, delays, sc
+    if not _table_is_current(path, links):
+        return (*_load_documents(path), sc, None)
+    return (*_load_table(path, links), sc, _analysis_fingerprints(data, links))
+
+
+def _check_analysis(doc: dict, n: int) -> None:
+    """Raise unless doc holds an analysis of n nodes as `gen` writes it."""
+    def indices(values, what: str) -> None:
+        if not (isinstance(values, list)
+                and all(type(v) is int and 0 <= v < n for v in values)):
+            raise ValueError(f"{what} must be a list of indices in [0, {n})")
+
+    digraph.Connectivity(doc["connectivity"])
+    indices(doc["root_components"], "root_components")
+    indices(doc["unpredicted_nodes"], "unpredicted_nodes")
+    clusters = doc["clusters"]
+    if not (isinstance(clusters, list) and len(clusters) == len(doc["root_components"])):
+        raise ValueError("clusters must be a list of one cluster per root component")
+    for cl in clusters:
+        if not (isinstance(cl, dict) and cl.keys() == {"component", "nodes", "value"}
+                and type(cl["value"]) is float):
+            raise ValueError("a cluster must hold a component, its nodes and a float value")
+        indices([cl["component"]], "a cluster's component")
+        indices(cl["nodes"], "a cluster's nodes")
+    rates = doc["spectral_rates"]
+    if not (isinstance(rates, dict) and rates.keys() <= {"no_delay_spectrum", "kappa_bound"}
+            and all(type(v) is float for v in rates.values())):
+        raise ValueError("spectral_rates must map no_delay_spectrum and kappa_bound to floats")
+
+
+def _stored_analysis(path: Path, n: int, fingerprints: dict | None) -> dict | None:
+    """The analysis `gen` stored in analysis.json while it is current: of
+    ANALYSIS_VERSION and computed from the files as read (fingerprints, from
+    `_load_scenario`); None otherwise. A current file that is malformed, or
+    a file that is not a JSON object, raises a ValueError naming it."""
+    file = path / "analysis.json"
+    if fingerprints is None or not file.is_file():
+        return None
+    doc = _load_json(file)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{file}: not a JSON object")
+    if doc.get("version") != ANALYSIS_VERSION or doc.get("fingerprints") != fingerprints:
+        return None
+    try:
+        _check_analysis(doc, n)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{file}: {exc}") from exc
+    return doc
 
 
 def _sim_config(sc: dict, args) -> SimConfig:
@@ -271,22 +367,18 @@ def _finalize_report(report: dict, out: Path) -> None:
 
 def cmd_run(args) -> int:
     path = Path(args.scenario)
-    g, delays, sc = _load_scenario(path)
+    g, delays, sc, fingerprints = _load_scenario(path)
     cfg = _sim_config(sc, args)
     gvals = _g_values(sc, g)
-    analysis = None
-    if args.mode == "simulate":
-        # the analysis runs beside the simulation, in a forked lane when one
-        # is open; one that failed is redone below in serial order, so that
-        # each error is raised where a serial run raises it
-        (traj, sim_error), (analysis, _) = lanes.run(
-            [lambda: simulate(g, delays, cfg, gvals),
-             lambda: experiments.analyse_scenario(g, delays, cfg, gvals)],
-            [run_work(cfg.horizon, g.links[0].size, g.n), experiments.analysis_work(g.n)],
-        )
-    scc = analysis.scc if analysis else g.scc
+    stored = _stored_analysis(path, g.n, fingerprints)
     out_dir = Path(args.out_dir or path)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # without a current stored analysis it is computed here, in the order in
+    # which a failing part raises: the prediction before the simulation, the
+    # rates after the trace is written
+    analysis = stored or _analysis_record(g, protocols.predict_consensus(
+        g, delays, cfg, gvals, quantize_delays=True))
+    clusters = analysis["clusters"]
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "mode": args.mode,
@@ -294,18 +386,13 @@ def cmd_run(args) -> int:
             "path": str(path),
             "n": g.n,
             "seed": sc.get("seed"),
-            "connectivity": scc.connectivity_class.value,
+            "connectivity": analysis["connectivity"],
         },
-    }
-    pred = analysis.prediction if analysis else protocols.predict_consensus(
-        g, delays, cfg, gvals, quantize_delays=True)
-    report["predicted"] = {
-        "global": len(pred.clusters) == 1,
-        "clusters": [
-            {"component": cl.component, "nodes": sorted(cl.nodes), "value": cl.omega}
-            for cl in pred.clusters
-        ],
-        "unpredicted_nodes": sorted(pred.unpredicted),
+        "predicted": {
+            "global": len(clusters) == 1,
+            "clusters": clusters,
+            "unpredicted_nodes": analysis["unpredicted_nodes"],
+        },
     }
 
     if args.mode == "predict":
@@ -336,9 +423,8 @@ def cmd_run(args) -> int:
         return EXIT_OK
 
     # mode: simulate
-    if sim_error is not None:
-        raise sim_error
-    scale = max(abs(cl.omega) for cl in pred.clusters)
+    traj = simulate(g, delays, cfg, gvals)
+    scale = max(abs(cl["value"]) for cl in clusters)
     if args.tol is not None:
         window = cfg.sync_window(len(traj.times))
         sync = detect_sync(traj, tol=args.tol, window=window)
@@ -359,17 +445,17 @@ def cmd_run(args) -> int:
         "tol": sync.tol,
         "window": sync.window,
     }
-    rates = analysis.rates if analysis else experiments.spectral_rates(g, cfg)
-    if sync.global_sync and len(scc.root_components) == 1:
+    rates = dict(stored["spectral_rates"]) if stored else experiments.spectral_rates(g, cfg)
+    if sync.global_sync and len(analysis["root_components"]) == 1:
         rates["empirical_fit"], rates["empirical_residual"] = spectral.empirical_rate(
-            traj, pred.omega_star
+            traj, clusters[0]["value"]
         )
     report["rates"] = rates
     report["trace"] = trace.name
     _finalize_report(report, out_dir / "report.json")
     # success: every predicted cluster actually synchronized
     measured_sets = {c.nodes for c in sync.clusters}
-    ok = all(any(cl.nodes <= m for m in measured_sets) for cl in pred.clusters)
+    ok = all(any(set(cl["nodes"]) <= m for m in measured_sets) for cl in clusters)
     if not ok:
         print("synchronization not detected within horizon", file=sys.stderr)
         return EXIT_NO_SYNC
@@ -404,7 +490,7 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    g, delays, sc = _load_scenario(Path(args.scenario))
+    g, delays, *_ = _load_scenario(Path(args.scenario))
     scc = g.scc
     print(f"nodes: {g.n}")
     print(f"connectivity: {scc.connectivity_class.value}")

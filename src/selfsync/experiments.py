@@ -10,7 +10,7 @@ import numpy as np
 
 from . import netgen, spectral
 from .dde_sim import SimConfig, simulate_batch
-from .digraph import Connectivity, SccDecomposition, SensorDigraph, laplacian
+from .digraph import Connectivity, SensorDigraph, laplacian
 from .netgen import DelayMatrix, NodeGeometry
 from .protocols import ConsensusPrediction, predict_consensus
 from .stats import consensus_function
@@ -20,11 +20,6 @@ DOWNSAMPLE = 10  # iterations per aggregated Monte-Carlo sample
 # so a batch holds its members' set-up and bounded histories; at n = 40, 100
 # trials took as long in batches of 6 as of 16, with 6 MB less peak RSS
 BATCH_TRIALS = 6
-# `analysis_work` per n^3: a least-squares fit to the analysis's measured work
-# at n = 100 to 800 (`bench/euler_step.py` analysis rows); at n = 300 it reads
-# 9.4e6 for 1.3e7, so a simulation of 1.3e7 there is the heavier task and stays
-# in process, where its trajectory needs no pickling
-ANALYSIS_WORK = 0.35
 
 
 def config_int(cfg: dict, key: str, default: int | None = None, minimum: int = 1) -> int:
@@ -46,11 +41,9 @@ def config_seed(cfg: dict) -> int:
 
 
 class ScenarioAnalysis(NamedTuple):
-    """The closed-form view of a scenario: its SCCs, the predicted consensus
-    and the spectral rates (`spectral_rates`). The SCCs come along because an
-    analysis run in a forked lane fills the child's `g.scc`, not the caller's."""
+    """The closed-form view of a scenario: the predicted consensus and the
+    spectral rates (`spectral_rates`); its SCCs are the digraph's `scc`."""
 
-    scc: SccDecomposition
     prediction: ConsensusPrediction
     rates: dict[str, float]
 
@@ -73,18 +66,13 @@ def spectral_rates(g: SensorDigraph, cfg: SimConfig) -> dict[str, float]:
     return rates
 
 
-def analysis_work(n: int) -> float:
-    """Estimated work of `analyse_scenario` on n nodes in `run_work` units."""
-    return ANALYSIS_WORK * n**3
-
-
 def analyse_scenario(
     g: SensorDigraph, delays: DelayMatrix, cfg: SimConfig, g_values
 ) -> ScenarioAnalysis:
-    """SCCs, the consensus predicted with the link delays rounded to the
-    sampling grid, as the integrator honors them, and the spectral rates."""
+    """The consensus predicted with the link delays rounded to the sampling
+    grid, as the integrator honors them, and the spectral rates."""
     prediction = predict_consensus(g, delays, cfg, g_values, quantize_delays=True)
-    return ScenarioAnalysis(g.scc, prediction, spectral_rates(g, cfg))
+    return ScenarioAnalysis(prediction, spectral_rates(g, cfg))
 
 
 def random_network(

@@ -96,11 +96,17 @@ def channel_rayleigh(geom: NodeGeometry, rng_seed: int) -> SensorDigraph:
     pruning or reordering one link leaves the others intact. All links are
     drawn in one array pass by ``substreams.rayleigh_matrix``.
     """
-    n = geom.n
+    n, d = geom.n, geom.distances
     # libm pow, as the scalar d_ij ** 2 of the per-link draw took it: the array
     # square differs from it by one ulp in about 0.08% of links
-    d2 = np.fromiter(map(math.pow, geom.distances.ravel(), repeat(2.0)), dtype=float,
-                     count=n * n).reshape(n, n)
+    if np.array_equal(d, d.T):  # as `place_nodes` makes it: one pow per pair, mirrored
+        upper = np.triu(np.ones((n, n), dtype=bool))
+        d2 = np.empty((n, n))
+        d2.T[upper] = d2[upper] = np.fromiter(map(math.pow, d[upper], repeat(2.0)),
+                                              dtype=float, count=n * (n + 1) // 2)
+    else:
+        d2 = np.fromiter(map(math.pow, d.ravel(), repeat(2.0)), dtype=float,
+                         count=n * n).reshape(n, n)
     sigma2 = geom.powers[None, :] / (1.0 + d2)
     return new_digraph(rayleigh_matrix(rng_seed, np.sqrt(sigma2 / 2.0)))
 

@@ -135,6 +135,32 @@ def characteristic_scale(g: SensorDigraph, delays, k) -> float:
     return float(np.prod(np.maximum(1.0, row)))
 
 
+def _running_max(cols) -> np.ndarray:
+    """The elementwise maximum of the arrays cols[0], cols[1], ..."""
+    out = cols[0].copy()
+    for col in cols[1:]:
+        np.maximum(out, col, out=out)
+    return out
+
+
+def _max_deviation(d: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """max |d[t] - omega| over the entries of each sample t, omega paired with
+    the last axis, bit for bit as that formula gives it.
+
+    The largest and smallest value of each coordinate over the nodes (axis
+    1) give err = max(hi - omega, omega - lo): rounding is monotone and
+    negation exact, so max_i fl(d_i - omega) = fl(hi - omega), and likewise
+    for omega - lo. Running maxima over the node columns cost less than a
+    reduction of each sample over its short node axis, and no |d - omega|
+    temporary of d's size is made."""
+    nodes = d.swapaxes(0, 1)  # node i's samples are nodes[i]
+    lo = nodes[0].copy()
+    for col in nodes[1:]:
+        np.minimum(lo, col, out=lo)
+    dev = np.maximum(_running_max(nodes) - omega, omega - lo)
+    return _running_max(dev.reshape(len(d), -1).T)
+
+
 def empirical_rate(traj, omega_star, fit_start: float = 0.05) -> tuple[float, float]:
     """(slope, rms residual) of the least-squares fit of log ||xdot(t) -
     omega*||_inf after the transient; (0.0, 0.0) when there is nothing to fit.
@@ -145,14 +171,7 @@ def empirical_rate(traj, omega_star, fit_start: float = 0.05) -> tuple[float, fl
     if traj.clusters is None or not traj.clusters.global_sync:
         raise SpectralError("trajectory has not synchronized (run detect_sync first)")
     omega = np.atleast_1d(np.asarray(omega_star, dtype=float))
-    d = traj.derivatives
-    # omega* of a column or a coordinate pairs with the last axis; err(t) is a
-    # running maximum over the node columns, which costs less than a
-    # reduction of each sample over its short node axis
-    dev = np.abs(d - omega).reshape(len(d), -1)
-    err = dev[:, 0].copy()
-    for col in dev.T[1:]:
-        np.maximum(err, col, out=err)
+    err = _max_deviation(traj.derivatives, omega)
     t = traj.times
     scale = max(np.abs(omega).max(), 1.0)
     if err.max() < 1e-12 * scale:

@@ -79,7 +79,8 @@ def test_gen_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["gen", cfg, "--out-dir", str(a)]) == EXIT_OK
     assert main(["gen", cfg, "--out-dir", str(b)]) == EXIT_OK
-    for name in ("digraph.json", "delays.json", "geometry.json", "scenario.json"):
+    for name in ("digraph.json", "delays.json", "geometry.json", "scenario.json",
+                 "analysis.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
@@ -695,6 +696,7 @@ def test_run_and_inspect_solve_gamma_once(demo_scenarios, tmp_path, monkeypatch,
     argv = [command, str(demo_scenarios / "sc")]
     if command == "run":
         argv += ["--out-dir", str(tmp_path / "out")]
+        (demo_scenarios / "sc" / "analysis.json").unlink()  # the run computes its analysis
     assert main(argv) == EXIT_OK
     assert len(calls) == 1
 
@@ -835,7 +837,7 @@ def test_single_member_calls_and_the_warm_up_never_fork(monkeypatch, demo_scenar
     monkeypatch.setattr(lanes_module, "_lane_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", refuse_fork)
     experiments.run_estimation_montecarlo({**MC_N40, "horizon": 200}, 1)
-    g, delays, _ = cli._load_scenario(demo_scenarios / "sc")
+    g, delays, *_ = cli._load_scenario(demo_scenarios / "sc")
     cfg = SimConfig(k_gain=30.0, horizon=6000)
     simulate(g, delays, cfg, np.column_stack([np.ones(g.n), np.arange(g.n)]))
     protocols.gamma_estimation_protocol(g, delays, cfg, np.ones(g.n), mode="simulate")
@@ -846,6 +848,7 @@ def test_run_spectral_failure_exits_numerical(demo_scenarios, tmp_path, capsys, 
         raise SpectralError("left null-space residual 1.0e-03 exceeds tolerance")
 
     monkeypatch.setattr(spectral, "_left_null_positive", failing_solver)
+    (demo_scenarios / "qsc" / "analysis.json").unlink()  # the run computes its prediction
     out = tmp_path / "out"
     code = main(["run", str(demo_scenarios / "qsc"), "--mode", "predict", "--out-dir", str(out)])
     assert code == EXIT_NUMERICAL
@@ -874,7 +877,7 @@ def test_a_non_finite_delay_off_the_links_reads_as_zero(tmp_path, value):
     assert reports[1] == reports[0]
 
 
-# ---------------------------------------------------------------- the run's analysis lane
+# ---------------------------------------------------------------- the stored analysis
 
 
 @pytest.fixture(scope="module")
@@ -906,31 +909,180 @@ def run_outcome(capsys, scen, out, cpus, flags=(), work=0):
     return code, capsys.readouterr().err, out_files(out), len(forks)
 
 
+def analysed_scenarios(demo_scenarios, n300_scenario, tmp_path):
+    """{name: scenario directory}: the demo14 three, a random n = 40 scenario
+    whose forcing is the estimation experiment's, and the n300 scenario."""
+    n40 = tmp_path / "n40"
+    cfg = {"n": 40, "seed": 5, "d_side": 5.0, "tau_max": 0.1, "threshold": 0.3, "k_gain": 20.0,
+           "g_mode": "estimation", "xi": 1.0, "sigma2": 0.25,
+           "c_weights": np.random.default_rng(5).uniform(0.5, 2.0, 40).tolist()}
+    assert main(["gen", write_json(tmp_path / "n40.json", cfg), "--out-dir", str(n40)]) == 0
+    return {**{name: demo_scenarios / name for name in ("sc", "qsc", "wc")}, "n40": n40,
+            "n300": n300_scenario}
+
+
+@pytest.mark.parametrize("name", ["sc", "qsc", "wc", "n40", "n300"])
+def test_gen_stores_the_analysis_of_the_scenario_as_run_loads_it(
+    demo_scenarios, n300_scenario, tmp_path, name
+):
+    scen = analysed_scenarios(demo_scenarios, n300_scenario, tmp_path)[name]
+    g, delays, sc, _ = cli._load_scenario(scen)
+    cfg = cli._sim_config(sc, cli.build_parser().parse_args(["run", str(scen)]))
+    with lanes_module.one_blas_thread():  # as every command runs
+        analysis = experiments.analyse_scenario(g, delays, cfg, cli._g_values(sc, g))
+    scc, pred = digraph.scc_decompose(g), analysis.prediction
+    want = {
+        "version": cli.ANALYSIS_VERSION,
+        "fingerprints": {name: cli._fingerprint((scen / name).read_bytes())
+                         for name in ("scenario.json", "digraph.json", "delays.json")},
+        "connectivity": scc.connectivity_class.value,
+        "root_components": scc.root_components,
+        "clusters": [{"component": cl.component, "nodes": sorted(cl.nodes), "value": cl.omega}
+                     for cl in pred.clusters],
+        "unpredicted_nodes": sorted(pred.unpredicted),
+        "spectral_rates": analysis.rates,
+    }
+    assert want["spectral_rates"] or name == "wc"
+    # JSON writes each float as its repr, so equal texts hold equal bits
+    stored = json.loads((scen / "analysis.json").read_text())
+    assert json.dumps(stored, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def run_outputs(capsys, scen, out, flags):
+    """(exit code, stderr, files left in out) of a run with lanes open, which
+    forks nothing."""
+    *outcome, forks = run_outcome(capsys, scen, out, 2, flags)
+    assert forks == 0
+    return outcome
+
+
+@pytest.mark.parametrize("name", ["sc", "qsc", "wc", "n300"])
+def test_run_reports_alike_whether_the_analysis_is_current_deleted_stale_or_foreign(
+    demo_scenarios, n300_scenario, tmp_path, capsys, name
+):
+    scen, flags = tmp_path / "copy", ("--downsample", "10") if name == "n300" else ()
+    shutil.copytree(n300_scenario if name == "n300" else demo_scenarios / name, scen)
+    analysis, scenario = scen / "analysis.json", scen / "scenario.json"
+    current = run_outputs(capsys, scen, tmp_path / "current", flags)
+    assert current[0] == EXIT_OK and sorted(current[2]) == ["report.json", "trace.npz"]
+    doc = json.loads(analysis.read_text())
+    # a file of another version is not read, whatever it holds
+    write_json(analysis, {**doc, "version": cli.ANALYSIS_VERSION + 1, "spectral_rates": {},
+                          "clusters": [{**cl, "value": 0.5} for cl in doc["clusters"]]})
+    assert run_outputs(capsys, scen, tmp_path / "foreign", flags) == current
+    analysis.unlink()
+    assert run_outputs(capsys, scen, tmp_path / "deleted", flags) == current
+    # an edited scenario.json leaves the analysis stale: the run reports the
+    # edited scenario's numbers, as if none were stored
+    write_json(analysis, doc)
+    sc = json.loads(scenario.read_text())
+    write_json(scenario, {**sc, "k_gain": 0.8 * sc["k_gain"]})
+    stale = run_outputs(capsys, scen, tmp_path / "stale", flags)
+    assert stale[2]["report.json"]["predicted"] != current[2]["report.json"]["predicted"]
+    analysis.unlink()
+    assert run_outputs(capsys, scen, tmp_path / "edited", flags) == stale
+
+
+@pytest.mark.parametrize("mode", ["simulate", "predict", "unbias2"])
+def test_a_run_with_a_current_analysis_computes_none_of_it(
+    demo_scenarios, tmp_path, monkeypatch, mode
+):
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("the stored analysis was computed again")
+
+    for module, function in ((experiments, "analyse_scenario"), (experiments, "spectral_rates"),
+                             (spectral, "rate_no_delay"), (spectral, "rate_kappa_bound")):
+        monkeypatch.setattr(module, function, no_analysis)
+    argv = ["run", str(demo_scenarios / "qsc"), "--mode", mode, "--exec-mode", "predict",
+            "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["scenario"]["connectivity"] == "QSC"
+    assert ("rates" in report) == (mode == "simulate")
+
+
+def malformed_analyses():
+    """Edits of analysis.json that keep its version and fingerprints, and the
+    error each names."""
+    return {
+        "missing": (lambda doc: doc.pop("clusters"), "'clusters'"),
+        "connectivity": (lambda doc: doc.__setitem__("connectivity", "SCC"), "'SCC'"),
+        "node": (lambda doc: doc["clusters"][0]["nodes"].append(14), "in [0, 14)"),
+        "integer-value": (lambda doc: doc["clusters"][0].__setitem__("value", 1),
+                          "a float value"),
+        "rates": (lambda doc: doc["spectral_rates"].__setitem__("fit", 1.0), "spectral_rates"),
+    }
+
+
+@pytest.mark.parametrize("edit", ["unparsable", "not-an-object", *malformed_analyses()])
+def test_a_malformed_current_analysis_exits_2_naming_it(demo_scenarios, tmp_path, capsys, edit):
+    scen = demo_scenarios / "sc"
+    file = scen / "analysis.json"
+    if edit == "unparsable":
+        file.write_text('{"version": 1,')
+        named = "line 1"
+    elif edit == "not-an-object":
+        write_json(file, [1])
+        named = "not a JSON object"
+    else:
+        doc = json.loads(file.read_text())
+        change, named = malformed_analyses()[edit]
+        change(doc)
+        write_json(file, doc)
+    out = tmp_path / "out"
+    assert main(["run", str(scen), "--mode", "predict", "--out-dir", str(out)]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and "analysis.json" in err and named in err
+    assert not (out / "report.json").exists()
+
+
+def fail_the_prediction(monkeypatch, cfg):
+    def failing_solver(block, residual_tol):
+        raise SpectralError("left null-space residual 1.0e-03 exceeds tolerance")
+
+    monkeypatch.setattr(spectral, "_left_null_positive", failing_solver)
+    return EXIT_NUMERICAL, "numerical error: left null-space residual"
+
+
+def fail_the_config(monkeypatch, cfg):
+    cfg["noise_std"] = -0.1
+    return EXIT_BAD_CONFIG, "config error: noise std must be nonnegative"
+
+
+@pytest.mark.parametrize("fault", [fail_the_prediction, fail_the_config],
+                         ids=["prediction", "config"])
+def test_gen_stores_no_analysis_that_raises_and_run_raises_it(
+    tmp_path, capsys, monkeypatch, fault
+):
+    cfg = {"topology": "demo14", "seed": 0, "t_step": 1e-3, "k_gain": 30.0, "tau": 0.05}
+    scen = tmp_path / "scen"
+    assert main(["gen", write_json(tmp_path / "cfg.json", cfg), "--out-dir", str(scen)]) == 0
+    assert (scen / "sc" / "analysis.json").is_file()
+    code, err = fault(monkeypatch, cfg)
+    # over the scenario of an earlier gen, whose analysis is removed
+    assert main(["gen", write_json(tmp_path / "cfg.json", cfg), "--out-dir", str(scen)]) == 0
+    assert sorted(p.name for p in scen.glob("*/analysis.json")) == []
+    assert capsys.readouterr().err.count("analysis.json not written: ") == 3
+    assert main(["run", str(scen / "sc"), "--out-dir", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err.startswith(err)
+
+
 @pytest.mark.parametrize("name", ["sc", "qsc", "wc", "n300"])
 def test_run_with_the_analysis_lane_equals_the_serial_run(
     demo_scenarios, n300_scenario, tmp_path, capsys, name
 ):
-    scen, flags, work = demo_scenarios / name, (), 0
+    # run opens no lane for its analysis, which gen stores: with a CPU free
+    # and any task allowed a lane it forks nothing, even at 300 nodes and
+    # horizon 1200, and equals the run with lanes closed
+    scen, flags = demo_scenarios / name, ()
     if name == "n300":
-        # the lane opens at this size and horizon without lowering the threshold
-        scen, flags, work = n300_scenario, ("--downsample", "10"), lanes_module.LANE_WORK
-    *closed, forks = run_outcome(capsys, scen, tmp_path / "closed", 1, flags, work)
+        scen, flags = n300_scenario, ("--downsample", "10")
+    *closed, forks = run_outcome(capsys, scen, tmp_path / "closed", 1, flags)
     assert forks == 0
-    *opened, forks = run_outcome(capsys, scen, tmp_path / "open", 2, flags, work)
-    assert forks == 1
+    *opened, forks = run_outcome(capsys, scen, tmp_path / "open", 2, flags)
+    assert forks == 0
     assert closed[0] == EXIT_OK and sorted(closed[2]) == ["report.json", "trace.npz"]
     assert opened == closed
-
-
-@pytest.mark.parametrize("horizon, lanes_opened", [(50, 0), (1200, 1)])
-def test_the_analysis_lane_stays_closed_for_a_short_simulation(
-    n300_scenario, tmp_path, capsys, horizon, lanes_opened
-):
-    # at 300 nodes the lane lost to the serial run at horizon 100 and won at 400
-    flags = ("--horizon", str(horizon), "--tol", "1e9", "--downsample", "10")
-    code, _, _, forks = run_outcome(capsys, n300_scenario, tmp_path / "o", 2, flags,
-                                    lanes_module.LANE_WORK)
-    assert code == EXIT_OK and forks == lanes_opened
 
 
 def bench_ops(demo_scenarios, n300_scenario, tmp_path):
@@ -954,7 +1106,7 @@ def bench_ops(demo_scenarios, n300_scenario, tmp_path):
 
     mc_n40 = {**MC_N40, "horizon": 2000}
     return {
-        # the analysis of 14 nodes (about 14^3) is the lighter task
+        # a run simulates in process and reads its analysis from the scenario
         "cli-demo14": ([run(demo_scenarios / name, "--horizon", horizon, "--tol", "1e9")
                         for name in ("sc", "qsc", "wc") for horizon in ("200", "8000")], 0),
         # one step group per call
@@ -966,11 +1118,9 @@ def bench_ops(demo_scenarios, n300_scenario, tmp_path):
         "mc-n40 op": ([lambda: experiments.run_estimation_montecarlo(mc_n40, 2),
                        lambda: experiments.run_estimation_montecarlo(
                            {**mc_n40, "noise_std": 0.1}, 2)], 2),
-        # the simulation (about 2.2e6 at horizon 200 and 1.3e7 at 1200) and the
-        # analysis of 300 nodes each pass LANE_WORK; at horizon 50 the
-        # simulation (about 5.7e5) does not
-        "run-n300 warm-up": ([run(n300_scenario, "--horizon", "200", "--tol", "1e9")], 1),
-        "run-n300 op": ([run(n300_scenario, "--downsample", "10")], 1),
+        # as cli-demo14, at any horizon
+        "run-n300 warm-up": ([run(n300_scenario, "--horizon", "200", "--tol", "1e9")], 0),
+        "run-n300 op": ([run(n300_scenario, "--downsample", "10")], 0),
         "run-n300 at horizon 50": ([run(n300_scenario, "--horizon", "50", "--tol", "1e9")], 0),
     }
 
@@ -1013,39 +1163,35 @@ def break_both(monkeypatch, scenario):
     break_prediction(monkeypatch, scenario)
 
 
-def lose_the_lane(monkeypatch, scenario):
-    monkeypatch.setattr(lanes_module, "_lane_child", lambda *args: os._exit(3))
-
-
 @pytest.mark.parametrize(
     "fault, code, err, files",
     [
         (break_prediction, EXIT_NUMERICAL, "numerical error: left null-space residual", []),
         (break_simulation, EXIT_NUMERICAL, "numerical error: step-size instability", []),
-        # the prediction's error comes first, as in a serial run
+        # the prediction's error comes first
         (break_both, EXIT_NUMERICAL, "numerical error: left null-space residual", []),
         # a rate error comes after the trace is written
         (break_rates, EXIT_NUMERICAL, "numerical error: rate bound violated", ["trace.npz"]),
-        # a lane lost before it sends its outcomes is redone in process
-        (lose_the_lane, EXIT_OK, "", ["report.json", "trace.npz"]),
     ],
-    ids=["prediction", "simulation", "both", "rates", "lost-lane"],
+    ids=["prediction", "simulation", "both", "rates"],
 )
 def test_run_errors_with_the_analysis_lane_are_those_of_the_serial_run(
     demo_scenarios, tmp_path, capsys, monkeypatch, fault, code, err, files
 ):
+    # the errors of a run that computes its analysis, in process whether or
+    # not a lane could open
+    (demo_scenarios / "sc" / "analysis.json").unlink()
     fault(monkeypatch, demo_scenarios / "sc" / "scenario.json")
     *closed, forks = run_outcome(capsys, demo_scenarios / "sc", tmp_path / "closed", 1)
     assert forks == 0
     *opened, forks = run_outcome(capsys, demo_scenarios / "sc", tmp_path / "open", 2)
-    assert forks == 1
+    assert forks == 0
     assert closed[0] == code and closed[1].startswith(err) and sorted(closed[2]) == files
     assert opened == closed
 
 
 def test_demo14_runs_never_fork(demo_scenarios, tmp_path, monkeypatch):
-    # a usable CPU is idle, but the lighter task, the analysis of 14 nodes, is
-    # far below LANE_WORK
+    # a usable CPU is idle, but a run opens no lane
     monkeypatch.setattr(lanes_module, "_lane_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", refuse_fork)
     for name in ("sc", "qsc", "wc"):
@@ -1073,16 +1219,25 @@ print(json.dumps({"threads": threads, "runs": runs}))
 """
 
 
+def without_stored_analysis(scen, tmp_path):
+    """A copy of scen without analysis.json, whose run computes the analysis."""
+    copy = tmp_path / "computed"
+    shutil.copytree(scen, copy)
+    (copy / "analysis.json").unlink()
+    return copy
+
+
 @pytest.mark.skipif(lanes_module._openblas("get_num_threads", ctypes.c_int) is None,
                     reason="numpy's BLAS is not OpenBLAS")
 def test_predict_and_simulate_modes_predict_alike_under_a_blas_pool(n300_scenario, tmp_path):
-    # simulate mode predicts inside a lane, at one BLAS thread; predict mode
-    # must not use the 2-thread pool, whose round-off differs
+    # neither mode may compute its prediction on the 2-thread pool, whose
+    # round-off differs from one thread's
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+    scen = without_stored_analysis(n300_scenario, tmp_path)
     predicted = []
     for mode in ("predict", "simulate"):
         out = tmp_path / mode
-        subprocess.run([sys.executable, "-m", "selfsync.cli", "run", str(n300_scenario),
+        subprocess.run([sys.executable, "-m", "selfsync.cli", "run", str(scen),
                         "--mode", mode, "--out-dir", str(out), "--downsample", "10"],
                        env=env, check=True, capture_output=True, timeout=120)
         predicted.append(json.loads((out / "report.json").read_text())["predicted"])
@@ -1101,8 +1256,8 @@ def test_a_lane_runs_one_blas_thread_and_the_run_equals_the_serial_run(n300_scen
     # both lanes run one thread, and the pool's size is restored after the
     # call (None: no OpenBLAS)
     assert got["threads"] in ([2, 1, 1, 2], None)
-    # the serial run forks nothing, the one with a lane once
-    assert got["runs"] == [[EXIT_OK, 0], [EXIT_OK, 1]]
+    # a run forks nothing, whether or not a lane could open
+    assert got["runs"] == [[EXIT_OK, 0], [EXIT_OK, 0]]
     assert out_files(tmp_path / "out1") == out_files(tmp_path / "out2")
 
 
@@ -1284,7 +1439,8 @@ def test_the_table_and_the_json_files_hold_the_same_bits(case):
     g, delays = case
     with tempfile.TemporaryDirectory() as tmp:
         scen = Path(tmp)
-        cli._write_scenario(scen, g, delays, {})
+        with np.errstate(all="ignore"):  # the analysis of weights near the largest double
+            cli._write_scenario(scen, g, delays, {})
         sc = json.loads((scen / "scenario.json").read_text())
         assert cli._table_is_current(scen, sc["links"])
         loaded = [cli._load_table(scen, sc["links"]), cli._load_documents(scen)]
@@ -1303,6 +1459,7 @@ def test_delays_json_is_the_json_dumps_text_of_the_dense_link_matrix(case, off_l
     link = np.where(g.weights > 0, delays.tau, 0.0)
     dense = json.dumps({"n": g.n, "tau": link.tolist(), "tau_max": float(link.max())})
     with tempfile.TemporaryDirectory() as tmp:
-        cli._write_scenario(Path(tmp), g, DelayMatrix(tau=tau), {})
+        with np.errstate(all="ignore"):  # the analysis of weights near the largest double
+            cli._write_scenario(Path(tmp), g, DelayMatrix(tau=tau), {})
         assert (Path(tmp) / "delays.json").read_bytes() == (dense + "\n").encode()
         assert (Path(tmp) / "digraph.json").read_text() == digraph.to_document(g) + "\n"

@@ -1,5 +1,8 @@
 """Geometry, fading channels, and propagation delays."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -163,6 +166,20 @@ def test_channel_rayleigh_negative_seed_raises_as_numpy():
         channel_rayleigh(geom, rng_seed=-1)
     # with no link there is no draw, so nothing raises, as before
     assert channel_rayleigh(place_nodes(1, 2.0, rng_seed=0), rng_seed=-1).n == 1
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
+def test_channel_rayleigh_takes_one_pow_per_pair_of_symmetric_distances(monkeypatch, symmetric):
+    geom = place_nodes(9, 2.0, rng_seed=6, powers=np.linspace(0.5, 2.0, 9))
+    if not symmetric:
+        # a hand-built geometry whose receivers hear their senders farther off, row by row
+        geom = replace(geom, distances=geom.distances * np.linspace(1.0, 1.3, 9)[:, None])
+    want = per_link_rayleigh(geom, 11)
+    calls, power = [], math.pow
+    monkeypatch.setattr(math, "pow", lambda x, y: calls.append(x) or power(x, y))
+    w = channel_rayleigh(geom, rng_seed=11).weights
+    assert len(calls) == (9 * 10 // 2 if symmetric else 9 * 9)
+    assert w.tobytes() == want.tobytes()
 
 
 def test_channel_rayleigh_pinned_weights():

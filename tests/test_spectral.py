@@ -314,6 +314,30 @@ def test_empirical_rate_of_a_vector_run_is_finite():
     assert slope < 0.0
 
 
+RECORD_SHAPES = {"scalar": lambda n, L: (n,), "column": lambda n, L: (n, L),
+                 "vector": lambda n, L: (n, L, L)}
+
+
+@given(st.sampled_from(sorted(RECORD_SHAPES)), st.integers(1, 6), st.integers(1, 3),
+       st.integers(1, 12), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_max_deviation_equals_the_plain_formula_bit_for_bit(kind, n, L, samples, scalar, data):
+    """err(t) from running node maxima and minima equals max |d - omega|
+    over each sample's entries, omega paired with the last axis."""
+    shape = (samples, *RECORD_SHAPES[kind](n, L))
+    size = 1 if scalar or kind == "scalar" else L  # one omega, or one per coordinate
+    omega = np.asarray(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=size,
+                                          max_size=size)))
+    # values far off, and values a few ulps from omega, where rounding decides
+    near = st.tuples(st.sampled_from(omega.tolist()), st.integers(-4, 4)).map(
+        lambda p: p[0] + p[1] * np.spacing(p[0]))
+    value = st.one_of(st.floats(-1e300, 1e300), near, st.sampled_from([0.0, -0.0]))
+    d = np.array(data.draw(st.lists(value, min_size=int(np.prod(shape)),
+                                    max_size=int(np.prod(shape))))).reshape(shape)
+    want = np.abs(d - omega).reshape(samples, -1).max(axis=1)
+    assert spectral._max_deviation(d, omega).tobytes() == want.tobytes()
+
+
 def test_empirical_rate_degenerate_on_flat_start():
     g = ring3()
     cfg = SimConfig(t_step=1e-3, horizon=500)
