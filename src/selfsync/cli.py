@@ -14,15 +14,14 @@ import numpy as np
 
 from . import digraph, experiments, lanes, protocols, spectral, topologies
 from .dde_sim import (
-    DelayMatrix,
     SimConfig,
     SimulationError,
-    check_delays,
     detect_sync,
     detect_sync_auto,
     simulate,
     trajectory_to_npz,
 )
+from .netgen import DelayMatrix, check_delays
 
 SCHEMA_VERSION = 1
 
@@ -174,9 +173,7 @@ def _write_scenario(
             out / "geometry.json",
         )
     sc_data = _dump_json({**_scenario_record(cfg), "links": links}, out / "scenario.json").encode()
-    # analysed as run loads it: the delays of the links, zeros off them
-    _write_analysis(out, g, _link_delays(g, link_tau), sc_data,
-                    _analysis_fingerprints(sc_data, links))
+    _write_analysis(out, g, delays, sc_data, _analysis_fingerprints(sc_data, links))
 
 
 def _gen_demo14(cfg: dict, out: Path) -> list[Path]:
@@ -215,16 +212,6 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------- run
 
 
-def _link_delays(g: digraph.SensorDigraph, link_tau: np.ndarray) -> DelayMatrix:
-    """The delay matrix holding link_tau, the delays of g's links in
-    `g.links` order, and zeros off the links."""
-    # entries off the links meet zero weights; zeroed, as _write_scenario writes
-    # them, a non-finite one (JSON takes Infinity and NaN) cannot poison a sum
-    delays = DelayMatrix(tau=np.zeros((g.n, g.n)))
-    delays.tau[g.links] = link_tau
-    return delays
-
-
 def _table_is_current(path: Path, links) -> bool:
     """Whether links.npy exists and scenario.json's `links` record matches the
     JSON files it mirrors as they are now; an edited file reads from JSON."""
@@ -248,23 +235,23 @@ def _load_table(path: Path, links: dict):
                              f"not a list of {LINK_RECORD} records")
         g = digraph.from_links(experiments.config_int(links, "n"), table["dst"], table["src"],
                                table["weight"])
-        tau = np.zeros((g.n, g.n))
-        tau[table["dst"], table["src"]] = table["tau"]
-        link_tau = check_delays(g, DelayMatrix(tau=tau))
+        delays = DelayMatrix.zero(g.n)
+        delays.tau[table["dst"], table["src"]] = table["tau"]
+        check_delays(g, delays)
     except (EOFError, ValueError) as exc:
         raise ValueError(f"{table_path}: {exc}") from exc
-    del tau  # one n x n tau alive at a time
-    return g, _link_delays(g, link_tau)
+    return g, delays
 
 
 def _load_documents(path: Path):
     g = digraph.from_document((path / "digraph.json").read_text())
     ddoc = _load_json(path / "delays.json")
     try:
-        link_tau = check_delays(g, DelayMatrix(tau=np.asarray(ddoc["tau"], dtype=float)))
+        delays = DelayMatrix(tau=np.asarray(ddoc["tau"], dtype=float))
+        check_delays(g, delays)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path / 'delays.json'}: {exc}") from exc
-    return g, _link_delays(g, link_tau)
+    return g, delays
 
 
 def _load_scenario(path: Path):
@@ -346,12 +333,15 @@ def _sim_config(sc: dict, args) -> SimConfig:
 
 
 def _g_values(sc: dict, g: digraph.SensorDigraph) -> np.ndarray:
+    gvals = np.ones(g.n)
     if "g_values" in sc:
-        return np.broadcast_to(np.asarray(sc["g_values"], dtype=float), (g.n,)).copy()
-    if sc.get("g_mode") == "estimation":
+        gvals = np.broadcast_to(np.asarray(sc["g_values"], dtype=float), (g.n,)).copy()
+    elif sc.get("g_mode") == "estimation":
         rng = np.random.default_rng(experiments.config_seed(sc) + 2)
-        return experiments.estimation_forcing(sc, g.n, rng)[1]
-    return np.ones(g.n)
+        gvals = experiments.estimation_forcing(sc, g.n, rng)[1]
+    if not np.isfinite(gvals).all():
+        raise ValueError("forcing g_values must be finite")
+    return gvals
 
 
 def _finalize_report(report: dict, out: Path) -> None:
@@ -505,7 +495,7 @@ def cmd_inspect(args) -> int:
         print(f"rate (no delay, unit gains): {rates['no_delay_spectrum']:.6g}")
         if "kappa_bound" in rates:
             print(f"kappa bound: {rates['kappa_bound']:.6g}")
-    print(f"max link delay: {delays.tau[g.links].max(initial=0.0):.6g}")
+    print(f"max link delay: {check_delays(g, delays).max(initial=0.0):.6g}")
     return EXIT_OK
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import lanes
 from .digraph import SensorDigraph
-from .netgen import DelayMatrix
+from .netgen import DelayMatrix, check_delays
 
 
 class SimulationError(RuntimeError):
@@ -140,21 +140,6 @@ def _per_node(traj, what: str) -> None:
             f"{what} needs a per-node Trajectory, got a node-mean record "
             "(record='node_mean'); simulate with record='full' or 'window'"
         )
-
-
-def check_delays(g: SensorDigraph, delays: DelayMatrix, label: str = "") -> np.ndarray:
-    """The delays of g's links, in `g.links` order; raise ValueError unless
-    tau is (n, n) and finite and nonnegative on every link."""
-    tau = np.asarray(delays.tau)
-    if tau.shape != (g.n, g.n):
-        raise ValueError(f"{label}delay matrix shape {tau.shape} does not match n = {g.n}")
-    dst, src = g.links
-    link_tau = tau[dst, src]
-    bad = np.flatnonzero(~((link_tau >= 0.0) & (link_tau < np.inf)))
-    if bad.size:
-        i, j, value = dst[bad[0]], src[bad[0]], link_tau[bad[0]]
-        raise ValueError(f"{label}link delay tau[{i},{j}] = {value} is not finite and nonnegative")
-    return link_tau
 
 
 # steps between two compactions of a bounded record's history buffer

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import netgen, spectral
+from . import lanes, netgen, spectral
 from .dde_sim import SimConfig, simulate_batch
 from .digraph import Connectivity, SensorDigraph, laplacian
 from .netgen import DelayMatrix, NodeGeometry
@@ -70,9 +70,10 @@ def analyse_scenario(
     g: SensorDigraph, delays: DelayMatrix, cfg: SimConfig, g_values
 ) -> ScenarioAnalysis:
     """The consensus predicted with the link delays rounded to the sampling
-    grid, as the integrator honors them, and the spectral rates."""
-    prediction = predict_consensus(g, delays, cfg, g_values, quantize_delays=True)
-    return ScenarioAnalysis(prediction, spectral_rates(g, cfg))
+    grid, as the integrator honors them, and the spectral rates, on one BLAS thread."""
+    with lanes.one_blas_thread():
+        prediction = predict_consensus(g, delays, cfg, g_values, quantize_delays=True)
+        return ScenarioAnalysis(prediction, spectral_rates(g, cfg))
 
 
 def random_network(

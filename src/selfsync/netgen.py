@@ -28,6 +28,9 @@ class NodeGeometry:
 
 @dataclass(frozen=True)
 class DelayMatrix:
+    """tau[i, j] delays the link from node j to node i. Every function reads
+    tau through `check_delays`, on the links only: no entry off them is read."""
+
     tau: np.ndarray  # (n, n) nonnegative link delays
 
     @property
@@ -43,6 +46,21 @@ class DelayMatrix:
     @classmethod
     def zero(cls, n: int) -> "DelayMatrix":
         return cls(tau=np.zeros((n, n)))
+
+
+def check_delays(g: SensorDigraph, delays: DelayMatrix, label: str = "") -> np.ndarray:
+    """The delays of g's links, in `g.links` order; raise ValueError unless
+    tau is (n, n) and finite and nonnegative on every link."""
+    tau = np.asarray(delays.tau)
+    if tau.shape != (g.n, g.n):
+        raise ValueError(f"{label}delay matrix shape {tau.shape} does not match n = {g.n}")
+    dst, src = g.links
+    link_tau = tau[dst, src]
+    bad = np.flatnonzero(~((link_tau >= 0.0) & (link_tau < np.inf)))
+    if bad.size:
+        i, j, value = dst[bad[0]], src[bad[0]], link_tau[bad[0]]
+        raise ValueError(f"{label}link delay tau[{i},{j}] = {value} is not finite and nonnegative")
+    return link_tau
 
 
 def place_nodes(

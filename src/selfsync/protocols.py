@@ -8,7 +8,7 @@ import numpy as np
 
 from .dde_sim import SimConfig, detect_sync_auto, simulate
 from .digraph import SensorDigraph, laplacian
-from .netgen import DelayMatrix
+from .netgen import DelayMatrix, check_delays
 
 
 class ProtocolError(RuntimeError):
@@ -51,16 +51,22 @@ class UnbiasReport:
     compensated_c: np.ndarray | None = None
 
 
-def _effective_tau(delays: DelayMatrix, cfg: SimConfig, quantize: bool) -> np.ndarray:
-    tau = np.asarray(delays.tau, dtype=float)
+def _effective_tau(
+    g: SensorDigraph, delays: DelayMatrix, cfg: SimConfig, quantize: bool
+) -> np.ndarray:
+    """g's checked link delays, grid-rounded with quantize, zeros off the links."""
+    link_tau = check_delays(g, delays)
     if quantize:
-        tau = np.rint(tau / cfg.t_step) * cfg.t_step
+        link_tau = np.rint(link_tau / cfg.t_step) * cfg.t_step
+    tau = np.zeros((g.n, g.n))
+    tau[g.links] = link_tau
     return tau
 
 
 def _delay_term(
     g: SensorDigraph, tau: np.ndarray, gamma: np.ndarray, k_gain: float
 ) -> float:
+    # all n x n pairs: a sum over g.links would move omega* in its last digit
     return float(k_gain * np.sum(gamma[:, None] * g.weights * tau))
 
 
@@ -84,7 +90,7 @@ def predict_consensus(
     is g's own (`SensorDigraph.root_gammas`): it depends on g alone, not on
     c, K or the forcing.
     """
-    tau = _effective_tau(delays, cfg, quantize_delays)
+    tau = _effective_tau(g, delays, cfg, quantize_delays)
     gv = np.asarray(g_values, dtype=float)
     columns = gv.ndim == 2
     if q_mats is None:
@@ -226,7 +232,7 @@ def predict_intercepts(
     omega = float(pred.omega_star)
     c = cfg.c_array(g.n)
     gvals = np.broadcast_to(np.asarray(g_values, dtype=float), (g.n,))
-    tau = _effective_tau(delays, cfg, quantize_delays)
+    tau = _effective_tau(g, delays, cfg, quantize_delays)
     delay_load = (g.weights * tau).sum(axis=1)  # sum_j a_ij tau_ij per receiver
     delta_omega = gvals - omega * (1.0 + cfg.k_gain / c * delay_load)
     return (1.0 / cfg.k_gain) * np.linalg.pinv(laplacian(g)) @ (c * delta_omega)

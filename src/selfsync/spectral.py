@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .digraph import Connectivity, SccDecomposition, SensorDigraph
+from .netgen import check_delays
 
 
 class SpectralError(ValueError):
@@ -112,18 +113,16 @@ def rate_kappa_bound(
 def characteristic_function(s: complex, g: SensorDigraph, delays, k) -> complex:
     """p(s) = det(sI + Delta - H(s)) for per-node gains k_i = K/c_i.
 
-    Delta = diag(k_i * in_degree(i)); H(s)_ij = k_i a_ij exp(-s tau_ij) off
-    the diagonal.
+    Delta = diag(k_i * in_degree(i)); H(s)_ij = k_i a_ij exp(-s tau_ij) on
+    the links, zero elsewhere.
     """
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0.0):
         raise ValueError("per-node gains k_i must be positive")
     w = g.weights
-    tau = np.asarray(delays.tau, dtype=float)
-    h = k[:, None] * w * np.exp(-s * tau)
-    np.fill_diagonal(h, 0.0)
-    delta = k * w.sum(axis=1)
-    mat = np.diag(s + delta).astype(complex) - h
+    dst, src = g.links
+    mat = np.diag(s + k * w.sum(axis=1)).astype(complex)
+    mat[dst, src] -= k[dst] * w[dst, src] * np.exp(-s * check_delays(g, delays))
     return complex(np.linalg.det(mat))
 
 

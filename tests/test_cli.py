@@ -284,15 +284,19 @@ def test_run_negative_noise_std_exits_bad_config(demo_scenarios, tmp_path, capsy
     assert not (tmp_path / "out" / "report.json").exists()
 
 
-@pytest.mark.parametrize("key", ["noise_std", "t_step", "k_gain", "c_weights"])
+@pytest.mark.parametrize("key", ["noise_std", "t_step", "k_gain", "c_weights", "g_values"])
 def test_run_nan_literal_exits_bad_config(demo_scenarios, tmp_path, capsys, key):
     scenario = demo_scenarios / "sc" / "scenario.json"
     write_json(scenario, {**json.loads(scenario.read_text()), key: float("nan")})
     assert "NaN" in scenario.read_text()
-    code = main(["run", str(demo_scenarios / "sc"), "--out-dir", str(tmp_path / "out")])
-    assert code == EXIT_BAD_CONFIG
-    assert "finite" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "report.json").exists()
+    # in every mode, before anything is written
+    for mode in (["simulate"], ["predict"], ["unbias2", "--exec-mode", "predict"],
+                 ["gamma_protocol"]):
+        code = main(["run", str(demo_scenarios / "sc"), "--mode", *mode,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_BAD_CONFIG
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -1049,8 +1053,13 @@ def fail_the_config(monkeypatch, cfg):
     return EXIT_BAD_CONFIG, "config error: noise std must be nonnegative"
 
 
-@pytest.mark.parametrize("fault", [fail_the_prediction, fail_the_config],
-                         ids=["prediction", "config"])
+def fail_the_forcing(monkeypatch, cfg):
+    cfg["g_values"] = float("nan")
+    return EXIT_BAD_CONFIG, "config error: forcing g_values must be finite"
+
+
+@pytest.mark.parametrize("fault", [fail_the_prediction, fail_the_config, fail_the_forcing],
+                         ids=["prediction", "config", "forcing"])
 def test_gen_stores_no_analysis_that_raises_and_run_raises_it(
     tmp_path, capsys, monkeypatch, fault
 ):
@@ -1242,6 +1251,35 @@ def test_predict_and_simulate_modes_predict_alike_under_a_blas_pool(n300_scenari
                        env=env, check=True, capture_output=True, timeout=120)
         predicted.append(json.loads((out / "report.json").read_text())["predicted"])
     assert predicted[0] == predicted[1]
+
+
+ANALYSE = """
+import json, sys
+from pathlib import Path
+from selfsync import cli, experiments
+
+scen = Path(sys.argv[1])
+g, delays, sc, _ = cli._load_scenario(scen)
+cfg = cli._sim_config(sc, cli.build_parser().parse_args(["run", str(scen)]))
+analysis = experiments.analyse_scenario(g, delays, cfg, cli._g_values(sc, g))
+print(json.dumps({"values": [cl.omega for cl in analysis.prediction.clusters],
+                  "spectral_rates": analysis.rates}))
+"""
+
+
+@pytest.mark.skipif(lanes_module._openblas("get_num_threads", ctypes.c_int) is None,
+                    reason="numpy's BLAS is not OpenBLAS")
+def test_the_analysis_outside_main_keeps_every_digit_under_a_blas_pool(n300_scenario):
+    # called outside `main`, which caps the pool itself, on a 2-thread pool
+    # whose round-off differs from one thread's
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+    proc = subprocess.run([sys.executable, "-c", ANALYSE, str(n300_scenario)], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    stored = json.loads((n300_scenario / "analysis.json").read_text())
+    # JSON writes each float as its repr, so equal values hold equal bits
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "values": [cl["value"] for cl in stored["clusters"]],
+        "spectral_rates": stored["spectral_rates"]}
 
 
 def test_a_lane_runs_one_blas_thread_and_the_run_equals_the_serial_run(n300_scenario, tmp_path):

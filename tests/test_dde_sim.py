@@ -30,6 +30,13 @@ from selfsync.dde_sim import (
     trajectory_to_npz,
 )
 from selfsync.digraph import new_digraph
+from selfsync.protocols import (
+    gamma_estimation_protocol,
+    predict_consensus,
+    predict_intercepts,
+    two_step_unbias,
+)
+from selfsync.spectral import characteristic_function
 from conftest import assert_no_children, lanes, refuse_fork
 
 
@@ -226,6 +233,25 @@ def test_vector_sim_validates_q_matrices():
 
 
 
+def delay_readers(g, delays):
+    """Calls of every library function that reads delays, on g: the
+    simulator, the predictor (scalar, quantized columns, vector states), the
+    intercepts, the two protocols in predict mode and the characteristic
+    function."""
+    cfg, gv, cols = SimConfig(horizon=5), np.ones(g.n), np.ones((g.n, 2))
+    q = np.broadcast_to(np.eye(2), (g.n, 2, 2))
+    return [
+        lambda: simulate(g, delays, cfg, gv),
+        lambda: predict_consensus(g, delays, cfg, gv),
+        lambda: predict_consensus(g, delays, cfg, cols, quantize_delays=True),
+        lambda: predict_consensus(g, delays, cfg, cols, q_mats=q),
+        lambda: predict_intercepts(g, delays, cfg, gv),
+        lambda: two_step_unbias(g, delays, cfg, gv, mode="predict"),
+        lambda: gamma_estimation_protocol(g, delays, cfg, gv, mode="predict"),
+        lambda: characteristic_function(0.5j, g, delays, np.ones(g.n)),
+    ]
+
+
 @pytest.mark.parametrize(
     "tau, named",
     [(-0.01, "tau[1,0] = -0.01"), (np.nan, "tau[1,0] = nan"), (np.inf, "tau[1,0] = inf")],
@@ -238,11 +264,18 @@ def test_sim_rejects_bad_link_delays(tau, named):
     with pytest.raises(ValueError, match="member 1: link delay"):
         simulate_batch([(ring3(), DelayMatrix.zero(3), SimConfig(horizon=5), 1.0),
                         (ring3(), delays, SimConfig(horizon=5), 1.0)])
+    # every reader of delays checks them alike
+    for call in delay_readers(ring3(), delays):
+        with pytest.raises(ValueError, match=re.escape(f"link delay {named} is not finite")):
+            call()
 
 
 def test_sim_rejects_a_delay_matrix_of_the_wrong_shape():
     with pytest.raises(ValueError, match=r"delay matrix shape \(2, 2\) does not match n = 3"):
         simulate(ring3(), DelayMatrix.zero(2), SimConfig(horizon=5), 1.0)
+    for call in delay_readers(ring3(), DelayMatrix.zero(2)):
+        with pytest.raises(ValueError, match=r"delay matrix shape \(2, 2\) does not match n = 3"):
+            call()
 
 
 def test_sim_reads_delays_on_links_only():

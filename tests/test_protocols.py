@@ -359,6 +359,55 @@ def test_gamma_protocol_leaves_non_root_weights_untouched():
     assert np.all(rep.compensated_c[:6] != c[:6])
 
 
+# ---------------------------------------------------------------- delays on links only
+
+
+def as_bytes(*values) -> bytes:
+    return b"".join(np.asarray(v).tobytes() for v in values if v is not None)
+
+
+def delay_reader_bits(g, delays, quantize):
+    """The bytes of what every library reader of delays makes of them on g:
+    the predictor (scalar, columns, vector states), the characteristic
+    function, a short simulation and, on a QSC digraph, the intercepts and
+    the two protocols in predict mode."""
+    rng = np.random.default_rng(g.n)
+    cfg = SimConfig(t_step=1e-3, k_gain=5.0, c_weights=rng.uniform(0.5, 2.0, g.n), horizon=60)
+    gv, columns = rng.normal(1.0, 0.5, g.n), rng.normal(1.0, 0.5, (g.n, 3))
+    a = rng.normal(size=(g.n, 2, 2))
+    q, gvec = a @ a.transpose(0, 2, 1) + 2.0 * np.eye(2), rng.normal(1.0, 0.5, (g.n, 2))
+    bits = [as_bytes(spectral.characteristic_function(0.3 + 1.2j, g, delays,
+                                                      cfg.k_gain / cfg.c_array(g.n))),
+            as_bytes(simulate(g, delays, cfg, gv).states)]
+    for g_values, q_mats in ((gv, None), (columns, None), (gvec, q)):
+        pred = predict_consensus(g, delays, cfg, g_values, q_mats, quantize_delays=quantize)
+        bits += [as_bytes(cl.omega, cl.gamma_q_sum, cl.delay_term) for cl in pred.clusters]
+    if len(g.scc.root_components) == 1:
+        bits.append(as_bytes(predict_intercepts(g, delays, cfg, gv, quantize_delays=quantize)))
+        for protocol in (two_step_unbias, gamma_estimation_protocol):
+            rep = protocol(g, delays, cfg, gv, mode="predict")
+            bits.append(as_bytes(rep.omega_y, rep.omega_one, rep.ratio, rep.gamma_tilde,
+                                 rep.compensated_c))
+    return bits
+
+
+@pytest.mark.parametrize("junk", [7.5, np.inf, np.nan])
+@pytest.mark.parametrize("graph", ["sc", "qsc", "wc", "random_qsc0", "random_qsc1", "random_qsc2"])
+def test_delays_off_the_links_are_never_read(graph, junk):
+    if graph.startswith("random_qsc"):
+        g = topologies.random_qsc(9, np.random.default_rng(int(graph[-1])))
+    else:
+        g = {"sc": topologies.sc_14, "qsc": topologies.qsc_three_scc_14,
+             "wc": topologies.wc_two_root_14}[graph]()
+    on_links = np.zeros((g.n, g.n))
+    on_links[g.links] = np.random.default_rng(7).uniform(0.0, 0.05, len(g.links[0]))
+    # junk everywhere off the links, the diagonal included
+    everywhere = np.where(g.weights > 0.0, on_links, junk)
+    for quantize in (False, True):
+        assert (delay_reader_bits(g, DelayMatrix(tau=everywhere), quantize)
+                == delay_reader_bits(g, DelayMatrix(tau=on_links), quantize))
+
+
 # ---------------------------------------------------------------- intercepts
 
 
