@@ -41,10 +41,6 @@ def _read_json(path: Path) -> tuple[dict, bytes]:
         raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
 
 
-def _load_json(path: Path) -> dict:
-    return _read_json(path)[0]
-
-
 def _json_default(obj):
     if isinstance(obj, np.generic):
         return obj.item()
@@ -53,11 +49,16 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _dump_json(obj: dict, path: Path) -> str:
-    """Write obj to path as indented JSON; the text written."""
-    text = json.dumps(obj, indent=1, sort_keys=True, default=_json_default) + "\n"
-    path.write_text(text)
-    return text
+def _write_text(path: Path, text: str) -> bytes:
+    """Write text and a newline to path; the bytes written."""
+    data = (text + "\n").encode()
+    path.write_bytes(data)
+    return data
+
+
+def _dump_json(obj: dict, path: Path) -> bytes:
+    """Write obj to path as indented JSON; the bytes written."""
+    return _write_text(path, json.dumps(obj, indent=1, sort_keys=True, default=_json_default))
 
 
 # ---------------------------------------------------------------- scenarios
@@ -148,31 +149,23 @@ def _write_scenario(
 ) -> None:
     link_tau = check_delays(g, delays)  # no directory for a scenario that run rejects
     out.mkdir(parents=True, exist_ok=True)
-    dst, src = g.links
-    docs = {"digraph.json": digraph.to_document(g),
-            "delays.json": _delays_document(g.n, dst, src, link_tau)}
+    # each text is released once written and fingerprinted
     links = {"n": g.n}
-    for name, text in docs.items():
-        data = (text + "\n").encode()
-        (out / name).write_bytes(data)
-        links[name] = _fingerprint(data)
+    links["digraph.json"] = _fingerprint(_write_text(out / "digraph.json", digraph.to_document(g)))
+    links["delays.json"] = _fingerprint(_write_text(
+        out / "delays.json", _delays_document(g.n, g.dst, g.src, link_tau)))
     # the same links as one binary table, which run and inspect read while
     # the JSON files still match their fingerprints
-    table = np.empty(dst.size, LINK_RECORD)
-    table["dst"], table["src"] = dst, src
-    table["weight"], table["tau"] = g.weights[dst, src], link_tau
+    table = np.empty(g.dst.size, LINK_RECORD)
+    table["dst"], table["src"] = g.dst, g.src
+    table["weight"], table["tau"] = g.link_weights, link_tau
     np.save(out / "links.npy", table, allow_pickle=False)
+    del table
     if geom is not None:
-        _dump_json(
-            {
-                "positions": geom.positions.tolist(),
-                "powers": geom.powers.tolist(),
-                "path_loss_exponent": geom.path_loss_exponent,
-                "speed": geom.speed,
-            },
-            out / "geometry.json",
-        )
-    sc_data = _dump_json({**_scenario_record(cfg), "links": links}, out / "scenario.json").encode()
+        _dump_json({"positions": geom.positions, "powers": geom.powers,
+                    "path_loss_exponent": geom.path_loss_exponent, "speed": geom.speed},
+                   out / "geometry.json")
+    sc_data = _dump_json({**_scenario_record(cfg), "links": links}, out / "scenario.json")
     _write_analysis(out, g, delays, sc_data, _analysis_fingerprints(sc_data, links))
 
 
@@ -191,7 +184,7 @@ def _gen_demo14(cfg: dict, out: Path) -> list[Path]:
 
 
 def cmd_gen(args) -> int:
-    cfg = _load_json(Path(args.config))
+    cfg = _read_json(Path(args.config))[0]
     if args.seed is not None:
         cfg["seed"] = args.seed
     out = Path(args.out_dir)
@@ -245,7 +238,7 @@ def _load_table(path: Path, links: dict):
 
 def _load_documents(path: Path):
     g = digraph.from_document((path / "digraph.json").read_text())
-    ddoc = _load_json(path / "delays.json")
+    ddoc = _read_json(path / "delays.json")[0]
     try:
         delays = DelayMatrix(tau=np.asarray(ddoc["tau"], dtype=float))
         check_delays(g, delays)
@@ -300,7 +293,7 @@ def _stored_analysis(path: Path, n: int, fingerprints: dict | None) -> dict | No
     file = path / "analysis.json"
     if fingerprints is None or not file.is_file():
         return None
-    doc = _load_json(file)
+    doc = _read_json(file)[0]
     if not isinstance(doc, dict):
         raise ValueError(f"{file}: not a JSON object")
     if doc.get("version") != ANALYSIS_VERSION or doc.get("fingerprints") != fingerprints:
@@ -457,20 +450,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    cfg = _load_json(Path(args.config))
+    cfg = _read_json(Path(args.config))[0]
     if args.seed is not None:
         cfg["seed"] = args.seed
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     agg, final = experiments.run_estimation_montecarlo(cfg, int(args.trials))
-    header = ",".join(agg.keys())
-    np.savetxt(
-        out / "montecarlo.csv",
-        np.column_stack(list(agg.values())),
-        delimiter=",",
-        header=header,
-        comments="",
-    )
+    np.savetxt(out / "montecarlo.csv", np.column_stack(list(agg.values())), delimiter=",",
+               header=",".join(agg), comments="")
     _dump_json(final, out / "summary.json")
     print(f"wrote {out / 'montecarlo.csv'} and {out / 'summary.json'}")
     return EXIT_OK

@@ -252,8 +252,7 @@ def _member(run: SimRun, label: str) -> _Member:
     kq = cfg.k_gain * np.linalg.inv(q)
     if run.q_mats is None:
         kq = kq[:, :, 0]
-    w = g.weights
-    indeg = w.sum(axis=1)
+    indeg = g.in_degrees
     # explicit-Euler stability heuristic
     if kq.ndim == 2:
         gain = kq[:, 0]
@@ -275,7 +274,7 @@ def _member(run: SimRun, label: str) -> _Member:
     order = np.argsort(np.r_[dst * n + src, own * (n + 1)])
     dst, src = np.r_[dst, own][order], np.r_[src, own][order]
     lag = np.r_[lag, np.full(own.size, 0 if span == 1 else mmax)][order]
-    weight = np.r_[w[g.links], -indeg[own]][order]
+    weight = np.r_[g.link_weights, -indeg[own]][order]
     horizon = cfg.horizon
     first = max(horizon + 1 - cfg.sync_window(horizon + 1), 0) if run.record == "window" else 0
     return _Member(
@@ -708,13 +707,7 @@ def detect_sync(
             value = means[nodes].mean(axis=0)
             if traj.derivatives.ndim == 2:
                 value = value[0]
-            clusters.append(
-                SyncCluster(
-                    nodes=frozenset(nodes.tolist()),
-                    value=np.asarray(value),
-                    detection_time=t_detect,
-                )
-            )
+            clusters.append(SyncCluster(frozenset(nodes.tolist()), np.asarray(value), t_detect))
             clustered.update(nodes.tolist())
     result = SyncResult(
         clusters=clusters,

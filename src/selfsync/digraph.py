@@ -1,9 +1,8 @@
 """Weighted directed sensor graphs and their structural decomposition.
 
-Edge convention: ``weights[i, j]`` is the amplitude on the link carrying data
-from transmitter j to receiver i.  Reachability ("node r reaches node i")
-therefore follows the data flow, i.e. along nonzero entries of column j into
-row i.
+Edge convention: link (i, j), entry ``weights[i, j]`` of the dense matrix,
+carries data from transmitter j to receiver i. Reachability ("node r reaches
+node i") therefore follows the data flow, from j to i along each link.
 """
 
 from __future__ import annotations
@@ -20,6 +19,9 @@ class GraphValidationError(ValueError):
     """Raised when a weight matrix violates the sensor-digraph contract."""
 
 
+_ROW_BLOCK = 64  # rows per block of `SensorDigraph.in_degrees`: 0.5 MB at n = 1000
+
+
 class Connectivity(str, Enum):
     SC = "SC"
     QSC = "QSC"
@@ -29,27 +31,43 @@ class Connectivity(str, Enum):
 
 @dataclass(frozen=True)
 class SensorDigraph:
-    """Immutable weighted digraph; row i = receiver, column j = transmitter."""
+    """Immutable weighted digraph held as its links, each a positive
+    off-diagonal weight: link k carries data from src[k] to dst[k] with weight
+    link_weights[k], receivers ascending, then transmitters ascending; read-only."""
 
-    weights: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
+    n: int
+    dst: np.ndarray
+    src: np.ndarray
+    link_weights: np.ndarray
 
     @cached_property
     def links(self) -> tuple[np.ndarray, np.ndarray]:
-        """(dst, src) of every link, a positive off-diagonal weight: receivers
-        ascending, then transmitters ascending; read-only, computed once."""
-        mask = self.weights > 0.0
-        np.fill_diagonal(mask, False)
-        dst, src = np.nonzero(mask)
-        dst.setflags(write=False)
-        src.setflags(write=False)
-        return dst, src
+        return self.dst, self.src
 
-    # the weights are read-only (`new_digraph`), so the structure below,
-    # which depends on them alone, is computed once per graph
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The read-only (n, n) matrix: the one `new_digraph` checked, else
+        the links scattered into zeros on first use."""
+        w = np.zeros((self.n, self.n))
+        w[self.links] = self.link_weights
+        w.setflags(write=False)
+        return w
+
+    @cached_property
+    def in_degrees(self) -> np.ndarray:
+        """The row sums of `weights` bit for bit, read-only, summed as its
+        rows are but scattered _ROW_BLOCK rows at a time, without the matrix."""
+        out = np.empty(self.n)
+        for lo in range(0, self.n, _ROW_BLOCK):
+            a, b = np.searchsorted(self.dst, [lo, lo + _ROW_BLOCK])
+            block = np.zeros((min(_ROW_BLOCK, self.n - lo), self.n))
+            block[self.dst[a:b] - lo, self.src[a:b]] = self.link_weights[a:b]
+            out[lo:lo + _ROW_BLOCK] = block.sum(axis=1)
+        out.setflags(write=False)
+        return out
+
+    # the links are read-only, so the structure below, which depends on
+    # them alone, is computed once per graph
     @cached_property
     def scc(self) -> SccDecomposition:
         """`scc_decompose` of this graph."""
@@ -81,24 +99,37 @@ def new_digraph(weights) -> SensorDigraph:
 
 def _own_digraph(w: np.ndarray) -> SensorDigraph:
     """`new_digraph` of a float array that no caller keeps: validated, made
-    read-only and wrapped without a copy."""
+    read-only and kept as the graph's `weights` without a copy."""
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise GraphValidationError(f"weights must be square, got shape {w.shape}")
-    bad = np.argwhere(~((w >= 0.0) & (w < np.inf)))
-    if bad.size:
-        i, j = bad[0]
-        raise GraphValidationError(f"weight a[{i},{j}] = {w[i, j]} is not finite and nonnegative")
-    diag = np.argwhere(np.diag(w) != 0.0)
-    if diag.size:
-        i = int(diag[0][0])
-        raise GraphValidationError(f"nonzero diagonal entry a[{i},{i}] = {w[i, i]}")
     w.setflags(write=False)
-    return SensorDigraph(weights=w)
+    i, j = np.nonzero(w)  # every entry that can fail a check, row-major
+    g = _checked_links(len(w), i, j, w[i, j])
+    g.__dict__["weights"] = w  # where the `weights` property caches its matrix
+    return g
+
+
+def _checked_links(n: int, i: np.ndarray, j: np.ndarray, a: np.ndarray) -> SensorDigraph:
+    """The digraph whose links are the nonzero entries a at (i, j), pairs
+    unique and row-major: raise at the first that is not finite and
+    nonnegative, then at the first on the diagonal."""
+    bad = np.flatnonzero(~((a >= 0.0) & (a < np.inf)))
+    if bad.size:
+        k = bad[0]
+        raise GraphValidationError(f"weight a[{i[k]},{j[k]}] = {a[k]} is not finite and nonnegative")
+    diag = np.flatnonzero(i == j)
+    if diag.size:
+        k = diag[0]
+        raise GraphValidationError(f"nonzero diagonal entry a[{i[k]},{i[k]}] = {a[k]}")
+    for x in (i, j, a):
+        x.setflags(write=False)
+    return SensorDigraph(int(n), i, j, a)
 
 
 def degrees(g: SensorDigraph) -> tuple[np.ndarray, np.ndarray]:
-    """(in_degrees, out_degrees): row sums and column sums of the weights."""
-    return g.weights.sum(axis=1), g.weights.sum(axis=0)
+    """(in_degrees, out_degrees): row sums and column sums of the weights,
+    each bit for bit as the matrix gives it (a column adds its rows in order)."""
+    return g.in_degrees, np.bincount(g.src, g.link_weights, minlength=g.n)
 
 
 def is_balanced(g: SensorDigraph, tol: float = 1e-12) -> bool:
@@ -110,7 +141,7 @@ def laplacian(g: SensorDigraph) -> np.ndarray:
     """L = Delta - A with in-degree diagonal; rows sum to zero to machine precision."""
     lap = -g.weights
     # diagonal set to the row sum of the off-diagonals so L @ 1 vanishes
-    np.fill_diagonal(lap, g.weights.sum(axis=1))
+    np.fill_diagonal(lap, g.in_degrees)
     return lap
 
 
@@ -208,9 +239,8 @@ _EDGE = "  [\n   %d,\n   %d,\n   %r\n  ]"
 def to_document(g: SensorDigraph) -> str:
     """Serialize as JSON {n, edges: [[i, j, a_ij]]}, in the order of `links`:
     the text of ``json.dumps(doc, indent=1)``, built one link at a time."""
-    dst, src = g.links
-    edges = ",\n".join(map(_EDGE.__mod__, zip(dst.tolist(), src.tolist(),
-                                               g.weights[dst, src].tolist())))
+    edges = ",\n".join(map(_EDGE.__mod__, zip(g.dst.tolist(), g.src.tolist(),
+                                               g.link_weights.tolist())))
     body = "[\n" + edges + "\n ]" if edges else "[]"
     return '{\n "n": %d,\n "edges": %s\n}' % (g.n, body)
 
@@ -233,7 +263,8 @@ def from_document(text: str) -> SensorDigraph:
 def from_links(n: int, dst, src, weight) -> SensorDigraph:
     """The digraph of n nodes with weight[k] on the link from src[k] to
     dst[k]. Indices must be integers in [0, n), each (dst, src) pair at most
-    once, and the weights pass `new_digraph`."""
+    once, and the weights pass `new_digraph`'s checks, which name the same
+    first bad entry, without an (n, n) array."""
     dst, src, weight = np.asarray(dst), np.asarray(src), np.asarray(weight)
     idx = np.column_stack([dst, src])
     bad = np.flatnonzero(~((idx >= 0) & (idx < n) & (idx == np.floor(idx))).all(axis=1))
@@ -242,9 +273,9 @@ def from_links(n: int, dst, src, weight) -> SensorDigraph:
         e = [dst[k].item(), src[k].item(), weight[k].item()]
         raise GraphValidationError(f"edge {e}: indices must be integers in [0, {n})")
     i, j = idx.astype(np.int64).T
-    pairs, counts = np.unique(i * n + j, return_counts=True)
+    pairs, first, counts = np.unique(i * n + j, return_index=True, return_counts=True)
     if (counts > 1).any():
         raise GraphValidationError(f"duplicate edge {divmod(int(pairs[counts > 1][0]), n)}")
-    w = np.zeros((n, n))
-    w[i, j] = weight
-    return _own_digraph(w)
+    weight = weight.astype(float)
+    first = first[weight[first] != 0.0]  # a zero weight is no link
+    return _checked_links(n, i[first], j[first], weight[first])

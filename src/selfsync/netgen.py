@@ -8,7 +8,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .digraph import SensorDigraph, new_digraph
+from .digraph import SensorDigraph, _checked_links, _own_digraph, new_digraph
 from .substreams import rayleigh_matrix
 
 
@@ -32,10 +32,6 @@ class DelayMatrix:
     tau through `check_delays`, on the links only: no entry off them is read."""
 
     tau: np.ndarray  # (n, n) nonnegative link delays
-
-    @property
-    def tau_max(self) -> float:
-        return float(self.tau.max()) if self.tau.size else 0.0
 
     @classmethod
     def uniform(cls, n: int, tau: float) -> "DelayMatrix":
@@ -114,6 +110,12 @@ def channel_rayleigh(geom: NodeGeometry, rng_seed: int) -> SensorDigraph:
     pruning or reordering one link leaves the others intact. All links are
     drawn in one array pass by ``substreams.rayleigh_matrix``.
     """
+    # the draws are wrapped as they are; the scale and its temporaries die first
+    return _own_digraph(rayleigh_matrix(rng_seed, _rayleigh_scale(geom)))
+
+
+def _rayleigh_scale(geom: NodeGeometry) -> np.ndarray:
+    """s_ij = sqrt(P_j / (1 + d_ij^2) / 2)."""
     n, d = geom.n, geom.distances
     # libm pow, as the scalar d_ij ** 2 of the per-link draw took it: the array
     # square differs from it by one ulp in about 0.08% of links
@@ -126,7 +128,7 @@ def channel_rayleigh(geom: NodeGeometry, rng_seed: int) -> SensorDigraph:
         d2 = np.fromiter(map(math.pow, d.ravel(), repeat(2.0)), dtype=float,
                          count=n * n).reshape(n, n)
     sigma2 = geom.powers[None, :] / (1.0 + d2)
-    return new_digraph(rayleigh_matrix(rng_seed, np.sqrt(sigma2 / 2.0)))
+    return np.sqrt(sigma2 / 2.0)
 
 
 def channel_pathloss(geom: NodeGeometry, fading) -> SensorDigraph:
@@ -139,22 +141,17 @@ def channel_pathloss(geom: NodeGeometry, fading) -> SensorDigraph:
             "zero distance between distinct nodes: path-loss formula is singular"
         )
     w = np.zeros((n, n))
-    d = np.where(off, geom.distances, 1.0)
-    w[off] = np.sqrt(
-        geom.powers[None, :].repeat(n, axis=0)[off]
-        * h[off] ** 2
-        / d[off] ** geom.path_loss_exponent
-    )
+    p = np.broadcast_to(geom.powers, (n, n))
+    w[off] = np.sqrt(p[off] * h[off] ** 2 / geom.distances[off] ** geom.path_loss_exponent)
     return new_digraph(w)
 
 
 def threshold_prune(g: SensorDigraph, min_amplitude: float) -> SensorDigraph:
-    """Zero every weight below min_amplitude."""
+    """g without its links of weight below min_amplitude."""
     if min_amplitude < 0:
         raise ValueError("threshold must be nonnegative")
-    w = g.weights.copy()
-    w[w < min_amplitude] = 0.0
-    return new_digraph(w)
+    keep = ~(g.link_weights < min_amplitude)
+    return _checked_links(g.n, g.dst[keep], g.src[keep], g.link_weights[keep])
 
 
 def delays_from_geometry(geom: NodeGeometry) -> DelayMatrix:

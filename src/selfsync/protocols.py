@@ -90,7 +90,11 @@ def predict_consensus(
     is g's own (`SensorDigraph.root_gammas`): it depends on g alone, not on
     c, K or the forcing.
     """
-    tau = _effective_tau(g, delays, cfg, quantize_delays)
+    return _predict(g, _effective_tau(g, delays, cfg, quantize_delays), cfg, g_values, q_mats)
+
+
+def _predict(g: SensorDigraph, tau: np.ndarray, cfg: SimConfig, g_values, q_mats=None):
+    """`predict_consensus` with the effective delays tau (`_effective_tau`)."""
     gv = np.asarray(g_values, dtype=float)
     columns = gv.ndim == 2
     if q_mats is None:
@@ -169,9 +173,7 @@ def two_step_unbias(
     )
     if abs(omega_one) < 1e-300:
         raise ProtocolError("unit-forcing consensus is numerically zero")
-    return UnbiasReport(
-        omega_y=omega_y, omega_one=omega_one, ratio=omega_y / omega_one, mode=mode
-    )
+    return UnbiasReport(omega_y, omega_one, omega_y / omega_one, mode)
 
 
 def gamma_estimation_protocol(
@@ -209,14 +211,7 @@ def gamma_estimation_protocol(
     compensated[pos] *= scale
     cfg_comp = replace(cfg, c_weights=compensated)
     final = two_step_unbias(g, delays, cfg_comp, g_values, mode=mode)
-    return UnbiasReport(
-        omega_y=final.omega_y,
-        omega_one=final.omega_one,
-        ratio=final.ratio,
-        mode=mode,
-        gamma_tilde=gamma_tilde,
-        compensated_c=compensated,
-    )
+    return replace(final, gamma_tilde=gamma_tilde, compensated_c=compensated)
 
 
 def predict_intercepts(
@@ -228,11 +223,10 @@ def predict_intercepts(
 ) -> np.ndarray:
     """Minimum-norm intercepts of the straight-line solution x*(t) = w* t + x0,
     via the generalized inverse of the Laplacian; QSC digraphs only."""
-    pred = predict_consensus(g, delays, cfg, g_values, quantize_delays=quantize_delays)
-    omega = float(pred.omega_star)
+    tau = _effective_tau(g, delays, cfg, quantize_delays)
+    omega = float(_predict(g, tau, cfg, g_values).omega_star)
     c = cfg.c_array(g.n)
     gvals = np.broadcast_to(np.asarray(g_values, dtype=float), (g.n,))
-    tau = _effective_tau(g, delays, cfg, quantize_delays)
     delay_load = (g.weights * tau).sum(axis=1)  # sum_j a_ij tau_ij per receiver
     delta_omega = gvals - omega * (1.0 + cfg.k_gain / c * delay_load)
     return (1.0 / cfg.k_gain) * np.linalg.pinv(laplacian(g)) @ (c * delta_omega)

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -583,8 +584,8 @@ def test_inspect_multi_root_scenario(demo_scenarios, capsys):
 
 def write_full_delays(scen, delays):
     """Overwrite delays.json in the full pairwise layout, with a delay for every pair."""
-    write_json(scen / "delays.json",
-               {"n": len(delays.tau), "tau": delays.tau.tolist(), "tau_max": delays.tau_max})
+    tau = delays.tau
+    write_json(scen / "delays.json", {"n": len(tau), "tau": tau.tolist(), "tau_max": tau.max()})
 
 
 def test_inspect_prints_the_longest_link_delay(tmp_path, capsys):
@@ -599,6 +600,53 @@ def test_inspect_prints_the_longest_link_delay(tmp_path, capsys):
     capsys.readouterr()
     assert main(["inspect", str(out)]) == EXIT_OK
     assert f"max link delay: {longest:.6g}\n" in capsys.readouterr().out
+
+
+def test_the_run_path_holds_the_dense_delays_alone_and_never_builds_the_weights(tmp_path):
+    """A table of 3000 links at n = 1000, loaded and set up as `run` does it:
+    the dense tau, 8 MB, is the one n x n array, and g.weights is never built."""
+    n = 1000
+    dst = np.repeat(np.arange(n), 3)
+    src = (dst + np.tile([1, 7, 100], n)) % n
+    order = np.lexsort((src, dst))
+    table = np.empty(dst.size, cli.LINK_RECORD)
+    table["dst"], table["src"] = dst[order], src[order]
+    table["weight"], table["tau"] = 0.5, 0.004
+    np.save(tmp_path / "links.npy", table)
+    tracemalloc.start()
+    try:
+        g, delays = cli._load_table(tmp_path, {"n": n})
+        member = dde_sim._member(dde_sim.SimRun(g, delays, SimConfig(horizon=10), np.ones(n)), "")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n * n * 8 <= peak < 1.5 * n * n * 8
+    assert "weights" not in vars(g)
+    assert member.weight.size == dst.size and np.array_equal(member.indeg, np.full(n, 1.5))
+
+
+def test_gen_draws_the_channel_once_and_holds_no_text_through_the_analysis(tmp_path, monkeypatch):
+    """The Rayleigh draws become the graph's matrix without a copy; while the
+    analysis runs, gen holds less beyond what it held before writing than
+    half the smaller JSON file: each text and its bytes go once written."""
+    draws = []
+    rayleigh = netgen.rayleigh_matrix
+    monkeypatch.setattr(netgen, "rayleigh_matrix", lambda *args: draws.append(rayleigh(*args)) or draws[-1])
+    geom = netgen.place_nodes(40, 5.0, 1)
+    assert netgen.channel_rayleigh(geom, 2).weights is draws[0]
+    held = []
+    for module, name in ((cli, "_write_scenario"), (experiments, "analyse_scenario")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, fn=fn, **kwargs: held.append(
+            tracemalloc.get_traced_memory()[0]) or fn(*args, **kwargs))
+    cfg = write_json(tmp_path / "n300.json", N300_CONFIG)
+    tracemalloc.start()
+    try:
+        assert main(["gen", cfg, "--out-dir", str(tmp_path / "scen")]) == EXIT_OK
+    finally:
+        tracemalloc.stop()
+    smaller = min((tmp_path / "scen" / name).stat().st_size for name in cli.MIRRORED)
+    assert held[1] - held[0] < smaller / 2
 
 
 N300_CONFIG = {"n": 300, "seed": 301, "d_side": 7.75, "tau_max": 0.05, "threshold": 0.5,
@@ -800,6 +848,43 @@ def test_batched_trials_equal_their_solo_trials(noise_std):
         assert got[0] == want[0]
         for a, b in zip(got[1:], want[1:]):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_settled_at(trace, value, what):
+    """The last value of trace equals value within 1e-12 relative, once it
+    has moved by no more than that over its last 100 steps; a trace that has
+    not settled fails as one that has not converged by its horizon."""
+    last, earlier = trace[-1], trace[-101]
+    assert abs(last - earlier) <= 1e-12 * abs(last), (
+        f"{what} has not converged by its horizon: {earlier!r} 100 steps before {last!r}")
+    assert abs(last - value) <= 1e-12 * abs(value), f"{what} ends at {last!r}, predicted {value!r}"
+
+
+@pytest.mark.parametrize("overrides", [{}, {"tau_max": 0.05}, {"threshold": 0.3},
+                                       {"channel_mode": {"mode": "pathloss"}}])
+def test_every_clean_trial_ends_at_its_closed_form_values(overrides):
+    """Each trial of the mc-n40 config and its variants ends where
+    `predict_consensus` puts it: the delay-free mean at the zero-delay omega*,
+    the delayed mean at column 0 of the prediction with quantized delays, and
+    the two-step value at the ratio of its two columns."""
+    cfg = {**MC_N40, "horizon": 2000, **overrides}
+    seeds = [1 + 1000 * t for t in range(4)] + [9]
+    for seed, (_, nodelay, delayed, twostep) in zip(seeds, experiments._estimation_trials(cfg, seeds)):
+        g, delays, sim, gvals, _ = experiments._trial_inputs(cfg, seed)
+        zero = protocols.predict_consensus(g, DelayMatrix.zero(g.n), sim, gvals).omega_star
+        omega_y, omega_one = protocols.predict_consensus(
+            g, delays, sim, np.column_stack([gvals, np.ones(g.n)]), quantize_delays=True).omega_star
+        for what, trace, value in (("delay-free mean", nodelay, zero), ("delayed mean", delayed, omega_y),
+                                   ("two-step value", twostep, omega_y / omega_one)):
+            assert_settled_at(trace, value, f"trial {seed}: the {what}")
+
+
+def test_a_trial_still_moving_at_its_horizon_reads_as_not_converged():
+    # a 70-step uniform delay on every pair is still settling at step 2000
+    cfg = {**MC_N40, "horizon": 2000, "delay_mode": {"mode": "uniform", "tau": 0.07}}
+    (_, _, delayed, _), = experiments._estimation_trials(cfg, [1])
+    with pytest.raises(AssertionError, match="has not converged by its horizon"):
+        assert_settled_at(delayed, delayed[-1], "trial 1: the delayed mean")
 
 
 def test_montecarlo_batches_by_trial_count(tmp_path, monkeypatch):

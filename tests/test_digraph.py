@@ -77,21 +77,87 @@ def test_new_digraph_keeps_a_copy_of_the_callers_weights():
     assert np.array_equal(g.weights, ring3())
 
 
-def test_from_links_holds_one_n_by_n_array():
-    """A sparse ring at n = 1000: the weights take 8 MB, and the tracemalloc
-    peak of from_links stays below 1.5 times that, where a second copy of
-    the matrix would take it to 16 MB."""
+def test_from_links_holds_no_n_by_n_array():
+    """A sparse ring at n = 1000, whose matrix would take 8 MB: from_links and
+    the in-degrees stay under a quarter of that, and the matrix is built
+    read-only on first use, once."""
     n = 1000
     dst = np.arange(n)
     tracemalloc.start()
     try:
         g = from_links(n, dst, (dst + 1) % n, np.full(n, 0.5))
+        din = g.in_degrees
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * n * n * 8
-    assert not g.weights.flags.writeable
+    assert peak < 0.25 * n * n * 8
+    assert "weights" not in vars(g) and np.array_equal(din, np.full(n, 0.5))
+    assert not g.weights.flags.writeable and g.weights is g.weights
     assert g.weights[0, 1] == 0.5 and g.weights.sum() == 0.5 * n
+
+
+@given(st.integers(1, 90), st.floats(0.0, 1.0), st.integers(-200, 200), st.integers(1, 9),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_in_and_out_degrees_are_the_sums_of_the_matrix_bit_for_bit(n, density, scale, block, seed):
+    """Weights spread over six decades around 10^scale, so that the order of
+    a sum shows in its last bits; the links come shuffled."""
+    rng = np.random.default_rng(seed)
+    w = rng.random((n, n)) * 10.0 ** (scale + rng.uniform(-3.0, 3.0, (n, n)))
+    w[rng.random((n, n)) >= density] = 0.0
+    np.fill_diagonal(w, 0.0)
+    dst, src = np.nonzero(w)
+    perm = rng.permutation(dst.size)
+    with mock.patch.object(digraph, "_ROW_BLOCK", block):
+        g = from_links(n, dst[perm], src[perm], w[dst, src][perm])
+        din, dout = degrees(g)
+    assert "weights" not in vars(g)
+    assert din.tobytes() == w.sum(axis=1).tobytes() and g.in_degrees is din
+    assert not din.flags.writeable
+    assert dout.tobytes() == w.sum(axis=0).tobytes()
+    assert np.array_equal(g.weights, w)
+    assert np.array_equal(laplacian(g), laplacian(new_digraph(w)))
+
+
+def first_bad_entry(w):
+    """The message of the dense contract: the first entry, row-major, that is
+    not finite and nonnegative, else the first nonzero diagonal entry; None
+    for a valid matrix."""
+    bad = np.argwhere(~((w >= 0.0) & (w < np.inf)))
+    if bad.size:
+        i, j = bad[0]
+        return f"weight a[{i},{j}] = {w[i, j]} is not finite and nonnegative"
+    diag = np.flatnonzero(np.diag(w) != 0.0)
+    if diag.size:
+        k = diag[0]
+        return f"nonzero diagonal entry a[{k},{k}] = {w[k, k]}"
+    return None
+
+
+@given(st.integers(1, 5), st.lists(st.sampled_from([0.0, -0.0, 0.5, 2.0, -1.0, np.nan, np.inf]),
+                                   min_size=25, max_size=25), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_from_links_checks_as_new_digraph_does(n, values, seed):
+    """The message of the dense contract, naming its first bad entry, from
+    the matrix and from its nonzero entries in any order; the same links
+    from both otherwise."""
+    w = np.array(values[: n * n]).reshape(n, n)
+    i, j = np.nonzero(w)
+    perm = np.random.default_rng(seed).permutation(i.size)
+
+    def outcome(build):
+        try:
+            g = build()
+        except GraphValidationError as exc:
+            return str(exc)
+        return g.n, g.dst.tolist(), g.src.tolist(), g.link_weights.tolist()
+
+    want = first_bad_entry(w)
+    if want is None:
+        dst, src = np.nonzero(w > 0.0)
+        want = n, dst.tolist(), src.tolist(), w[dst, src].tolist()
+    assert outcome(lambda: new_digraph(w)) == want
+    assert outcome(lambda: from_links(n, i[perm], j[perm], w[i, j][perm])) == want
 
 
 # ---------------------------------------------------------------- degrees
