@@ -41,6 +41,10 @@ def _read_json(path: Path) -> tuple[dict, bytes]:
         raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
 
 
+def _load_json(path: Path) -> dict:
+    return _read_json(path)[0]
+
+
 def _json_default(obj):
     if isinstance(obj, np.generic):
         return obj.item()
@@ -162,9 +166,15 @@ def _write_scenario(
     np.save(out / "links.npy", table, allow_pickle=False)
     del table
     if geom is not None:
-        _dump_json({"positions": geom.positions, "powers": geom.powers,
-                    "path_loss_exponent": geom.path_loss_exponent, "speed": geom.speed},
-                   out / "geometry.json")
+        _dump_json(
+            {
+                "positions": geom.positions.tolist(),
+                "powers": geom.powers.tolist(),
+                "path_loss_exponent": geom.path_loss_exponent,
+                "speed": geom.speed,
+            },
+            out / "geometry.json",
+        )
     sc_data = _dump_json({**_scenario_record(cfg), "links": links}, out / "scenario.json")
     _write_analysis(out, g, delays, sc_data, _analysis_fingerprints(sc_data, links))
 
@@ -184,7 +194,7 @@ def _gen_demo14(cfg: dict, out: Path) -> list[Path]:
 
 
 def cmd_gen(args) -> int:
-    cfg = _read_json(Path(args.config))[0]
+    cfg = _load_json(Path(args.config))
     if args.seed is not None:
         cfg["seed"] = args.seed
     out = Path(args.out_dir)
@@ -238,7 +248,7 @@ def _load_table(path: Path, links: dict):
 
 def _load_documents(path: Path):
     g = digraph.from_document((path / "digraph.json").read_text())
-    ddoc = _read_json(path / "delays.json")[0]
+    ddoc = _load_json(path / "delays.json")
     try:
         delays = DelayMatrix(tau=np.asarray(ddoc["tau"], dtype=float))
         check_delays(g, delays)
@@ -293,7 +303,7 @@ def _stored_analysis(path: Path, n: int, fingerprints: dict | None) -> dict | No
     file = path / "analysis.json"
     if fingerprints is None or not file.is_file():
         return None
-    doc = _read_json(file)[0]
+    doc = _load_json(file)
     if not isinstance(doc, dict):
         raise ValueError(f"{file}: not a JSON object")
     if doc.get("version") != ANALYSIS_VERSION or doc.get("fingerprints") != fingerprints:
@@ -450,14 +460,20 @@ def cmd_run(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    cfg = _read_json(Path(args.config))[0]
+    cfg = _load_json(Path(args.config))
     if args.seed is not None:
         cfg["seed"] = args.seed
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     agg, final = experiments.run_estimation_montecarlo(cfg, int(args.trials))
-    np.savetxt(out / "montecarlo.csv", np.column_stack(list(agg.values())), delimiter=",",
-               header=",".join(agg), comments="")
+    header = ",".join(agg.keys())
+    np.savetxt(
+        out / "montecarlo.csv",
+        np.column_stack(list(agg.values())),
+        delimiter=",",
+        header=header,
+        comments="",
+    )
     _dump_json(final, out / "summary.json")
     print(f"wrote {out / 'montecarlo.csv'} and {out / 'summary.json'}")
     return EXIT_OK

@@ -707,7 +707,13 @@ def detect_sync(
             value = means[nodes].mean(axis=0)
             if traj.derivatives.ndim == 2:
                 value = value[0]
-            clusters.append(SyncCluster(frozenset(nodes.tolist()), np.asarray(value), t_detect))
+            clusters.append(
+                SyncCluster(
+                    nodes=frozenset(nodes.tolist()),
+                    value=np.asarray(value),
+                    detection_time=t_detect,
+                )
+            )
             clustered.update(nodes.tolist())
     result = SyncResult(
         clusters=clusters,

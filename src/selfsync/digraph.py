@@ -40,14 +40,18 @@ class SensorDigraph:
     src: np.ndarray
     link_weights: np.ndarray
 
+    def __post_init__(self):
+        for x in (self.dst, self.src, self.link_weights):
+            x.setflags(write=False)
+
     @cached_property
     def links(self) -> tuple[np.ndarray, np.ndarray]:
         return self.dst, self.src
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """The read-only (n, n) matrix: the one `new_digraph` checked, else
-        the links scattered into zeros on first use."""
+        """The read-only (n, n) matrix, the links scattered into zeros on
+        first use."""
         w = np.zeros((self.n, self.n))
         w[self.links] = self.link_weights
         w.setflags(write=False)
@@ -92,21 +96,13 @@ class SccDecomposition:
 
 
 def new_digraph(weights) -> SensorDigraph:
-    """Validate a square, finite, nonnegative weight matrix and wrap a copy of
-    it, so that the caller's array stays its own."""
-    return _own_digraph(np.array(weights, dtype=float))
-
-
-def _own_digraph(w: np.ndarray) -> SensorDigraph:
-    """`new_digraph` of a float array that no caller keeps: validated, made
-    read-only and kept as the graph's `weights` without a copy."""
+    """Validate a square, finite, nonnegative weight matrix and hold its
+    nonzero entries as links; the graph keeps no reference to the array."""
+    w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise GraphValidationError(f"weights must be square, got shape {w.shape}")
-    w.setflags(write=False)
     i, j = np.nonzero(w)  # every entry that can fail a check, row-major
-    g = _checked_links(len(w), i, j, w[i, j])
-    g.__dict__["weights"] = w  # where the `weights` property caches its matrix
-    return g
+    return _checked_links(len(w), i, j, w[i, j])
 
 
 def _checked_links(n: int, i: np.ndarray, j: np.ndarray, a: np.ndarray) -> SensorDigraph:
@@ -121,9 +117,12 @@ def _checked_links(n: int, i: np.ndarray, j: np.ndarray, a: np.ndarray) -> Senso
     if diag.size:
         k = diag[0]
         raise GraphValidationError(f"nonzero diagonal entry a[{i[k]},{i[k]}] = {a[k]}")
-    for x in (i, j, a):
-        x.setflags(write=False)
     return SensorDigraph(int(n), i, j, a)
+
+
+def keep_links(g: SensorDigraph, keep: np.ndarray) -> SensorDigraph:
+    """g with only its links k where keep[k], which need no second check."""
+    return SensorDigraph(g.n, g.dst[keep], g.src[keep], g.link_weights[keep])
 
 
 def degrees(g: SensorDigraph) -> tuple[np.ndarray, np.ndarray]:
@@ -266,6 +265,9 @@ def from_links(n: int, dst, src, weight) -> SensorDigraph:
     once, and the weights pass `new_digraph`'s checks, which name the same
     first bad entry, without an (n, n) array."""
     dst, src, weight = np.asarray(dst), np.asarray(src), np.asarray(weight)
+    if weight.shape not in ((), dst.shape):
+        raise GraphValidationError(f"{weight.size} weights for {dst.size} edges")
+    weight = np.broadcast_to(weight, dst.shape)  # a scalar weighs every edge
     idx = np.column_stack([dst, src])
     bad = np.flatnonzero(~((idx >= 0) & (idx < n) & (idx == np.floor(idx))).all(axis=1))
     if bad.size:

@@ -8,7 +8,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .digraph import SensorDigraph, _checked_links, _own_digraph, new_digraph
+from .digraph import SensorDigraph, keep_links, new_digraph
 from .substreams import rayleigh_matrix
 
 
@@ -110,12 +110,6 @@ def channel_rayleigh(geom: NodeGeometry, rng_seed: int) -> SensorDigraph:
     pruning or reordering one link leaves the others intact. All links are
     drawn in one array pass by ``substreams.rayleigh_matrix``.
     """
-    # the draws are wrapped as they are; the scale and its temporaries die first
-    return _own_digraph(rayleigh_matrix(rng_seed, _rayleigh_scale(geom)))
-
-
-def _rayleigh_scale(geom: NodeGeometry) -> np.ndarray:
-    """s_ij = sqrt(P_j / (1 + d_ij^2) / 2)."""
     n, d = geom.n, geom.distances
     # libm pow, as the scalar d_ij ** 2 of the per-link draw took it: the array
     # square differs from it by one ulp in about 0.08% of links
@@ -128,7 +122,7 @@ def _rayleigh_scale(geom: NodeGeometry) -> np.ndarray:
         d2 = np.fromiter(map(math.pow, d.ravel(), repeat(2.0)), dtype=float,
                          count=n * n).reshape(n, n)
     sigma2 = geom.powers[None, :] / (1.0 + d2)
-    return np.sqrt(sigma2 / 2.0)
+    return new_digraph(rayleigh_matrix(rng_seed, np.sqrt(sigma2 / 2.0)))
 
 
 def channel_pathloss(geom: NodeGeometry, fading) -> SensorDigraph:
@@ -141,8 +135,12 @@ def channel_pathloss(geom: NodeGeometry, fading) -> SensorDigraph:
             "zero distance between distinct nodes: path-loss formula is singular"
         )
     w = np.zeros((n, n))
-    p = np.broadcast_to(geom.powers, (n, n))
-    w[off] = np.sqrt(p[off] * h[off] ** 2 / geom.distances[off] ** geom.path_loss_exponent)
+    d = np.where(off, geom.distances, 1.0)
+    w[off] = np.sqrt(
+        geom.powers[None, :].repeat(n, axis=0)[off]
+        * h[off] ** 2
+        / d[off] ** geom.path_loss_exponent
+    )
     return new_digraph(w)
 
 
@@ -150,8 +148,7 @@ def threshold_prune(g: SensorDigraph, min_amplitude: float) -> SensorDigraph:
     """g without its links of weight below min_amplitude."""
     if min_amplitude < 0:
         raise ValueError("threshold must be nonnegative")
-    keep = ~(g.link_weights < min_amplitude)
-    return _checked_links(g.n, g.dst[keep], g.src[keep], g.link_weights[keep])
+    return keep_links(g, g.link_weights >= min_amplitude)
 
 
 def delays_from_geometry(geom: NodeGeometry) -> DelayMatrix:

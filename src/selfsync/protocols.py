@@ -173,7 +173,9 @@ def two_step_unbias(
     )
     if abs(omega_one) < 1e-300:
         raise ProtocolError("unit-forcing consensus is numerically zero")
-    return UnbiasReport(omega_y, omega_one, omega_y / omega_one, mode)
+    return UnbiasReport(
+        omega_y=omega_y, omega_one=omega_one, ratio=omega_y / omega_one, mode=mode
+    )
 
 
 def gamma_estimation_protocol(
@@ -211,7 +213,14 @@ def gamma_estimation_protocol(
     compensated[pos] *= scale
     cfg_comp = replace(cfg, c_weights=compensated)
     final = two_step_unbias(g, delays, cfg_comp, g_values, mode=mode)
-    return replace(final, gamma_tilde=gamma_tilde, compensated_c=compensated)
+    return UnbiasReport(
+        omega_y=final.omega_y,
+        omega_one=final.omega_one,
+        ratio=final.ratio,
+        mode=mode,
+        gamma_tilde=gamma_tilde,
+        compensated_c=compensated,
+    )
 
 
 def predict_intercepts(

@@ -74,7 +74,20 @@ def test_new_digraph_keeps_a_copy_of_the_callers_weights():
     w = ring3()
     g = new_digraph(w)
     w[0, 1] = 5.0
+    assert "weights" not in vars(g)  # the graph holds links, not w
     assert np.array_equal(g.weights, ring3())
+
+
+@pytest.mark.parametrize("weight", [[0.5, 7.0], [], np.ones((1, 1))])
+def test_from_links_rejects_a_weight_per_edge_mismatch(weight):
+    with pytest.raises(GraphValidationError, match="weights for 1 edges"):
+        from_links(3, [0], [1], weight)
+
+
+def test_from_links_puts_a_scalar_weight_on_every_edge():
+    g = from_links(3, [0, 1, 2], [2, 0, 1], 0.5)
+    assert g.link_weights.tolist() == [0.5, 0.5, 0.5]
+    assert np.array_equal(g.weights, ring3(0.5))
 
 
 def test_from_links_holds_no_n_by_n_array():
