@@ -78,7 +78,16 @@ workload makes them (Rayleigh links pruned below 0.5, horizon 1200) at n in
 the analysis pays it there, and one without pays it in every ``run``. A run
 that detects no sync within the horizon (exit 3, as at n = 1000) is timed
 all the same. ``run_forked`` counts the timed runs (of ``REPEATS``) that
-forked a lane.
+forked a lane. ``gather``: µs of each call of one block of the Euler core, on
+arrays built as ``_simulate_core`` builds them for one run, at the
+gamma-sweep shape (a ``random_sc`` graph at n = 8 with L = 9 forcing columns,
+s = 11), the demo14 shape (n = 14, s = 51) and the run-n300 shape (its
+scenario, s = 1): the take of the block's delayed states (``take_us``), the
+weight multiply (``multiply_us``), the ``np.add.reduceat`` sums
+(``reduceat_us``) and, for a run that scans, the ``np.add.accumulate`` along
+the block (``accumulate_us``); each timed call repeats the call
+``GATHER_LOOPS`` times. ``entries`` counts the entries of one gather, which
+holds ``gather_steps`` steps.
 
 selfsync is imported from ``--src`` (default: this checkout's ``src/``), so one
 copy of the script can time two versions of the library on the same machine.
@@ -166,6 +175,8 @@ ANALYSIS_SIZES = (100, 200, 300, 500, 800)
 # at RUN_LARGE without --quick
 RUN_SIZES = (300, 1000)
 RUN_LARGE = 2000
+# gather rows: calls per timed call
+GATHER_LOOPS = 2000
 
 
 def timed(*calls, repeats: int = REPEATS) -> dict:
@@ -538,6 +549,54 @@ def run_row(selfsync, n: int, seed: int) -> dict:
                 "run_forked": forked(forks)}
 
 
+def gather_row(selfsync, shape: str, g, delays, cfg, cols: int) -> dict:
+    """The ``gather`` row of g with ``cols`` forcing columns: its entries
+    grouped by (receiver, column) with sources ascending, tiled for one
+    gather, over a random history."""
+    dde_sim = selfsync.dde_sim
+    mb = dde_sim._member(dde_sim.SimRun(g, delays, cfg, np.ones((g.n, cols))), "")
+    n, coord = g.n, np.arange(cols)
+    entry_bin = (mb.dst[:, None] * cols + coord).ravel()
+    order = np.argsort(entry_bin, kind="stable")
+    per_step = order.size
+    steps = max(min(mb.span, dde_sim._BLOCK_ENTRIES // per_step), 1)
+    shift = np.arange(steps)[:, None]
+    lagged = ((mb.src + (mb.mmax - mb.lag) * n)[:, None] * cols + coord).ravel()[order]
+    idx = (lagged + shift * n * cols).ravel()
+    weight = np.tile(np.repeat(mb.weight, cols)[order], steps)
+    starts = (np.searchsorted(entry_bin[order], np.arange(n * cols)) + shift * per_step).ravel()
+    xf = np.random.default_rng(0).normal(size=(mb.mmax + steps + 1) * n * cols)
+    gathered = xf[idx]
+    product = np.empty_like(gathered)  # the core multiplies in place; this stays finite
+    z, summed = np.ones((mb.span, n, cols)), np.empty((mb.span, n, cols))
+
+    def loop(call):
+        return lambda: [call() for _ in range(GATHER_LOOPS)]
+
+    calls = [("take_us", 1e6 / GATHER_LOOPS, loop(lambda: xf[idx])),
+             ("multiply_us", 1e6 / GATHER_LOOPS,
+              loop(lambda: np.multiply(gathered, weight, out=product))),
+             ("reduceat_us", 1e6 / GATHER_LOOPS, loop(lambda: np.add.reduceat(product, starts)))]
+    if mb.scans:
+        calls.append(("accumulate_us", 1e6 / GATHER_LOOPS,
+                      loop(lambda: np.add.accumulate(z, axis=0, out=summed))))
+    return {"shape": shape, **graph_fields(g, delays, cfg.t_step), "columns": cols,
+            "gather_steps": steps, "entries": idx.size, "scans": bool(mb.scans), **timed(*calls)}
+
+
+def gather_rows(selfsync, seed: int) -> list[dict]:
+    from selfsync import cli
+
+    g, delays, cfg, _ = sc_case(selfsync, 8, seed, SC_HORIZONS[0])
+    rows = [gather_row(selfsync, "gamma-sweep", g, delays, cfg, 9),
+            gather_row(selfsync, "demo14", *demo_case(selfsync, seed)[:3], 1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        g, delays = cli._load_scenario(run_scenario(cli, RUN_CONFIG["n"], seed, Path(tmp)))[:2]
+    cfg = selfsync.SimConfig(t_step=T_STEP, k_gain=RUN_CONFIG["k_gain"],
+                             horizon=RUN_CONFIG["horizon"])
+    return rows + [gather_row(selfsync, "run-n300", g, delays, cfg, 1)]
+
+
 def show(section: str, rows: list[dict]) -> list[dict]:
     for row in rows:
         print(section, " ".join(f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}"
@@ -589,6 +648,7 @@ def main(argv=None) -> int:
         "analysis": show("analysis", [analysis_row(selfsync, n, seed) for n in ANALYSIS_SIZES]),
         "run": show("run", [run_row(selfsync, n, seed)
                             for n in RUN_SIZES + (() if args.quick else (RUN_LARGE,))]),
+        "gather": show("gather", gather_rows(selfsync, seed)),
     }
     result["wall_s"] = round(time.perf_counter() - start, 2)
     if args.out:

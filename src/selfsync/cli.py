@@ -45,14 +45,6 @@ def _load_json(path: Path) -> dict:
     return _read_json(path)[0]
 
 
-def _json_default(obj):
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _write_text(path: Path, text: str) -> bytes:
     """Write text and a newline to path; the bytes written."""
     data = (text + "\n").encode()
@@ -62,7 +54,7 @@ def _write_text(path: Path, text: str) -> bytes:
 
 def _dump_json(obj: dict, path: Path) -> bytes:
     """Write obj to path as indented JSON; the bytes written."""
-    return _write_text(path, json.dumps(obj, indent=1, sort_keys=True, default=_json_default))
+    return _write_text(path, json.dumps(obj, indent=1, sort_keys=True))
 
 
 # ---------------------------------------------------------------- scenarios
@@ -352,7 +344,7 @@ def _finalize_report(report: dict, out: Path) -> None:
     path is left out of the digest, so that a scenario run from another
     directory gets the same one."""
     scenario = {k: v for k, v in report["scenario"].items() if k != "path"}
-    body = json.dumps({**report, "scenario": scenario}, sort_keys=True, default=_json_default)
+    body = json.dumps({**report, "scenario": scenario}, sort_keys=True)
     report["digest"] = hashlib.sha256(body.encode()).hexdigest()
     report["created_unix"] = time.time()
     _dump_json(report, out)

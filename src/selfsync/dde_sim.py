@@ -326,7 +326,8 @@ def _simulate_core(
     self term stays in the gather. Below _SCAN_SPAN, or where some node's
     a^s falls below _SCAN_FLOOR or spreads past _SCAN_SPREAD, the self term
     runs step by step, and a block shorter than s computes the same numbers,
-    so such a union runs at its shortest s. Otherwise every member scans and
+    so such a union runs in blocks of its shortest s, or of the fewer steps
+    that one gather holds. Otherwise every member scans and
     has the same s: within a block the self term is the recurrence
     x_{k+1} = a x_k + T d_k, with a = I - T k_i d_in(i), solved in closed form,
 
@@ -353,30 +354,6 @@ def _simulate_core(
     span = min(mb.span for mb in members)
     scan = members[0].scans
     first = min(mb.first for mb in members)
-    if record == "full":
-        rows = mmax + horizon + 1
-    else:
-        rows = mmax + 1 + min(horizon, -(-max(_CHUNK, mmax + 1) // span) * span)
-    # one spare row takes the state after the horizon, which is never read
-    x = np.empty((rows + 1, n, dim))
-    past = np.arange(-mmax, 1) * t_step
-    for mb, lo, hi in zip(members, offsets, offsets[1:]):
-        x[: mmax + 1, lo:hi] = mb.cfg.init.evaluate(past, hi - lo, dim)
-    base = first  # step of deriv's first row
-    if record == "node_mean":
-        # the derivatives of the steps since the last compaction: at most
-        # a chunk, plus the last step's
-        deriv = np.empty((rows - mmax, n, dim))
-        means = [np.empty((horizon + 1, dim)) for _ in members]
-    else:
-        deriv = np.empty((horizon + 1 - first, n, dim))
-    states = np.empty_like(deriv) if record == "window" else x[mmax:rows]
-
-    def reduce_means(stop: int) -> None:
-        for mean, lo, hi in zip(means, offsets, offsets[1:]):
-            for col in range(dim):
-                mean[base:stop, col] = deriv[: stop - base, lo:hi, col].mean(axis=1)
-
     # The coupling sum_j a_ij (x_j(t - tau_ij) - x_i(t)) equals sum_j b_ij
     # x_j(t - tau_ij). The members' entry lists, shifted to the union's node
     # numbers, are grouped by (node i, coordinate l) with sources ascending,
@@ -401,6 +378,29 @@ def _simulate_core(
     idx = (idx + shift * row).ravel()
     weight = np.tile(weight, smax)
     starts = (starts + shift * per_step).ravel()
+    if record == "full":
+        rows = mmax + horizon + 1
+    else:
+        rows = mmax + 1 + min(horizon, -(-max(_CHUNK, mmax + 1) // block) * block)
+    # one spare row takes the state after the horizon, which is never read
+    x = np.empty((rows + 1, n, dim))
+    past = np.arange(-mmax, 1) * t_step
+    for mb, lo, hi in zip(members, offsets, offsets[1:]):
+        x[: mmax + 1, lo:hi] = mb.cfg.init.evaluate(past, hi - lo, dim)
+    base = first  # step of deriv's first row
+    if record == "node_mean":
+        # the derivatives of the steps since the last compaction: at most
+        # a chunk, plus the last step's
+        deriv = np.empty((rows - mmax, n, dim))
+        means = [np.empty((horizon + 1, dim)) for _ in members]
+    else:
+        deriv = np.empty((horizon + 1 - first, n, dim))
+    states = np.empty_like(deriv) if record == "window" else x[mmax:rows]
+
+    def reduce_means(stop: int) -> None:
+        for mean, lo, hi in zip(means, offsets, offsets[1:]):
+            for col in range(dim):
+                mean[base:stop, col] = deriv[: stop - base, lo:hi, col].mean(axis=1)
 
     def gathers(s: int) -> list[tuple]:
         """(entries, weights, run starts, first step, steps) of each gather of
@@ -479,8 +479,6 @@ def _simulate_core(
                     base = step
             s = block if step + block <= horizon else horizon + 1 - step
             new = s if step + s <= horizon else s - 1  # states this block writes
-            if cur + new >= rows:  # a gather-sized block meets a compaction
-                s = new = rows - 1 - cur
             d = deriv[step - base : step - base + s] if step >= first else skipped[:s]
             for gi, gw, gs, p, k in whole if s == block else gathers(s):
                 gathered = xf[(cur - mmax + p) * row :][gi]

@@ -85,6 +85,23 @@ def test_gen_deterministic_bytes(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_gen_and_montecarlo_seed_flags_write_what_the_config_seed_writes(tmp_path):
+    def outputs(command, cfg, out, flags=()):
+        assert main([command, write_json(tmp_path / f"{out}.json", cfg), "--out-dir",
+                     str(tmp_path / out), *flags]) == EXIT_OK
+        return {f.name: f.read_bytes() for f in (tmp_path / out).iterdir()}
+
+    network = {"n": 9, "seed": 12, "d_side": 3.0, "tau_max": 0.05, "threshold": 0.1}
+    flagged = outputs("gen", {**network, "seed": 0}, "gen-flag", ["--seed", "12"])
+    assert flagged == outputs("gen", network, "gen-config")
+    assert flagged != outputs("gen", {**network, "seed": 0}, "gen-other")
+    trials = ["--trials", "2"]
+    estimation = json.loads(Path(mc_config(tmp_path)).read_text())
+    flagged = outputs("montecarlo", {**estimation, "seed": 0}, "mc-flag", [*trials, "--seed", "2"])
+    assert flagged == outputs("montecarlo", estimation, "mc-config", trials)
+    assert flagged != outputs("montecarlo", {**estimation, "seed": 0}, "mc-other", trials)
+
+
 def rayleigh_geometry_pipeline():
     geom = netgen.speed_for_max_delay(netgen.place_nodes(9, 3.0, 12), 0.05)
     g = netgen.threshold_prune(netgen.channel_rayleigh(geom, 13), 0.1)
@@ -1095,6 +1112,8 @@ def malformed_analyses():
         "integer-value": (lambda doc: doc["clusters"][0].__setitem__("value", 1),
                           "a float value"),
         "rates": (lambda doc: doc["spectral_rates"].__setitem__("fit", 1.0), "spectral_rates"),
+        "cluster-count": (lambda doc: doc["clusters"].append(dict(doc["clusters"][0])),
+                          "one cluster per root component"),
     }
 
 

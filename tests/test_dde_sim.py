@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selfsync import dde_sim
@@ -230,6 +230,10 @@ def test_vector_sim_validates_q_matrices():
         q = np.stack([np.eye(2), bad])
         with pytest.raises(ValueError, match="node 1 is not symmetric positive definite"):
             simulate(g, DelayMatrix.zero(2), cfg, np.ones((2, 2)), q_mats=q)
+    # g_values must be (n, L) for the Q matrices' L, whatever its own shape
+    for gv in (np.ones((2, 3)), np.ones(2)):
+        with pytest.raises(ValueError, match=re.escape(f"g_values shape {gv.shape} does not")):
+            simulate(g, DelayMatrix.zero(2), cfg, gv, q_mats=np.stack([np.eye(2)] * 2))
 
 
 
@@ -760,8 +764,8 @@ def block_cases(draw):
         lags = rng.integers(low, low + 6, (n, n))
     cols = draw(st.integers(min_value=1, max_value=5))
     chunk = draw(st.integers(min_value=1, max_value=30))
-    entries = draw(st.integers(min_value=1, max_value=200))
-    return n, cols, w, lags, rng, draw(st.sampled_from([0.0, 0.1])), chunk, entries
+    steps = draw(st.integers(min_value=1, max_value=6))  # per gather, if fewer than s
+    return n, cols, w, lags, rng, draw(st.sampled_from([0.0, 0.1])), chunk, steps
 
 
 @given(block_cases())
@@ -773,15 +777,28 @@ def test_block_core_matches_dense_reference(case):
         assert_core_matches_dense_reference(w, lags, rng, noise_std, dim, horizon)
 
 
+def capped_ring_case(noise_std):
+    """A 3-node ring whose links all lag 6 steps (s = 7), gathered 3 steps at
+    a time over 98 steps, with bounded records that compact at a chunk of at
+    least 10 steps, as a `block_cases` case."""
+    w = np.roll(np.eye(3), 1, axis=0)
+    return 3, 2, w, np.full((3, 3), 6), np.random.default_rng(1), noise_std, 10, 3
+
+
 @given(block_cases())
+@example(capped_ring_case(0.0))
+@example(capped_ring_case(0.1))
 @settings(max_examples=60, deadline=None)
 def test_block_core_columns_windows_and_block_lengths_bit_exact(case):
     g, delays, cfg, forcing, full = assert_columns_and_tail_bit_exact(*case[:-1])
-    entries = case[-1]
-    # shorter blocks split the same steps differently, with the same bits
+    chunk, steps = case[-2:]
+    # shorter blocks split the same steps differently, with the same bits,
+    # also in bounded records whose compactions they meet
+    entries = dde_sim._member(dde_sim.SimRun(g, delays, cfg, forcing), "").dst.size
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dde_sim, "_BLOCK_ENTRIES", entries)
+        mp.setattr(dde_sim, "_BLOCK_ENTRIES", steps * entries * forcing.shape[1])
         short = simulate(g, delays, cfg, forcing)
+        assert_records_are_slices_of_the_full_record([(g, delays, cfg, forcing, None)], chunk)
     assert short.states.tobytes() == full.states.tobytes()
     assert short.derivatives.tobytes() == full.derivatives.tobytes()
 

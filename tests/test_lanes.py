@@ -1,5 +1,6 @@
 """Lanes: tasks run side by side in forked children, outcomes as in process."""
 
+import errno
 import os
 
 import pytest
@@ -65,6 +66,31 @@ def test_a_lost_lane_runs_its_tasks_in_process(monkeypatch):
     assert got[1][0] is None and str(got[1][1]) == "task 1 failed"
     assert got[2] == ({"task": 2, "pid": os.getpid()}, None)
     assert [k for k, pid in log] == [0, 1, 2]
+
+
+def test_a_lane_that_cannot_fork_runs_in_process_and_closes_its_pipe(monkeypatch):
+    def outcomes(got):
+        return [(result, type(error), str(error)) for result, error in got]
+
+    serial = lanes_module.run(tasks([]), [7 - k for k in range(7)])
+    pipes, closed = [], []
+    pipe, close = os.pipe, os.close
+
+    def refused():
+        raise OSError(errno.EAGAIN, "fork refused")
+
+    monkeypatch.setattr(lanes_module, "_lane_cpus", lambda: 3)
+    monkeypatch.setattr(lanes_module, "LANE_WORK", 0)
+    monkeypatch.setattr(os, "fork", refused)
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+    monkeypatch.setattr(os, "close", lambda fd: closed.append(fd) or close(fd))
+    log = []
+    got = lanes_module.run(tasks(log), [7 - k for k in range(7)])
+    assert outcomes(got) == outcomes(serial)
+    # both lanes that could not fork ran here, after this process's own
+    assert [k for k, pid in log] == [0, 3, 6, 1, 4, 2, 5]
+    assert {pid for k, pid in log} == {os.getpid()}
+    assert len(pipes) == 2 and sorted(closed) == sorted(fd for ends in pipes for fd in ends)
 
 
 def test_lane_count_is_at_most_the_idle_cpus_and_at_least_one(monkeypatch):

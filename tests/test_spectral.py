@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfsync import experiments, spectral, topologies
-from selfsync.dde_sim import DelayMatrix, SimConfig, detect_sync_auto, simulate
+from selfsync.dde_sim import (DelayMatrix, SimConfig, SyncResult, Trajectory, detect_sync_auto,
+                              simulate)
 from selfsync.digraph import laplacian, new_digraph, scc_decompose
 from selfsync.protocols import predict_consensus
 from selfsync.spectral import (
@@ -336,6 +337,34 @@ def test_max_deviation_equals_the_plain_formula_bit_for_bit(kind, n, L, samples,
                                     max_size=int(np.prod(shape))))).reshape(shape)
     want = np.abs(d - omega).reshape(samples, -1).max(axis=1)
     assert spectral._max_deviation(d, omega).tobytes() == want.tobytes()
+
+
+def synchronized_record(t, err):
+    """A two-node record, marked as globally synchronized, whose derivatives
+    lie err(t) off omega* = 0."""
+    d = np.column_stack([err, -err])
+    sync = SyncResult(clusters=[], unclustered=frozenset(), global_sync=True, tol=1.0, window=2)
+    return Trajectory(times=t, states=np.zeros_like(d), derivatives=d, t_step=t[1], clusters=sync)
+
+
+def test_empirical_rate_fits_every_point_above_the_floor_when_the_band_is_short():
+    # the error falls below half its post-transient peak only in its last
+    # 6 samples, so the fit takes every sample after the transient (from 2)
+    t = np.arange(40) * 0.025
+    err = np.exp(-t**2)
+    assert (err[2:] < 0.5 * err[2:].max()).sum() == 6
+    x, y = t[2:], np.log(err[2:])
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    assert empirical_rate(synchronized_record(t, err), 0.0) == (slope, resid)
+    assert slope != np.polyfit(x[-6:], y[-6:], 1)[0]  # the band's own fit
+
+
+def test_empirical_rate_is_zero_with_fewer_than_two_points_above_the_floor():
+    # after the transient (from sample 2) only sample 2 lies above the floor
+    err = np.zeros(40)
+    err[:3] = 0.5
+    assert empirical_rate(synchronized_record(np.arange(40) * 0.025, err), 0.0) == (0.0, 0.0)
 
 
 def test_empirical_rate_degenerate_on_flat_start():
