@@ -68,9 +68,10 @@ a forked lane, so ``child_maxrss_mb`` gives the largest RSS in MB of any
 child the script has reaped so far (``RUSAGE_CHILDREN``; 0 when none forked).
 ``analysis``: ms of ``experiments.analyse_scenario`` (SCCs, prediction and
 spectral rates) on scenarios made as the run-n300 workload makes them, at n
-in {100, 200, 300, 500, 800} and its node density; each call gets a fresh
+in {100, 200, 300, 500, 800, 1000} and its node density; each call gets a fresh
 copy of the graph (``new_digraph``), made before the call, since a graph
-caches its SCCs and gammas. ``run``: ms of one ``selfsync gen``
+caches its SCCs and gammas. ``peak_mb`` is the ``tracemalloc`` peak in MB of
+one more such call, after the timed ones. ``run``: ms of one ``selfsync gen``
 (``gen_ms``) and of one ``selfsync run`` of its scenario (``run_ms``, trace
 at downsample 10), both in process, on scenarios made as the run-n300
 workload makes them (Rayleigh links pruned below 0.5, horizon 1200) at n in
@@ -170,7 +171,7 @@ STRUCTURE_SIZES = (300, 1000, 2000)
 # cold rows: gen in a fresh interpreter at these sizes
 COLD_SIZES = (40, 300)
 # analysis rows: scenarios made as run-n300's, at these sizes
-ANALYSIS_SIZES = (100, 200, 300, 500, 800)
+ANALYSIS_SIZES = (100, 200, 300, 500, 800, 1000)
 # run rows: gen and run of scenarios made as run-n300's, at these sizes, and
 # at RUN_LARGE without --quick
 RUN_SIZES = (300, 1000)
@@ -526,10 +527,13 @@ def analysis_row(selfsync, n: int, seed: int) -> dict:
     gv = np.asarray(sc["g_values"])
     cfg = selfsync.SimConfig(t_step=T_STEP, k_gain=RUN_CONFIG["k_gain"],
                              horizon=RUN_CONFIG["horizon"])
-    fresh = iter([selfsync.new_digraph(g.weights) for _ in range(REPEATS + 1)])
-    return {**graph_fields(g, delays, T_STEP),
-            **timed(("analysis_ms", 1e3,
-                     lambda: experiments.analyse_scenario(next(fresh), delays, cfg, gv)))}
+    fresh = iter([selfsync.new_digraph(g.weights) for _ in range(REPEATS + 2)])
+
+    def analyse():
+        return experiments.analyse_scenario(next(fresh), delays, cfg, gv)
+
+    return {**graph_fields(g, delays, T_STEP), **timed(("analysis_ms", 1e3, analyse)),
+            "peak_mb": traced_peak_mb(analyse)}
 
 
 def run_row(selfsync, n: int, seed: int) -> dict:

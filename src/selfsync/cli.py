@@ -73,39 +73,30 @@ LINK_RECORD = np.dtype([("dst", "<i4"), ("src", "<i4"), ("weight", "<f8"), ("tau
 # the files links.npy mirrors, fingerprinted in scenario.json
 MIRRORED = ("digraph.json", "delays.json")
 # the format of analysis.json; a file of another version is not read
-ANALYSIS_VERSION = 1
+ANALYSIS_VERSION = 2
 
 
 def _fingerprint(data: bytes) -> dict:
     return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
 
 
-def _analysis_fingerprints(scenario: bytes, links: dict) -> dict:
-    """The fingerprints an analysis is computed from: those of scenario.json,
-    whose bytes are given, and of the files links.npy mirrors, as its `links`
-    record holds them."""
-    return {"scenario.json": _fingerprint(scenario), **{name: links[name] for name in MIRRORED}}
-
-
 def _analysis_record(g: digraph.SensorDigraph, prediction) -> dict:
-    """The connectivity, root components and predicted consensus of g, as
-    analysis.json holds them and `run` reports them."""
+    """The connectivity and predicted consensus of g, one cluster per root
+    component, as analysis.json holds them and `run` reports them."""
     return {
         "connectivity": g.scc.connectivity_class.value,
-        "root_components": list(g.scc.root_components),
         "clusters": [{"component": cl.component, "nodes": sorted(cl.nodes), "value": cl.omega}
                      for cl in prediction.clusters],
-        "unpredicted_nodes": sorted(prediction.unpredicted),
     }
 
 
-def _write_analysis(out: Path, g: digraph.SensorDigraph, delays: DelayMatrix, sc_data: bytes,
-                    fingerprints: dict) -> None:
+def _write_analysis(out: Path, g: digraph.SensorDigraph, delays: DelayMatrix,
+                    sc_data: bytes) -> None:
     """analysis.json: `experiments.analyse_scenario` of the scenario in out,
     whose scenario.json holds sc_data, as a `run` without flags computes it,
-    with the fingerprints of the files it is computed from. None is written
-    for an analysis that raises: `run` computes it and raises in its own
-    order, and `gen` still writes the scenario."""
+    keyed by the fingerprint of scenario.json, which holds those of MIRRORED.
+    None is written for an analysis that raises: `run` computes it and raises
+    in its own order, and `gen` still writes the scenario."""
     file = out / "analysis.json"
     file.unlink(missing_ok=True)
     try:
@@ -115,7 +106,7 @@ def _write_analysis(out: Path, g: digraph.SensorDigraph, delays: DelayMatrix, sc
     except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
         print(f"{file} not written: {exc}", file=sys.stderr)
         return
-    _dump_json({"version": ANALYSIS_VERSION, "fingerprints": fingerprints,
+    _dump_json({"version": ANALYSIS_VERSION, "fingerprint": _fingerprint(sc_data),
                 **_analysis_record(g, analysis.prediction), "spectral_rates": analysis.rates},
                file)
 
@@ -168,7 +159,7 @@ def _write_scenario(
             out / "geometry.json",
         )
     sc_data = _dump_json({**_scenario_record(cfg), "links": links}, out / "scenario.json")
-    _write_analysis(out, g, delays, sc_data, _analysis_fingerprints(sc_data, links))
+    _write_analysis(out, g, delays, sc_data)
 
 
 def _gen_demo14(cfg: dict, out: Path) -> list[Path]:
@@ -250,16 +241,15 @@ def _load_documents(path: Path):
 
 
 def _load_scenario(path: Path):
-    """(digraph, delays, scenario.json, fingerprints) of a scenario directory:
+    """(digraph, delays, scenario.json, fingerprint) of a scenario directory:
     from links.npy while the JSON files match their fingerprints, else from
-    them. fingerprints (`_analysis_fingerprints`) are those of the files as
-    read from the table, and None from the JSON files, where no stored
-    analysis is read."""
+    them. fingerprint is that of scenario.json when read from the table, and
+    None from the JSON files, where no stored analysis is read."""
     sc, data = _read_json(path / "scenario.json")
     links = sc.get("links")
     if not _table_is_current(path, links):
         return (*_load_documents(path), sc, None)
-    return (*_load_table(path, links), sc, _analysis_fingerprints(data, links))
+    return (*_load_table(path, links), sc, _fingerprint(data))
 
 
 def _check_analysis(doc: dict, n: int) -> None:
@@ -270,10 +260,8 @@ def _check_analysis(doc: dict, n: int) -> None:
             raise ValueError(f"{what} must be a list of indices in [0, {n})")
 
     digraph.Connectivity(doc["connectivity"])
-    indices(doc["root_components"], "root_components")
-    indices(doc["unpredicted_nodes"], "unpredicted_nodes")
     clusters = doc["clusters"]
-    if not (isinstance(clusters, list) and len(clusters) == len(doc["root_components"])):
+    if not isinstance(clusters, list):
         raise ValueError("clusters must be a list of one cluster per root component")
     for cl in clusters:
         if not (isinstance(cl, dict) and cl.keys() == {"component", "nodes", "value"}
@@ -281,24 +269,26 @@ def _check_analysis(doc: dict, n: int) -> None:
             raise ValueError("a cluster must hold a component, its nodes and a float value")
         indices([cl["component"]], "a cluster's component")
         indices(cl["nodes"], "a cluster's nodes")
+    if len({cl["component"] for cl in clusters}) != len(clusters):
+        raise ValueError("clusters must be a list of one cluster per root component")
     rates = doc["spectral_rates"]
     if not (isinstance(rates, dict) and rates.keys() <= {"no_delay_spectrum", "kappa_bound"}
             and all(type(v) is float for v in rates.values())):
         raise ValueError("spectral_rates must map no_delay_spectrum and kappa_bound to floats")
 
 
-def _stored_analysis(path: Path, n: int, fingerprints: dict | None) -> dict | None:
+def _stored_analysis(path: Path, n: int, fingerprint: dict | None) -> dict | None:
     """The analysis `gen` stored in analysis.json while it is current: of
-    ANALYSIS_VERSION and computed from the files as read (fingerprints, from
+    ANALYSIS_VERSION and computed from the scenario as read (fingerprint, from
     `_load_scenario`); None otherwise. A current file that is malformed, or
     a file that is not a JSON object, raises a ValueError naming it."""
     file = path / "analysis.json"
-    if fingerprints is None or not file.is_file():
+    if fingerprint is None or not file.is_file():
         return None
     doc = _load_json(file)
     if not isinstance(doc, dict):
         raise ValueError(f"{file}: not a JSON object")
-    if doc.get("version") != ANALYSIS_VERSION or doc.get("fingerprints") != fingerprints:
+    if doc.get("version") != ANALYSIS_VERSION or doc.get("fingerprint") != fingerprint:
         return None
     try:
         _check_analysis(doc, n)
@@ -352,10 +342,10 @@ def _finalize_report(report: dict, out: Path) -> None:
 
 def cmd_run(args) -> int:
     path = Path(args.scenario)
-    g, delays, sc, fingerprints = _load_scenario(path)
+    g, delays, sc, fingerprint = _load_scenario(path)
     cfg = _sim_config(sc, args)
     gvals = _g_values(sc, g)
-    stored = _stored_analysis(path, g.n, fingerprints)
+    stored = _stored_analysis(path, g.n, fingerprint)
     out_dir = Path(args.out_dir or path)
     out_dir.mkdir(parents=True, exist_ok=True)
     # without a current stored analysis it is computed here, in the order in
@@ -376,7 +366,8 @@ def cmd_run(args) -> int:
         "predicted": {
             "global": len(clusters) == 1,
             "clusters": clusters,
-            "unpredicted_nodes": analysis["unpredicted_nodes"],
+            "unpredicted_nodes": sorted(
+                set(range(g.n)).difference(*(cl["nodes"] for cl in clusters))),
         },
     }
 
@@ -431,7 +422,7 @@ def cmd_run(args) -> int:
         "window": sync.window,
     }
     rates = dict(stored["spectral_rates"]) if stored else experiments.spectral_rates(g, cfg)
-    if sync.global_sync and len(analysis["root_components"]) == 1:
+    if sync.global_sync and len(clusters) == 1:
         rates["empirical_fit"], rates["empirical_residual"] = spectral.empirical_rate(
             traj, clusters[0]["value"]
         )

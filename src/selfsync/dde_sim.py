@@ -103,10 +103,6 @@ class Trajectory:
     clusters: SyncResult | None = None
     first_step: int = 0  # step of the first sample; > 0 for a "window" record
 
-    @property
-    def n(self) -> int:
-        return self.states.shape[1]
-
     def column(self, col: int) -> Trajectory:
         """Scalar view of one forcing column of a multi-column run."""
         return Trajectory(

@@ -54,20 +54,20 @@ class UnbiasReport:
 def _effective_tau(
     g: SensorDigraph, delays: DelayMatrix, cfg: SimConfig, quantize: bool
 ) -> np.ndarray:
-    """g's checked link delays, grid-rounded with quantize, zeros off the links."""
+    """g's checked link delays, in `SensorDigraph.links` order, grid-rounded with quantize."""
     link_tau = check_delays(g, delays)
-    if quantize:
-        link_tau = np.rint(link_tau / cfg.t_step) * cfg.t_step
-    tau = np.zeros((g.n, g.n))
-    tau[g.links] = link_tau
-    return tau
+    return np.rint(link_tau / cfg.t_step) * cfg.t_step if quantize else link_tau
 
 
 def _delay_term(
-    g: SensorDigraph, tau: np.ndarray, gamma: np.ndarray, k_gain: float
+    g: SensorDigraph, link_tau: np.ndarray, gamma: np.ndarray, k_gain: float
 ) -> float:
-    # all n x n pairs: a sum over g.links would move omega* in its last digit
-    return float(k_gain * np.sum(gamma[:, None] * g.weights * tau))
+    """K sum_ij gamma_i a_ij tau_ij, bit for bit as K * np.sum(gamma[:, None]
+    * weights * tau): np.sum adds each link's product at its place in a zero
+    n x n array, in the order in which it adds the dense entries."""
+    terms = np.zeros((g.n, g.n))
+    terms[g.links] = gamma[g.dst] * g.link_weights * link_tau
+    return float(k_gain * np.sum(terms))
 
 
 def predict_consensus(
@@ -93,8 +93,8 @@ def predict_consensus(
     return _predict(g, _effective_tau(g, delays, cfg, quantize_delays), cfg, g_values, q_mats)
 
 
-def _predict(g: SensorDigraph, tau: np.ndarray, cfg: SimConfig, g_values, q_mats=None):
-    """`predict_consensus` with the effective delays tau (`_effective_tau`)."""
+def _predict(g: SensorDigraph, link_tau: np.ndarray, cfg: SimConfig, g_values, q_mats=None):
+    """`predict_consensus` with the effective link delays (`_effective_tau`)."""
     gv = np.asarray(g_values, dtype=float)
     columns = gv.ndim == 2
     if q_mats is None:
@@ -105,7 +105,7 @@ def _predict(g: SensorDigraph, tau: np.ndarray, cfg: SimConfig, g_values, q_mats
         q = np.asarray(q_mats, dtype=float)
     clusters = []
     for k, gam in g.root_gammas.items():
-        delay = _delay_term(g, tau, gam, cfg.k_gain)
+        delay = _delay_term(g, link_tau, gam, cfg.k_gain)
         if q_mats is None:
             gq = float(np.sum(gam * c))
             omega = np.sum(gam * c * rows, axis=1) / (gq + delay)
@@ -232,10 +232,10 @@ def predict_intercepts(
 ) -> np.ndarray:
     """Minimum-norm intercepts of the straight-line solution x*(t) = w* t + x0,
     via the generalized inverse of the Laplacian; QSC digraphs only."""
-    tau = _effective_tau(g, delays, cfg, quantize_delays)
-    omega = float(_predict(g, tau, cfg, g_values).omega_star)
+    link_tau = _effective_tau(g, delays, cfg, quantize_delays)
+    omega = float(_predict(g, link_tau, cfg, g_values).omega_star)
     c = cfg.c_array(g.n)
     gvals = np.broadcast_to(np.asarray(g_values, dtype=float), (g.n,))
-    delay_load = (g.weights * tau).sum(axis=1)  # sum_j a_ij tau_ij per receiver
+    delay_load = np.bincount(g.dst, g.link_weights * link_tau, minlength=g.n)  # sum_j a_ij tau_ij
     delta_omega = gvals - omega * (1.0 + cfg.k_gain / c * delay_load)
     return (1.0 / cfg.k_gain) * np.linalg.pinv(laplacian(g)) @ (c * delta_omega)

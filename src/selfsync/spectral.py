@@ -9,6 +9,9 @@ from .digraph import Connectivity, SccDecomposition, SensorDigraph
 from .netgen import check_delays
 
 
+FIT_START = 0.05  # share of an `empirical_rate` record left out of the fit as transient
+
+
 class SpectralError(ValueError):
     pass
 
@@ -124,7 +127,7 @@ def characteristic_function(s: complex, g: SensorDigraph, delays, k) -> complex:
     return complex(np.linalg.det(mat))
 
 
-def characteristic_scale(g: SensorDigraph, delays, k) -> float:
+def characteristic_scale(g: SensorDigraph, k) -> float:
     """Hadamard-style magnitude bound for |p(0)|, for relative zero tests."""
     k = np.asarray(k, dtype=float)
     # the diagonal plus the off-diagonal absolute row sum: the weights are nonnegative
@@ -158,7 +161,7 @@ def _max_deviation(d: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return _running_max(dev.reshape(len(d), -1).T)
 
 
-def empirical_rate(traj, omega_star, fit_start: float = 0.05) -> tuple[float, float]:
+def empirical_rate(traj, omega_star) -> tuple[float, float]:
     """(slope, rms residual) of the least-squares fit of log ||xdot(t) -
     omega*||_inf after the transient; (0.0, 0.0) when there is nothing to fit.
 
@@ -173,7 +176,7 @@ def empirical_rate(traj, omega_star, fit_start: float = 0.05) -> tuple[float, fl
     scale = max(np.abs(omega).max(), 1.0)
     if err.max() < 1e-12 * scale:
         return 0.0, 0.0
-    start = max(int(fit_start * len(err)), 1)
+    start = max(int(FIT_START * len(err)), 1)
     e0 = err[start:].max()
     floor = max(1e-9 * e0, 1e-13 * scale)
     mask = np.zeros(len(err), dtype=bool)

@@ -1032,15 +1032,14 @@ def test_gen_stores_the_analysis_of_the_scenario_as_run_loads_it(
     with lanes_module.one_blas_thread():  # as every command runs
         analysis = experiments.analyse_scenario(g, delays, cfg, cli._g_values(sc, g))
     scc, pred = digraph.scc_decompose(g), analysis.prediction
+    assert [cl.component for cl in pred.clusters] == scc.root_components
     want = {
         "version": cli.ANALYSIS_VERSION,
-        "fingerprints": {name: cli._fingerprint((scen / name).read_bytes())
-                         for name in ("scenario.json", "digraph.json", "delays.json")},
+        # scenario.json holds the fingerprints of the files links.npy mirrors
+        "fingerprint": cli._fingerprint((scen / "scenario.json").read_bytes()),
         "connectivity": scc.connectivity_class.value,
-        "root_components": scc.root_components,
         "clusters": [{"component": cl.component, "nodes": sorted(cl.nodes), "value": cl.omega}
                      for cl in pred.clusters],
-        "unpredicted_nodes": sorted(pred.unpredicted),
         "spectral_rates": analysis.rates,
     }
     assert want["spectral_rates"] or name == "wc"
@@ -1071,6 +1070,15 @@ def test_run_reports_alike_whether_the_analysis_is_current_deleted_stale_or_fore
     write_json(analysis, {**doc, "version": cli.ANALYSIS_VERSION + 1, "spectral_rates": {},
                           "clusters": [{**cl, "value": 0.5} for cl in doc["clusters"]]})
     assert run_outputs(capsys, scen, tmp_path / "foreign", flags) == current
+    # nor is one of version 1, which was keyed by three fingerprints and
+    # stored the root components and unpredicted nodes beside the clusters
+    write_json(analysis, {
+        "version": 1, "connectivity": doc["connectivity"], "spectral_rates": {},
+        "fingerprints": {name: cli._fingerprint((scen / name).read_bytes())
+                         for name in ("scenario.json", "digraph.json", "delays.json")},
+        "root_components": [cl["component"] for cl in doc["clusters"]],
+        "clusters": [{**cl, "value": 0.5} for cl in doc["clusters"]], "unpredicted_nodes": []})
+    assert run_outputs(capsys, scen, tmp_path / "version1", flags) == current
     analysis.unlink()
     assert run_outputs(capsys, scen, tmp_path / "deleted", flags) == current
     # an edited scenario.json leaves the analysis stale: the run reports the

@@ -241,6 +241,12 @@ def test_sc_topology_is_single_component():
     assert scc.connectivity_class is Connectivity.SC
 
 
+@pytest.mark.parametrize("n, n_roots", [(5, 2), (8, 3)])
+def test_random_wc_multiroot_needs_three_nodes_per_root(n, n_roots):
+    with pytest.raises(ValueError, match="at least three nodes per root"):
+        topologies.random_wc_multiroot(n, np.random.default_rng(0), n_roots=n_roots)
+
+
 def test_wc_topology_has_two_roots():
     scc = scc_decompose(topologies.wc_two_root_14())
     assert scc.connectivity_class is Connectivity.WC

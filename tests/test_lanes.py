@@ -1,5 +1,6 @@
 """Lanes: tasks run side by side in forked children, outcomes as in process."""
 
+import ctypes
 import errno
 import os
 
@@ -100,3 +101,22 @@ def test_lane_count_is_at_most_the_idle_cpus_and_at_least_one(monkeypatch):
     assert [lanes_module._lane_count(w) for w in (1, 2, 5)] == [1, 2, 3]
     monkeypatch.setattr(lanes_module, "_lane_cpus", lambda: -1)
     assert lanes_module._lane_count(2) == 1
+
+
+def unreadable(*args, **kwargs):
+    raise OSError(errno.ENOENT, "no such file")
+
+
+def test_without_a_readable_proc_file_there_is_one_lane_and_no_known_cpu(monkeypatch):
+    monkeypatch.setattr(lanes_module, "open", unreadable, raising=False)
+    assert lanes_module._lane_cpus() == 1
+    assert lanes_module._current_cpu() is None
+
+
+def test_without_the_openblas_function_blas_is_left_alone(monkeypatch):
+    assert lanes_module._openblas("no_such_function", ctypes.c_int) is None
+    get_threads = lanes_module._openblas("get_num_threads", ctypes.c_int)
+    before = get_threads() if get_threads else None
+    monkeypatch.setattr(lanes_module, "_openblas", lambda name, *types: None)
+    with lanes_module.one_blas_thread():
+        assert (get_threads() if get_threads else None) == before

@@ -68,6 +68,13 @@ def test_speed_for_max_delay_hits_target():
     assert longest_delay(delays_from_geometry(scaled)) == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("nodes, tau_max", [(10, 0.0), (10, -0.1), (1, 0.1)])
+def test_speed_for_max_delay_needs_distinct_nodes_and_a_positive_delay(nodes, tau_max):
+    # a single node has no distinct pair: its largest distance is 0
+    with pytest.raises(ValueError, match="need distinct nodes and tau_max > 0"):
+        speed_for_max_delay(place_nodes(nodes, 4.0, rng_seed=2), tau_max)
+
+
 # ---------------------------------------------------------------- channels
 
 

@@ -1,6 +1,7 @@
 """Consensus prediction, bias-removal protocols, and intercepts."""
 
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfsync import digraph, protocols, spectral, topologies
+from selfsync import digraph, experiments, protocols, spectral, topologies
 from selfsync.dde_sim import DelayMatrix, SimConfig, detect_sync_auto, simulate
 from selfsync.digraph import laplacian, new_digraph, scc_decompose
 from selfsync.protocols import (
@@ -249,6 +250,71 @@ def test_unified_predictor_matches_reference_formulas(seed, n, kind, quantize, n
     )
 
 
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=13, max_value=200),
+    kind=st.sampled_from(["sc", "qsc", "multi"]),
+    quantize=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_delay_terms_equal_the_dense_formula_bit_for_bit_past_one_pairwise_block(
+    seed, n, kind, quantize
+):
+    # n * n > 128 entries: numpy's pairwise sum splits the dense array, so
+    # the per-link products must sit where the dense formula has them
+    rng = np.random.default_rng(seed)
+    shape = oracle_digraph(kind, n, rng)
+    g = new_digraph(shape.weights * 10.0 ** rng.uniform(-1.5, 1.5, (n, n)))  # three decades
+    delays = DelayMatrix(tau=rng.uniform(0.0, 0.05, (n, n)))
+    cfg = SimConfig(t_step=1e-3, k_gain=float(rng.uniform(1.0, 30.0)),
+                    c_weights=rng.uniform(0.5, 2.0, n))
+    gv = rng.normal(1.0, 0.5, n)
+    pred = predict_consensus(g, delays, cfg, gv, quantize_delays=quantize)
+    ref_clusters, _ = reference_clusters(g, delays, cfg, gv, quantize)
+    tau = reference_tau(delays, cfg, quantize)
+    for cl in pred.clusters:
+        assert cl.omega == ref_clusters[cl.component][1]
+        assert cl.delay_term == float(cfg.k_gain * np.sum(cl.gamma[:, None] * g.weights * tau))
+
+
+def run_n300_network():
+    """A digraph and delays made as run-n300's: 300 nodes, about 11k links."""
+    cfg = {"n": 300, "d_side": 7.75, "tau_max": 0.05, "threshold": 0.5}
+    return experiments.random_network(cfg, 3)[1:]
+
+
+def test_a_prediction_on_cached_root_gammas_builds_no_weights_and_no_dense_tau():
+    g, delays = run_n300_network()
+    # g's own gammas, computed on a copy of its links, whose Laplacian builds the weights
+    vars(g)["root_gammas"] = digraph.keep_links(g, np.ones(g.dst.size, dtype=bool)).root_gammas
+    rng = np.random.default_rng(0)
+    cfg = SimConfig(t_step=1e-3, k_gain=5.0, c_weights=rng.uniform(0.5, 2.0, g.n))
+    a = rng.normal(size=(g.n, 2, 2))
+    q = a @ a.transpose(0, 2, 1) + 2.0 * np.eye(2)
+    for g_values, q_mats in ((np.ones(g.n), None), (rng.normal(1.0, 0.5, (g.n, 3)), None),
+                             (rng.normal(1.0, 0.5, (g.n, 2)), q)):
+        for quantize in (False, True):
+            predict_consensus(g, delays, cfg, g_values, q_mats, quantize_delays=quantize)
+            assert protocols._effective_tau(g, delays, cfg, quantize).shape == g.dst.shape
+    assert "weights" not in vars(g)
+
+
+def test_a_prediction_holds_about_one_n_by_n_array_above_its_inputs():
+    """At n = 300, the sum's zero n x n array (0.72 MB) and a few arrays of
+    one value per link; a dense tau and its product with the weights took
+    three times that array."""
+    g, delays = run_n300_network()
+    assert g.root_gammas  # cached, as after a first prediction
+    cfg = SimConfig(t_step=1e-3, k_gain=5.0)
+    tracemalloc.start()
+    try:
+        predict_consensus(g, delays, cfg, np.ones(g.n), quantize_delays=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * g.n * g.n * 8
+
+
 @pytest.mark.parametrize("mode", ["predict", "simulate"])
 def test_gamma_protocol_op_solves_gamma_once(monkeypatch, mode):
     calls = {"gamma": 0, "scc": 0}
@@ -315,6 +381,14 @@ def test_two_step_simulation_mode_matches_prediction():
     pred = two_step_unbias(g, delays, cfg, gv, mode="predict")
     assert sim.ratio == pytest.approx(pred.ratio, rel=1e-6)
     assert sim.mode == "simulate"
+
+
+def test_two_step_rejects_a_unit_forcing_consensus_that_is_numerically_zero():
+    # omega_one = sum gamma c / (sum gamma c + K * delay term), about 1e-306 at K = 1e305
+    g = topologies.sc_14()
+    cfg = SimConfig(t_step=1e-3, k_gain=1e305)
+    with pytest.raises(ProtocolError, match="unit-forcing consensus is numerically zero"):
+        two_step_unbias(g, DelayMatrix.uniform(14, 0.05), cfg, np.ones(14), mode="predict")
 
 
 def test_two_step_unknown_mode_rejected():
@@ -423,6 +497,19 @@ def test_intercept_differences_match_trajectory_gaps():
     line = pred.omega_star * traj.times[-1] + x0
     line_gaps = line - line.mean()
     np.testing.assert_allclose(gaps, line_gaps, atol=1e-6)
+
+
+def test_intercepts_equal_the_dense_formula_with_heterogeneous_delays():
+    rng = np.random.default_rng(4)
+    g = topologies.random_qsc(30, rng)
+    delays = DelayMatrix(tau=rng.uniform(0.0, 0.05, (30, 30)))
+    cfg = SimConfig(t_step=1e-3, k_gain=8.0, c_weights=rng.uniform(0.5, 2.0, 30))
+    gv, c = rng.normal(1.0, 0.5, 30), cfg.c_array(30)
+    omega = predict_consensus(g, delays, cfg, gv).omega_star
+    load = (g.weights * delays.tau).sum(axis=1)
+    want = np.linalg.pinv(laplacian(g)) @ (c * (gv - omega * (1.0 + cfg.k_gain / c * load)))
+    np.testing.assert_allclose(predict_intercepts(g, delays, cfg, gv), want / cfg.k_gain,
+                               rtol=1e-12, atol=1e-12 * np.abs(want).max() / cfg.k_gain)
 
 
 def test_intercepts_require_qsc():
