@@ -144,6 +144,9 @@ _CHUNK = 256
 _BLOCK_ENTRIES = 1 << 16
 # unchecked states that trigger the non-finite check
 _CHECK_EVERY = 64
+# longest run of entries whose coupling sum np.bincount forms as np.add.reduceat
+# does: below 8 terms numpy's pairwise sum adds in order
+_BINCOUNT_RUN = 8
 # steps of coupling noise drawn per generator call
 _NOISE_STEPS = 64
 # shortest block length s whose self term is solved by the cumulative-sum scan
@@ -283,16 +286,16 @@ def _label(members, offsets, node: int) -> str:
     return members[int(np.searchsorted(offsets, node, side="right")) - 1].label
 
 
-def _check_finite(x: np.ndarray, lo: int, hi: int, last_step: int, members, offsets) -> None:
-    """Raise at the first non-finite state among rows lo..hi-1 of x, whose
-    row hi-1 holds the state of step last_step, naming its member."""
-    ok = np.isfinite(x[lo:hi])
+def _check_finite(x: np.ndarray, last_step: int, members, offsets) -> None:
+    """Raise at the first non-finite state among the rows of x, whose last
+    row holds the state of step last_step, naming its member."""
+    ok = np.isfinite(x)
     if not ok.all():
-        bad = int(np.argmin(ok.reshape(hi - lo, -1).all(axis=1)))
+        bad = int(np.argmin(ok.reshape(len(x), -1).all(axis=1)))
         node = int(np.argmin(ok[bad].all(axis=1)))
         raise SimulationError(
             f"{_label(members, offsets, node)}non-finite state at step "
-            f"{last_step - (hi - 1 - lo) + bad}"
+            f"{last_step - (len(x) - 1) + bad}"
         )
 
 
@@ -329,19 +332,20 @@ def _simulate_core(
 
         x_{t+j} = a^(j-s) (a^s x_t + sum_{i<j} T a^(s-1-i) d_i),
 
-    by five calls whatever s is: the block's d times the tabulated
-    T a^(s-1-i), a^s x_t, its sum into row 0, one cumulative sum along the
-    block and a product with the tabulated a^(j-s). Only powers a^k with
-    k >= 0 scale the summands, so no partial sum outgrows the states it makes.
-    The tables are built once per call; the derivative is then
-    d - k_i d_in(i) x. The scan's rounding depends on where blocks start, so
-    its blocks start at multiples of s from step 0 whatever the record or
+    by four calls whatever s is: a^s x_t as row 0 of the block's d times the
+    tabulated T a^(s-1-i), one cumulative sum along the block and a product
+    with the tabulated a^(j-s). Only powers a^k with k >= 0 scale the
+    summands, so no partial sum outgrows the states it makes. The tables are
+    built once per call. The scan's rounding depends on where blocks start,
+    so its blocks start at multiples of s from step 0 whatever the record or
     block size; only the horizon cuts one short.
 
     States are checked for non-finite values once _CHECK_EVERY unchecked ones
-    have piled up, before each compaction and at the end; a scanned block
-    checks its derivative rows, which overflow a step before the state does.
-    A failure is reported at the first step a per-step run finds it.
+    have piled up, before each compaction, before the window's first block
+    and at the end. A scanned block leaves its derivative rows pending; each
+    check first forms d - k_i d_in(i) x over every pending row and checks
+    them, since they overflow a step before the state does. A failure is
+    reported at the first step a per-step run finds it.
     """
     offsets = np.cumsum([0] + [len(mb.indeg) for mb in members])
     n = int(offsets[-1])
@@ -350,6 +354,7 @@ def _simulate_core(
     span = min(mb.span for mb in members)
     scan = members[0].scans
     first = min(mb.first for mb in members)
+    g_vals = np.concatenate([mb.g_vals for mb in members])
     # The coupling sum_j a_ij (x_j(t - tau_ij) - x_i(t)) equals sum_j b_ij
     # x_j(t - tau_ij). The members' entry lists, shifted to the union's node
     # numbers, are grouped by (node i, coordinate l) with sources ascending,
@@ -366,14 +371,25 @@ def _simulate_core(
     weight = np.repeat(np.concatenate([mb.weight for mb in members]), dim)[order]
     lagged_src = src + (mmax - lag) * n
     idx = (lagged_src[:, None] * dim + coord).ravel()[order]
-    # the entry list tiled once for the longest gather
     per_step, row = idx.size, n * dim
+    # Runs p0..pk of at most _BINCOUNT_RUN entries sum by one np.bincount:
+    # listed as p1..pk, p0 (rank-major, so that no neighbours share a bin),
+    # it adds reduceat's p0 + (((p1 + p2) + ...) + pk) but from +0.0, which
+    # moves only an all -0.0 sum, seen only through k c + g with g = -0.0.
+    length = np.diff(np.r_[starts, per_step])
+    short = length.max() <= _BINCOUNT_RUN and not np.signbit(g_vals[g_vals == 0]).any()
+    key, key_step = starts, per_step
+    if short:
+        run = np.repeat(np.arange(row), length)
+        order = np.lexsort((run, (np.arange(per_step) - starts[run] - 1) % length[run]))
+        idx, weight, key, key_step = idx[order], weight[order], run[order], row
+    # the entry list tiled once for the longest gather
     smax = max(min(span, _BLOCK_ENTRIES // per_step), 1)
     block = span if scan else smax
     shift = np.arange(smax)[:, None]
     idx = (idx + shift * row).ravel()
     weight = np.tile(weight, smax)
-    starts = (starts + shift * per_step).ravel()
+    key = key + shift * key_step  # one row per step
     if record == "full":
         rows = mmax + horizon + 1
     else:
@@ -383,15 +399,19 @@ def _simulate_core(
     past = np.arange(-mmax, 1) * t_step
     for mb, lo, hi in zip(members, offsets, offsets[1:]):
         x[: mmax + 1, lo:hi] = mb.cfg.init.evaluate(past, hi - lo, dim)
-    base = first  # step of deriv's first row
+    start = first - first % block  # step of the block that holds `first`
+    base = start  # step of deriv's first row
     if record == "node_mean":
         # the derivatives of the steps since the last compaction: at most
         # a chunk, plus the last step's
         deriv = np.empty((rows - mmax, n, dim))
         means = [np.empty((horizon + 1, dim)) for _ in members]
     else:
-        deriv = np.empty((horizon + 1 - first, n, dim))
+        deriv = np.empty((horizon + 1 - start, n, dim))
     states = np.empty_like(deriv) if record == "window" else x[mmax:rows]
+    # the most derivative rows a check finds pending; `skipped` holds them before `start`
+    pending = -(-_CHECK_EVERY // block) * block
+    skipped = np.empty((pending, n, dim)) if start else None
 
     def reduce_means(stop: int) -> None:
         for mean, lo, hi in zip(means, offsets, offsets[1:]):
@@ -399,14 +419,37 @@ def _simulate_core(
                 mean[base:stop, col] = deriv[: stop - base, lo:hi, col].mean(axis=1)
 
     def gathers(s: int) -> list[tuple]:
-        """(entries, weights, run starts, first step, steps) of each gather of
+        """(entries, weights, sum keys, first step, steps) of each gather of
         a block of s steps: one, unless a scanned block exceeds smax steps."""
         cuts = [(p, min(smax, s - p)) for p in range(0, s, smax)]
-        return [(idx[: k * per_step], weight[: k * per_step], starts[: k * row], p, k)
+        return [(idx[: k * per_step], weight[: k * per_step], key[:k].ravel(), p, k)
                 for p, k in cuts]
 
+    def derivatives(lo: int, hi: int) -> np.ndarray:
+        """The derivative rows of steps lo..hi-1, which never span `start`."""
+        return skipped[lo - done : hi - done] if lo < start else deriv[lo - base : hi - base]
+
+    def settle() -> None:
+        """Form and check a scan's pending derivative rows, of steps
+        done..step-1, then check the states up to row cur. A non-finite row
+        of step t fails at its state, or else at the state of step t + 1."""
+        nonlocal checked, done
+        last = min(step, horizon)  # the step of row cur
+        if scan and done < step:
+            d, product = derivatives(done, step), settled[: step - done]
+            apply(self_gain, x[cur - last + done : cur - last + step], out=product)
+            d -= product
+            bad = np.flatnonzero(~np.isfinite(d).reshape(len(d), -1).all(axis=1))
+            if bad.size:
+                t = done + int(bad[0])
+                _check_finite(x[checked + 1 : cur - last + t + 1], t, members, offsets)
+                if t < horizon:
+                    _check_finite(d[bad[0] : bad[0] + 1], t + 1, members, offsets)
+        done = step
+        _check_finite(x[checked + 1 : cur + 1], last, members, offsets)
+        checked = cur
+
     whole = gathers(block)  # the gathers of a whole block
-    skipped = np.empty((block, n, dim))  # derivatives of steps before the window
     xf = x.reshape(-1)
     kq = np.concatenate([mb.kq for mb in members])
     self_gain = np.concatenate(
@@ -443,10 +486,10 @@ def _simulate_core(
         lead, back = np.empty_like(power), np.empty_like(power)
         lead[-1], lead[:-1] = t_step * one, t_step * power[-2::-1]
         back[-1], back[:-1] = one, inverse(power[-2::-1])
-        z, zbuf = np.empty((span, n, dim)), np.empty((span, n, dim))
+        z, zbuf = np.empty((span + 1, n, dim)), np.empty((span + 1, n, dim))
+        settled = np.empty((pending, n, dim))
     else:
         tmp = np.empty((n, dim))
-    g_vals = np.concatenate([mb.g_vals for mb in members])
     # Each noisy member's stream is drawn _NOISE_STEPS steps ahead, spread
     # over its columns. Consecutive draws split one stream, so block k reads
     # the values its own (s, n_b, cols) draw would give.
@@ -463,11 +506,11 @@ def _simulate_core(
             spans.append([lo, hi])
     noise, used = np.empty((0, n, dim)), 0
     cur = checked = mmax
-    step = 0
+    step = done = 0  # derivative rows from step `done` on are pending
     with np.errstate(over="ignore", invalid="ignore"):
         while step <= horizon:
             if step < horizon and cur + 1 == rows:  # only in a bounded record
-                _check_finite(x, checked + 1, cur + 1, step, members, offsets)
+                settle()
                 x[: mmax + 1] = x[cur - mmax : cur + 1]
                 cur = checked = mmax
                 if record == "node_mean":
@@ -475,11 +518,12 @@ def _simulate_core(
                     base = step
             s = block if step + block <= horizon else horizon + 1 - step
             new = s if step + s <= horizon else s - 1  # states this block writes
-            d = deriv[step - base : step - base + s] if step >= first else skipped[:s]
-            for gi, gw, gs, p, k in whole if s == block else gathers(s):
+            d = derivatives(step, step + s)
+            for gi, gw, gk, p, k in whole if s == block else gathers(s):
                 gathered = xf[(cur - mmax + p) * row :][gi]
                 np.multiply(gathered, gw, out=gathered)
-                c = np.add.reduceat(gathered, gs).reshape(k, n, dim)
+                c = (np.bincount(gk, gathered, k * row) if short
+                     else np.add.reduceat(gathered, gk)).reshape(k, n, dim)
                 dk = d if k == s else d[p : p + k]
                 if k_over_c is not None:
                     np.multiply(k_over_c, c, out=dk)
@@ -516,36 +560,19 @@ def _simulate_core(
                     nxt += xk
             else:
                 # x_{t+j} = a^(j-s) (a^s x_t + sum_{i<j} T a^(s-1-i) d_i),
-                # with the tables' last s rows for a block cut short
-                xs, zs, buf = x[cur : cur + s + 1], z[:s], zbuf[:s]
-                apply(lead[span - s :], d, out=zs)
-                apply(power[s - 1], xs[0], out=xs[s])
-                zs[0] += xs[s]
+                # with the tables' last s rows for a block cut short; the
+                # derivative rows d - k_i d_in(i) x wait for `settle`
+                xs, zs, buf = x[cur : cur + s + 1], z[: s + 1], zbuf[: s + 1]
+                apply(power[s - 1], xs[0], out=zs[0])
+                apply(lead[span - s :], d, out=zs[1:])
                 np.add.accumulate(zs, axis=0, out=buf)  # np.cumsum without its wrapper
-                apply(back[span - s :], buf, out=xs[1:])
-                apply(self_gain, xs[:-1], out=buf)
-                d -= buf
-                if not np.isfinite(d).all():
-                    j = int(np.argmin(np.isfinite(d).reshape(s, -1).all(axis=1)))
-                    _check_finite(x, checked + 1, cur + j + 1, step + j, members, offsets)
-                    if step + j < horizon:
-                        node = int(np.argmin(np.isfinite(d[j]).all(axis=1)))
-                        raise SimulationError(
-                            f"{_label(members, offsets, node)}non-finite state at step "
-                            f"{step + j + 1}"
-                        )
-                # a finite derivative row vouches for its state
-                checked = cur + s - 1
-            if record == "window" and step + s > first:
-                lo = max(first - step, 0)
-                if lo:  # the block that holds the window's first step
-                    deriv[: s - lo] = d[lo:]
-                states[step + lo - first : step + s - first] = x[cur + lo : cur + s]
+                apply(back[span - s :], buf[1:], out=xs[1:])
+            if record == "window" and step >= start:
+                states[step - start : step + s - start] = x[cur : cur + s]
             cur += new
             step += s
-            if cur - checked >= _CHECK_EVERY or step > horizon:
-                _check_finite(x, checked + 1, cur + 1, min(step, horizon), members, offsets)
-                checked = cur
+            if cur - checked >= _CHECK_EVERY or step > horizon or step == start:
+                settle()
     if record == "node_mean":
         reduce_means(horizon + 1)
         return [
@@ -555,8 +582,8 @@ def _simulate_core(
     return [
         Trajectory(
             times=np.arange(mb.first, horizon + 1) * t_step,
-            states=states[mb.first - first :, lo:hi],
-            derivatives=deriv[mb.first - first :, lo:hi],
+            states=states[mb.first - start :, lo:hi],
+            derivatives=deriv[mb.first - start :, lo:hi],
             t_step=t_step,
             first_step=mb.first,
         )

@@ -83,7 +83,9 @@ def consensus_function(h, g_values, c) -> float:
     g = np.asarray(g_values, dtype=float)
     if np.any(c <= 0):
         raise ModelError("weights c_i must be positive")
-    return h(float(np.sum(c * g) / np.sum(c)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a run reports the overflow
+        mean = float(np.sum(c * g) / np.sum(c))
+    return h(mean)
 
 
 def consensus_function_vector(h, g_vecs, c_mats) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Discrete-time integrator and synchronization detection."""
 
+import functools
 import os
 import re
 import subprocess
@@ -1129,15 +1130,24 @@ def test_scanned_records_equal_slices_of_the_full_record(runs, chunk):
     assert_records_are_slices_of_the_full_record(runs, chunk)
 
 
-@pytest.mark.parametrize(
-    "graph, lag, gain",
-    [("two_node", 7, 1.2), ("two_node", 10, 1.9), ("two_node", 50, 1.9),
-     ("ring3", 8, 1.5), ("ring3", 64, 1.9)],
-)
-@pytest.mark.parametrize("record", dde_sim.RECORDS)
-def test_scan_divergence_reported_at_same_step_as_dense_reference(graph, lag, gain, record):
-    # T_s * K * in_degree = gain passes the step-size guard; the scanned
-    # state overflows later than the dense step's k_i d_in(i) x_i does
+SCAN_DIVERGENCES = [("two_node", 7, 1.2), ("two_node", 10, 1.9), ("two_node", 50, 1.9),
+                    ("ring3", 8, 1.5), ("ring3", 64, 1.9)]
+# where the failing derivative row of a scan waits until it is formed and
+# checked: at the periodic check, at the end of a full record, at a compaction
+# of a bounded record, or in the buffer of the rows before the window
+PENDING = {
+    "checked": {},
+    "to_the_end": {"_CHECK_EVERY": 1 << 15},
+    "compaction": {"_CHECK_EVERY": 1 << 15, "_CHUNK": 100},
+    "before_window": {"_CHECK_EVERY": 1 << 15, "_CHUNK": 1 << 15},
+}
+
+
+@functools.cache
+def scan_divergence(graph, lag, gain):
+    """A run whose scanned state overflows, and the dense reference's error:
+    T_s * K * in_degree = gain passes the step-size guard, and the scanned
+    state overflows later than the dense step's k_i d_in(i) x_i does."""
     g = two_node() if graph == "two_node" else ring3()
     m = np.where(g.weights > 0.0, lag, 0)
     gv = np.array([1.0, 0.0, -0.5])[: g.n]
@@ -1145,10 +1155,147 @@ def test_scan_divergence_reported_at_same_step_as_dense_reference(graph, lag, ga
     kq = np.full((g.n, 1, 1), gain)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationError) as ref:
         dense_core_reference(g.weights, m, kq, gv[:, None], 1.0, cfg.horizon, cfg.init, 0.0, 0)
-    with pytest.raises(SimulationError) as got:
-        simulate(g, DelayMatrix(tau=m * 1.0), cfg, gv, record=record)
     assert "non-finite state at step" in str(ref.value)
-    assert str(got.value) == str(ref.value)
+    return (g, DelayMatrix(tau=m * 1.0), cfg, gv), str(ref.value)
+
+
+SCAN_PENDING = [("full", "checked"), ("window", "checked"), ("node_mean", "checked"),
+                ("full", "to_the_end"), ("window", "compaction"), ("node_mean", "compaction"),
+                ("window", "before_window")]
+
+
+@pytest.mark.parametrize("graph, lag, gain", SCAN_DIVERGENCES)
+@pytest.mark.parametrize(
+    "record, pending", SCAN_PENDING,
+    ids=[record if pending == "checked" else f"{record}_{pending}"
+         for record, pending in SCAN_PENDING],
+)
+def test_scan_divergence_reported_at_same_step_as_dense_reference(
+    graph, lag, gain, record, pending
+):
+    (g, delays, cfg, gv), want = scan_divergence(graph, lag, gain)
+    if pending == "before_window":
+        # the window's first step lies s + 1 steps past the failing one, so
+        # the row waits for the check before the window's first block
+        fail = int(want.rsplit(" ", 1)[1])
+        cfg = replace(cfg, horizon=2 * (fail + lag + 1) + 1, sync_window_frac=0.5)
+        assert cfg.horizon + 1 - cfg.sync_window(cfg.horizon + 1) == fail + lag + 2
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in PENDING[pending].items():
+            mp.setattr(dde_sim, name, value)
+        with pytest.raises(SimulationError) as got:
+            simulate(g, delays, cfg, gv, record=record)
+    assert str(got.value) == want
+
+
+@st.composite
+def run_length_cases(draw):
+    """1..4 members whose (node, column) runs hold 1 to 9 entries: every node
+    hears 0 to 8 others, plus its own entry at s = 1. Scalar and vector gains,
+    clean and noisy members, some that start at zero (products of exact zeros
+    of both signs), and nodes that hear nobody forced by -0.0 or +0.0."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    t_step = 2.0**-7
+    horizon = int(rng.integers(1, 300))
+    record = draw(st.sampled_from(dde_sim.RECORDS))
+    vector_dim = int(rng.integers(1, 4))
+    runs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        n = int(rng.integers(1, 11))
+        w = np.zeros((n, n))
+        for i in range(n):
+            heard = rng.choice(np.delete(np.arange(n), i), int(rng.integers(min(n, 9))),
+                               replace=False)
+            w[i, heard] = rng.uniform(0.1, 1.0, heard.size)
+        low = int(rng.choice([0, 1, 3, 8, 12]))  # s = 1, stepped and scanned
+        lags = rng.integers(low, low + 4, (n, n))
+        start = rng.random() < 0.3
+        cfg = SimConfig(
+            t_step=t_step,
+            k_gain=float(rng.uniform(0.5, 2.0)),
+            c_weights=rng.uniform(0.5, 2.0, n),
+            horizon=horizon,
+            noise_std=float(rng.choice([0.0, 0.1])),
+            rng_seed=int(rng.integers(1000)),
+            sync_window_frac=float(rng.uniform(0.01, 1.0)),
+            init=InitialCondition() if start else InitialCondition(
+                slopes=rng.normal(size=n), intercepts=rng.normal(size=n)),
+        )
+        g, delays = new_digraph(w), DelayMatrix(tau=lags * t_step)
+        vector = rng.random() < 0.4
+        gv = rng.normal(size=(n, vector_dim if vector else int(rng.integers(1, 4))))
+        deaf = w.sum(axis=1) == 0.0
+        gv[deaf] = rng.choice([0.0, -0.0], gv[deaf].shape)
+        q = None
+        if vector:
+            a = rng.normal(size=(n, vector_dim, vector_dim))
+            q = a @ a.transpose(0, 2, 1) + 0.5 * np.eye(vector_dim)
+        runs.append((g, delays, cfg, gv, q, record))
+    return runs
+
+
+def longest_run(runs) -> int:
+    return max(int(np.bincount(dde_sim._member(dde_sim.SimRun(*run), "").dst).max())
+               for run in runs)
+
+
+def batch_and_solo_records(runs, bound):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dde_sim, "_BINCOUNT_RUN", bound)
+        batch = [record_bytes(rec) for rec in simulate_batch(runs)]
+        assert batch == [record_bytes(simulate(*run)) for run in runs]
+    return batch
+
+
+@given(run_length_cases())
+@settings(max_examples=60, deadline=None)
+def test_short_runs_summed_by_bincount_equal_reduceat_byte_for_byte(runs):
+    """Every record, batched and solo, is the same with every coupling sum by
+    np.add.reduceat (bound 0), by the library's bound, and, where no run
+    holds more than 8 entries, with np.bincount wherever the forcing allows."""
+    want = batch_and_solo_records(runs, 0)
+    assert batch_and_solo_records(runs, dde_sim._BINCOUNT_RUN) == want
+    if longest_run(runs) <= 8:
+        assert batch_and_solo_records(runs, 1 << 30) == want
+
+
+def test_bincount_sums_runs_as_reduceat_up_to_eight_entries():
+    """Listed as p1..pk, p0, a run's np.bincount sum equals np.add.reduceat's
+    bit for bit up to 8 entries and not beyond, where numpy's pairwise sum
+    splits: this is why the core's bound is 8."""
+    assert dde_sim._BINCOUNT_RUN == 8
+    rng = np.random.default_rng(0)
+    runs = 2000
+    for length in range(1, 12):
+        p = rng.normal(size=(runs, length)) * 10.0 ** rng.integers(-8, 8, (runs, length))
+        want = np.add.reduceat(p.ravel(), np.arange(0, p.size, length))
+        got = np.bincount(np.repeat(np.arange(runs), length), np.roll(p, -1, axis=1).ravel())
+        assert (got.tobytes() == want.tobytes()) == (length <= 8)
+
+
+@pytest.mark.parametrize("forcing", [0.0, -0.0])
+@pytest.mark.parametrize("lag", [0, 10])
+def test_a_node_that_hears_nobody_keeps_the_sign_of_its_zero_derivative(forcing, lag):
+    """Node 2 hears nobody and starts at 0, so its only entry's product is
+    -0.0, whose sum np.bincount makes +0.0. Forced by -0.0 its derivatives
+    are -0.0 and the union keeps np.add.reduceat; forced by +0.0 they are
+    +0.0 either way and the union sums by np.bincount."""
+    g = new_digraph(np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    delays = DelayMatrix(tau=np.full((3, 3), lag * 2.0**-7))
+    cfg = SimConfig(t_step=2.0**-7, horizon=100)
+    gv = np.array([1.0, 0.5, forcing])
+    weighted = []  # the core's sums pass weights; its set-up counts links
+    bincount = np.bincount
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "bincount",
+                   lambda *args, **kw: weighted.append(len(args) > 1) or bincount(*args, **kw))
+        got = simulate(g, delays, cfg, gv)
+    assert any(weighted) == (not np.signbit(forcing))
+    assert (np.signbit(got.derivatives[:, 2]) == np.signbit(forcing)).all()
+    assert (got.derivatives[:, 2] == 0.0).all()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dde_sim, "_BINCOUNT_RUN", 0)
+        assert record_bytes(simulate(g, delays, cfg, gv)) == record_bytes(got)
 
 
 # K of a two-node ring at T_s = 1 and c = 1 (or Q = I), where a = 1 - K: 0

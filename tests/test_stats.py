@@ -1,5 +1,7 @@
 """Local estimators, detection statistics, and the fusion reference."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,15 @@ def test_consensus_function_weighted_mean_and_hook():
     c = np.array([1.0, 1.0, 2.0])
     assert consensus_function(lambda v: v, g, c) == pytest.approx(2.25)
     assert consensus_function(lambda v: v**2, g, c) == pytest.approx(2.25**2)
+
+
+def test_consensus_function_overflows_to_inf_without_a_warning():
+    # forcing near the float limit: the run that follows reports the
+    # overflow as a numerical error, so nothing is printed here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert consensus_function(lambda v: v, np.full(3, 1e308), np.ones(3)) == np.inf
+        assert np.isnan(consensus_function(lambda v: v, [1e308, -1e308, 1e308], [2.0, 2.0, 1.0]))
 
 
 def test_consensus_function_rejects_nonpositive_weights():
