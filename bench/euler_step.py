@@ -3,7 +3,6 @@
 
     python3 bench/euler_step.py --quick
     python3 bench/euler_step.py --quick --src path/to/other/src --label parent --out BENCH.json
-    python3 bench/euler_step.py --sections gather --out BENCH.json
 
 Every row is timed by ``timed``, in reference units, and prints as one
 ``section key=value ...`` line. A row records n, the link count nnz, the
@@ -83,19 +82,17 @@ all the same. ``run_forked`` counts the timed runs (of ``REPEATS``) that
 forked a lane. ``gather``: µs of each call of one block of the Euler core, on
 arrays built as ``_simulate_core`` builds them for one run, at the
 gamma-sweep shape (a ``random_sc`` graph at n = 8 with L = 9 forcing columns,
-s = 11), at that shape on the complete digraphs of 9 and 10 nodes (runs of 8
-and 9 entries), the demo14 shape (n = 14, s = 51) and the run-n300 shape (its
+s = 11), at that shape on the complete digraphs of 6 to 10 nodes (runs of 5
+to 9 entries), the demo14 shape (n = 14, s = 51) and the run-n300 shape (its
 scenario, s = 1): the take of the block's delayed states (``take_us``), the
 weight multiply (``multiply_us``), the ``np.add.reduceat`` sums
 (``reduceat_us``), the same sums by one ``np.bincount`` over the entries
 listed rank-major with each run's first entry last (``bincount_us``; the
 core takes it only where ``longest_run``, the most entries of one (receiver,
-column) run, is at most 8) and, for a run that scans, the
+column) run, is at most ``_BINCOUNT_RUN``) and, for a run that scans, the
 ``np.add.accumulate`` along the block (``accumulate_us``); each timed call
 repeats the call ``GATHER_LOOPS`` times. ``entries`` counts the entries of
 one gather, which holds ``gather_steps`` steps.
-
-``--sections`` runs only the named sections.
 
 selfsync is imported from ``--src`` (default: this checkout's ``src/``), so one
 copy of the script can time two versions of the library on the same machine.
@@ -185,8 +182,6 @@ RUN_SIZES = (300, 1000)
 RUN_LARGE = 2000
 # gather rows: calls per timed call
 GATHER_LOOPS = 2000
-SECTIONS = ("sizes", "columns", "demo14", "span", "protocol", "trace", "setup", "channel",
-            "structure", "load", "cold", "montecarlo", "analysis", "run", "gather")
 
 
 def timed(*calls, repeats: int = REPEATS) -> dict:
@@ -611,7 +606,7 @@ def gather_rows(selfsync, seed: int) -> list[dict]:
 
     g, delays, cfg, _ = sc_case(selfsync, 8, seed, SC_HORIZONS[0])
     rows = [gather_row(selfsync, "gamma-sweep", g, delays, cfg, 9)]
-    for n in (9, 10):  # complete digraphs: runs of n - 1 entries at the gamma-sweep shape
+    for n in range(6, 11):  # complete digraphs: runs of n - 1 entries at the gamma-sweep shape
         g = selfsync.new_digraph(np.ones((n, n)) - np.eye(n))
         delays = selfsync.DelayMatrix.uniform(n, SC_TAU)
         rows.append(gather_row(selfsync, f"complete{n}", g, delays, replace(cfg, c_weights=1.0), 9))
@@ -638,8 +633,6 @@ def main(argv=None) -> int:
                     help="directory holding the selfsync package to time")
     ap.add_argument("--label", default="change", help="key of this result in --out")
     ap.add_argument("--out", default=None, help="JSON file to store the result in")
-    ap.add_argument("--sections", nargs="+", choices=SECTIONS, default=None,
-                    help="sections to run, in this order (default: all)")
     args = ap.parse_args(argv)
 
     sys.path.insert(0, args.src)
@@ -647,33 +640,6 @@ def main(argv=None) -> int:
 
     horizon, seed = (200 if args.quick else 1000), args.seed
     start = time.perf_counter()
-    sections = {
-        "sizes": lambda: show("sizes", [size_row(selfsync, n, horizon, seed) for n in SIZES]),
-        "columns": lambda: show("columns", column_rows(selfsync, horizon, seed)),
-        "demo14": lambda: show("demo14", [columns_row(selfsync, *demo_case(selfsync, seed)[:3],
-                                                      1, seed)])[0],
-        "span": lambda: show("span", span_rows(selfsync, seed) + [mixed_span_row(selfsync, seed)]),
-        "protocol": lambda: show("protocol", [protocol_row(selfsync, n, seed) for n in SC_SIZES]),
-        "trace": lambda: show("trace", [
-            trace_row(selfsync, "demo14", *demo_case(selfsync, seed), 1),
-            trace_row(selfsync, f"n{TRACE_N}", *build_case(selfsync, TRACE_N, seed, TRACE_HORIZON),
-                      TRACE_DOWNSAMPLE)]),
-        "setup": lambda: show("setup", [setup_row(selfsync, n) for n in SETUP_SIZES]),
-        "channel": lambda: show("channel", [channel_row(selfsync, n, seed) for n in (40, 300)]),
-        "structure": lambda: show("structure", [structure_row(selfsync, n, seed)
-                                                for n in STRUCTURE_SIZES]),
-        "load": lambda: show("load", [row for n in LOAD_SIZES
-                                      for row in load_rows(selfsync, n, seed)]),
-        "cold": lambda: show("cold", [cold_row(args.src, n, seed) for n in COLD_SIZES]),
-        "montecarlo": lambda: show("montecarlo", [
-            montecarlo_row(selfsync, trials, seed, cpus)
-            for cpus in sorted({1, len(os.sched_getaffinity(0))}) for trials in MC_TRIALS]),
-        "analysis": lambda: show("analysis", [analysis_row(selfsync, n, seed)
-                                              for n in ANALYSIS_SIZES]),
-        "run": lambda: show("run", [run_row(selfsync, n, seed)
-                                    for n in RUN_SIZES + (() if args.quick else (RUN_LARGE,))]),
-        "gather": lambda: show("gather", gather_rows(selfsync, seed)),
-    }
     result = {
         "quick": args.quick,
         "seed": seed,
@@ -681,7 +647,29 @@ def main(argv=None) -> int:
         "machine": {"cpu_count": os.cpu_count(), "usable_cpus": len(os.sched_getaffinity(0)),
                     "numpy": np.__version__,
                     "python": platform.python_version()},
-        **{name: sections[name]() for name in args.sections or SECTIONS},
+        "sizes": show("sizes", [size_row(selfsync, n, horizon, seed) for n in SIZES]),
+        "columns": show("columns", column_rows(selfsync, horizon, seed)),
+        "demo14": show("demo14", [columns_row(selfsync, *demo_case(selfsync, seed)[:3], 1,
+                                              seed)])[0],
+        "span": show("span", span_rows(selfsync, seed) + [mixed_span_row(selfsync, seed)]),
+        "protocol": show("protocol", [protocol_row(selfsync, n, seed) for n in SC_SIZES]),
+        "trace": show("trace", [
+            trace_row(selfsync, "demo14", *demo_case(selfsync, seed), 1),
+            trace_row(selfsync, f"n{TRACE_N}", *build_case(selfsync, TRACE_N, seed, TRACE_HORIZON),
+                      TRACE_DOWNSAMPLE)]),
+        "setup": show("setup", [setup_row(selfsync, n) for n in SETUP_SIZES]),
+        "channel": show("channel", [channel_row(selfsync, n, seed) for n in (40, 300)]),
+        "structure": show("structure", [structure_row(selfsync, n, seed)
+                                        for n in STRUCTURE_SIZES]),
+        "load": show("load", [row for n in LOAD_SIZES for row in load_rows(selfsync, n, seed)]),
+        "cold": show("cold", [cold_row(args.src, n, seed) for n in COLD_SIZES]),
+        "montecarlo": show("montecarlo", [
+            montecarlo_row(selfsync, trials, seed, cpus)
+            for cpus in sorted({1, len(os.sched_getaffinity(0))}) for trials in MC_TRIALS]),
+        "analysis": show("analysis", [analysis_row(selfsync, n, seed) for n in ANALYSIS_SIZES]),
+        "run": show("run", [run_row(selfsync, n, seed)
+                            for n in RUN_SIZES + (() if args.quick else (RUN_LARGE,))]),
+        "gather": show("gather", gather_rows(selfsync, seed)),
     }
     result["wall_s"] = round(time.perf_counter() - start, 2)
     if args.out:

@@ -145,7 +145,7 @@ _BLOCK_ENTRIES = 1 << 16
 # unchecked states that trigger the non-finite check
 _CHECK_EVERY = 64
 # longest run of entries whose coupling sum np.bincount forms as np.add.reduceat
-# does: below 8 terms numpy's pairwise sum adds in order
+# does (below 8 terms numpy's pairwise sum adds in order), and faster (BENCH_30)
 _BINCOUNT_RUN = 8
 # steps of coupling noise drawn per generator call
 _NOISE_STEPS = 64
