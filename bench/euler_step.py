@@ -92,7 +92,14 @@ core takes it only where ``longest_run``, the most entries of one (receiver,
 column) run, is at most ``_BINCOUNT_RUN``) and, for a run that scans, the
 ``np.add.accumulate`` along the block (``accumulate_us``); each timed call
 repeats the call ``GATHER_LOOPS`` times. ``entries`` counts the entries of
-one gather, which holds ``gather_steps`` steps.
+one gather, which holds ``gather_steps`` steps. ``lift``: µs per step of a
+``"window"`` ``simulate`` on ``random_sc`` graphs at the gamma-sweep
+configuration whose links all lag m steps, at the (n, m) of ``LIFT_CASES``
+(lifted histories H = n (m + 1), ``history``, from 16 to 400), with L = 1
+and n + 1 normal forcing columns, over ``LIFT_HORIZONS`` (200 and 8000)
+steps; where the library has ``dde_sim._LIFT_HISTORY``, each row is also
+timed with every noise-free member lifted (``lift_us_per_step``) and with
+none (``step_us_per_step``). These rows set ``_LIFT_HISTORY``.
 
 selfsync is imported from ``--src`` (default: this checkout's ``src/``), so one
 copy of the script can time two versions of the library on the same machine.
@@ -182,6 +189,11 @@ RUN_SIZES = (300, 1000)
 RUN_LARGE = 2000
 # gather rows: calls per timed call
 GATHER_LOOPS = 2000
+# lift rows: (n, lag) of random_sc graphs whose links all lag `lag` steps, at
+# horizons long and short
+LIFT_CASES = ((4, 4), (4, 24), (4, 36), (4, 49), (8, 1), (8, 4), (8, 10), (8, 15), (8, 24),
+              (8, 49), (16, 0), (16, 4), (16, 7), (16, 11))
+LIFT_HORIZONS = (200, 8000)
 
 
 def timed(*calls, repeats: int = REPEATS) -> dict:
@@ -319,6 +331,43 @@ def at_scan(selfsync, scan: bool, call):
         finally:
             dde_sim._SCAN_SPAN = old
     return run
+
+
+def at_lift(selfsync, lift: bool, call):
+    """call, run with every noise-free member lifted, or with none."""
+    def run():
+        dde_sim = selfsync.dde_sim
+        old = dde_sim._LIFT_HISTORY
+        dde_sim._LIFT_HISTORY = 2**62 if lift else 0
+        try:
+            return call()
+        finally:
+            dde_sim._LIFT_HISTORY = old
+    return run
+
+
+def lift_row(selfsync, n: int, lag: int, cols: int, horizon: int, seed: int) -> dict:
+    rng = np.random.default_rng(seed + n)
+    g = selfsync.topologies.random_sc(n, rng)
+    delays = selfsync.DelayMatrix.uniform(n, lag * SC_T_STEP)
+    cfg = selfsync.SimConfig(t_step=SC_T_STEP, k_gain=SC_K_GAIN,
+                             c_weights=rng.uniform(0.5, 2.0, n), horizon=horizon)
+    forcing = rng.normal(1.0, 0.4, (n, cols))
+
+    def call():
+        return selfsync.simulate(g, delays, cfg, forcing, record="window")
+
+    calls = [("us_per_step", 1e6 / (horizon + 1), call)]
+    if hasattr(selfsync.dde_sim, "_LIFT_HISTORY"):
+        calls += [("lift_us_per_step", 1e6 / (horizon + 1), at_lift(selfsync, True, call)),
+                  ("step_us_per_step", 1e6 / (horizon + 1), at_lift(selfsync, False, call))]
+    return {**graph_fields(g, delays, SC_T_STEP), "history": n * (lag + 1), "columns": cols,
+            "horizon": horizon, **timed(*calls)}
+
+
+def lift_rows(selfsync, seed: int) -> list[dict]:
+    return [lift_row(selfsync, n, lag, cols, horizon, seed)
+            for n, lag in LIFT_CASES for cols in (1, n + 1) for horizon in LIFT_HORIZONS]
 
 
 def span_timed(selfsync, steps: int, call) -> dict:
@@ -670,6 +719,7 @@ def main(argv=None) -> int:
         "run": show("run", [run_row(selfsync, n, seed)
                             for n in RUN_SIZES + (() if args.quick else (RUN_LARGE,))]),
         "gather": show("gather", gather_rows(selfsync, seed)),
+        "lift": show("lift", lift_rows(selfsync, seed)),
     }
     result["wall_s"] = round(time.perf_counter() - start, 2)
     if args.out:

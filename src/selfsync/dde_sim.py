@@ -3,7 +3,7 @@ synchronization detection on the derivative trajectories."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -163,6 +163,23 @@ _SCAN_FLOOR = 1e-150
 # the cumulative sum by up to this ratio, which 2x2 runs read as about 2e-15
 # times it in relative error (a scalar gain's ratio is 1)
 _SCAN_SPREAD = 16.0
+# largest lifted history H = n (mmax + 1), times L for a vector gain, of a
+# noise-free member that advances by the lifted Euler operator, whose flops
+# per step grow as n H L. In the BENCH_31 `lift` rows it won over 8000 steps
+# up to H = 128 at every L up to n + 1 and lost from H = 148 on; over 200
+# steps, where the build dominates, it lost from H = 80 on, by 2.2-2.7x at
+# H = 88-100 and by up to 5.6x at H = 128
+_LIFT_HISTORY = 100
+# fewest steps of one lifted block: b is the least multiple of s at or above
+# it. A longer block pays fewer calls and a longer build (BENCH_31 `block`):
+# b = 66 ran gamma-sweep's rounds 6% faster than 33 and 22 8% slower, while
+# mc-n40's clean batch (s = 1) ran b = 16 30% faster than 32 and 64 60% slower
+_LIFT_STEPS = 32
+# gathered entries per step of one stepped run that builds lifted operators,
+# which bounds its buffers: at 2^14 mc-n40's two clean delay-free members
+# (1600 entries each, H + L = 41) built in 3 MB traced, against 6.8 MB in
+# one run, in as much time (2^13: 2.4 MB, a third slower)
+_LIFT_BUILD = 1 << 14
 
 
 def run_work(horizon: int, entries: int, nodes: int, columns: int = 1) -> int:
@@ -206,6 +223,7 @@ class _Member:
     span: int  # s = shortest link lag + 1, before the caps
     scans: bool  # whether the self term is solved by the cumulative-sum scan
     first: int  # first recorded step
+    lift: int  # block length b of the lifted Euler operator, 0 where the member steps
     dst: np.ndarray
     src: np.ndarray
     lag: np.ndarray
@@ -276,8 +294,14 @@ def _member(run: SimRun, label: str) -> _Member:
     weight = np.r_[g.link_weights, -indeg[own]][order]
     horizon = cfg.horizon
     first = max(horizon + 1 - cfg.sync_window(horizon + 1), 0) if run.record == "window" else 0
+    # a noise-free member lifts unless its forcing holds -0.0: a product of
+    # the lifted operator is never -0.0, where k c + g with g = -0.0 can be
+    history = n * (mmax + 1) * (1 if kq.ndim == 2 else gv.shape[1])
+    lifts = cfg.noise_std == 0 and history <= _LIFT_HISTORY
+    lifts = lifts and not np.signbit(gv[gv == 0]).any()
+    lift = span * -(-_LIFT_STEPS // span) if lifts else 0
     return _Member(
-        label, cfg, kq, gv, columns, indeg, mmax, span, scans, first, dst, src, lag, weight
+        label, cfg, kq, gv, columns, indeg, mmax, span, scans, first, lift, dst, src, lag, weight
     )
 
 
@@ -286,15 +310,15 @@ def _label(members, offsets, node: int) -> str:
     return members[int(np.searchsorted(offsets, node, side="right")) - 1].label
 
 
-def _check_finite(x: np.ndarray, last_step: int, members, offsets) -> None:
-    """Raise at the first non-finite state among the rows of x, whose last
-    row holds the state of step last_step, naming its member."""
+def _check_finite(x: np.ndarray, last_step: int, members, offsets, what: str = "state") -> None:
+    """Raise at the first non-finite row of x, whose last row holds the
+    state (or `what`) of step last_step, naming its member."""
     ok = np.isfinite(x)
     if not ok.all():
         bad = int(np.argmin(ok.reshape(len(x), -1).all(axis=1)))
         node = int(np.argmin(ok[bad].all(axis=1)))
         raise SimulationError(
-            f"{_label(members, offsets, node)}non-finite state at step "
+            f"{_label(members, offsets, node)}non-finite {what} at step "
             f"{last_step - (len(x) - 1) + bad}"
         )
 
@@ -303,7 +327,7 @@ def _simulate_core(
     members: list[_Member], t_step: float, horizon: int, record: str
 ) -> list[Trajectory] | list[NodeMean]:
     """Euler run of the disjoint union of members that share L, the gain kind
-    and the step arithmetic (see `simulate_batch`); each member's record has
+    and the arithmetic (see `simulate_batch`); each member's record has
     shape (samples, n_b, L) and equals its solo run bit for bit.
 
     A (n, 1) gain drives L independent scalar columns, with coupling noise
@@ -345,14 +369,92 @@ def _simulate_core(
     and at the end. A scanned block leaves its derivative rows pending; each
     check first forms d - k_i d_in(i) x over every pending row and checks
     them, since they overflow a step before the state does. A failure is
-    reported at the first step a per-step run finds it.
+    reported at the first step a per-step run finds it; a non-finite
+    derivative row of the horizon step, which has no next state, is
+    reported at that step.
+
+    The fourth arithmetic is the lifted Euler operator. A noise-free member
+    with no -0.0 in its forcing, whose lifted history z_t = (x_{t-mmax},
+    ..., x_t) holds H = n (mmax + 1) numbers per column (n L (mmax + 1) for
+    a vector gain) with H at most _LIFT_HISTORY, maps z_t to the states
+    x_{t+1..t+b} and to the derivative
+    rows of steps t..t+b-1 by one affine map, b being the least multiple of
+    s at or above _LIFT_STEPS. The maps are built once per call by the
+    stepped arithmetic above, run from the H unit histories without forcing
+    and from the zero history with the forcing (`_lift_operators`), so they
+    inherit its conventions. A block is then one np.matmul of shape
+    (members, L, 1, H) @ (members, 1, H, b n) per kind of row (L = 1 and
+    b n L columns for a vector gain), an add and a write into the history:
+    every product row is its own BLAS call, so each column and member keeps
+    the bits of its solo run, which one (L x H) product would not. Blocks
+    start at multiples of b from step 0, derivative rows are formed only
+    where the record reads them, and states and formed rows are checked once
+    per _CHUNK steps, before each compaction and at the end. On a non-finite
+    value the whole run is run again by the stepped arithmetic, whose error
+    names the step a stepped run names: rerun from a lifted history, whose
+    last digits differ, a state that doubles exactly per step can overflow a
+    step apart. Should the stepped run find nothing, the lifted run's own
+    first non-finite value is reported.
     """
+    return _core(members, t_step, horizon, record)
+
+
+def _lift_operators(members: list[_Member], t_step: float) -> list[tuple]:
+    """(operator, forcing term) of the states and of the derivative rows of
+    one lifted block for every member of a lifted step group, of shapes
+    (members, 1, H, b n w) and (members, cols, 1, b n w), where a scalar gain
+    has cols = L columns of width w = 1 and a vector gain one of w = L. Row h
+    of an operator is the block that the stepped arithmetic runs from the
+    unit history e_h, ordered as (row, node, coordinate), with zero forcing;
+    the forcing term is the block run from the zero history. A scalar gain
+    runs these H + L histories as forcing columns, a vector gain as copies
+    of the member, at most _LIFT_BUILD gathered entries per step at a time."""
+    mb = members[0]
+    n, mmax, b, dim = len(mb.indeg), mb.mmax, mb.lift, mb.g_vals.shape[1]
+    scalar = mb.kq.ndim == 2
+    width = 1 if scalar else dim
+    h = (mmax + 1) * n * width
+    units = h + dim // width
+    unit = np.eye(h).reshape(mmax + 1, n, width, h)
+    if scalar:  # (mmax + 1, n, units), the forcing's columns last
+        history = np.concatenate([unit[:, :, 0], np.zeros((mmax + 1, n, dim))], axis=2)
+    else:  # (mmax + 1, units n, L), the forcing's copy last
+        history = np.concatenate([unit.transpose(0, 3, 1, 2).reshape(mmax + 1, h * n, dim),
+                                  np.zeros((mmax + 1, n, dim))], axis=1)
+    ops = np.empty((2, len(members), units, b, n, width))
+    per_run = max(_LIFT_BUILD // (mb.dst.size * width), 1)
+    for m, out in zip(members, ops.swapaxes(0, 1)):
+        forcing = np.hstack([np.zeros((n, h)), m.g_vals]) if scalar else None
+        for lo in range(0, units, per_run):
+            hi = min(lo + per_run, units)
+            if scalar:
+                (run,) = _core([replace(m, g_vals=forcing[:, lo:hi], lift=0, first=0)], t_step,
+                               b, "full", history[:, :, lo:hi])
+                out[0, lo:hi, ..., 0] = run.states[1:].transpose(2, 0, 1)
+                out[1, lo:hi, ..., 0] = run.derivatives[:-1].transpose(2, 0, 1)
+                continue
+            parts = [replace(m, g_vals=m.g_vals if k == h else np.zeros_like(m.g_vals), lift=0,
+                             first=0) for k in range(lo, hi)]
+            runs = _core(parts, t_step, b, "full", history[:, lo * n : hi * n])
+            for k, run in zip(range(lo, hi), runs):
+                out[0, k], out[1, k] = run.states[1:], run.derivatives[:-1]
+    ops = ops.reshape(2, len(members), units, -1)
+    return [(op[:, None, :h], op[:, h:, None]) for op in ops]
+
+
+def _core(
+    members: list[_Member], t_step: float, horizon: int, record: str,
+    history: np.ndarray | None = None,
+) -> list[Trajectory] | list[NodeMean]:
+    """`_simulate_core`'s run; with `history`, the union's mmax + 1 rows up
+    to step 0, in place of the members' initial conditions."""
     offsets = np.cumsum([0] + [len(mb.indeg) for mb in members])
     n = int(offsets[-1])
     dim = members[0].g_vals.shape[1]
     mmax = max(mb.mmax for mb in members)
     span = min(mb.span for mb in members)
-    scan = members[0].scans
+    lift = members[0].lift
+    scan = members[0].scans and not lift
     first = min(mb.first for mb in members)
     g_vals = np.concatenate([mb.g_vals for mb in members])
     # The coupling sum_j a_ij (x_j(t - tau_ij) - x_i(t)) equals sum_j b_ij
@@ -385,7 +487,7 @@ def _simulate_core(
         idx, weight, key, key_step = idx[order], weight[order], run[order], row
     # the entry list tiled once for the longest gather
     smax = max(min(span, _BLOCK_ENTRIES // per_step), 1)
-    block = span if scan else smax
+    block = lift or (span if scan else smax)
     shift = np.arange(smax)[:, None]
     idx = (idx + shift * row).ravel()
     weight = np.tile(weight, smax)
@@ -396,9 +498,12 @@ def _simulate_core(
         rows = mmax + 1 + min(horizon, -(-max(_CHUNK, mmax + 1) // block) * block)
     # one spare row takes the state after the horizon, which is never read
     x = np.empty((rows + 1, n, dim))
-    past = np.arange(-mmax, 1) * t_step
-    for mb, lo, hi in zip(members, offsets, offsets[1:]):
-        x[: mmax + 1, lo:hi] = mb.cfg.init.evaluate(past, hi - lo, dim)
+    if history is None:
+        past = np.arange(-mmax, 1) * t_step
+        for mb, lo, hi in zip(members, offsets, offsets[1:]):
+            x[: mmax + 1, lo:hi] = mb.cfg.init.evaluate(past, hi - lo, dim)
+    else:
+        x[: mmax + 1] = history
     start = first - first % block  # step of the block that holds `first`
     base = start  # step of deriv's first row
     if record == "node_mean":
@@ -431,11 +536,21 @@ def _simulate_core(
 
     def settle() -> None:
         """Form and check a scan's pending derivative rows, of steps
-        done..step-1, then check the states up to row cur. A non-finite row
-        of step t fails at its state, or else at the state of step t + 1."""
+        done..step-1, then check the states up to row cur and, at the end,
+        the horizon's derivative row. A non-finite row of step t < horizon
+        fails at its state, or else at the state of step t + 1. A lifted run
+        checks the rows it formed since step `done` too; on a non-finite
+        value it first runs again by the stepped arithmetic, whose error is
+        the one a stepped run raises."""
         nonlocal checked, done
         last = min(step, horizon)  # the step of row cur
-        if scan and done < step:
+        if lift:
+            lo = max(done, start) if record == "window" else done
+            tail = derivatives(lo, max(lo, step))  # the rows formed since the last check
+            if not (np.isfinite(x[checked + 1 : cur + 1]).all() and np.isfinite(tail).all()):
+                _core([replace(mb, lift=0, first=0) for mb in members], t_step, horizon,
+                      "node_mean")
+        elif scan and done < step:
             d, product = derivatives(done, step), settled[: step - done]
             apply(self_gain, x[cur - last + done : cur - last + step], out=product)
             d -= product
@@ -447,6 +562,10 @@ def _simulate_core(
                     _check_finite(d[bad[0] : bad[0] + 1], t + 1, members, offsets)
         done = step
         _check_finite(x[checked + 1 : cur + 1], last, members, offsets)
+        if not lift and step > horizon:
+            lo, tail = horizon, derivatives(horizon, horizon + 1)
+        if lift or step > horizon:
+            _check_finite(tail, lo + len(tail) - 1, members, offsets, "derivative")
         checked = cur
 
     whole = gathers(block)  # the gathers of a whole block
@@ -490,6 +609,12 @@ def _simulate_core(
         settled = np.empty((pending, n, dim))
     else:
         tmp = np.empty((n, dim))
+    if lift:
+        ops = _lift_operators(members, t_step)
+        width = 1 if kq.ndim == 2 else dim
+        # a row of x and a product, split by member, node, column and width
+        row_shape = (len(members), n // len(members), dim // width, width)
+        block_shape = (len(members), dim // width, block, n // len(members), width)
     # Each noisy member's stream is drawn _NOISE_STEPS steps ahead, spread
     # over its columns. Consecutive draws split one stream, so block k reads
     # the values its own (s, n_b, cols) draw would give.
@@ -518,60 +643,75 @@ def _simulate_core(
                     base = step
             s = block if step + block <= horizon else horizon + 1 - step
             new = s if step + s <= horizon else s - 1  # states this block writes
-            d = derivatives(step, step + s)
-            for gi, gw, gk, p, k in whole if s == block else gathers(s):
-                gathered = xf[(cur - mmax + p) * row :][gi]
-                np.multiply(gathered, gw, out=gathered)
-                c = (np.bincount(gk, gathered, k * row) if short
-                     else np.add.reduceat(gathered, gk)).reshape(k, n, dim)
-                dk = d if k == s else d[p : p + k]
-                if k_over_c is not None:
-                    np.multiply(k_over_c, c, out=dk)
-                else:
-                    np.einsum("ilm,sim->sil", kq, c, out=dk)
-            d += g_vals
-            if noisy:
-                if used + s > len(noise):
-                    ahead = max(_NOISE_STEPS, s)
-                    fresh = np.empty((ahead, n, dim))
-                    keep = len(noise) - used
-                    fresh[:keep] = noise[used:]
-                    for lo, hi, rng, std in noisy:
-                        fresh[keep:, lo:hi] = rng.normal(
-                            0.0, std, size=(ahead - keep, hi - lo, noise_cols)
-                        )
-                    noise, used = fresh, 0
-                for lo, hi in spans:
-                    d[:, lo:hi] += noise[used : used + s, lo:hi]
-                used += s
-            if span == 1:
-                nxt = x[cur + 1]
-                np.multiply(t_step, d[0], out=nxt)
-                nxt += x[cur]
-            elif not scan:
-                xs = x[cur : cur + s + 1]
-                for rhs, xk, nxt in zip(d, xs, xs[1:]):
-                    if k_over_c is not None:
-                        np.multiply(self_gain, xk, out=tmp)
-                    else:
-                        np.einsum("ilm,im->il", self_gain, xk, out=tmp)
-                    rhs -= tmp
-                    np.multiply(t_step, rhs, out=nxt)
-                    nxt += xk
+            if lift:
+                zt = x[cur - mmax : cur + 1].reshape((mmax + 1,) + row_shape)
+                # contiguous, as a strided row would take another BLAS kernel
+                zt = np.ascontiguousarray(
+                    zt.transpose(1, 3, 0, 2, 4).reshape(block_shape[:2] + (1, -1)))
+                targets = [(ops[0], x[cur + 1 : cur + 1 + new])]
+                if record != "window" or step >= start:
+                    targets.append((ops[1], derivatives(step, step + s)))
+                for (op, term), out in targets:
+                    y = np.matmul(zt, op)
+                    y += term
+                    y = y.reshape(block_shape)[:, :, : len(out)]
+                    out.reshape((len(out),) + row_shape)[...] = y.transpose(2, 0, 3, 1, 4)
             else:
-                # x_{t+j} = a^(j-s) (a^s x_t + sum_{i<j} T a^(s-1-i) d_i),
-                # with the tables' last s rows for a block cut short; the
-                # derivative rows d - k_i d_in(i) x wait for `settle`
-                xs, zs, buf = x[cur : cur + s + 1], z[: s + 1], zbuf[: s + 1]
-                apply(power[s - 1], xs[0], out=zs[0])
-                apply(lead[span - s :], d, out=zs[1:])
-                np.add.accumulate(zs, axis=0, out=buf)  # np.cumsum without its wrapper
-                apply(back[span - s :], buf[1:], out=xs[1:])
+                d = derivatives(step, step + s)
+                for gi, gw, gk, p, k in whole if s == block else gathers(s):
+                    gathered = xf[(cur - mmax + p) * row :][gi]
+                    np.multiply(gathered, gw, out=gathered)
+                    c = (np.bincount(gk, gathered, k * row) if short
+                         else np.add.reduceat(gathered, gk)).reshape(k, n, dim)
+                    dk = d if k == s else d[p : p + k]
+                    if k_over_c is not None:
+                        np.multiply(k_over_c, c, out=dk)
+                    else:
+                        np.einsum("ilm,sim->sil", kq, c, out=dk)
+                d += g_vals
+                if noisy:
+                    if used + s > len(noise):
+                        ahead = max(_NOISE_STEPS, s)
+                        fresh = np.empty((ahead, n, dim))
+                        keep = len(noise) - used
+                        fresh[:keep] = noise[used:]
+                        for lo, hi, rng, std in noisy:
+                            fresh[keep:, lo:hi] = rng.normal(
+                                0.0, std, size=(ahead - keep, hi - lo, noise_cols)
+                            )
+                        noise, used = fresh, 0
+                    for lo, hi in spans:
+                        d[:, lo:hi] += noise[used : used + s, lo:hi]
+                    used += s
+                if span == 1:
+                    nxt = x[cur + 1]
+                    np.multiply(t_step, d[0], out=nxt)
+                    nxt += x[cur]
+                elif not scan:
+                    xs = x[cur : cur + s + 1]
+                    for rhs, xk, nxt in zip(d, xs, xs[1:]):
+                        if k_over_c is not None:
+                            np.multiply(self_gain, xk, out=tmp)
+                        else:
+                            np.einsum("ilm,im->il", self_gain, xk, out=tmp)
+                        rhs -= tmp
+                        np.multiply(t_step, rhs, out=nxt)
+                        nxt += xk
+                else:
+                    # x_{t+j} = a^(j-s) (a^s x_t + sum_{i<j} T a^(s-1-i) d_i),
+                    # with the tables' last s rows for a block cut short; the
+                    # derivative rows d - k_i d_in(i) x wait for `settle`
+                    xs, zs, buf = x[cur : cur + s + 1], z[: s + 1], zbuf[: s + 1]
+                    apply(power[s - 1], xs[0], out=zs[0])
+                    apply(lead[span - s :], d, out=zs[1:])
+                    np.add.accumulate(zs, axis=0, out=buf)  # np.cumsum without its wrapper
+                    apply(back[span - s :], buf[1:], out=xs[1:])
             if record == "window" and step >= start:
                 states[step - start : step + s - start] = x[cur : cur + s]
             cur += new
             step += s
-            if cur - checked >= _CHECK_EVERY or step > horizon or step == start:
+            unchecked = cur - checked
+            if unchecked >= (_CHUNK if lift else _CHECK_EVERY) or step > horizon or step == start:
                 settle()
     if record == "node_mean":
         reduce_means(horizon + 1)
@@ -600,9 +740,12 @@ def simulate_batch(runs) -> list[Trajectory] | list[NodeMean]:
     column count L, the gain kind and the step arithmetic (s = 1, s > 1
     stepped step by step, or one exact s of a member that scans, whose
     blocks round by where they start; see `_simulate_core`) run as one
-    disjoint union, a step group. Every member passes the step-size guard
-    before any step; in a batch of more than one, an error names the member
-    by its index in `runs`.
+    disjoint union, a step group. A noise-free member whose lifted history
+    H = n (mmax + 1), times L for a vector gain, is at most _LIFT_HISTORY
+    and whose forcing holds no -0.0 advances by the lifted Euler operator
+    instead, in a group that also shares its n, mmax and block length b.
+    Every member passes the step-size guard before any step; in a batch of
+    more than one, an error names the member by its index in `runs`.
 
     Step groups run side by side in lanes by the rule of `lanes.run`, each
     with its estimated work (`run_work` summed over its members). The results,
@@ -630,7 +773,8 @@ def simulate_batch(runs) -> list[Trajectory] | list[NodeMean]:
     keyed: dict[tuple, list[int]] = {}
     for b, mb in enumerate(members):
         arithmetic = mb.span if mb.scans else min(mb.span, 2)
-        keyed.setdefault((arithmetic, mb.kq.ndim, mb.g_vals.shape[1]), []).append(b)
+        lifted = (mb.lift, len(mb.indeg), mb.mmax) if mb.lift else ()
+        keyed.setdefault((arithmetic, lifted, mb.kq.ndim, mb.g_vals.shape[1]), []).append(b)
     groups = list(keyed.values())
     cfg = runs[0].cfg
 
@@ -665,7 +809,9 @@ def simulate(
 
     g_values of shape (n, L) runs L independent forcing columns in one pass;
     states and derivatives then have shape (samples, n, L), and
-    ``column(l)`` equals, bit for bit, the run with forcing g_values[:, l].
+    ``column(l)`` equals, bit for bit, the run with forcing g_values[:, l]
+    (where both take one arithmetic: a forcing that holds -0.0 keeps a
+    noise-free run off the lifted Euler operator; see `_simulate_core`).
     Coupling noise is drawn once per step for each node and added to every
     column: each column sees the stream that its own run seeded with
     cfg.rng_seed would see.

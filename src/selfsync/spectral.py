@@ -158,7 +158,9 @@ def _max_deviation(d: np.ndarray, omega: np.ndarray) -> np.ndarray:
     for col in nodes[1:]:
         np.minimum(lo, col, out=lo)
     dev = np.maximum(_running_max(nodes) - omega, omega - lo)
-    return _running_max(dev.reshape(len(d), -1).T)
+    # np.maximum(+0.0, -0.0) is -0.0; adding +0.0 makes it the +0.0 of |x|
+    # and changes no other value
+    return _running_max(dev.reshape(len(d), -1).T) + 0.0
 
 
 def empirical_rate(traj, omega_star) -> tuple[float, float]:

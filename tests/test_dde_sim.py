@@ -1,5 +1,6 @@
 """Discrete-time integrator and synchronization detection."""
 
+import contextlib
 import functools
 import os
 import re
@@ -47,6 +48,17 @@ def two_node():
 
 # the record of a run parametrized by a window-only flag
 RECORD = {False: "full", True: "window"}
+
+# the size limit of the lifted Euler operator that turns it off, and on for
+# every noise-free member whose forcing holds no -0.0
+LIFT = {"stepped": 0, "lifted": 1 << 62}
+
+
+@contextlib.contextmanager
+def lifted(kind):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dde_sim, "_LIFT_HISTORY", LIFT[kind])
+        yield
 
 
 def ring3(weight=1.0):
@@ -206,15 +218,17 @@ def test_noise_reproducible_and_zero_noise_identical():
         SimConfig(noise_std=-0.1)
 
 
-def test_scalar_path_equals_unit_dim_vector_path():
-    g = ring3()
-    cfg = SimConfig(t_step=1e-3, k_gain=2.0, c_weights=np.array([1.0, 2.0, 0.5]), horizon=150)
-    gv = np.array([0.3, 1.0, -0.4])
-    scalar = simulate(g, DelayMatrix.uniform(3, 0.01), cfg, gv)
-    q = cfg.c_array(3).reshape(3, 1, 1)
-    vector = simulate(g, DelayMatrix.uniform(3, 0.01), cfg, gv[:, None], q_mats=q)
-    assert np.array_equal(scalar.states, vector.states[:, :, 0])
-    assert np.array_equal(scalar.derivatives, vector.derivatives[:, :, 0])
+@pytest.mark.parametrize("lift", LIFT)
+def test_scalar_path_equals_unit_dim_vector_path(lift):
+    with lifted(lift):
+        g = ring3()
+        cfg = SimConfig(t_step=1e-3, k_gain=2.0, c_weights=np.array([1.0, 2.0, 0.5]), horizon=150)
+        gv = np.array([0.3, 1.0, -0.4])
+        scalar = simulate(g, DelayMatrix.uniform(3, 0.01), cfg, gv)
+        q = cfg.c_array(3).reshape(3, 1, 1)
+        vector = simulate(g, DelayMatrix.uniform(3, 0.01), cfg, gv[:, None], q_mats=q)
+        assert np.array_equal(scalar.states, vector.states[:, :, 0])
+        assert np.array_equal(scalar.derivatives, vector.derivatives[:, :, 0])
 
 
 def test_vector_sim_validates_q_matrices():
@@ -464,6 +478,8 @@ def dense_core_reference(w, lags, kq, g_vals, t_step, horizon, init, noise_std, 
             x[cur + 1] = x[cur] + t_step * rhs
             if not np.all(np.isfinite(x[cur + 1])):
                 raise SimulationError(f"non-finite state at step {step + 1}")
+        elif not np.all(np.isfinite(rhs)):  # no next state shows it
+            raise SimulationError(f"non-finite derivative at step {step}")
     return x[mmax:], deriv
 
 
@@ -536,45 +552,119 @@ def test_edge_list_core_matches_dense_reference(case):
     assert_core_matches_dense_reference(w, lags, rng, noise_std, dim, horizon=40)
 
 
+@given(kernel_cases(), st.integers(min_value=1, max_value=2000))
+@settings(max_examples=60, deadline=None)
+def test_iterated_lifted_operator_matches_dense_reference(case, horizon):
+    """z_{t+b} = F z_t + c, iterated here block by block with the operators
+    that `_lift_operators` builds, gives the dense reference's states and
+    derivative rows within 1e-12: F maps the last mmax + 1 states to the
+    next b states and to the derivative rows of their steps."""
+    n, dim, w, lags, rng, _ = case
+    t_step = 2.0**-7
+    cfg = SimConfig(
+        t_step=t_step,
+        k_gain=1.5,
+        c_weights=rng.uniform(0.5, 2.0, n),
+        horizon=horizon,
+        init=InitialCondition(slopes=rng.normal(size=n), intercepts=rng.normal(size=n)),
+    )
+    g, delays = new_digraph(w), DelayMatrix(tau=lags * t_step)
+    gv = rng.normal(size=(n, dim))
+    if dim == 1:
+        q, kq = None, (cfg.k_gain / cfg.c_array(n)).reshape(n, 1, 1)
+    else:
+        a = rng.normal(size=(n, dim, dim))
+        q = a @ a.transpose(0, 2, 1) + 0.5 * np.eye(dim)
+        kq = cfg.k_gain * np.linalg.inv(q)
+    with lifted("lifted"):
+        mb = dde_sim._member(dde_sim.SimRun(g, delays, cfg, gv, q), "")
+    (states_op, states_term), (deriv_op, deriv_term) = dde_sim._lift_operators([mb], t_step)
+    b, mmax = mb.lift, mb.mmax
+    width = 1 if q is None else dim  # a scalar gain's columns are independent
+    x = np.empty((mmax + 1 + horizon + b, n, dim))
+    x[: mmax + 1] = cfg.init.evaluate(np.arange(-mmax, 1) * t_step, n, dim)
+    deriv = np.empty((horizon + b, n, dim))
+    for t in range(0, horizon + 1, b):
+        z = x[t : t + mmax + 1].reshape(mmax + 1, n, dim // width, width)
+        z = z.transpose(2, 0, 1, 3).reshape(dim // width, -1)
+        for op, term, out in ((states_op, states_term, x[t + mmax + 1 : t + mmax + 1 + b]),
+                              (deriv_op, deriv_term, deriv[t : t + b])):
+            y = z @ op[0, 0] + term[0, :, 0]
+            out[...] = y.reshape(-1, b, n, width).transpose(1, 2, 0, 3).reshape(b, n, dim)
+    m = np.where(w > 0.0, lags, 0)
+    ref_states, ref_deriv = dense_core_reference(
+        w, m, kq, gv, t_step, horizon, cfg.init, 0.0, 0
+    )
+    assert_rel_close(x[mmax : mmax + horizon + 1], ref_states, 1e-12)
+    assert_rel_close(deriv[: horizon + 1], ref_deriv, 1e-12)
+
+
+@given(kernel_cases(), st.integers(min_value=1, max_value=400))
+@settings(max_examples=40, deadline=None)
+def test_lifted_operators_built_in_pieces_equal_one_build(case, entries):
+    """Built by stepped runs of at most `entries` gathered entries per step,
+    a few unit histories each, the operators equal those of one run byte
+    for byte, for scalar gains (forcing columns) and vector gains (copies)."""
+    n, dim, w, lags, rng, _ = case
+    cfg = SimConfig(t_step=2.0**-7, k_gain=1.5, c_weights=rng.uniform(0.5, 2.0, n))
+    q = None
+    if dim > 1:
+        a = rng.normal(size=(n, dim, dim))
+        q = a @ a.transpose(0, 2, 1) + 0.5 * np.eye(dim)
+    run = dde_sim.SimRun(new_digraph(w), DelayMatrix(tau=lags * cfg.t_step), cfg,
+                         rng.normal(size=(n, dim)), q)
+    with lifted("lifted"):
+        mb = dde_sim._member(run, "")
+    whole = dde_sim._lift_operators([mb], cfg.t_step)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dde_sim, "_LIFT_BUILD", entries)
+        pieces = dde_sim._lift_operators([mb], cfg.t_step)
+    assert [a.tobytes() for op in pieces for a in op] == [a.tobytes() for op in whole for a in op]
+
+
+@pytest.mark.parametrize("lift", LIFT)
 @pytest.mark.parametrize("lag", [0, 1, 5])
-def test_divergence_reported_at_same_step_as_dense_reference(lag):
-    # T_s * K * in_degree = 1.5 passes the step-size guard but diverges
-    g = two_node()
-    cfg = SimConfig(t_step=1.0, k_gain=1.5, horizon=5000)
-    lags = np.array([[0, lag], [lag, 0]])
-    gv = np.array([1.0, 0.0])
-    kq = np.full((2, 1, 1), cfg.k_gain)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(SimulationError) as ref:
-            dense_core_reference(
-                g.weights, lags, kq, gv[:, None], 1.0, cfg.horizon, cfg.init, 0.0, 0
-            )
-        with pytest.raises(SimulationError) as got:
-            simulate(g, DelayMatrix(tau=lags * 1.0), cfg, gv)
-    assert "non-finite state at step" in str(ref.value)
-    assert str(got.value) == str(ref.value)
+def test_divergence_reported_at_same_step_as_dense_reference(lift, lag):
+    with lifted(lift):
+        # T_s * K * in_degree = 1.5 passes the step-size guard but diverges
+        g = two_node()
+        cfg = SimConfig(t_step=1.0, k_gain=1.5, horizon=5000)
+        lags = np.array([[0, lag], [lag, 0]])
+        gv = np.array([1.0, 0.0])
+        kq = np.full((2, 1, 1), cfg.k_gain)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationError) as ref:
+                dense_core_reference(
+                    g.weights, lags, kq, gv[:, None], 1.0, cfg.horizon, cfg.init, 0.0, 0
+                )
+            with pytest.raises(SimulationError) as got:
+                simulate(g, DelayMatrix(tau=lags * 1.0), cfg, gv)
+        assert "non-finite state at step" in str(ref.value)
+        assert str(got.value) == str(ref.value)
 
 
+@pytest.mark.parametrize("lift", LIFT)
 @pytest.mark.parametrize("lags", [(2, 2, 2), (2, 3, 4), (4, 2, 3)])
 @pytest.mark.parametrize("window_only", [False, True])
-def test_ring_divergence_with_block_steps_reported_at_dense_step(lags, window_only):
-    # every link lags >= 2 steps, so the run advances in blocks of >= 3 steps
-    g = ring3()
-    cfg = SimConfig(t_step=1.0, k_gain=1.5, horizon=20000)
-    m = np.zeros((3, 3), dtype=int)
-    m[1, 0], m[2, 1], m[0, 2] = lags
-    gv = np.array([1.0, 0.0, -0.5])
-    kq = np.full((3, 1, 1), cfg.k_gain)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationError) as ref:
-        dense_core_reference(
-            g.weights, m, kq, gv[:, None], 1.0, cfg.horizon, cfg.init, 0.0, 0
-        )
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dde_sim, "_CHUNK", 50)  # checked only before each compaction
-        with pytest.raises(SimulationError) as got:
-            simulate(g, DelayMatrix(tau=m * 1.0), cfg, gv, record=RECORD[window_only])
-    assert "non-finite state at step" in str(ref.value)
-    assert str(got.value) == str(ref.value)
+def test_ring_divergence_with_block_steps_reported_at_dense_step(lift, lags, window_only):
+    with lifted(lift):
+        # every link lags >= 2 steps, so the run advances in blocks of >= 3 steps
+        g = ring3()
+        cfg = SimConfig(t_step=1.0, k_gain=1.5, horizon=20000)
+        m = np.zeros((3, 3), dtype=int)
+        m[1, 0], m[2, 1], m[0, 2] = lags
+        gv = np.array([1.0, 0.0, -0.5])
+        kq = np.full((3, 1, 1), cfg.k_gain)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationError) as ref:
+            dense_core_reference(
+                g.weights, m, kq, gv[:, None], 1.0, cfg.horizon, cfg.init, 0.0, 0
+            )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dde_sim, "_CHUNK", 50)  # checked only before each compaction
+            with pytest.raises(SimulationError) as got:
+                simulate(g, DelayMatrix(tau=m * 1.0), cfg, gv, record=RECORD[window_only])
+        assert "non-finite state at step" in str(ref.value)
+        assert str(got.value) == str(ref.value)
 
 
 def detect_sync_pairwise(traj, tol, window, min_cluster_size=2):
@@ -711,10 +801,12 @@ def assert_columns_and_tail_bit_exact(n, cols, w, lags, rng, noise_std, chunk, h
     return g, delays, cfg, forcing, full
 
 
+@pytest.mark.parametrize("lift", LIFT)
 @given(column_cases())
 @settings(max_examples=60, deadline=None)
-def test_columns_equal_single_runs_and_window_equals_tail(case):
-    assert_columns_and_tail_bit_exact(*case)
+def test_columns_equal_single_runs_and_window_equals_tail(lift, case):
+    with lifted(lift):
+        assert_columns_and_tail_bit_exact(*case)
 
 
 def test_window_only_record_over_several_default_chunks():
@@ -786,22 +878,24 @@ def capped_ring_case(noise_std):
     return 3, 2, w, np.full((3, 3), 6), np.random.default_rng(1), noise_std, 10, 3
 
 
+@pytest.mark.parametrize("lift", LIFT)
 @given(block_cases())
 @example(capped_ring_case(0.0))
 @example(capped_ring_case(0.1))
 @settings(max_examples=60, deadline=None)
-def test_block_core_columns_windows_and_block_lengths_bit_exact(case):
-    g, delays, cfg, forcing, full = assert_columns_and_tail_bit_exact(*case[:-1])
-    chunk, steps = case[-2:]
-    # shorter blocks split the same steps differently, with the same bits,
-    # also in bounded records whose compactions they meet
-    entries = dde_sim._member(dde_sim.SimRun(g, delays, cfg, forcing), "").dst.size
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dde_sim, "_BLOCK_ENTRIES", steps * entries * forcing.shape[1])
-        short = simulate(g, delays, cfg, forcing)
-        assert_records_are_slices_of_the_full_record([(g, delays, cfg, forcing, None)], chunk)
-    assert short.states.tobytes() == full.states.tobytes()
-    assert short.derivatives.tobytes() == full.derivatives.tobytes()
+def test_block_core_columns_windows_and_block_lengths_bit_exact(lift, case):
+    with lifted(lift):
+        g, delays, cfg, forcing, full = assert_columns_and_tail_bit_exact(*case[:-1])
+        chunk, steps = case[-2:]
+        # shorter blocks split the same steps differently, with the same bits,
+        # also in bounded records whose compactions they meet
+        entries = dde_sim._member(dde_sim.SimRun(g, delays, cfg, forcing), "").dst.size
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dde_sim, "_BLOCK_ENTRIES", steps * entries * forcing.shape[1])
+            short = simulate(g, delays, cfg, forcing)
+            assert_records_are_slices_of_the_full_record([(g, delays, cfg, forcing, None)], chunk)
+        assert short.states.tobytes() == full.states.tobytes()
+        assert short.derivatives.tobytes() == full.derivatives.tobytes()
 
 
 # ---------------------------------------------------------------- batches
@@ -867,10 +961,12 @@ def assert_batch_equals_solo_runs(runs):
             assert np.ascontiguousarray(a).tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("lift", LIFT)
 @given(batch_cases())
 @settings(max_examples=80, deadline=None)
-def test_batch_equals_solo_runs_bit_for_bit(runs):
-    assert_batch_equals_solo_runs(runs)
+def test_batch_equals_solo_runs_bit_for_bit(lift, runs):
+    with lifted(lift):
+        assert_batch_equals_solo_runs(runs)
 
 
 def record_bytes(rec):
@@ -913,10 +1009,12 @@ def assert_records_are_slices_of_the_full_record(runs, chunk):
                     assert got.column(col).mean.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("lift", LIFT)
 @given(batch_cases(), st.integers(min_value=1, max_value=30))
 @settings(max_examples=80, deadline=None)
-def test_records_equal_slices_of_the_full_record(runs, chunk):
-    assert_records_are_slices_of_the_full_record(runs, chunk)
+def test_records_equal_slices_of_the_full_record(lift, runs, chunk):
+    with lifted(lift):
+        assert_records_are_slices_of_the_full_record(runs, chunk)
 
 
 def traced_peak(g, delays, cfg, gv, record):
@@ -1000,24 +1098,26 @@ def test_batch_checks_every_step_size_before_any_step(monkeypatch):
         simulate(*bad)
 
 
+@pytest.mark.parametrize("lift", LIFT)
 @pytest.mark.parametrize("lag", [0, 1, 5])
 @pytest.mark.parametrize("window_only", [False, True])
-def test_batch_reports_a_diverging_member_at_its_solo_step(lag, window_only):
-    # T_s * K * in_degree = 1.5 passes the step-size guard but diverges
-    diverging = (
-        two_node(),
-        DelayMatrix(tau=np.array([[0.0, lag], [lag, 0.0]])),
-        SimConfig(t_step=1.0, k_gain=1.5, horizon=5000),
-        np.array([1.0, 0.0]),
-    )
-    calm = (ring3(), DelayMatrix.uniform(3, float(lag)),
-            SimConfig(t_step=1.0, k_gain=0.2, horizon=5000), np.ones(3))
-    with pytest.raises(SimulationError) as solo:
-        simulate(*diverging, record=RECORD[window_only])
-    assert str(solo.value).startswith("non-finite state at step")
-    with pytest.raises(SimulationError) as got:
-        simulate_batch([run + (None, RECORD[window_only]) for run in (calm, diverging, calm)])
-    assert str(got.value) == f"member 1: {solo.value}"
+def test_batch_reports_a_diverging_member_at_its_solo_step(lift, lag, window_only):
+    with lifted(lift):
+        # T_s * K * in_degree = 1.5 passes the step-size guard but diverges
+        diverging = (
+            two_node(),
+            DelayMatrix(tau=np.array([[0.0, lag], [lag, 0.0]])),
+            SimConfig(t_step=1.0, k_gain=1.5, horizon=5000),
+            np.array([1.0, 0.0]),
+        )
+        calm = (ring3(), DelayMatrix.uniform(3, float(lag)),
+                SimConfig(t_step=1.0, k_gain=0.2, horizon=5000), np.ones(3))
+        with pytest.raises(SimulationError) as solo:
+            simulate(*diverging, record=RECORD[window_only])
+        assert str(solo.value).startswith("non-finite state at step")
+        with pytest.raises(SimulationError) as got:
+            simulate_batch([run + (None, RECORD[window_only]) for run in (calm, diverging, calm)])
+        assert str(got.value) == f"member 1: {solo.value}"
 
 
 @pytest.mark.parametrize(
@@ -1072,62 +1172,70 @@ def test_scan_core_matches_dense_reference(case, reach):
         assert_core_matches_dense_reference(w, lags, rng, noise_std, dim, horizon, reach)
 
 
+@pytest.mark.parametrize("lift", LIFT)
 @given(scan_cases())
 @settings(max_examples=40, deadline=None)
-def test_scan_core_columns_windows_and_gathers_bit_exact(case):
+def test_scan_core_columns_windows_and_gathers_bit_exact(lift, case):
     """Columns equal their single runs, a window record with a short chunk
     is the full record's tail, and a block gathered in pieces of at most
     `entries` entries gives the same bits as one gather."""
-    *args, rng, noise_std, chunk, entries = case
-    horizon = int(rng.integers(1, 400))
-    g, delays, cfg, forcing, full = assert_columns_and_tail_bit_exact(
-        *args, rng, noise_std, chunk, horizon
-    )
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dde_sim, "_BLOCK_ENTRIES", entries)
-        pieces = simulate(g, delays, cfg, forcing)
-        mp.setattr(dde_sim, "_CHUNK", chunk)
-        tail = simulate(g, delays, cfg, forcing, record="window")
-    assert pieces.states.tobytes() == full.states.tobytes()
-    assert pieces.derivatives.tobytes() == full.derivatives.tobytes()
-    assert tail.derivatives.tobytes() == full.derivatives[tail.first_step :].tobytes()
+    with lifted(lift):
+        *args, rng, noise_std, chunk, entries = case
+        horizon = int(rng.integers(1, 400))
+        g, delays, cfg, forcing, full = assert_columns_and_tail_bit_exact(
+            *args, rng, noise_std, chunk, horizon
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dde_sim, "_BLOCK_ENTRIES", entries)
+            pieces = simulate(g, delays, cfg, forcing)
+            mp.setattr(dde_sim, "_CHUNK", chunk)
+            tail = simulate(g, delays, cfg, forcing, record="window")
+        assert pieces.states.tobytes() == full.states.tobytes()
+        assert pieces.derivatives.tobytes() == full.derivatives.tobytes()
+        assert tail.derivatives.tobytes() == full.derivatives[tail.first_step :].tobytes()
 
 
+@pytest.mark.parametrize("lift", LIFT)
 @given(scan_cases())
 @settings(max_examples=40, deadline=None)
-def test_scan_core_node_means_are_the_full_record_means(case):
-    n, cols, w, lags, rng, noise_std, chunk, _ = case
-    t_step = 2.0**-7
-    cfg = SimConfig(
-        t_step=t_step,
-        k_gain=1.5,
-        c_weights=rng.uniform(0.5, 2.0, n),
-        horizon=int(rng.integers(1, 400)),
-        noise_std=noise_std,
-        rng_seed=int(rng.integers(1000)),
-        init=InitialCondition(slopes=rng.normal(size=n), intercepts=rng.normal(size=n)),
-    )
-    g, delays = new_digraph(w), DelayMatrix(tau=lags * t_step)
-    forcing = rng.normal(size=(n, cols))
-    full = simulate(g, delays, cfg, forcing)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dde_sim, "_CHUNK", chunk)
-        means = simulate(g, delays, cfg, forcing, record="node_mean")
-    for col in range(cols):
-        want = full.column(col).derivatives.mean(axis=1)
-        assert means.column(col).mean.tobytes() == want.tobytes()
+def test_scan_core_node_means_are_the_full_record_means(lift, case):
+    with lifted(lift):
+        n, cols, w, lags, rng, noise_std, chunk, _ = case
+        t_step = 2.0**-7
+        cfg = SimConfig(
+            t_step=t_step,
+            k_gain=1.5,
+            c_weights=rng.uniform(0.5, 2.0, n),
+            horizon=int(rng.integers(1, 400)),
+            noise_std=noise_std,
+            rng_seed=int(rng.integers(1000)),
+            init=InitialCondition(slopes=rng.normal(size=n), intercepts=rng.normal(size=n)),
+        )
+        g, delays = new_digraph(w), DelayMatrix(tau=lags * t_step)
+        forcing = rng.normal(size=(n, cols))
+        full = simulate(g, delays, cfg, forcing)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dde_sim, "_CHUNK", chunk)
+            means = simulate(g, delays, cfg, forcing, record="node_mean")
+        for col in range(cols):
+            want = full.column(col).derivatives.mean(axis=1)
+            assert means.column(col).mean.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("lift", LIFT)
 @given(batch_cases(long_lags=True, max_horizon=300))
 @settings(max_examples=40, deadline=None)
-def test_batch_of_spans_below_and_above_the_scan_equals_solo_runs(runs):
-    assert_batch_equals_solo_runs(runs)
+def test_batch_of_spans_below_and_above_the_scan_equals_solo_runs(lift, runs):
+    with lifted(lift):
+        assert_batch_equals_solo_runs(runs)
 
 
+@pytest.mark.parametrize("lift", LIFT)
 @given(batch_cases(long_lags=True, max_horizon=300), st.integers(min_value=1, max_value=30))
 @settings(max_examples=40, deadline=None)
-def test_scanned_records_equal_slices_of_the_full_record(runs, chunk):
-    assert_records_are_slices_of_the_full_record(runs, chunk)
+def test_scanned_records_equal_slices_of_the_full_record(lift, runs, chunk):
+    with lifted(lift):
+        assert_records_are_slices_of_the_full_record(runs, chunk)
 
 
 SCAN_DIVERGENCES = [("two_node", 7, 1.2), ("two_node", 10, 1.9), ("two_node", 50, 1.9),
@@ -1164,6 +1272,7 @@ SCAN_PENDING = [("full", "checked"), ("window", "checked"), ("node_mean", "check
                 ("window", "before_window")]
 
 
+@pytest.mark.parametrize("lift", LIFT)
 @pytest.mark.parametrize("graph, lag, gain", SCAN_DIVERGENCES)
 @pytest.mark.parametrize(
     "record, pending", SCAN_PENDING,
@@ -1171,21 +1280,43 @@ SCAN_PENDING = [("full", "checked"), ("window", "checked"), ("node_mean", "check
          for record, pending in SCAN_PENDING],
 )
 def test_scan_divergence_reported_at_same_step_as_dense_reference(
-    graph, lag, gain, record, pending
+    lift, graph, lag, gain, record, pending
 ):
-    (g, delays, cfg, gv), want = scan_divergence(graph, lag, gain)
-    if pending == "before_window":
-        # the window's first step lies s + 1 steps past the failing one, so
-        # the row waits for the check before the window's first block
-        fail = int(want.rsplit(" ", 1)[1])
-        cfg = replace(cfg, horizon=2 * (fail + lag + 1) + 1, sync_window_frac=0.5)
-        assert cfg.horizon + 1 - cfg.sync_window(cfg.horizon + 1) == fail + lag + 2
-    with pytest.MonkeyPatch.context() as mp:
-        for name, value in PENDING[pending].items():
-            mp.setattr(dde_sim, name, value)
-        with pytest.raises(SimulationError) as got:
-            simulate(g, delays, cfg, gv, record=record)
-    assert str(got.value) == want
+    with lifted(lift):
+        (g, delays, cfg, gv), want = scan_divergence(graph, lag, gain)
+        if pending == "before_window":
+            # the window's first step lies s + 1 steps past the failing one, so
+            # the row waits for the check before the window's first block
+            fail = int(want.rsplit(" ", 1)[1])
+            cfg = replace(cfg, horizon=2 * (fail + lag + 1) + 1, sync_window_frac=0.5)
+            assert cfg.horizon + 1 - cfg.sync_window(cfg.horizon + 1) == fail + lag + 2
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in PENDING[pending].items():
+                mp.setattr(dde_sim, name, value)
+            with pytest.raises(SimulationError) as got:
+                simulate(g, delays, cfg, gv, record=record)
+        assert str(got.value) == want
+
+
+@pytest.mark.parametrize("lift", LIFT)
+@pytest.mark.parametrize("record", dde_sim.RECORDS)
+def test_a_non_finite_derivative_row_at_the_horizon_is_an_error(lift, record):
+    """The two-node case of `scan_divergence` (lag 10, gain 1.9) first fails
+    at step 3871. With horizon 3870 every state is finite and the horizon's
+    derivative row is not: the run raises at step 3870, as the dense
+    reference does, where it used to return that row."""
+    (g, delays, cfg, gv), first_failure = scan_divergence("two_node", 10, 1.9)
+    assert first_failure == "non-finite state at step 3871"
+    kq = np.full((2, 1, 1), 1.9)
+    for horizon, want in ((3870, "non-finite derivative at step 3870"),
+                          (3871, first_failure)):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationError) as ref:
+            dense_core_reference(g.weights, np.where(g.weights > 0.0, 10, 0), kq, gv[:, None],
+                                 1.0, horizon, cfg.init, 0.0, 0)
+        assert str(ref.value) == want
+        with lifted(lift), pytest.raises(SimulationError) as got:
+            simulate(g, delays, replace(cfg, horizon=horizon), gv, record=record)
+        assert str(got.value) == want
 
 
 @st.composite
@@ -1247,16 +1378,18 @@ def batch_and_solo_records(runs, bound):
     return batch
 
 
+@pytest.mark.parametrize("lift", LIFT)
 @given(run_length_cases())
 @settings(max_examples=60, deadline=None)
-def test_short_runs_summed_by_bincount_equal_reduceat_byte_for_byte(runs):
+def test_short_runs_summed_by_bincount_equal_reduceat_byte_for_byte(lift, runs):
     """Every record, batched and solo, is the same with every coupling sum by
     np.add.reduceat (bound 0), by the library's bound, and, where no run
     holds more than 8 entries, with np.bincount wherever the forcing allows."""
-    want = batch_and_solo_records(runs, 0)
-    assert batch_and_solo_records(runs, dde_sim._BINCOUNT_RUN) == want
-    if longest_run(runs) <= 8:
-        assert batch_and_solo_records(runs, 1 << 30) == want
+    with lifted(lift):
+        want = batch_and_solo_records(runs, 0)
+        assert batch_and_solo_records(runs, dde_sim._BINCOUNT_RUN) == want
+        if longest_run(runs) <= 8:
+            assert batch_and_solo_records(runs, 1 << 30) == want
 
 
 def test_bincount_sums_runs_as_reduceat_up_to_eight_entries():
@@ -1314,31 +1447,33 @@ def guarded_run(g, gain, dim, lag=10, horizon=200):
     return (g, delays, cfg, gv, np.broadcast_to(np.eye(dim), (g.n, dim, dim)), "full")
 
 
+@pytest.mark.parametrize("lift", LIFT)
 @pytest.mark.parametrize("dim", [0, 1, 2])
 @pytest.mark.parametrize("case", GUARD_GAINS)
-def test_scan_floor_steps_members_whose_a_power_vanishes(case, dim):
+def test_scan_floor_steps_members_whose_a_power_vanishes(lift, case, dim):
     """A member whose a^s lies below _SCAN_FLOOR is stepped, one with
     -1 < a < 0 scans; each matches the dense reference and, batched after a
     member of its own s that scans, its solo run bit for bit. Unguarded, the
     scan of a = 0 fails."""
-    run = guarded_run(two_node(), GUARD_GAINS[case], dim)
-    g, delays, cfg, gv = run[:4]
-    assert dde_sim._member(dde_sim.SimRun(*run), "").scans == (case == "a_negative")
-    traj = simulate(*run[:5])
-    cols = max(dim, 1)
-    kq = np.broadcast_to(cfg.k_gain * np.eye(cols), (2, cols, cols))
-    ref_states, ref_deriv = dense_core_reference(
-        g.weights, delays.tau.astype(int), kq, gv.reshape(2, cols), 1.0, cfg.horizon,
-        cfg.init, 0.0, 0)
-    assert_rel_close(traj.states.reshape(ref_states.shape), ref_states, 1e-12)
-    assert_rel_close(traj.derivatives.reshape(ref_deriv.shape), ref_deriv, 1e-12)
-    assert_batch_equals_solo_runs([guarded_run(ring3(), 0.3, dim), run])
-    if case == "a_zero":
-        unguarded = SimulationError if dim == 0 else np.linalg.LinAlgError
-        with pytest.MonkeyPatch.context() as mp, np.errstate(divide="ignore"):
-            mp.setattr(dde_sim, "_SCAN_FLOOR", 0.0)
-            with pytest.raises(unguarded):
-                simulate(*run[:5])
+    with lifted(lift):
+        run = guarded_run(two_node(), GUARD_GAINS[case], dim)
+        g, delays, cfg, gv = run[:4]
+        assert dde_sim._member(dde_sim.SimRun(*run), "").scans == (case == "a_negative")
+        traj = simulate(*run[:5])
+        cols = max(dim, 1)
+        kq = np.broadcast_to(cfg.k_gain * np.eye(cols), (2, cols, cols))
+        ref_states, ref_deriv = dense_core_reference(
+            g.weights, delays.tau.astype(int), kq, gv.reshape(2, cols), 1.0, cfg.horizon,
+            cfg.init, 0.0, 0)
+        assert_rel_close(traj.states.reshape(ref_states.shape), ref_states, 1e-12)
+        assert_rel_close(traj.derivatives.reshape(ref_deriv.shape), ref_deriv, 1e-12)
+        assert_batch_equals_solo_runs([guarded_run(ring3(), 0.3, dim), run])
+        if case == "a_zero":
+            unguarded = SimulationError if dim == 0 else np.linalg.LinAlgError
+            with pytest.MonkeyPatch.context() as mp, np.errstate(divide="ignore"):
+                mp.setattr(dde_sim, "_SCAN_FLOOR", 0.0)
+                with pytest.raises(unguarded):
+                    simulate(*run[:5])
 
 
 # ---------------------------------------------------------------- lanes
@@ -1356,27 +1491,30 @@ def calm_ring(horizon=3000):
             SimConfig(t_step=1.0, k_gain=0.2, horizon=horizon), np.ones(3))
 
 
+@pytest.mark.parametrize("lift", LIFT)
 @given(batch_cases(), st.sampled_from(dde_sim.RECORDS), st.sampled_from([2, 3]))
 @settings(max_examples=60, deadline=None)
-def test_lanes_equal_the_in_process_run(runs, record, cpus):
+def test_lanes_equal_the_in_process_run(lift, runs, record, cpus):
     """With lanes forced on, every record kind equals the in-process batch
     byte for byte, one child is forked per lane but the first, and none is
     left behind."""
-    runs = [dde_sim.SimRun(*run[:5], record) for run in runs]
-    groups = []
-    core = dde_sim._simulate_core
-    with lanes(cpus=1) as forks, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dde_sim, "_simulate_core", lambda *a: groups.append(1) or core(*a))
-        want = simulate_batch(runs)
-    assert forks == []
-    with lanes(cpus=cpus) as forks:
-        got = simulate_batch(runs)
-    assert len(forks) == min(len(groups), cpus) - 1
-    assert_no_children()
-    for a, b in zip(got, want, strict=True):
-        assert record_bytes(a) == record_bytes(b)
+    with lifted(lift):
+        runs = [dde_sim.SimRun(*run[:5], record) for run in runs]
+        groups = []
+        core = dde_sim._simulate_core
+        with lanes(cpus=1) as forks, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dde_sim, "_simulate_core", lambda *a: groups.append(1) or core(*a))
+            want = simulate_batch(runs)
+        assert forks == []
+        with lanes(cpus=cpus) as forks:
+            got = simulate_batch(runs)
+        assert len(forks) == min(len(groups), cpus) - 1
+        assert_no_children()
+        for a, b in zip(got, want, strict=True):
+            assert record_bytes(a) == record_bytes(b)
 
 
+@pytest.mark.parametrize("lift", LIFT)
 @pytest.mark.parametrize(
     "batch",
     [
@@ -1389,15 +1527,16 @@ def test_lanes_equal_the_in_process_run(runs, record, cpus):
     ],
     ids=["in-child", "in-parent", "both"],
 )
-def test_lanes_raise_the_in_process_error(batch):
-    with pytest.raises(SimulationError) as solo, lanes(cpus=1):
-        simulate_batch(batch)
-    assert re.fullmatch(r"member \d: non-finite state at step \d+", str(solo.value))
-    with pytest.raises(SimulationError) as got, lanes() as forks:
-        simulate_batch(batch)
-    assert len(forks) == 1
-    assert str(got.value) == str(solo.value)
-    assert_no_children()
+def test_lanes_raise_the_in_process_error(lift, batch):
+    with lifted(lift):
+        with pytest.raises(SimulationError) as solo, lanes(cpus=1):
+            simulate_batch(batch)
+        assert re.fullmatch(r"member \d: non-finite state at step \d+", str(solo.value))
+        with pytest.raises(SimulationError) as got, lanes() as forks:
+            simulate_batch(batch)
+        assert len(forks) == 1
+        assert str(got.value) == str(solo.value)
+        assert_no_children()
 
 
 def test_step_size_guard_fails_before_any_fork():
